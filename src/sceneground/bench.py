@@ -92,14 +92,10 @@ def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> flo
     return float(np.mean(chances))
 
 
-def run_bench(
-    dataset_dir: str | Path,
-    registry: EncoderRegistry,
-    top_k: int = 5,
-    threshold: float = 0.9,
-    workers: int = 1,
-    with_baseline: bool = False,
-) -> BenchReport:
+def _prepare(
+    dataset_dir: str | Path, registry: EncoderRegistry,
+) -> tuple[dict[str, Scene], list[BenchEntry], dict[str, FeatureCache]]:
+    """Load and check a dataset, with one feature cache per scene."""
     scenes, entries = load_dataset(dataset_dir)
     for entry in entries:
         if entry.scene_id not in scenes:
@@ -109,6 +105,23 @@ def run_bench(
                 f"ground truth {entry.ground_truth} not in scene {entry.scene_id!r}"
             )
     caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
+    return scenes, entries, caches
+
+
+def run_bench(
+    dataset_dir: str | Path,
+    registry: EncoderRegistry,
+    workers: int = 1,
+    with_baseline: bool = False,
+    plots_dir: str | Path | None = None,
+) -> BenchReport:
+    """Ground every entry, then score single conditions on the same caches.
+
+    Each (scene, relation) feature is evaluated once per run. With
+    ``plots_dir``, the :func:`emit_plot_data` files are written from those
+    caches too.
+    """
+    scenes, entries, caches = _prepare(dataset_dir, registry)
 
     def ground_one(entry: BenchEntry) -> BenchRecord:
         started = time.perf_counter()
@@ -132,7 +145,7 @@ def run_bench(
         records = [ground_one(e) for e in entries]
 
     precision, recall = condition_level_eval(
-        [(e.scene_id, e.expression, e.ground_truth) for e in entries], scenes, registry)
+        [(e.scene_id, e.expression, e.ground_truth) for e in entries], scenes, registry, caches)
     aggregates = {
         "n_records": len(records),
         "accuracy": sum(r.correct for r in records) / len(records),
@@ -145,10 +158,10 @@ def run_bench(
         aggregates["random_baseline"] = _random_baseline(scenes, entries)
     config = {
         "dataset": str(dataset_dir),
-        "top_k": top_k,
-        "threshold": threshold,
         "workers": workers,
     }
+    if plots_dir is not None:
+        _write_plot_data(scenes, entries, caches, plots_dir)
     return BenchReport(records=records, aggregates=aggregates, config=config)
 
 
@@ -160,23 +173,21 @@ def report_to_dict(report: BenchReport) -> dict:
     }
 
 
-def emit_plot_data(
-    dataset_dir: str | Path,
-    registry: EncoderRegistry,
-    out_dir: str | Path,
-    top_k: int = 5,
-    threshold: float = 0.9,
-) -> dict:
+def emit_plot_data(dataset_dir: str | Path, registry: EncoderRegistry,
+                   out_dir: str | Path) -> dict:
     """CSV matrices for feature heatmaps and per-step grounding scores.
 
     Heatmaps cover the symmetric/antisymmetric showcase relations per scene;
     step files hold the score vector after the category row and after each
     successive clause of every expression.
     """
+    return _write_plot_data(*_prepare(dataset_dir, registry), out_dir)
+
+
+def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
+                     caches: dict[str, FeatureCache], out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenes, entries = load_dataset(dataset_dir)
-    caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
     manifest: dict = {"heatmaps": [], "steps": []}
 
     for sid, scene in sorted(scenes.items()):

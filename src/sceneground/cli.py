@@ -149,26 +149,22 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import emit_plot_data, report_to_dict, run_bench
+    from .bench import report_to_dict, run_bench
 
     config = _load_config(args.config)
     dataset = _resolve(args, config, "dataset", required=True)
     registry_path = _resolve(args, config, "registry")
-    top_k = int(_resolve(args, config, "top_k", 5))
-    threshold = float(_resolve(args, config, "threshold", 0.9))
     workers = int(_resolve(args, config, "workers", 1))
     baseline = bool(_resolve(args, config, "baseline", False))
     plots = _resolve(args, config, "plots")
     out = _resolve(args, config, "out")
 
     registry = load_registry(registry_path) if registry_path else EncoderRegistry()
-    report = run_bench(dataset, registry, top_k=top_k, threshold=threshold,
-                       workers=workers, with_baseline=baseline)
+    report = run_bench(dataset, registry, workers=workers, with_baseline=baseline,
+                       plots_dir=plots)
     report.config["registry"] = registry_path or "builtin"
     payload = json.dumps(report_to_dict(report), indent=2) + "\n"
     _write_or_print(payload, out)
-    if plots:
-        emit_plot_data(dataset, registry, plots, top_k=top_k, threshold=threshold)
     summary = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
                         for k, v in report.aggregates.items())
     print(summary, file=sys.stderr)
@@ -218,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a grounding benchmark directory")
     p.add_argument("--dataset")
     p.add_argument("--registry", help="encoder registry file (default: builtins)")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--threshold", type=float)
     p.add_argument("--workers", type=int)
     p.add_argument("--baseline", action="store_true", default=None,
                    help="include the random same-category baseline")

@@ -79,10 +79,10 @@ class FeatureCache:
     """Per-scene memo of relation and category features.
 
     The cache snapshots the registry's active definitions at construction, so
-    a grounding run sees one consistent encoder set. Feature computation is
-    memoized under a lock (single-flight: concurrent requests for the same
-    relation compute it once). Entries are only valid for the fingerprinted
-    scene.
+    a grounding run sees one consistent encoder set. Each feature is computed
+    at most once (single-flight): concurrent requests for the same feature
+    wait on that feature's own lock, while lookups of features already
+    computed never wait. Entries are only valid for the fingerprinted scene.
     """
 
     def __init__(
@@ -96,25 +96,33 @@ class FeatureCache:
         self.fingerprint = scene.fingerprint()
         self._definitions = registry.snapshot() if isinstance(registry, EncoderRegistry) else dict(registry)
         self._similarities = similarities if similarities is not None else scene.similarities
-        self._relations: dict[str, RelationFeature] = {}
-        self._categories: dict[str, CategoryFeature] = {}
-        self._lock = threading.Lock()
+        self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
+        self._key_locks: dict[tuple[str, str], threading.Lock] = {}
+        self._lock = threading.Lock()  # guards _key_locks only
+
+    def _memo(self, key: tuple[str, str], compute):
+        feature = self._features.get(key)
+        if feature is None:
+            with self._lock:
+                key_lock = self._key_locks.setdefault(key, threading.Lock())
+            with key_lock:
+                feature = self._features.get(key)
+                if feature is None:
+                    feature = self._features[key] = compute(key[1])
+        return feature
 
     def relation_feature(self, relation: str) -> RelationFeature:
-        with self._lock:
-            if relation not in self._relations:
-                try:
-                    defn = self._definitions[relation]
-                except KeyError:
-                    raise ExecutionError(f"no active encoder for relation {relation!r}") from None
-                self._relations[relation] = eval_encoder(defn, self.scene, self.geometry)
-            return self._relations[relation]
+        return self._memo(("relation", relation), self._compute_relation)
 
     def category_feature(self, category: str) -> CategoryFeature:
-        with self._lock:
-            if category not in self._categories:
-                self._categories[category] = self._compute_category(category)
-            return self._categories[category]
+        return self._memo(("category", category), self._compute_category)
+
+    def _compute_relation(self, relation: str) -> RelationFeature:
+        try:
+            defn = self._definitions[relation]
+        except KeyError:
+            raise ExecutionError(f"no active encoder for relation {relation!r}") from None
+        return eval_encoder(defn, self.scene, self.geometry)
 
     def _compute_category(self, category: str) -> CategoryFeature:
         column = None
@@ -219,6 +227,7 @@ def condition_level_eval(
     entries: list[tuple[str, SymbolicExpression, int]],
     scenes: dict[str, Scene],
     registry: EncoderRegistry | dict[str, EncoderDefinition],
+    caches: dict[str, FeatureCache] | None = None,
 ) -> tuple[float, float]:
     """Macro-averaged precision/recall of single-condition grounding.
 
@@ -227,8 +236,12 @@ def condition_level_eval(
     Predictions and ground truths are grouped per (scene, target category),
     and set precision/recall are macro-averaged over groups. An empty
     condition set scores (1.0, 1.0) by convention.
+
+    ``caches`` maps scene ids to feature caches already built for those
+    scenes, which are reused; scenes without one get a cache over
+    ``registry``. The mapping itself is not modified.
     """
-    caches: dict[str, FeatureCache] = {}
+    caches = dict(caches or {})
     predicted: dict[tuple[str, str], set[int]] = {}
     truth: dict[tuple[str, str], set[int]] = {}
 

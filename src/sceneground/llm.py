@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import requests
-
 from .dsl import EncoderDefinition
 from .expression import SymbolicExpression, parse_expression, relation_arity
 
@@ -214,6 +212,8 @@ class LlmClient:
         self.ledger = ledger if ledger is not None else UsageLedger()
 
     def chat_complete(self, bundle: PromptBundle) -> tuple[str, UsageRecord]:
+        import requests  # deferred: importing it costs more than the rest of the package
+
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:

@@ -90,14 +90,16 @@ class SimilarityTable:
     """Cosine-similarity columns between scene objects and query categories.
 
     ``values[i][q]`` is the similarity of object i to ``categories[q]``;
-    every entry lies in [-1, 1].
+    every entry lies in [-1, 1]. ``values`` is a read-only copy of the input,
+    so a scene's memoized fingerprint stays valid.
     """
 
     categories: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[1] != len(self.categories):
             raise SceneError(
@@ -164,9 +166,16 @@ class Scene:
         return np.array([obj.bbox.size for obj in self.objects], dtype=np.float64)
 
     def fingerprint(self) -> str:
-        """Content hash; feature caches are only valid for a matching scene."""
-        payload = json.dumps(_scene_to_dict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """Content hash; feature caches are only valid for a matching scene.
+
+        Computed on the first call and memoized; the hashed content is immutable.
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            payload = json.dumps(_scene_to_dict(self), sort_keys=True)
+            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from sceneground.bench import emit_plot_data, load_dataset, run_bench
+import sceneground.executor as executor_module
+from sceneground.bench import HEATMAP_RELATIONS, emit_plot_data, load_dataset, run_bench
+from sceneground.executor import FeatureCache, condition_level_eval, execute
 from sceneground.minibench import generate_mini_benchmark
 from sceneground.registry import EncoderRegistry
 
@@ -43,6 +45,80 @@ def test_benchmark_accuracy_and_baseline(dataset, registry):
     assert report.aggregates["random_baseline"] <= 0.30
     assert report.aggregates["condition_precision"] >= 0.9
     assert report.aggregates["condition_recall"] >= 0.9
+
+
+def _relations_of(expression):
+    stack, relations = [expression], set()
+    while stack:
+        node = stack.pop()
+        for clause in node.relations:
+            relations.add(clause.relation)
+            stack.extend(clause.anchors)
+    return relations
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    original = executor_module.eval_encoder
+
+    def counting_eval(defn, scene, *args, **kwargs):
+        calls.append((scene.scene_id, defn.relation))
+        return original(defn, scene, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "eval_encoder", counting_eval)
+    return calls
+
+
+def test_run_bench_evaluates_each_feature_once(dataset, registry, monkeypatch, tmp_path):
+    _, entries = load_dataset(dataset)
+    pairs = {(e.scene_id, r) for e in entries for r in _relations_of(e.expression)}
+    calls = _count_evaluations(monkeypatch)
+    run_bench(dataset, registry)
+    assert sorted(calls) == sorted(pairs)
+
+    # the plot files come from the same caches: only the heatmap relations are new
+    calls.clear()
+    run_bench(dataset, registry, plots_dir=tmp_path / "plots")
+    heatmaps = {(e.scene_id, r) for e in entries for r in HEATMAP_RELATIONS}
+    assert sorted(calls) == sorted(pairs | heatmaps)
+
+
+def test_run_bench_matches_fresh_cache_reference(dataset, registry):
+    scenes, entries = load_dataset(dataset)
+    report = run_bench(dataset, registry, with_baseline=True)
+    expected_argmax = [
+        execute(e.expression, scenes[e.scene_id],
+                FeatureCache(scenes[e.scene_id], registry)).argmax_id()
+        for e in entries
+    ]
+    assert [r.argmax for r in report.records] == expected_argmax
+    assert [r.ground_truth for r in report.records] == [e.ground_truth for e in entries]
+    assert [r.correct for r in report.records] == [
+        a == e.ground_truth for a, e in zip(expected_argmax, entries)]
+    precision, recall = condition_level_eval(
+        [(e.scene_id, e.expression, e.ground_truth) for e in entries], scenes, registry)
+    aggregates = dict(report.aggregates)
+    assert aggregates.pop("mean_wall_ms") > 0
+    assert aggregates == {
+        "n_records": len(entries),
+        "accuracy": sum(a == e.ground_truth for a, e in zip(expected_argmax, entries))
+        / len(entries),
+        "mean_tokens": 0.0,
+        "condition_precision": precision,
+        "condition_recall": recall,
+        "random_baseline": report.aggregates["random_baseline"],
+    }
+    assert report.config == {"dataset": str(dataset), "workers": 1}
+
+
+def test_run_bench_plots_match_emit_plot_data(dataset, registry, tmp_path):
+    manifest = emit_plot_data(dataset, registry, tmp_path / "alone")
+    run_bench(dataset, registry, plots_dir=tmp_path / "with_bench")
+    for entry in manifest["heatmaps"] + manifest["steps"]:
+        alone = (tmp_path / "alone" / entry["file"]).read_bytes()
+        assert (tmp_path / "with_bench" / entry["file"]).read_bytes() == alone
+    assert (tmp_path / "with_bench" / "manifest.json").read_bytes() == \
+        (tmp_path / "alone" / "manifest.json").read_bytes()
 
 
 def test_worker_scheduling_keeps_input_order(dataset, registry):

@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 import threading
 
 import numpy as np
@@ -17,6 +18,7 @@ from sceneground.executor import (
     stable_softmax,
 )
 from sceneground.expression import (
+    ALL_RELATIONS,
     RelationClause,
     SymbolicExpression,
     parse_expression,
@@ -241,6 +243,111 @@ def test_single_flight_feature_computation(registry, monkeypatch):
     for t in threads:
         t.join()
     assert sum(calls) == 1
+
+
+def test_cached_lookup_does_not_wait_for_another_computation(registry, monkeypatch):
+    scene = three_object_scene()
+    cache = FeatureCache(scene, registry)
+    cache.relation_feature("near")
+    import sceneground.executor as executor_module
+
+    original = executor_module.eval_encoder
+    started, release = threading.Event(), threading.Event()
+
+    def held_eval(defn, *args, **kwargs):
+        if defn.relation == "between":
+            started.set()
+            release.wait(timeout=30)
+        return original(defn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "eval_encoder", held_eval)
+    slow = threading.Thread(target=lambda: cache.relation_feature("between"))
+    slow.start()
+    try:
+        assert started.wait(timeout=10)
+        looked_up = []
+        fast = threading.Thread(target=lambda: looked_up.append(cache.relation_feature("near")))
+        fast.start()
+        fast.join(timeout=5)
+        assert looked_up, "lookup of a cached feature waited on another computation"
+    finally:
+        release.set()
+        slow.join(timeout=30)
+    assert not slow.is_alive()
+    assert cache.relation_feature("between").data.shape == (3, 3, 3)
+
+
+def test_feature_cache_stress_one_computation_per_feature(registry, monkeypatch):
+    scene = random_scene(np.random.default_rng(4), 6, "s")
+    cache = FeatureCache(scene, registry)
+    import sceneground.executor as executor_module
+
+    original = executor_module.eval_encoder
+    calls = []
+
+    def counting_eval(defn, *args, **kwargs):
+        calls.append(defn.relation)
+        return original(defn, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "eval_encoder", counting_eval)
+    seen: list[dict] = []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).permutation(len(ALL_RELATIONS))
+        got = {}
+        for k in order:
+            got[ALL_RELATIONS[k]] = cache.relation_feature(ALL_RELATIONS[k])
+        for label in scene.labels:
+            got[label] = cache.category_feature(label)
+        seen.append(got)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == sorted(ALL_RELATIONS)
+    assert len(seen) == 12
+    for got in seen[1:]:
+        assert all(got[key] is seen[0][key] for key in seen[0])
+
+
+def test_condition_level_eval_shared_caches_match_fresh(registry):
+    rng = np.random.default_rng(5)
+    scenes, entries = {}, []
+    for k in range(4):
+        scene = random_scene(rng, int(rng.integers(3, 9)), f"s{k}")
+        scenes[scene.scene_id] = scene
+        for _ in range(6):
+            entries.append((scene.scene_id, random_expression(rng, scene),
+                            int(rng.choice(scene.ids))))
+    shared = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
+    for sid, expr, _ in entries:
+        execute(expr, scenes[sid], shared[sid])
+    fresh = condition_level_eval(entries, scenes, registry)
+    assert condition_level_eval(entries, scenes, registry, shared) == fresh
+    # a partial mapping builds caches for the rest and leaves the caller's dict alone
+    partial = {"s0": shared["s0"]}
+    assert condition_level_eval(entries, scenes, registry, partial) == fresh
+    assert list(partial) == ["s0"]
+
+
+def test_condition_level_eval_rejects_a_foreign_cache(registry):
+    scene = three_object_scene()
+    other = scene_from_dict({"scene_id": "s", "objects": [
+        {"id": 0, "label": "chair", "bbox": [5, 0, 0, 1, 1, 1]}]})
+    expr = parse_expression(
+        '{"category": "chair", "relations":'
+        ' [{"relation_name": "near", "objects": [{"category": "table"}]}]}')
+    with pytest.raises(ExecutionError, match="different scene"):
+        condition_level_eval([("s", expr, 0)], {"s": scene}, registry,
+                             {"s": FeatureCache(other, registry)})
 
 
 def test_condition_level_perfect_case(registry):

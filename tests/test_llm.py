@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,14 @@ def test_offline_expression_loading_makes_no_network_calls(tmp_path):
         expr = load_expression_file(path)
         assert expr.category == "chair"
         assert stub.request_count == 0
+
+
+def test_importing_the_package_does_not_import_requests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sceneground; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

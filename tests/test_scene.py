@@ -180,3 +180,50 @@ def test_similarity_range_validated(tmp_path):
     })
     with pytest.raises(SceneError, match=r"\[-1, 1\]"):
         load_scene(path)
+
+
+def test_similarity_values_are_a_read_only_copy():
+    raw = np.array([[0.9], [0.1]])
+    scene = scene_from_dict({
+        "scene_id": "s",
+        "objects": [
+            {"id": 0, "label": "chair", "bbox": [0, 0, 0, 1, 1, 1]},
+            {"id": 1, "label": "table", "bbox": [2, 0, 0, 1, 1, 1]},
+        ],
+        "similarities": {"categories": ["seat"], "values": raw.tolist()},
+    })
+    with pytest.raises(ValueError):
+        scene.similarities.values[0, 0] = -0.5
+    table = exact_match_similarity(scene, ["chair"])
+    with pytest.raises(ValueError):
+        table.values[1, 0] = 1.0
+    column = scene.similarities.column("seat")
+    column[0] = 0.0
+    assert scene.similarities.column("seat").tolist() == [0.9, 0.1]
+
+
+def test_fingerprint_is_memoized_and_matches_a_fresh_scene():
+    from sceneground.executor import FeatureCache, execute
+    from sceneground.expression import parse_expression
+    from sceneground.registry import EncoderRegistry
+
+    scene = random_scene(np.random.default_rng(3), 6, "s")
+    before = scene.fingerprint()
+    expr = parse_expression(json.dumps({
+        "category": scene.labels[0],
+        "relations": [{"relation_name": "near", "objects": [{"category": scene.labels[1]}]}]}))
+    execute(expr, scene, FeatureCache(scene, EncoderRegistry()))
+    assert scene.fingerprint() == before
+    twin = scene_from_dict({
+        "scene_id": scene.scene_id,
+        "objects": [{"id": o.id, "label": o.label, "bbox": o.bbox.as_row()}
+                    for o in scene.objects],
+    })
+    assert twin == scene and twin.fingerprint() == before
+    moved = scene_from_dict({
+        "scene_id": scene.scene_id,
+        "objects": [{"id": o.id, "label": o.label, "bbox": [o.bbox.center[0] + 1e-9,
+                                                            *o.bbox.as_row()[1:]]}
+                    for o in scene.objects],
+    })
+    assert moved.fingerprint() != before
