@@ -24,10 +24,10 @@ from .optimizer import (
     load_suite,
     optimize_encoder,
 )
-from .registry import EncoderRegistry, load_registry, save_registry
+from .registry import EncoderRegistry, RegistryError, load_registry, save_registry
 from .scene import SceneError, load_scene
 
-VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError)
+VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError, RegistryError)
 
 
 class CliError(ValueError):

@@ -6,6 +6,14 @@ Every operation is total: division is guarded away from zero, ``exp`` is
 clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
+Evaluation first compiles a body into a hash-consed DAG (identical subtrees
+share one node) and evaluates each distinct node once. One evaluator serves
+two leaf rules: the dense route broadcasts each accessor along its own axis
+(:func:`eval_encoder`), the gathered route reads accessors at given index
+arrays (:func:`eval_encoder_at`) and yields the same entries bit for bit.
+Bodies are treated as immutable: nothing here or in the mutation operator
+writes to a node, so trees may share subtrees.
+
 Node wire format (one definition per file):
     {"relation": "above", "metadata": "...", "body": {"op": "mul", "args": [...]}}
 Leaves: {"const": 0.5} | {"get": "center", "obj": "i", "axis": "z"} |
@@ -34,13 +42,16 @@ __all__ = [
     "guarded_sqrt",
     "finalize_feature",
     "validate_definition",
+    "CompiledEncoder",
+    "compile_definition",
     "eval_encoder",
+    "eval_encoder_at",
+    "OBJS_FOR_ARITY",
     "const",
     "get",
     "agg",
     "op",
     "definition_from_dict",
-    "definition_to_dict",
     "load_definition",
     "save_definition",
 ]
@@ -75,7 +86,8 @@ _AGG_FIELDS = {
     "center_max": ("x", "y", "z"),
 }
 _AXES = {"x": 0, "y": 1, "z": 2}
-_OBJS_FOR_ARITY = {1: ("i",), 2: ("i", "j"), 3: ("i", "j", "k")}
+OBJS_FOR_ARITY = {1: ("i",), 2: ("i", "j"), 3: ("i", "j", "k")}
+_AXIS_OF_OBJ = {"i": 0, "j": 1, "k": 2}
 
 
 class DefinitionError(ValueError):
@@ -133,12 +145,15 @@ class EncoderDefinition:
         return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
 
     def digest(self) -> str:
-        """Content hash over relation + body (metadata excluded)."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        """Content hash over relation + body (metadata excluded).
 
-
-def definition_to_dict(defn: EncoderDefinition) -> dict:
-    return defn.to_dict()
+        Computed on the first call and memoized; bodies are immutable.
+        """
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 def definition_from_dict(raw: object) -> EncoderDefinition:
@@ -167,63 +182,76 @@ def save_definition(defn: EncoderDefinition, path: str | Path) -> None:
     Path(path).write_text(json.dumps(defn.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
-def _validate_node(node: object, allowed_objs: tuple[str, ...], depth: int, path: str) -> int:
-    """Return node count of the subtree; raise DefinitionError at the first fault."""
+def _fault(path: tuple | None, message: str) -> DefinitionError:
+    steps = []
+    while path is not None:
+        path, k = path
+        steps.append(f".args[{k}]")
+    return DefinitionError("body" + "".join(reversed(steps)) + f": {message}")
+
+
+def _validate_node(node: object, allowed_objs: tuple[str, ...], depth: int,
+                   path: tuple | None) -> int:
+    """Return node count of the subtree; raise DefinitionError at the first fault.
+
+    ``path`` is ``(parent_path, arg_position)``, ``None`` at the root; it is
+    spelled out only for the error message.
+    """
     if depth > MAX_TREE_DEPTH:
-        raise DefinitionError(f"{path}: tree depth exceeds {MAX_TREE_DEPTH}")
+        raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
     if not isinstance(node, dict):
-        raise DefinitionError(f"{path}: node must be an object, got {type(node).__name__}")
+        raise _fault(path, f"node must be an object, got {type(node).__name__}")
     if "const" in node:
         value = node["const"]
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
-            raise DefinitionError(f"{path}: const must be a finite number")
+            raise _fault(path, "const must be a finite number")
         return 1
     if "get" in node:
         field = node["get"]
         if field not in _GET_FIELDS:
-            raise DefinitionError(f"{path}: unknown accessor {field!r}")
+            raise _fault(path, f"unknown accessor {field!r}")
         obj = node.get("obj")
         if obj not in allowed_objs:
-            raise DefinitionError(
-                f"{path}: accessor object {obj!r} not allowed here (allowed: {allowed_objs})"
+            raise _fault(
+                path, f"accessor object {obj!r} not allowed here (allowed: {allowed_objs})"
             )
         needs_axis = _GET_FIELDS[field]
         axis = node.get("axis")
         if needs_axis and axis not in _AXES:
-            raise DefinitionError(f"{path}: accessor {field!r} needs axis x|y|z")
+            raise _fault(path, f"accessor {field!r} needs axis x|y|z")
         if not needs_axis and axis is not None:
-            raise DefinitionError(f"{path}: accessor {field!r} takes no axis")
+            raise _fault(path, f"accessor {field!r} takes no axis")
         return 1
     if "agg" in node:
         name = node["agg"]
         if name not in _AGG_FIELDS:
-            raise DefinitionError(f"{path}: unknown aggregate {name!r}")
+            raise _fault(path, f"unknown aggregate {name!r}")
         axes = _AGG_FIELDS[name]
         axis = node.get("axis")
         if axes is None and axis is not None:
-            raise DefinitionError(f"{path}: aggregate {name!r} takes no axis")
+            raise _fault(path, f"aggregate {name!r} takes no axis")
         if axes is not None and axis not in axes:
-            raise DefinitionError(f"{path}: aggregate {name!r} needs axis in {axes}")
+            raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
         return 1
     if "op" in node:
         name = node["op"]
         if name not in OPS:
-            raise DefinitionError(f"{path}: unknown op {name!r}")
+            raise _fault(path, f"unknown op {name!r}")
         args = node.get("args")
         if not isinstance(args, list) or len(args) != OPS[name]:
-            raise DefinitionError(f"{path}: op {name!r} takes {OPS[name]} args")
+            raise _fault(path, f"op {name!r} takes {OPS[name]} args")
         count = 1
         for k, child in enumerate(args):
-            count += _validate_node(child, allowed_objs, depth + 1, f"{path}.args[{k}]")
+            count += _validate_node(child, allowed_objs, depth + 1, (path, k))
         return count
-    raise DefinitionError(f"{path}: node must have one of const/get/agg/op")
+    raise _fault(path, "node must have one of const/get/agg/op")
 
 
 def validate_definition(defn: EncoderDefinition) -> None:
     """Static check: well-formed tree, arity-consistent accessors, size caps."""
     arity = relation_arity(defn.relation)
-    allowed = _OBJS_FOR_ARITY[arity]
-    count = _validate_node(defn.body, allowed, 1, "body")
+    allowed = OBJS_FOR_ARITY[arity]
+    count = _validate_node(defn.body, allowed, 1, None)
     if count > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {count} nodes, cap is {MAX_TREE_NODES}")
 
@@ -260,29 +288,7 @@ def _agg_value(name: str, geom: PairGeometry, axis: str | None) -> float:
     return float(geom.centers[:, _AXES[axis]].max())  # center_max
 
 
-def _broadcast_obj(values: np.ndarray, which: str, rank: int, i_slice: slice | None):
-    if rank == 1:
-        return values if i_slice is None else values[i_slice]
-    if rank == 2:
-        return values[:, None] if which == "i" else values[None, :]
-    if which == "i":
-        sliced = values if i_slice is None else values[i_slice]
-        return sliced[:, None, None]
-    if which == "j":
-        return values[None, :, None]
-    return values[None, None, :]
-
-
-def _eval_node(node: dict, geom: PairGeometry, rank: int, i_slice: slice | None):
-    if "const" in node:
-        return float(node["const"])
-    if "get" in node:
-        values = _get_values(node["get"], geom, node.get("axis"))
-        return _broadcast_obj(values, node["obj"], rank, i_slice)
-    if "agg" in node:
-        return _agg_value(node["agg"], geom, node.get("axis"))
-    name = node["op"]
-    args = [_eval_node(child, geom, rank, i_slice) for child in node["args"]]
+def _apply(name: str, args: list):
     if name == "add":
         return args[0] + args[1]
     if name == "sub":
@@ -313,15 +319,87 @@ def _eval_node(node: dict, geom: PairGeometry, rank: int, i_slice: slice | None)
     return args[0] * args[3] - args[1] * args[2]
 
 
-def finalize_feature(raw, rank: int, n: int) -> np.ndarray:
-    """Sanitize to finite nonnegative values; zero every repeated-index entry."""
-    shape = (n,) * rank
-    data = np.asarray(raw, dtype=np.float64)
-    data = np.ascontiguousarray(np.broadcast_to(data, shape)).copy()
-    data = np.nan_to_num(data, nan=0.0, posinf=FEATURE_CAP, neginf=0.0)
+@dataclass(frozen=True)
+class CompiledEncoder:
+    """A definition body as a hash-consed DAG.
+
+    ``nodes`` lists each distinct subtree once, children before parents, so
+    the root is last: ``("const", value)``, ``("get", field, obj, axis)``,
+    ``("agg", name, axis)`` or ``("op", name, child_positions)``.
+    ``frees[p]`` names the positions whose last reader is node ``p``, so an
+    evaluation holds no more intermediates than it still needs.
+    """
+
+    relation: str
+    rank: int
+    nodes: tuple[tuple, ...]
+    frees: tuple[tuple[int, ...], ...]
+
+
+def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:
+    """Give identical subtrees one node; the body must already validate."""
+    ids: dict[tuple, int] = {}
+    nodes: list[tuple] = []
+
+    def intern(node: dict) -> int:
+        if "const" in node:
+            value = float(node["const"])
+            # repr keeps -0.0 apart from 0.0, which compare equal
+            key, entry = ("const", repr(value)), ("const", value)
+        elif "get" in node:
+            key = entry = ("get", node["get"], node["obj"], node.get("axis"))
+        elif "agg" in node:
+            key = entry = ("agg", node["agg"], node.get("axis"))
+        else:
+            key = entry = ("op", node["op"], tuple(intern(child) for child in node["args"]))
+        if key not in ids:
+            ids[key] = len(nodes)
+            nodes.append(entry)
+        return ids[key]
+
+    intern(defn.body)
+    last_reader: dict[int, int] = {}
+    for pos, node in enumerate(nodes):
+        if node[0] == "op":
+            last_reader.update((child, pos) for child in node[2])
+    frees: list[list[int]] = [[] for _ in nodes]
+    for child, pos in last_reader.items():
+        frees[pos].append(child)
+    return CompiledEncoder(relation=defn.relation, rank=relation_arity(defn.relation),
+                           nodes=tuple(nodes), frees=tuple(map(tuple, frees)))
+
+
+def _evaluate(compiled: CompiledEncoder, geom: PairGeometry, leaf):
+    """Evaluate every distinct node once; ``leaf(values, obj)`` places an
+    accessor's per-object values (broadcast axis or gathered entries)."""
+    values: list = []
+    for node, frees in zip(compiled.nodes, compiled.frees):
+        kind = node[0]
+        if kind == "op":
+            values.append(_apply(node[1], [values[c] for c in node[2]]))
+        elif kind == "get":
+            values.append(leaf(_get_values(node[1], geom, node[3]), node[2]))
+        elif kind == "agg":
+            values.append(_agg_value(node[1], geom, node[2]))
+        else:
+            values.append(node[1])
+        for dead in frees:
+            values[dead] = None
+    return values[-1]
+
+
+def _sanitize(data: np.ndarray) -> np.ndarray:
+    """In place: nan -> 0, +inf -> FEATURE_CAP, -inf and negatives -> 0."""
+    np.nan_to_num(data, copy=False, nan=0.0, posinf=FEATURE_CAP, neginf=0.0)
     np.maximum(data, 0.0, out=data)
+    return data
+
+
+def _finalize_owned(data: np.ndarray, rank: int) -> np.ndarray:
+    """finalize_feature on a C-contiguous array this module owns."""
+    _sanitize(data)
     if rank >= 2:
-        idx = np.arange(n)
+        idx = np.arange(data.shape[0])
         if rank == 2:
             data[idx, idx] = 0.0
         else:
@@ -330,6 +408,12 @@ def finalize_feature(raw, rank: int, n: int) -> np.ndarray:
             data[:, idx, idx] = 0.0
     data.setflags(write=False)
     return data
+
+
+def finalize_feature(raw, rank: int, n: int) -> np.ndarray:
+    """Sanitize to finite nonnegative values; zero every repeated-index entry."""
+    data = np.asarray(raw, dtype=np.float64)
+    return _finalize_owned(np.array(np.broadcast_to(data, (n,) * rank), order="C"), rank)
 
 
 @dataclass(frozen=True)
@@ -345,6 +429,20 @@ class RelationFeature:
             raise ValueError(f"feature rank {self.rank} but data has ndim {self.data.ndim}")
 
 
+def _dense_leaf(rank: int, i_slice: slice | None):
+    """Leaf rule of the dense route: each object varies along its own axis."""
+
+    def leaf(values: np.ndarray, obj: str) -> np.ndarray:
+        axis = _AXIS_OF_OBJ[obj]
+        if axis == 0 and i_slice is not None:
+            values = values[i_slice]
+        shape = [1] * rank
+        shape[axis] = -1
+        return values.reshape(shape)
+
+    return leaf
+
+
 def eval_encoder(
     defn: EncoderDefinition,
     scene: Scene,
@@ -353,21 +451,58 @@ def eval_encoder(
 ) -> RelationFeature:
     """Evaluate a definition over a scene; pure and deterministic.
 
-    Rank-3 bodies are evaluated in chunks along the first index so the
+    The body is compiled to its DAG, so each distinct subtree is evaluated
+    once. Rank-3 bodies are evaluated in chunks along the first index so the
     intermediate working set stays bounded even when N is large.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
         raise ValueError("scene and geometry disagree on object count")
-    rank = relation_arity(defn.relation)
+    # memoized on the definition (bodies are immutable): registry encoders
+    # are evaluated once per scene, candidates go through eval_encoder_at
+    compiled = defn.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = compile_definition(defn)
+        object.__setattr__(defn, "_compiled", compiled)
+    rank = compiled.rank
     if rank < 3:
-        raw = _eval_node(defn.body, geom, rank, None)
-        data = finalize_feature(raw, rank, n)
+        data = finalize_feature(_evaluate(compiled, geom, _dense_leaf(rank, None)), rank, n)
     else:
         out = np.empty((n, n, n), dtype=np.float64)
         step = max(1, chunk_elems // max(1, n * n))
         for start in range(0, n, step):
             sl = slice(start, min(start + step, n))
-            out[sl] = _eval_node(defn.body, geom, rank, sl)
-        data = finalize_feature(out, rank, n)
+            out[sl] = _evaluate(compiled, geom, _dense_leaf(rank, sl))
+        data = _finalize_owned(out, rank)
     return RelationFeature(relation=defn.relation, rank=rank, data=data)
+
+
+def eval_encoder_at(
+    compiled: CompiledEncoder,
+    geom: PairGeometry,
+    index: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Feature entries at index tuples, without the dense N^rank tensor.
+
+    ``index`` holds one integer array per object (i, then j, then k), all of
+    one length M; entry m equals ``eval_encoder(...).data[index[0][m], ...]``
+    bit for bit: accessors gather ``values[index[obj]]`` while subtrees with
+    no accessor stay scalars, as in the dense route, and finalize_feature's
+    rules apply at each point (repeated indices give 0).
+    """
+    if len(index) != compiled.rank:
+        raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
+    index = tuple(np.asarray(a, dtype=np.intp) for a in index)
+    n = geom.centers.shape[0]
+    shape = index[0].shape
+    for a in index:
+        if a.ndim != 1 or a.shape != shape:
+            raise ValueError("index arrays must be one-dimensional and of equal length")
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise ValueError(f"index out of range for {n} objects")
+    raw = _evaluate(compiled, geom, lambda values, obj: values[index[_AXIS_OF_OBJ[obj]]])
+    data = _sanitize(np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), shape)))
+    for p in range(len(index)):
+        for q in range(p + 1, len(index)):
+            data[index[p] == index[q]] = 0.0
+    return data

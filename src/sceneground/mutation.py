@@ -4,17 +4,21 @@ This is the offline candidate generator: it perturbs a definition by scaling
 a constant, swapping a commutative operator, inserting a wrapper, or grafting
 a subtree from the builtin library. Every mutation is deterministic for a
 given seed and always yields a definition that passes validation.
+
+Bodies are never mutated in place. A mutation copies only the nodes on the
+path from the root to the changed node and shares every untouched subtree
+with its parent (and grafts share nodes with the builtin pool), so a
+mutation copies as many nodes as the change is deep, not the whole tree.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 from .builtins import builtin_definitions
 from .dsl import (
     COMMUTATIVE_SWAPS,
+    OBJS_FOR_ARITY,
     DefinitionError,
     EncoderDefinition,
     const,
@@ -24,8 +28,6 @@ from .dsl import (
 from .expression import relation_arity
 
 __all__ = ["mutate_definition"]
-
-_OBJS_FOR_ARITY = {1: {"i"}, 2: {"i", "j"}, 3: {"i", "j", "k"}}
 
 Path = tuple[int, ...]
 
@@ -50,12 +52,13 @@ def _node_at(body: dict, path: Path) -> dict:
 
 
 def _replace_at(body: dict, path: Path, new_node: dict) -> dict:
+    """Copy of ``body`` with the node at ``path`` replaced; only the nodes on
+    the path are copied, every other subtree is shared."""
     if not path:
         return new_node
-    out = copy.deepcopy(body)
-    parent = _node_at(out, path[:-1])
-    parent["args"][path[-1]] = new_node
-    return out
+    args = list(body["args"])
+    args[path[0]] = _replace_at(args[path[0]], path[1:], new_node)
+    return {**body, "args": args}
 
 
 def _objects_used(node: dict) -> set[str]:
@@ -95,8 +98,7 @@ def _scale_constant(body: dict, rng: np.random.Generator) -> dict:
     # no constants anywhere: scale a random subtree instead
     paths = [path for path, _ in _all_nodes(body)]
     path = paths[int(rng.integers(len(paths)))]
-    target = copy.deepcopy(_node_at(body, path))
-    return _replace_at(body, path, op("mul", target, const(factor)))
+    return _replace_at(body, path, op("mul", _node_at(body, path), const(factor)))
 
 
 def _swap_operator(body: dict, rng: np.random.Generator) -> dict | None:
@@ -105,15 +107,14 @@ def _swap_operator(body: dict, rng: np.random.Generator) -> dict | None:
     if not swappable:
         return None
     path = swappable[int(rng.integers(len(swappable)))]
-    node = copy.deepcopy(_node_at(body, path))
-    node["op"] = COMMUTATIVE_SWAPS[node["op"]]
-    return _replace_at(body, path, node)
+    node = _node_at(body, path)
+    return _replace_at(body, path, {**node, "op": COMMUTATIVE_SWAPS[node["op"]]})
 
 
 def _insert_wrapper(body: dict, rng: np.random.Generator) -> dict:
     paths = [path for path, _ in _all_nodes(body)]
     path = paths[int(rng.integers(len(paths)))]
-    target = copy.deepcopy(_node_at(body, path))
+    target = _node_at(body, path)
     if int(rng.integers(2)) == 0:
         wrapped = op("exp", op("neg", target))
     else:
@@ -125,7 +126,7 @@ def _graft_subtree(body: dict, rng: np.random.Generator, allowed_objs: set[str])
     pool = _graft_pool(allowed_objs)
     if not pool:
         return None
-    source = copy.deepcopy(pool[int(rng.integers(len(pool)))])
+    source = pool[int(rng.integers(len(pool)))]
     paths = [path for path, _ in _all_nodes(body)]
     path = paths[int(rng.integers(len(paths)))]
     return _replace_at(body, path, source)
@@ -134,8 +135,8 @@ def _graft_subtree(body: dict, rng: np.random.Generator, allowed_objs: set[str])
 def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     """Return a valid definition differing from ``defn`` in at least one node."""
     rng = np.random.default_rng(seed)
-    allowed = _OBJS_FOR_ARITY[relation_arity(defn.relation)]
-    original = defn.canonical_json()
+    allowed = set(OBJS_FOR_ARITY[relation_arity(defn.relation)])
+    original = defn.digest()
 
     kinds = ["const_scale", "op_swap", "wrap", "graft"]
     # constant rescaling repairs continuously and carries the hill climb, so
@@ -156,7 +157,7 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
                                   metadata=f"mutated[{kind}, seed={seed}]")
     try:
         validate_definition(candidate)
-        changed = candidate.canonical_json() != original
+        changed = candidate.digest() != original
     except DefinitionError:
         changed = False
     if not changed:

@@ -2,10 +2,12 @@
 
 A relation encoder is scored against a suite of ordering triplets: the
 feature value for the (target, anchor) pair must strictly exceed the value
-for the (distractor, anchor) pair. Failures are rendered into deterministic
-error messages that a candidate source can condition on. The search keeps
-the top candidates of each round, asks the source for refinements of each,
-and stops early once a candidate passes everything.
+for the (distractor, anchor) pair. Scoring evaluates each scene's feature
+only at the index tuples its cases read, never the dense N^arity tensor.
+Failures are rendered into deterministic error messages that a candidate
+source can condition on. The search keeps the top candidates of each round,
+asks the source for refinements of each, and stops early once a candidate
+passes everything.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ import numpy as np
 from .dsl import (
     DefinitionError,
     EncoderDefinition,
-    RelationFeature,
+    compile_definition,
     definition_from_dict,
-    eval_encoder,
+    eval_encoder_at,
     validate_definition,
 )
-from .expression import relation_arity
+from .expression import normalize_relation_name, relation_arity
 from .registry import EncoderRegistry
-from .scene import PairGeometry, Scene, precompute_geometry, scene_from_dict
+from .scene import PairGeometry, Scene, load_scene, precompute_geometry
 
 __all__ = [
     "SuiteError",
@@ -97,6 +99,7 @@ class TestSuite:
     cases: tuple[TestCase, ...]
     scenes: dict[str, Scene]
     _geometry: dict[str, PairGeometry] = field(init=False, repr=False)
+    _points: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.cases:
@@ -124,6 +127,25 @@ class TestSuite:
             if anchors & {case.target, case.distractor}:
                 raise SuiteError(f"case {k}: anchors must differ from target and distractor")
         self._geometry = {sid: precompute_geometry(s) for sid, s in self.scenes.items()}
+        self._points = self._case_points(arity)
+
+    def _case_points(self, arity: int) -> dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+        """Per scene: its case positions, and index arrays (one per object)
+        holding every (target, anchors) tuple, then every (distractor, anchors)."""
+        positions: dict[str, list[int]] = {}
+        for k, case in enumerate(self.cases):
+            positions.setdefault(case.scene_id, []).append(k)
+        points = {}
+        for sid, ks in positions.items():
+            index_of = self.scenes[sid].index_of
+            cases = [self.cases[k] for k in ks]
+            rows = [index_of[c.target] for c in cases] + [index_of[c.distractor] for c in cases]
+            index = [np.array(rows, dtype=np.intp)]
+            for name in ("anchor", "anchor2")[:arity - 1]:
+                anchors = [index_of[getattr(c, name)] for c in cases]
+                index.append(np.array(anchors + anchors, dtype=np.intp))
+            points[sid] = (np.array(ks, dtype=np.intp), tuple(index))
+        return points
 
     def geometry(self, scene_id: str) -> PairGeometry:
         return self._geometry[scene_id]
@@ -174,26 +196,19 @@ def synthesize_error_message(case: TestCase, scene: Scene, relation: str) -> str
     )
 
 
-def _case_passes(feature: RelationFeature, scene: Scene, case: TestCase) -> bool:
-    index = scene.index_of
-    t = index[case.target]
-    d = index[case.distractor]
-    if feature.rank == 1:
-        return bool(feature.data[t] > feature.data[d])
-    if feature.rank == 2:
-        a = index[case.anchor]
-        return bool(feature.data[t, a] > feature.data[d, a])
-    a1 = index[case.anchor]
-    a2 = index[case.anchor2]
-    return bool(feature.data[t, a1, a2] > feature.data[d, a1, a2])
-
-
 def run_test_suite(
     defn: EncoderDefinition,
     suite: TestSuite,
-    feature_memo: dict[tuple[str, str], RelationFeature] | None = None,
+    outcome_memo: dict[str, tuple[bool, ...]] | None = None,
 ) -> CandidateReport:
-    """Score a candidate; ties count as failures (strict ordering required)."""
+    """Score a candidate; ties count as failures (strict ordering required).
+
+    Each scene is evaluated only at its cases' (target, anchors) and
+    (distractor, anchors) tuples (:func:`eval_encoder_at`), which gives the
+    dense feature's entries exactly. ``outcome_memo`` maps a definition
+    digest to its per-case outcomes, so a repeated candidate is not
+    evaluated again.
+    """
     if defn.relation != suite.relation:
         raise SuiteError(
             f"definition is for {defn.relation!r}, suite is for {suite.relation!r}"
@@ -204,29 +219,25 @@ def run_test_suite(
         return CandidateReport(definition=defn, pass_rate=0.0, failures=(),
                                note=f"validation failed: {exc}")
 
-    features: dict[str, RelationFeature] = {}
     digest = defn.digest()
-    passed = 0
-    failures: list[tuple[TestCase, str]] = []
-    for case in suite.cases:
-        scene = suite.scenes[case.scene_id]
-        if case.scene_id not in features:
-            memo_key = (digest, scene.fingerprint())
-            if feature_memo is not None and memo_key in feature_memo:
-                features[case.scene_id] = feature_memo[memo_key]
-            else:
-                feat = eval_encoder(defn, scene, suite.geometry(case.scene_id))
-                features[case.scene_id] = feat
-                if feature_memo is not None:
-                    feature_memo[memo_key] = feat
-        if _case_passes(features[case.scene_id], scene, case):
-            passed += 1
-        else:
-            failures.append((case, synthesize_error_message(case, scene, suite.relation)))
+    outcomes = outcome_memo.get(digest) if outcome_memo is not None else None
+    if outcomes is None:
+        compiled = compile_definition(defn)
+        passed = np.zeros(len(suite.cases), dtype=bool)
+        for scene_id, (positions, index) in suite._points.items():
+            values = eval_encoder_at(compiled, suite.geometry(scene_id), index)
+            passed[positions] = values[:len(positions)] > values[len(positions):]
+        outcomes = tuple(passed.tolist())
+        if outcome_memo is not None:
+            outcome_memo[digest] = outcomes
+    failures = tuple(
+        (case, synthesize_error_message(case, suite.scenes[case.scene_id], suite.relation))
+        for case, ok in zip(suite.cases, outcomes) if not ok
+    )
     return CandidateReport(
         definition=defn,
-        pass_rate=passed / len(suite.cases),
-        failures=tuple(failures),
+        pass_rate=sum(outcomes) / len(suite.cases),
+        failures=failures,
     )
 
 
@@ -318,6 +329,10 @@ class MutationSource:
     """
 
     skeleton: EncoderDefinition | None = None
+    # builtin bases by relation; mutation never writes to a body, so one
+    # exported copy serves every draw
+    _builtins: dict[str, EncoderDefinition] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def draw(self, relation, *, context=None, example=None, seed=0):
         from .builtins import encoder_to_dsl
@@ -330,7 +345,9 @@ class MutationSource:
         elif self.skeleton is not None:
             base = self.skeleton
         else:
-            base = encoder_to_dsl(relation)
+            if relation not in self._builtins:
+                self._builtins[relation] = encoder_to_dsl(relation)
+            base = self._builtins[relation]
         if base.relation != relation:
             base = EncoderDefinition(relation=relation, body=base.body, metadata=base.metadata)
         return mutate_definition(base, seed)
@@ -410,7 +427,7 @@ def optimize_encoder(
     if suite.relation != relation:
         raise SuiteError(f"suite is for {suite.relation!r}, not {relation!r}")
     example = retrieve_example(relation, graph, registry) if graph is not None else None
-    memo: dict[tuple[str, str], RelationFeature] = {}
+    memo: dict[str, tuple[bool, ...]] = {}
     history: list[float] = []
     best: CandidateReport | None = None
     evaluated = 0
@@ -423,6 +440,7 @@ def optimize_encoder(
                 "pass_rate": report.pass_rate,
                 "n_failures": len(report.failures),
                 "definition_hash": report.definition.digest()[:12],
+                "note": report.note,
             })
 
     def finish(report: CandidateReport) -> tuple[EncoderDefinition, list[float]]:
@@ -472,9 +490,28 @@ def optimize_encoder(
     return finish(best)
 
 
+def _case_id(entry: dict, key: str, k: int, path: str | Path,
+             optional: bool = False) -> int | None:
+    value = entry.get(key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SuiteError(f"{path}: case {k}: {key} must be an integer object id, got {value!r}")
+    return value
+
+
 def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
-    """Load a suite file; scenes are resolved by scene_id from a directory."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a suite file; scenes are resolved by scene_id from a directory.
+
+    Malformed input of any kind (unreadable or invalid JSON, a case without
+    integer target/distractor ids, non-integer anchors) raises SuiteError.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SuiteError(f"cannot read suite {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SuiteError(f"{path}: top level must be a JSON object")
     relation = raw.get("relation")
     if not isinstance(relation, str):
         raise SuiteError(f"{path}: missing relation")
@@ -482,26 +519,21 @@ def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
     if not isinstance(cases_raw, list) or not cases_raw:
         raise SuiteError(f"{path}: cases must be a non-empty list")
     cases = []
-    scene_ids = set()
     for k, entry in enumerate(cases_raw):
-        if not isinstance(entry, dict) or "scene_id" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("scene_id"), str):
             raise SuiteError(f"{path}: case {k} is malformed")
         cases.append(TestCase(
             scene_id=entry["scene_id"],
-            target=entry["target"],
-            distractor=entry["distractor"],
-            anchor=entry.get("anchor"),
-            anchor2=entry.get("anchor2"),
+            target=_case_id(entry, "target", k, path),
+            distractor=_case_id(entry, "distractor", k, path),
+            anchor=_case_id(entry, "anchor", k, path, optional=True),
+            anchor2=_case_id(entry, "anchor2", k, path, optional=True),
         ))
-        scene_ids.add(entry["scene_id"])
     scenes = {}
     scenes_dir = Path(scenes_dir)
-    for scene_id in sorted(scene_ids):
+    for scene_id in sorted({case.scene_id for case in cases}):
         scene_path = scenes_dir / f"{scene_id}.json"
         if not scene_path.exists():
             raise SuiteError(f"{path}: scene file {scene_path} not found")
-        data = json.loads(scene_path.read_text(encoding="utf-8"))
-        scenes[scene_id] = scene_from_dict(data)
-    from .expression import normalize_relation_name
-
+        scenes[scene_id] = load_scene(scene_path)
     return TestSuite(relation=normalize_relation_name(relation), cases=tuple(cases), scenes=scenes)

@@ -8,7 +8,11 @@ snapshot, so a run observes one consistent set of encoders.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
+import tempfile
 import threading
 from pathlib import Path
 
@@ -16,7 +20,11 @@ from .builtins import builtin_definitions
 from .dsl import EncoderDefinition, definition_from_dict, validate_definition
 from .expression import ALL_RELATIONS
 
-__all__ = ["EncoderRegistry", "load_registry", "save_registry"]
+__all__ = ["RegistryError", "EncoderRegistry", "load_registry", "save_registry"]
+
+
+class RegistryError(ValueError):
+    """Raised for a registry file that cannot be read or has the wrong layout."""
 
 
 class EncoderRegistry:
@@ -74,19 +82,53 @@ class EncoderRegistry:
 
 
 def save_registry(registry: EncoderRegistry, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(registry.to_dict(), indent=2) + "\n", encoding="utf-8")
+    """Write the registry atomically.
+
+    The JSON goes to a temporary file in the target's directory, which then
+    replaces the target, so a crash mid-write leaves the previous file whole.
+    An existing file keeps its permission bits.
+    """
+    path = Path(path)
+    text = json.dumps(registry.to_dict(), indent=2) + "\n"
+    mode = stat.S_IMODE(path.stat().st_mode) if path.exists() else 0o644
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_registry(path: str | Path) -> EncoderRegistry:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a registry file written by :func:`save_registry`.
+
+    An unreadable file, invalid JSON or a wrong layout raises RegistryError;
+    a malformed definition raises DefinitionError.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RegistryError(f"cannot read registry {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise RegistryError(f"{path}: top level must be a JSON object")
+    library = raw.get("library", [])
+    active = raw.get("active", {})
+    if not isinstance(library, list) or not isinstance(active, dict):
+        raise RegistryError(f"{path}: library must be a list and active an object")
     registry = EncoderRegistry()
-    for defn_raw in raw.get("library", []):
+    for defn_raw in library:
         defn = definition_from_dict(defn_raw)
         validate_definition(defn)
         registry._library.append(defn)
-    for name, defn_raw in raw.get("active", {}).items():
+    for name, defn_raw in active.items():
         defn = definition_from_dict(defn_raw)
         if defn.relation != name:
-            raise ValueError(f"registry entry {name!r} holds a definition for {defn.relation!r}")
+            raise RegistryError(f"registry entry {name!r} holds a definition for {defn.relation!r}")
         registry.install(defn)
     return registry

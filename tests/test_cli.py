@@ -120,7 +120,8 @@ def test_optimize_command_updates_registry(tmp_path, capsys):
     log_lines = log_path.read_text().strip().splitlines()
     assert 1 <= len(log_lines) <= 65
     record = json.loads(log_lines[0])
-    assert set(record) == {"iteration", "index", "pass_rate", "n_failures", "definition_hash"}
+    assert set(record) == {"iteration", "index", "pass_rate", "n_failures", "definition_hash",
+                           "note"}
 
 
 def test_optimize_single_iteration(tmp_path, capsys):
@@ -201,3 +202,29 @@ def test_config_missing_required_field_exits_2(tmp_path, capsys):
     config.write_text("{}", encoding="utf-8")
     assert main(["ground", "--config", str(config)]) == 2
     assert "--scene" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    {"scene_id": "sc0", "distractor": 1, "anchor": 2},
+    {"scene_id": "sc0", "target": [0], "distractor": 1, "anchor": 2},
+])
+def test_optimize_malformed_suite_case_exits_2(tmp_path, capsys, case):
+    rng = np.random.default_rng(0)
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, rng)
+    suite_path.write_text(json.dumps({"relation": "near", "cases": [case]}), encoding="utf-8")
+    assert main(["optimize", "--relation", "near", "--suite", str(suite_path),
+                 "--scenes", str(scenes_dir), "--registry", str(tmp_path / "r.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_corrupt_registry_exits_2(dataset, tmp_path, capsys):
+    registry_path = tmp_path / "registry.json"
+    registry_path.write_text('{"active": {', encoding="utf-8")
+    expr = tmp_path / "expr.json"
+    expr.write_text(CHAIR_EXPR, encoding="utf-8")
+    assert main(["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                 "--expr", str(expr), "--registry", str(registry_path)]) == 2
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+    assert main(["optimize", "--relation", "near", "--suite", str(suite_path),
+                 "--scenes", str(scenes_dir), "--registry", str(registry_path)]) == 2
+    assert registry_path.read_text() == '{"active": {'

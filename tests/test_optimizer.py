@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -305,13 +306,13 @@ def test_duplicate_candidates_share_feature_computation(monkeypatch):
     calls = []
     import sceneground.optimizer as optimizer_module
 
-    original = optimizer_module.eval_encoder
+    original = optimizer_module.eval_encoder_at
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer_module, "eval_encoder", counting)
+    monkeypatch.setattr(optimizer_module, "eval_encoder_at", counting)
 
     class ConstantSource:
         def draw(self, relation, *, context=None, example=None, seed=0):
@@ -348,3 +349,54 @@ def test_load_suite_from_files(tmp_path):
     assert suite.relation == "near"
     assert len(suite.cases) == 1
     assert suite.scenes["sc0"].fingerprint() == scene.fingerprint()
+
+
+@pytest.mark.parametrize("bad_case", [
+    {"scene_id": "sc0", "distractor": 1, "anchor": 2},
+    {"scene_id": "sc0", "target": [0], "distractor": 1, "anchor": 2},
+    {"scene_id": "sc0", "target": 0, "distractor": "1", "anchor": 2},
+    {"scene_id": "sc0", "target": True, "distractor": 1, "anchor": 2},
+    {"scene_id": "sc0", "target": 0, "distractor": 1, "anchor": 2.0},
+    {"scene_id": "sc0", "target": 0, "distractor": 1, "anchor": 2, "anchor2": [3]},
+    {"scene_id": ["sc0"], "target": 0, "distractor": 1, "anchor": 2},
+])
+def test_load_suite_rejects_malformed_cases(tmp_path, bad_case):
+    scenes_dir = tmp_path / "scenes"
+    scenes_dir.mkdir()
+    save_scene(random_scene(np.random.default_rng(6), 5, "sc0"), scenes_dir / "sc0.json")
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps({"relation": "near", "cases": [bad_case]}),
+                          encoding="utf-8")
+    with pytest.raises(SuiteError):
+        load_suite(suite_path, scenes_dir)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_load_suite_rejects_unparsable_file(tmp_path, text):
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(text, encoding="utf-8")
+    with pytest.raises(SuiteError):
+        load_suite(suite_path, tmp_path)
+
+
+def test_log_entries_carry_the_failure_note():
+    rng = np.random.default_rng(7)
+    suite = build_margin_suite("near", rng, n_cases=10)
+
+    class AlternatingSource:
+        def draw(self, relation, *, context=None, example=None, seed=0):
+            if seed % 2:
+                return EncoderDefinition(relation=relation, body={"get": "volume", "obj": "k"})
+            return EncoderDefinition(relation=relation, body=const(0.5))
+
+    logs = []
+    for _ in range(2):
+        log = []
+        optimize_encoder("near", suite, AlternatingSource(), EncoderRegistry(),
+                         OptimizerConfig(n_iter=2, n_sample=4, top_k=1, seed=0), log=log)
+        logs.append(log)
+    assert logs[0] == logs[1]
+    notes = {entry["note"] for entry in logs[0]}
+    assert "" in notes
+    assert any(note.startswith("validation failed: body: accessor object 'k'")
+               for note in notes)
