@@ -2,9 +2,9 @@
 
 A scene file holds, per object, an id, a category label, and a box as
 [cx, cy, cz, w, d, h] with z up. `precompute_geometry` derives everything
-the relation encoders consume: pairwise center deltas and distances, the
-mean box diagonal (the natural distance scale of the scene), the floor
-height, and the xy hull spanned by the box extents.
+the relation encoders consume: box centers and sizes, volumes, the mean box
+diagonal (the natural distance scale of the scene), the floor height, and
+the xy hull spanned by the box extents.
 """
 
 import json
@@ -33,9 +33,6 @@ print(f"labels: {scene.labels}")
 print(f"object id 2 sits at position {scene.index_of[2]}")
 
 geom = precompute_geometry(scene)
-print(f"\ncenter distance table (symmetric, zero diagonal):")
-for row in geom.dist:
-    print("  " + "  ".join(f"{v:6.3f}" for v in row))
 print(f"\nmean box diagonal : {geom.mean_diagonal:.4f}  (the scene's distance scale)")
 print(f"floor height      : {geom.floor_z:.4f}  (lowest bottom face)")
 print(f"xy hull           : {geom.hull_min.round(3)} .. {geom.hull_max.round(3)}")

@@ -1,16 +1,16 @@
 """Relation encoders turn box geometry into dense nonnegative features.
 
-Every relation has a builtin encoder in two equivalent forms: a native
-numpy implementation and a DSL expression tree (the representation the
-optimizer searches over). The structural guarantees are visible directly
-in the matrices: near/far are symmetric, left/right never both fire for a
-pair, below is the transpose of above, and diagonals are always zero.
+Every relation has a builtin encoder written as a DSL expression tree, the
+same representation the optimizer searches over, and evaluated like any
+candidate. The structural guarantees are visible directly in the matrices:
+near/far are symmetric, left/right never both fire for a pair, below is the
+transpose of above, and diagonals are always zero.
 """
 
 import numpy as np
 
 from sceneground import precompute_geometry
-from sceneground.builtins import compute_builtin, encoder_to_dsl
+from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import eval_encoder
 from sceneground.scene import scene_from_dict
 
@@ -24,7 +24,7 @@ geom = precompute_geometry(scene)
 
 
 def show(name):
-    data = compute_builtin(name, scene, geom).data
+    data = eval_encoder(encoder_to_dsl(name), scene, geom).data
     print(f"\n{name} (rows: target i, cols: anchor j)")
     for row in np.atleast_2d(data):
         print("  " + "  ".join(f"{v:6.3f}" for v in row))
@@ -41,8 +41,3 @@ print("\nantisymmetry holds: wherever right[i,j] > 0, right[j,i] == 0 exactly")
 
 above = show("above")
 print(f"\nthe shelf (3) above the sofa (0): above[3,0] = {above[3, 0]:.3f}")
-
-exported = encoder_to_dsl("near")
-replayed = eval_encoder(exported, scene, geom)
-print(f"\nDSL export of 'near' ({exported.metadata}) replays the native values: "
-      f"max diff {np.max(np.abs(replayed.data - near)):.2e}")

@@ -11,7 +11,8 @@ perfect encoder.
 import numpy as np
 
 from sceneground import EncoderRegistry
-from sceneground.builtins import compute_builtin, encoder_to_dsl
+from sceneground.builtins import encoder_to_dsl
+from sceneground.dsl import eval_encoder
 from sceneground.mutation import mutate_definition
 from sceneground.optimizer import (
     MutationSource,
@@ -33,7 +34,7 @@ while len(cases) < 25:
              "bbox": [*rng.uniform(0, 8, 3).tolist(), *rng.uniform(0.3, 1.5, 3).tolist()]}
             for i in range(8)]
     scene = scene_from_dict({"scene_id": sid, "objects": objs})
-    data = compute_builtin("near", scene, precompute_geometry(scene)).data
+    data = eval_encoder(encoder_to_dsl("near"), scene, precompute_geometry(scene)).data
     picked = 0
     for _ in range(40):
         t, d, a = (int(v) for v in rng.integers(0, 8, 3))

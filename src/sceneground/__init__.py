@@ -36,7 +36,7 @@ from .dsl import (
     save_definition,
     validate_definition,
 )
-from .builtins import compute_builtin, encoder_to_dsl
+from .builtins import encoder_to_dsl
 from .mutation import mutate_definition
 from .registry import EncoderRegistry, load_registry, save_registry
 from .executor import (

@@ -18,12 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .executor import FeatureCache, condition_level_eval, execute
-from .expression import SymbolicExpression, expression_from_dict, expression_to_dict
+from .expression import (
+    ExpressionError,
+    SymbolicExpression,
+    expression_from_dict,
+    expression_to_dict,
+)
 from .registry import EncoderRegistry
 from .scene import Scene, load_scene
 
-__all__ = ["BenchEntry", "BenchRecord", "BenchReport", "load_dataset", "run_bench",
-           "report_to_dict", "emit_plot_data"]
+__all__ = ["BenchEntry", "BenchRecord", "BenchReport", "DatasetError", "load_dataset",
+           "run_bench", "report_to_dict", "emit_plot_data"]
 
 HEATMAP_RELATIONS = ("near", "far", "left", "right")
 
@@ -44,7 +49,6 @@ class BenchRecord:
     ground_truth: int
     correct: bool
     wall_ms: float
-    tokens: int
 
 
 @dataclass
@@ -54,7 +58,16 @@ class BenchReport:
     config: dict
 
 
+class DatasetError(ValueError):
+    """Raised for a benchmark dataset whose expressions file cannot be used."""
+
+
 def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchEntry]]:
+    """Scenes by id and the checked entries of ``expressions.jsonl``.
+
+    Every entry must name a loaded scene and a ground-truth object id in it;
+    a bad line raises :class:`DatasetError` naming ``file:line``.
+    """
     dataset_dir = Path(dataset_dir)
     scenes: dict[str, Scene] = {}
     for path in sorted((dataset_dir / "scenes").glob("*.json")):
@@ -63,20 +76,38 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
     entries: list[BenchEntry] = []
     expr_path = dataset_dir / "expressions.jsonl"
     for lineno, line in enumerate(expr_path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        if "ground_truth" not in raw:
-            raise ValueError(f"{expr_path}:{lineno}: missing ground_truth")
-        entries.append(BenchEntry(
-            scene_id=raw["scene_id"],
-            expression=expression_from_dict(raw["expression"]),
-            ground_truth=int(raw["ground_truth"]),
-            utterance=raw.get("utterance", ""),
-        ))
+        if line.strip():
+            entries.append(_parse_entry(line, scenes, f"{expr_path}:{lineno}"))
     if not entries:
-        raise ValueError(f"{expr_path}: no entries")
+        raise DatasetError(f"{expr_path}: no entries")
     return scenes, entries
+
+
+def _parse_entry(line: str, scenes: dict[str, Scene], where: str) -> BenchEntry:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{where}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{where}: expected a JSON object")
+    for key in ("scene_id", "expression", "ground_truth"):
+        if key not in raw:
+            raise DatasetError(f"{where}: missing {key}")
+    scene_id, ground_truth = raw["scene_id"], raw["ground_truth"]
+    if not isinstance(scene_id, str):
+        raise DatasetError(f"{where}: scene_id must be a string")
+    if not isinstance(ground_truth, int) or isinstance(ground_truth, bool):
+        raise DatasetError(f"{where}: ground_truth must be an integer object id")
+    if scene_id not in scenes:
+        raise DatasetError(f"{where}: unknown scene {scene_id!r}")
+    if ground_truth not in scenes[scene_id].index_of:
+        raise DatasetError(f"{where}: ground truth {ground_truth} not in scene {scene_id!r}")
+    try:
+        expression = expression_from_dict(raw["expression"])
+    except ExpressionError as exc:
+        raise DatasetError(f"{where}: {exc}") from None
+    return BenchEntry(scene_id=scene_id, expression=expression, ground_truth=ground_truth,
+                      utterance=raw.get("utterance", ""))
 
 
 def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> float:
@@ -97,13 +128,6 @@ def _prepare(
 ) -> tuple[dict[str, Scene], list[BenchEntry], dict[str, FeatureCache]]:
     """Load and check a dataset, with one feature cache per scene."""
     scenes, entries = load_dataset(dataset_dir)
-    for entry in entries:
-        if entry.scene_id not in scenes:
-            raise ValueError(f"entry references unknown scene {entry.scene_id!r}")
-        if entry.ground_truth not in scenes[entry.scene_id].index_of:
-            raise ValueError(
-                f"ground truth {entry.ground_truth} not in scene {entry.scene_id!r}"
-            )
     caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
     return scenes, entries, caches
 
@@ -135,7 +159,6 @@ def run_bench(
             ground_truth=entry.ground_truth,
             correct=argmax == entry.ground_truth,
             wall_ms=wall_ms,
-            tokens=0,
         )
 
     if workers > 1:
@@ -150,7 +173,6 @@ def run_bench(
         "n_records": len(records),
         "accuracy": sum(r.correct for r in records) / len(records),
         "mean_wall_ms": float(np.mean([r.wall_ms for r in records])),
-        "mean_tokens": float(np.mean([r.tokens for r in records])),
         "condition_precision": precision,
         "condition_recall": recall,
     }

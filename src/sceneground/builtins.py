@@ -1,9 +1,10 @@
-"""Reference encoders for the 16 spatial relations.
+"""Reference encoders for the 16 spatial relations, as DSL expression trees.
 
-Each relation has two routes that must agree: a native vectorized
-implementation (`compute_builtin`) and an equivalent DSL tree
-(`encoder_to_dsl`). Both use the same guarded arithmetic so they stay within
-1e-9 of each other even on degenerate geometry.
+Each builtin is an :class:`EncoderDefinition` whose body is evaluated like any
+other candidate (``eval_encoder``). Trees are immutable, so a repeated
+subtree (a proximity term, the unit vector toward an anchor, both operands of
+a square) is one node referenced twice, and every caller shares the one
+module-level definition per relation.
 
 Guaranteed structure:
   * near / far are exactly symmetric.
@@ -17,201 +18,16 @@ the scene's xy-centroid and facing the anchor object.
 
 from __future__ import annotations
 
-import copy
+from .dsl import EncoderDefinition, agg, const, get, op
+from .expression import ALL_RELATIONS
 
-import numpy as np
-
-from .dsl import (
-    EncoderDefinition,
-    RelationFeature,
-    agg,
-    const,
-    finalize_feature,
-    get,
-    guarded_div,
-    guarded_exp,
-    op,
-)
-from .expression import ALL_RELATIONS, relation_arity
-from .scene import PairGeometry, Scene
-
-__all__ = ["compute_builtin", "encoder_to_dsl", "builtin_definitions", "swap_objects"]
+__all__ = ["encoder_to_dsl", "builtin_definitions"]
 
 _HIGH_EPS = 1e-6
 
 
-# ---------------------------------------------------------------------------
-# native route
-# ---------------------------------------------------------------------------
-
-def _unit_toward(geom: PairGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Unit xy-direction from the scene centroid toward each object."""
-    nx = geom.centers[:, 0] - geom.centroid_xy[0]
-    ny = geom.centers[:, 1] - geom.centroid_xy[1]
-    norm = np.sqrt(nx * nx + ny * ny)
-    return guarded_div(nx, norm), guarded_div(ny, norm)
-
-
-def _proximity(geom: PairGeometry) -> np.ndarray:
-    return guarded_exp(-guarded_div(geom.dist, geom.mean_diagonal))
-
-
-def _lateral_sign(geom: PairGeometry) -> np.ndarray:
-    """Antisymmetric lateral projection: positive where i sits to the
-    viewer's right of anchor j. s[j, i] is the exact float negative of
-    s[i, j], which makes the left/right antisymmetry invariant exact."""
-    vx, vy = _unit_toward(geom)
-    ux, uy = -vy, vx
-    dx = geom.delta[:, :, 0]
-    dy = geom.delta[:, :, 1]
-    toward_j = dx * ux[None, :] + dy * uy[None, :]
-    toward_i = (-dx) * ux[:, None] + (-dy) * uy[:, None]
-    return (toward_j - toward_i) * 0.5
-
-
-def _facing_projection(geom: PairGeometry) -> np.ndarray:
-    """Projection of (center_i - center_j) onto the viewer->anchor direction."""
-    vx, vy = _unit_toward(geom)
-    dx = geom.delta[:, :, 0]
-    dy = geom.delta[:, :, 1]
-    return dx * vx[None, :] + dy * vy[None, :]
-
-
-def _above_raw(geom: PairGeometry) -> np.ndarray:
-    cz = geom.centers[:, 2]
-    h = geom.sizes[:, 2]
-    bottom_i = (cz - h / 2)[:, None]
-    top_j = (cz + h / 2)[None, :]
-    vertical_proximity = guarded_exp(-guarded_div(np.abs(bottom_i - top_j), (h * 0.5)[:, None]))
-    dx = np.abs(geom.delta[:, :, 0])
-    dy = np.abs(geom.delta[:, :, 1])
-    w = geom.sizes[:, 0]
-    d = geom.sizes[:, 1]
-    combined_x = (w[:, None] + w[None, :]) * 0.5
-    combined_y = (d[:, None] + d[None, :]) * 0.5
-    horizontal_alignment = guarded_exp(-(guarded_div(dx, combined_x) + guarded_div(dy, combined_y)))
-    return vertical_proximity * horizontal_alignment
-
-
-def _near_raw(geom: PairGeometry) -> np.ndarray:
-    return _proximity(geom)
-
-
-def _far_raw(geom: PairGeometry) -> np.ndarray:
-    return 1.0 - _proximity(geom)
-
-
-def _right_raw(geom: PairGeometry) -> np.ndarray:
-    return np.maximum(_lateral_sign(geom), 0.0) * _proximity(geom)
-
-
-def _left_raw(geom: PairGeometry) -> np.ndarray:
-    return np.maximum(-_lateral_sign(geom), 0.0) * _proximity(geom)
-
-
-def _behind_raw(geom: PairGeometry) -> np.ndarray:
-    return np.maximum(_facing_projection(geom), 0.0) * _proximity(geom)
-
-
-def _front_raw(geom: PairGeometry) -> np.ndarray:
-    return np.maximum(-_facing_projection(geom), 0.0) * _proximity(geom)
-
-
-def _between_raw(geom: PairGeometry) -> np.ndarray:
-    c = geom.centers
-    ci = c[:, None, None, :]
-    cj = c[None, :, None, :]
-    ck = c[None, None, :, :]
-    seg = ck - cj
-    rel = ci - cj
-    seg_len2 = np.sum(seg * seg, axis=3)
-    t = guarded_div(np.sum(rel * seg, axis=3), seg_len2)
-    p = np.clip(t, 0.0, 1.0)
-    off = rel - p[..., None] * seg
-    r = np.sqrt(np.sum(off * off, axis=3))
-    return guarded_exp(-guarded_div(r, geom.mean_diagonal)) * 4.0 * (p * (1.0 - p))
-
-
-def _large_raw(geom: PairGeometry) -> np.ndarray:
-    return guarded_div(geom.volumes, float(geom.volumes.max()))
-
-
-def _small_raw(geom: PairGeometry) -> np.ndarray:
-    return guarded_div(float(geom.volumes.min()), geom.volumes)
-
-
-def _high_raw(geom: PairGeometry) -> np.ndarray:
-    cz = geom.centers[:, 2]
-    lo = float(cz.min())
-    hi = float(cz.max())
-    return guarded_div(cz - lo, (hi - lo) + _HIGH_EPS)
-
-
-def _low_raw(geom: PairGeometry) -> np.ndarray:
-    return 1.0 - _high_raw(geom)
-
-
-def _on_the_floor_raw(geom: PairGeometry) -> np.ndarray:
-    bottoms = geom.centers[:, 2] - geom.sizes[:, 2] / 2
-    return guarded_exp(-guarded_div(bottoms - geom.floor_z, geom.mean_diagonal * 0.25))
-
-
-def _wall_gaps(geom: PairGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-object smallest gap to the x-walls and to the y-walls of the hull."""
-    cx = geom.centers[:, 0]
-    cy = geom.centers[:, 1]
-    wx = geom.sizes[:, 0] * 0.5
-    wy = geom.sizes[:, 1] * 0.5
-    gx = np.minimum((cx - wx) - geom.hull_min[0], geom.hull_max[0] - (cx + wx))
-    gy = np.minimum((cy - wy) - geom.hull_min[1], geom.hull_max[1] - (cy + wy))
-    return gx, gy
-
-
-def _against_the_wall_raw(geom: PairGeometry) -> np.ndarray:
-    gx, gy = _wall_gaps(geom)
-    gap = np.minimum(gx, gy)
-    return guarded_exp(-guarded_div(gap, geom.mean_diagonal * 0.25))
-
-
-def _at_the_corner_raw(geom: PairGeometry) -> np.ndarray:
-    gx, gy = _wall_gaps(geom)
-    return guarded_exp(-guarded_div(gx + gy, geom.mean_diagonal * 0.25))
-
-
-_NATIVE = {
-    "large": _large_raw,
-    "small": _small_raw,
-    "high": _high_raw,
-    "low": _low_raw,
-    "on_the_floor": _on_the_floor_raw,
-    "against_the_wall": _against_the_wall_raw,
-    "at_the_corner": _at_the_corner_raw,
-    "near": _near_raw,
-    "far": _far_raw,
-    "above": _above_raw,
-    "below": lambda geom: _above_raw(geom).T,
-    "left": _left_raw,
-    "right": _right_raw,
-    "front": _front_raw,
-    "behind": _behind_raw,
-    "between": _between_raw,
-}
-
-
-def compute_builtin(relation: str, scene: Scene, geom: PairGeometry) -> RelationFeature:
-    """Native route: vectorized numpy computation of a builtin feature."""
-    rank = relation_arity(relation)
-    raw = _NATIVE[relation](geom)
-    return RelationFeature(relation=relation, rank=rank,
-                           data=finalize_feature(raw, rank, len(scene)))
-
-
-# ---------------------------------------------------------------------------
-# DSL route: the same formulas as explicit expression trees
-# ---------------------------------------------------------------------------
-
 def _sq(node: dict) -> dict:
-    return op("mul", node, copy.deepcopy(node))
+    return op("mul", node, node)
 
 
 def _diff(field: str, a: str, b: str, axis: str) -> dict:
@@ -230,19 +46,16 @@ def _proximity_tree(a: str = "i", b: str = "j") -> dict:
 
 
 def _unit_toward_tree(obj: str) -> tuple[dict, dict]:
-    def nx() -> dict:
-        return op("sub", get("center", obj, "x"), agg("centroid", "x"))
-
-    def ny() -> dict:
-        return op("sub", get("center", obj, "y"), agg("centroid", "y"))
-
-    norm = op("sqrt", op("add", _sq(nx()), _sq(ny())))
-    vx = op("div", nx(), norm)
-    vy = op("div", ny(), copy.deepcopy(norm))
-    return vx, vy
+    """Unit xy-direction from the scene centroid toward ``obj``."""
+    nx = op("sub", get("center", obj, "x"), agg("centroid", "x"))
+    ny = op("sub", get("center", obj, "y"), agg("centroid", "y"))
+    norm = op("sqrt", op("add", _sq(nx), _sq(ny)))
+    return op("div", nx, norm), op("div", ny, norm)
 
 
 def _lateral_sign_tree() -> dict:
+    """Antisymmetric lateral projection: positive where i sits to the
+    viewer's right of anchor j; swapping i and j negates it exactly."""
     vxj, vyj = _unit_toward_tree("j")
     uxj, uyj = op("neg", vyj), vxj
     toward_j = op("dot2", _diff("center", "i", "j", "x"), _diff("center", "i", "j", "y"), uxj, uyj)
@@ -253,18 +66,21 @@ def _lateral_sign_tree() -> dict:
 
 
 def _facing_projection_tree() -> dict:
+    """Projection of (center_i - center_j) onto the viewer->anchor direction."""
     vxj, vyj = _unit_toward_tree("j")
     return op("dot2", _diff("center", "i", "j", "x"), _diff("center", "i", "j", "y"), vxj, vyj)
 
 
-def _above_tree() -> dict:
+def _above_tree(a: str = "i", b: str = "j") -> dict:
+    """``a`` rests on top of ``b``: bottom of a near top of b, xy-aligned."""
     vertical = op("exp", op("neg", op("div",
-                                      op("abs", op("sub", get("bottom", "i"), get("top", "j"))),
-                                      op("mul", get("size", "i", "z"), const(0.5)))))
+                                      op("abs", op("sub", get("bottom", a), get("top", b))),
+                                      op("mul", get("size", a, "z"), const(0.5)))))
+
     def aligned(axis: str) -> dict:
         return op("div",
-                  op("abs", _diff("center", "i", "j", axis)),
-                  op("mul", op("add", get("size", "i", axis), get("size", "j", axis)), const(0.5)))
+                  op("abs", _diff("center", a, b, axis)),
+                  op("mul", op("add", get("size", a, axis), get("size", b, axis)), const(0.5)))
 
     horizontal = op("exp", op("neg", op("add", aligned("x"), aligned("y"))))
     return op("mul", vertical, horizontal)
@@ -285,12 +101,12 @@ def _between_tree() -> dict:
     p = op("clamp01", op("div", t_dot, seg_len2))
 
     def off(axis: str) -> dict:
-        return op("sub", rel(axis), op("mul", copy.deepcopy(p), seg(axis)))
+        return op("sub", rel(axis), op("mul", p, seg(axis)))
 
     r = op("sqrt", op("add", op("add", _sq(off("x")), _sq(off("y"))), _sq(off("z"))))
     closeness = op("exp", op("neg", op("div", r, agg("mean_diagonal"))))
     return op("mul", op("mul", closeness, const(4.0)),
-              op("mul", copy.deepcopy(p), op("sub", const(1.0), copy.deepcopy(p))))
+              op("mul", p, op("sub", const(1.0), p)))
 
 
 def _gap_tree(axis: str) -> dict:
@@ -302,8 +118,8 @@ def _gap_tree(axis: str) -> dict:
     return op("min", low, high)
 
 
-def _quarter_diagonal() -> dict:
-    return op("mul", agg("mean_diagonal"), const(0.25))
+def _wall_tree(gap: dict) -> dict:
+    return op("exp", op("neg", op("div", gap, op("mul", agg("mean_diagonal"), const(0.25)))))
 
 
 def _high_tree() -> dict:
@@ -313,57 +129,42 @@ def _high_tree() -> dict:
 
 
 def _build_trees() -> dict[str, dict]:
-    trees: dict[str, dict] = {}
-    trees["near"] = _proximity_tree()
-    trees["far"] = op("sub", const(1.0), _proximity_tree())
-    trees["above"] = _above_tree()
-    trees["below"] = swap_objects(_above_tree(), {"i": "j", "j": "i"})
-    trees["right"] = op("mul", op("relu", _lateral_sign_tree()), _proximity_tree())
-    trees["left"] = op("mul", op("relu", op("neg", _lateral_sign_tree())), _proximity_tree())
-    trees["behind"] = op("mul", op("relu", _facing_projection_tree()), _proximity_tree())
-    trees["front"] = op("mul", op("relu", op("neg", _facing_projection_tree())), _proximity_tree())
-    trees["between"] = _between_tree()
-    trees["large"] = op("div", get("volume", "i"), agg("volume_max"))
-    trees["small"] = op("div", agg("volume_min"), get("volume", "i"))
-    trees["high"] = _high_tree()
-    trees["low"] = op("sub", const(1.0), _high_tree())
-    trees["on_the_floor"] = op("exp", op("neg", op("div",
-                                                   op("sub", get("bottom", "i"), agg("floor_z")),
-                                                   _quarter_diagonal())))
-    trees["against_the_wall"] = op("exp", op("neg", op("div",
-                                                       op("min", _gap_tree("x"), _gap_tree("y")),
-                                                       _quarter_diagonal())))
-    trees["at_the_corner"] = op("exp", op("neg", op("div",
-                                                    op("add", _gap_tree("x"), _gap_tree("y")),
-                                                    _quarter_diagonal())))
-    return trees
+    proximity = _proximity_tree()
+    lateral = _lateral_sign_tree()
+    facing = _facing_projection_tree()
+    high = _high_tree()
+    gap_x, gap_y = _gap_tree("x"), _gap_tree("y")
+    return {
+        "large": op("div", get("volume", "i"), agg("volume_max")),
+        "small": op("div", agg("volume_min"), get("volume", "i")),
+        "high": high,
+        "low": op("sub", const(1.0), high),
+        "on_the_floor": _wall_tree(op("sub", get("bottom", "i"), agg("floor_z"))),
+        "against_the_wall": _wall_tree(op("min", gap_x, gap_y)),
+        "at_the_corner": _wall_tree(op("add", gap_x, gap_y)),
+        "near": proximity,
+        "far": op("sub", const(1.0), proximity),
+        "above": _above_tree("i", "j"),
+        "below": _above_tree("j", "i"),
+        "left": op("mul", op("relu", op("neg", lateral)), proximity),
+        "right": op("mul", op("relu", lateral), proximity),
+        "front": op("mul", op("relu", op("neg", facing)), proximity),
+        "behind": op("mul", op("relu", facing), proximity),
+        "between": _between_tree(),
+    }
 
 
-def swap_objects(node: dict, mapping: dict[str, str]) -> dict:
-    """Deep-copy a tree with accessor objects renamed (e.g. i<->j)."""
-    out = copy.deepcopy(node)
-
-    def walk(n: dict) -> None:
-        if "get" in n and n.get("obj") in mapping:
-            n["obj"] = mapping[n["obj"]]
-        for child in n.get("args", []):
-            walk(child)
-
-    walk(out)
-    return out
-
-
-_TREES = _build_trees()
+_DEFINITIONS = {name: EncoderDefinition(relation=name, body=tree, metadata="builtin")
+                for name, tree in _build_trees().items()}
 
 
 def encoder_to_dsl(relation: str) -> EncoderDefinition:
-    """Export a builtin as a DSL definition; evaluating it matches the native route."""
-    if relation not in _TREES:
+    """The builtin definition of a relation; one shared, immutable object."""
+    if relation not in _DEFINITIONS:
         raise KeyError(f"no builtin encoder for relation {relation!r}")
-    return EncoderDefinition(relation=relation, body=copy.deepcopy(_TREES[relation]),
-                             metadata="builtin")
+    return _DEFINITIONS[relation]
 
 
 def builtin_definitions() -> dict[str, EncoderDefinition]:
-    """Fresh DSL definitions for every relation in the closed set."""
-    return {name: encoder_to_dsl(name) for name in ALL_RELATIONS}
+    """A new dict of the shared builtin definitions, in ``ALL_RELATIONS`` order."""
+    return {name: _DEFINITIONS[name] for name in ALL_RELATIONS}

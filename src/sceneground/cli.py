@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from .bench import DatasetError, report_to_dict, run_bench
 from .dsl import DefinitionError
 from .executor import ExecutionError, FeatureCache, execute, grounding_result
 from .expression import ExpressionError, parse_expression, serialize_expression
@@ -27,7 +28,8 @@ from .optimizer import (
 from .registry import EncoderRegistry, RegistryError, load_registry, save_registry
 from .scene import SceneError, load_scene
 
-VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError, RegistryError)
+VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError, RegistryError,
+                     DatasetError)
 
 
 class CliError(ValueError):
@@ -98,6 +100,8 @@ def cmd_ground(args: argparse.Namespace) -> int:
     top_k = int(_resolve(args, config, "top_k", 5))
     threshold = float(_resolve(args, config, "threshold", 0.9))
     out = _resolve(args, config, "out")
+    if top_k < 1:
+        raise CliError(f"--top-k must be at least 1, got {top_k}")
 
     scene = load_scene(scene_path)
     expr = parse_expression(Path(expr_path).read_text(encoding="utf-8"))
@@ -149,8 +153,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import report_to_dict, run_bench
-
     config = _load_config(args.config)
     dataset = _resolve(args, config, "dataset", required=True)
     registry_path = _resolve(args, config, "registry")

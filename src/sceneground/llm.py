@@ -15,7 +15,6 @@ import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .dsl import EncoderDefinition
 from .expression import SymbolicExpression, parse_expression, relation_arity
@@ -30,12 +29,11 @@ __all__ = [
     "assemble_prompt",
     "extract_json_block",
     "parse_utterance_via_llm",
-    "load_expression_file",
 ]
 
 logger = logging.getLogger(__name__)
 
-TEMPLATE_IDS = ("parsing", "init_generation", "refinement", "self_refine")
+TEMPLATE_IDS = ("parsing", "init_generation", "refinement")
 _ARITY_WORDS = {1: "unary", 2: "binary: i is the target, j the anchor",
                 3: "ternary: i is the target, j and k the anchors"}
 
@@ -165,13 +163,9 @@ def assemble_prompt(
     if prior is None:
         raise LlmError(f"{template_id} template needs a prior definition")
     prior_defn, messages = prior
-    if template_id == "refinement":
-        suffix = _load_template("refinement_suffix")
-        suffix = suffix.replace("<<PRIOR_CODE>>", _definition_text(prior_defn))
-        suffix = suffix.replace("<<ERRORS>>", "\n".join(messages) if messages else "(none)")
-    else:
-        suffix = _load_template("self_refine_suffix")
-        suffix = suffix.replace("<<PRIOR_CODE>>", _definition_text(prior_defn))
+    suffix = _load_template("refinement_suffix")
+    suffix = suffix.replace("<<PRIOR_CODE>>", _definition_text(prior_defn))
+    suffix = suffix.replace("<<ERRORS>>", "\n".join(messages) if messages else "(none)")
     return PromptBundle(system=system, user=user + "\n" + suffix.rstrip(),
                         template_id=template_id)
 
@@ -288,8 +282,3 @@ def parse_utterance_via_llm(
 ) -> SymbolicExpression:
     client = LlmClient(config if config is not None else EndpointConfig.from_env(), ledger)
     return client.parse_utterance(utterance)
-
-
-def load_expression_file(path: str | Path) -> SymbolicExpression:
-    """Offline path: read one pre-parsed expression; no network involved."""
-    return parse_expression(Path(path).read_text(encoding="utf-8"))

@@ -329,10 +329,6 @@ class MutationSource:
     """
 
     skeleton: EncoderDefinition | None = None
-    # builtin bases by relation; mutation never writes to a body, so one
-    # exported copy serves every draw
-    _builtins: dict[str, EncoderDefinition] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def draw(self, relation, *, context=None, example=None, seed=0):
         from .builtins import encoder_to_dsl
@@ -345,9 +341,7 @@ class MutationSource:
         elif self.skeleton is not None:
             base = self.skeleton
         else:
-            if relation not in self._builtins:
-                self._builtins[relation] = encoder_to_dsl(relation)
-            base = self._builtins[relation]
+            base = encoder_to_dsl(relation)
         if base.relation != relation:
             base = EncoderDefinition(relation=relation, body=base.body, metadata=base.metadata)
         return mutate_definition(base, seed)

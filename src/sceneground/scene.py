@@ -1,4 +1,4 @@
-"""Scene representation: labeled 3D boxes plus precomputed pairwise geometry.
+"""Scene representation: labeled 3D boxes plus precomputed shared geometry.
 
 A scene is an ordered collection of axis-aligned bounding boxes with category
 labels. All relation encoders consume the same :class:`PairGeometry`, computed
@@ -182,15 +182,12 @@ class Scene:
 class PairGeometry:
     """Shared precomputation over a scene.
 
-    ``delta[i][j] = center_i - center_j``; ``dist`` is the matching Euclidean
-    norm, symmetric with a zero diagonal. ``hull_min``/``hull_max`` bound the
-    box extents (not centers) in x and y, so wall gaps measure true surfaces.
+    ``hull_min``/``hull_max`` bound the box extents (not centers) in x and y,
+    so wall gaps measure true surfaces.
     """
 
     centers: np.ndarray        # (N, 3)
     sizes: np.ndarray          # (N, 3)
-    delta: np.ndarray          # (N, N, 3)
-    dist: np.ndarray           # (N, N)
     mean_diagonal: float
     floor_z: float
     hull_min: np.ndarray       # (2,) x/y lower bound of box extents
@@ -199,8 +196,7 @@ class PairGeometry:
     volumes: np.ndarray        # (N,)
 
     def __post_init__(self) -> None:
-        for name in ("centers", "sizes", "delta", "dist", "hull_min", "hull_max",
-                     "centroid_xy", "volumes"):
+        for name in ("centers", "sizes", "hull_min", "hull_max", "centroid_xy", "volumes"):
             arr = getattr(self, name)
             arr.setflags(write=False)
 
@@ -209,8 +205,6 @@ def precompute_geometry(scene: Scene) -> PairGeometry:
     """Deterministic pure function of the scene; safe to share across readers."""
     centers = scene.centers()
     sizes = scene.sizes()
-    delta = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt(np.sum(delta * delta, axis=2))
     diagonals = np.sqrt(np.sum(sizes * sizes, axis=1))
     bottoms = centers[:, 2] - sizes[:, 2] / 2
     lo = centers[:, :2] - sizes[:, :2] / 2
@@ -218,8 +212,6 @@ def precompute_geometry(scene: Scene) -> PairGeometry:
     return PairGeometry(
         centers=centers,
         sizes=sizes,
-        delta=delta,
-        dist=dist,
         mean_diagonal=float(np.mean(diagonals)),
         floor_z=float(np.min(bottoms)),
         hull_min=lo.min(axis=0),

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from sceneground.builtins import compute_builtin, encoder_to_dsl
+from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import COMMUTATIVE_SWAPS, EncoderDefinition
 from sceneground.expression import (
     ALL_RELATIONS,
@@ -19,6 +19,8 @@ from sceneground.expression import (
 from sceneground.mutation import _all_nodes, _node_at, _replace_at, _scale_constant
 from sceneground.optimizer import TestCase, TestSuite
 from sceneground.scene import Scene, precompute_geometry, scene_from_dict
+
+from oracles import compute_builtin
 
 LABELS = ("chair", "table", "lamp", "shelf", "box", "sofa", "desk", "plant")
 

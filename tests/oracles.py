@@ -1,6 +1,9 @@
 """Reference paths kept as oracles for the fast ones.
 
-``tree_walk_eval`` is the recursive evaluator the DAG compiler replaced: it
+``compute_builtin`` is the native route: each builtin relation written
+directly in vectorized numpy over pair arrays, independent of the DSL trees
+the library evaluates. It uses the same guarded arithmetic, so the two agree
+within 1e-9 even on degenerate geometry. ``tree_walk_eval`` is the recursive evaluator the DAG compiler replaced: it
 walks every node of the tree, repeats included, and broadcasts accessors over
 full axes. ``dense_run_test_suite`` is the suite scorer that evaluates the
 whole N^arity feature per scene and reads two entries per case.
@@ -31,6 +34,145 @@ from sceneground.optimizer import (
     synthesize_error_message,
 )
 from sceneground.scene import PairGeometry, Scene
+
+_HIGH_EPS = 1e-6
+
+
+def pair_delta(geom: PairGeometry) -> np.ndarray:
+    """``delta[i, j] = center_i - center_j``, shape (N, N, 3)."""
+    return geom.centers[:, None, :] - geom.centers[None, :, :]
+
+
+def pair_dist(geom: PairGeometry) -> np.ndarray:
+    """Euclidean norm of :func:`pair_delta`: symmetric, zero diagonal."""
+    delta = pair_delta(geom)
+    return np.sqrt(np.sum(delta * delta, axis=2))
+
+
+def _unit_toward(geom: PairGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Unit xy-direction from the scene centroid toward each object."""
+    nx = geom.centers[:, 0] - geom.centroid_xy[0]
+    ny = geom.centers[:, 1] - geom.centroid_xy[1]
+    norm = np.sqrt(nx * nx + ny * ny)
+    return guarded_div(nx, norm), guarded_div(ny, norm)
+
+
+def _proximity(geom: PairGeometry) -> np.ndarray:
+    return guarded_exp(-guarded_div(pair_dist(geom), geom.mean_diagonal))
+
+
+def _lateral_sign(geom: PairGeometry) -> np.ndarray:
+    """Antisymmetric lateral projection: positive where i sits to the
+    viewer's right of anchor j. s[j, i] is the exact float negative of
+    s[i, j], which makes the left/right antisymmetry invariant exact."""
+    vx, vy = _unit_toward(geom)
+    ux, uy = -vy, vx
+    delta = pair_delta(geom)
+    dx = delta[:, :, 0]
+    dy = delta[:, :, 1]
+    toward_j = dx * ux[None, :] + dy * uy[None, :]
+    toward_i = (-dx) * ux[:, None] + (-dy) * uy[:, None]
+    return (toward_j - toward_i) * 0.5
+
+
+def _facing_projection(geom: PairGeometry) -> np.ndarray:
+    """Projection of (center_i - center_j) onto the viewer->anchor direction."""
+    vx, vy = _unit_toward(geom)
+    delta = pair_delta(geom)
+    return delta[:, :, 0] * vx[None, :] + delta[:, :, 1] * vy[None, :]
+
+
+def _above_raw(geom: PairGeometry) -> np.ndarray:
+    cz = geom.centers[:, 2]
+    h = geom.sizes[:, 2]
+    bottom_i = (cz - h / 2)[:, None]
+    top_j = (cz + h / 2)[None, :]
+    vertical_proximity = guarded_exp(-guarded_div(np.abs(bottom_i - top_j), (h * 0.5)[:, None]))
+    delta = pair_delta(geom)
+    dx = np.abs(delta[:, :, 0])
+    dy = np.abs(delta[:, :, 1])
+    w = geom.sizes[:, 0]
+    d = geom.sizes[:, 1]
+    combined_x = (w[:, None] + w[None, :]) * 0.5
+    combined_y = (d[:, None] + d[None, :]) * 0.5
+    horizontal_alignment = guarded_exp(-(guarded_div(dx, combined_x) + guarded_div(dy, combined_y)))
+    return vertical_proximity * horizontal_alignment
+
+
+def _between_raw(geom: PairGeometry) -> np.ndarray:
+    c = geom.centers
+    ci = c[:, None, None, :]
+    cj = c[None, :, None, :]
+    ck = c[None, None, :, :]
+    seg = ck - cj
+    rel = ci - cj
+    seg_len2 = np.sum(seg * seg, axis=3)
+    t = guarded_div(np.sum(rel * seg, axis=3), seg_len2)
+    p = np.clip(t, 0.0, 1.0)
+    off = rel - p[..., None] * seg
+    r = np.sqrt(np.sum(off * off, axis=3))
+    return guarded_exp(-guarded_div(r, geom.mean_diagonal)) * 4.0 * (p * (1.0 - p))
+
+
+def _high_raw(geom: PairGeometry) -> np.ndarray:
+    cz = geom.centers[:, 2]
+    lo = float(cz.min())
+    hi = float(cz.max())
+    return guarded_div(cz - lo, (hi - lo) + _HIGH_EPS)
+
+
+def _on_the_floor_raw(geom: PairGeometry) -> np.ndarray:
+    bottoms = geom.centers[:, 2] - geom.sizes[:, 2] / 2
+    return guarded_exp(-guarded_div(bottoms - geom.floor_z, geom.mean_diagonal * 0.25))
+
+
+def _wall_gaps(geom: PairGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per-object smallest gap to the x-walls and to the y-walls of the hull."""
+    cx = geom.centers[:, 0]
+    cy = geom.centers[:, 1]
+    wx = geom.sizes[:, 0] * 0.5
+    wy = geom.sizes[:, 1] * 0.5
+    gx = np.minimum((cx - wx) - geom.hull_min[0], geom.hull_max[0] - (cx + wx))
+    gy = np.minimum((cy - wy) - geom.hull_min[1], geom.hull_max[1] - (cy + wy))
+    return gx, gy
+
+
+def _against_the_wall_raw(geom: PairGeometry) -> np.ndarray:
+    gx, gy = _wall_gaps(geom)
+    return guarded_exp(-guarded_div(np.minimum(gx, gy), geom.mean_diagonal * 0.25))
+
+
+def _at_the_corner_raw(geom: PairGeometry) -> np.ndarray:
+    gx, gy = _wall_gaps(geom)
+    return guarded_exp(-guarded_div(gx + gy, geom.mean_diagonal * 0.25))
+
+
+_NATIVE = {
+    "large": lambda geom: guarded_div(geom.volumes, float(geom.volumes.max())),
+    "small": lambda geom: guarded_div(float(geom.volumes.min()), geom.volumes),
+    "high": _high_raw,
+    "low": lambda geom: 1.0 - _high_raw(geom),
+    "on_the_floor": _on_the_floor_raw,
+    "against_the_wall": _against_the_wall_raw,
+    "at_the_corner": _at_the_corner_raw,
+    "near": _proximity,
+    "far": lambda geom: 1.0 - _proximity(geom),
+    "above": _above_raw,
+    "below": lambda geom: _above_raw(geom).T,
+    "left": lambda geom: np.maximum(-_lateral_sign(geom), 0.0) * _proximity(geom),
+    "right": lambda geom: np.maximum(_lateral_sign(geom), 0.0) * _proximity(geom),
+    "front": lambda geom: np.maximum(-_facing_projection(geom), 0.0) * _proximity(geom),
+    "behind": lambda geom: np.maximum(_facing_projection(geom), 0.0) * _proximity(geom),
+    "between": _between_raw,
+}
+
+
+def compute_builtin(relation: str, scene: Scene, geom: PairGeometry) -> RelationFeature:
+    """Native route: vectorized numpy computation of a builtin feature."""
+    rank = relation_arity(relation)
+    raw = _NATIVE[relation](geom)
+    return RelationFeature(relation=relation, rank=rank,
+                           data=finalize_feature(raw, rank, len(scene)))
 
 
 def _broadcast_obj(values: np.ndarray, which: str, rank: int, i_slice: slice | None):

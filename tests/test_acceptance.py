@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from sceneground.builtins import compute_builtin
+from sceneground.builtins import encoder_to_dsl
+from sceneground.dsl import eval_encoder
 from sceneground.executor import FeatureCache, execute, stable_softmax
 from sceneground.expression import (
     ALL_RELATIONS,
@@ -95,7 +96,7 @@ def test_criterion_2_relation_constraints():
         geom = precompute_geometry(scene)
         n = len(scene)
         idx = np.arange(n)
-        features = {name: compute_builtin(name, scene, geom).data
+        features = {name: eval_encoder(encoder_to_dsl(name), scene, geom).data
                     for name in ALL_RELATIONS}
         for name in ("near", "far"):
             if not np.array_equal(features[name], features[name].T):
@@ -325,8 +326,8 @@ def test_criterion_9_permutation_translation_invariance():
         geom = precompute_geometry(scene)
         geom_moved = precompute_geometry(moved)
         for name in ALL_RELATIONS:
-            a = compute_builtin(name, scene, geom).data
-            b = compute_builtin(name, moved, geom_moved).data
+            a = eval_encoder(encoder_to_dsl(name), scene, geom).data
+            b = eval_encoder(encoder_to_dsl(name), moved, geom_moved).data
             assert np.allclose(a, b, atol=1e-9, rtol=0.0), name
     report("criterion 9 (permutation/translation invariance)",
            "50 scenes, all relations within 1e-9")

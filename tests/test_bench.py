@@ -103,7 +103,6 @@ def test_run_bench_matches_fresh_cache_reference(dataset, registry):
         "n_records": len(entries),
         "accuracy": sum(a == e.ground_truth for a, e in zip(expected_argmax, entries))
         / len(entries),
-        "mean_tokens": 0.0,
         "condition_precision": precision,
         "condition_recall": recall,
         "random_baseline": report.aggregates["random_baseline"],

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from sceneground.builtins import compute_builtin, encoder_to_dsl
+from sceneground.builtins import builtin_definitions, encoder_to_dsl
 from sceneground.dsl import eval_encoder
 from sceneground.expression import ALL_RELATIONS, BINARY_RELATIONS, relation_arity
 from sceneground.scene import precompute_geometry, scene_from_dict
 
 from helpers import random_scene
+from oracles import compute_builtin
+
+
+def builtin(relation, scene, geom):
+    return eval_encoder(encoder_to_dsl(relation), scene, geom)
 
 
 def feature(relation, scene):
-    return compute_builtin(relation, scene, precompute_geometry(scene)).data
+    return builtin(relation, scene, precompute_geometry(scene)).data
 
 
 def test_above_stacked_unit_cubes_scores_one():
@@ -76,8 +81,8 @@ def test_below_is_above_transposed_exactly():
     for k in range(20):
         scene = random_scene(rng, int(rng.integers(2, 9)), f"s{k}")
         geom = precompute_geometry(scene)
-        above = compute_builtin("above", scene, geom).data
-        below = compute_builtin("below", scene, geom).data
+        above = builtin("above", scene, geom).data
+        below = builtin("below", scene, geom).data
         assert np.array_equal(below, above.T)
 
 
@@ -88,7 +93,7 @@ def test_all_features_nonnegative_finite_zero_diagonal():
         geom = precompute_geometry(scene)
         n = len(scene)
         for relation in ALL_RELATIONS:
-            data = compute_builtin(relation, scene, geom).data
+            data = builtin(relation, scene, geom).data
             assert np.isfinite(data).all()
             assert (data >= 0).all()
             rank = relation_arity(relation)
@@ -221,4 +226,36 @@ def test_binary_relations_have_rank_two():
     scene = random_scene(rng, 4, "s")
     geom = precompute_geometry(scene)
     for relation in BINARY_RELATIONS:
-        assert compute_builtin(relation, scene, geom).data.shape == (4, 4)
+        assert builtin(relation, scene, geom).data.shape == (4, 4)
+
+
+# sha256 of each builtin's canonical JSON; a change here changes every
+# registry digest and optimizer log that names a builtin
+BUILTIN_DIGESTS = {
+    "large": "b86634b782cd4ee4c940f940d341f827387ff0a19c16a65b4c377b825cdce225",
+    "small": "d7314a1f3b3abcef8123ffcd28ba26dafe6f68899d720325c735da4cb859829d",
+    "high": "321ccd642ee54ab44fcf585b7d7042d6e324a48966fa33a2205717aff14cd37f",
+    "low": "6319bcd6dd7edc7c497d5ce5e9e246a8f1c196622eef8eeee3333ce720bb0667",
+    "on_the_floor": "50bd658ca74f6a2194002fd643691669f2a7e3a1546c2af2ea9588aac497505f",
+    "against_the_wall": "3465d11f74ef703f308228457f721ccd77abb03bd1fe3a3a05633adc86513e94",
+    "at_the_corner": "ba523f3c9a005e7220b376ace1872b7ce5f3e72dc2a9ffbd026f2b3e06bf7beb",
+    "near": "48b6f0c658cd2131666030549103ceb00a4e1573d5711f8a5a0be8a551daa29c",
+    "far": "1c9d2f81e9ce62f6a4af0b4e0ee808cb2767860e8f7914cad7e6a96c5d380028",
+    "above": "ca5aa186234a3c34123b94fcadf0c7165ce335d074b1a3d2c9c187f2df3d7497",
+    "below": "fbc035d09fb59c64daac6a9dd434e6a4948500274d47253597d5e80f39938921",
+    "left": "ce7213fa8884cd6fb430caa2e0dfabb015b8ee82c5e181d661b6ea488f0a4257",
+    "right": "5e38c68e6d51789c7a26bb3196e2e2b8d36f7fc2f0e9a8fbcb12b446d5af2ef0",
+    "front": "c343aa7d0ea70c3d2e52ee10052cd0306fd5dca2d810d24254139b7fc86c9c0b",
+    "behind": "7635dd04cadeb6e478a7c76ba2460d98fe05455b3c96d01816663c1b1386a4ac",
+    "between": "3fb0c690b7280ed4d96ee65646dd998879f4f3a86d5a24659819c79fdc3d7eac",
+}
+
+
+def test_builtin_digests_are_pinned_and_definitions_shared():
+    definitions = builtin_definitions()
+    assert list(definitions) == list(ALL_RELATIONS)
+    assert {name: d.digest() for name, d in definitions.items()} == BUILTIN_DIGESTS
+    for name, defn in definitions.items():
+        assert encoder_to_dsl(name) is encoder_to_dsl(name) is defn
+        assert defn.metadata == "builtin"
+    assert builtin_definitions() is not definitions

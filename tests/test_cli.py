@@ -1,10 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from sceneground.builtins import compute_builtin
+from sceneground.builtins import encoder_to_dsl
 from sceneground.cli import main
+from sceneground.dsl import eval_encoder
 from sceneground.minibench import generate_mini_benchmark
 from sceneground.scene import precompute_geometry, save_scene
 
@@ -89,7 +91,7 @@ def make_near_suite_files(tmp_path, rng):
     scene = random_scene(rng, 8, "sc0")
     save_scene(scene, scenes_dir / "sc0.json")
     geom = precompute_geometry(scene)
-    data = compute_builtin("near", scene, geom).data
+    data = eval_encoder(encoder_to_dsl("near"), scene, geom).data
     cases = []
     for _ in range(400):
         t, d, a = (int(v) for v in rng.integers(0, 8, 3))
@@ -228,3 +230,66 @@ def test_corrupt_registry_exits_2(dataset, tmp_path, capsys):
     assert main(["optimize", "--relation", "near", "--suite", str(suite_path),
                  "--scenes", str(scenes_dir), "--registry", str(registry_path)]) == 2
     assert registry_path.read_text() == '{"active": {'
+
+
+
+def _bench_with_line(line):
+    """argv for ``bench`` over a copy of the dataset whose second line is ``line``
+    (a callable of the first, valid line's dict, or a raw string)."""
+
+    def build(dataset, tmp_path):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset / "scenes", copy / "scenes")
+        good = (dataset / "expressions.jsonl").read_text().splitlines()[0]
+        bad = line if isinstance(line, str) else json.dumps(line(json.loads(good)))
+        (copy / "expressions.jsonl").write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        return ["bench", "--dataset", str(copy)], "expressions.jsonl:2:"
+
+    return build
+
+
+def _patched(**changes):
+    """Valid line with ``changes`` applied; a ``None`` value drops the key."""
+
+    def patch(raw):
+        raw.update(changes)
+        return {k: v for k, v in raw.items() if v is not None}
+
+    return _bench_with_line(patch)
+
+
+def _ground_top_k(top_k):
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr), "--top-k", top_k], "--top-k"
+
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _ground_top_k("0"),
+    _ground_top_k("-3"),
+    _bench_with_line('{"scene_id": "mini_prox", '),
+    _bench_with_line("[1, 2]"),
+    _patched(scene_id=None),
+    _patched(expression=None),
+    _patched(ground_truth=None),
+    _patched(scene_id=["mini_prox"]),
+    _patched(ground_truth="3"),
+    _patched(ground_truth=2.5),
+    _patched(ground_truth=True),
+    _patched(scene_id="no_such_scene"),
+    _patched(ground_truth=999),
+    _patched(expression={"relations": []}),
+], ids=["top_k_0", "top_k_negative", "invalid_json", "not_an_object", "no_scene_id",
+        "no_expression", "no_ground_truth", "scene_id_list", "ground_truth_string",
+        "ground_truth_float", "ground_truth_bool", "unknown_scene",
+        "ground_truth_not_in_scene", "malformed_expression"])
+def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
+    argv, where = build(dataset, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert where in err

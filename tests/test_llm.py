@@ -60,13 +60,6 @@ def test_assemble_refinement_embeds_prior_and_errors_in_order():
     assert positions == sorted(positions)
 
 
-def test_assemble_self_refine_has_no_failure_section():
-    prior = encoder_to_dsl("near")
-    bundle = assemble_prompt("self_refine", relation="near", prior=(prior, ()))
-    assert "Failed test cases" not in bundle.user
-    assert json.dumps(prior.to_dict(), indent=2) in bundle.user
-
-
 def test_assembly_is_deterministic():
     a = assemble_prompt("parsing", utterance="u")
     b = assemble_prompt("parsing", utterance="u")
@@ -200,17 +193,6 @@ def test_stub_replies_from_fixture_files(tmp_path):
         assert client.chat_complete(bundle)[0] == "first reply"
         assert client.chat_complete(bundle)[0] == "second reply"
         assert client.chat_complete(bundle)[0] == "second reply"  # last reply repeats
-
-
-def test_offline_expression_loading_makes_no_network_calls(tmp_path):
-    from sceneground.llm import load_expression_file
-
-    path = tmp_path / "expr.json"
-    path.write_text('{"category": "chair"}', encoding="utf-8")
-    with StubServer(["should never be requested"]) as stub:
-        expr = load_expression_file(path)
-        assert expr.category == "chair"
-        assert stub.request_count == 0
 
 
 def test_importing_the_package_does_not_import_requests():

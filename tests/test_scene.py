@@ -15,6 +15,7 @@ from sceneground.scene import (
 )
 
 from helpers import random_scene
+from oracles import pair_delta, pair_dist
 
 
 def write_scene(tmp_path, payload):
@@ -78,19 +79,19 @@ def test_pair_geometry_345_triangle():
         {"id": 0, "label": "a", "bbox": [0, 0, 0, 1, 1, 1]},
         {"id": 1, "label": "b", "bbox": [3, 4, 0, 1, 1, 1]},
     ]})
-    geom = precompute_geometry(scene)
-    assert geom.dist[0, 1] == 5.0
-    assert geom.dist[1, 0] == 5.0
-    assert geom.dist[0, 0] == 0.0
+    dist = pair_dist(precompute_geometry(scene))
+    assert dist[0, 1] == 5.0
+    assert dist[1, 0] == 5.0
+    assert dist[0, 0] == 0.0
 
 
 def test_pair_geometry_single_object():
     scene = scene_from_dict({"scene_id": "s", "objects": [
         {"id": 0, "label": "a", "bbox": [1, 2, 3, 1, 1, 1]},
     ]})
-    geom = precompute_geometry(scene)
-    assert geom.dist.shape == (1, 1)
-    assert geom.dist[0, 0] == 0.0
+    dist = pair_dist(precompute_geometry(scene))
+    assert dist.shape == (1, 1)
+    assert dist[0, 0] == 0.0
 
 
 def test_floor_z_is_min_bottom_face():
@@ -107,10 +108,11 @@ def test_geometry_dist_matches_delta_norm():
     for k in range(20):
         scene = random_scene(rng, int(rng.integers(1, 10)), f"s{k}")
         geom = precompute_geometry(scene)
-        norms = np.linalg.norm(geom.delta, axis=2)
-        assert np.allclose(geom.dist, norms, rtol=1e-12, atol=0.0)
-        assert np.array_equal(geom.dist, geom.dist.T)
-        assert np.all(np.diag(geom.dist) == 0.0)
+        dist = pair_dist(geom)
+        norms = np.linalg.norm(pair_delta(geom), axis=2)
+        assert np.allclose(dist, norms, rtol=1e-12, atol=0.0)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
 
 
 def test_geometry_is_deterministic():
@@ -118,7 +120,7 @@ def test_geometry_is_deterministic():
     scene = random_scene(rng, 7, "s")
     a = precompute_geometry(scene)
     b = precompute_geometry(scene)
-    for name in ("delta", "dist", "centers", "sizes", "volumes"):
+    for name in ("centers", "sizes", "hull_min", "hull_max", "centroid_xy", "volumes"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.mean_diagonal == b.mean_diagonal
     assert a.floor_z == b.floor_z
