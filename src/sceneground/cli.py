@@ -8,6 +8,7 @@ its flags; precedence is flags > config > defaults. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -58,6 +59,16 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None, req
     return value
 
 
+def _resolve_number(args: argparse.Namespace, config: dict, key: str, default, kind=int):
+    """:func:`_resolve` converted by ``kind``; a bool or a value ``kind``
+    rejects (a config's ``"abc"``) is a CliError."""
+    value = _resolve(args, config, key, default)
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return kind(value)
+    raise CliError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -97,8 +108,8 @@ def cmd_ground(args: argparse.Namespace) -> int:
     scene_path = _resolve(args, config, "scene", required=True)
     expr_path = _resolve(args, config, "expr", required=True)
     registry_path = _resolve(args, config, "registry")
-    top_k = int(_resolve(args, config, "top_k", 5))
-    threshold = float(_resolve(args, config, "threshold", 0.9))
+    top_k = _resolve_number(args, config, "top_k", 5)
+    threshold = _resolve_number(args, config, "threshold", 0.9, float)
     out = _resolve(args, config, "out")
     if top_k < 1:
         raise CliError(f"--top-k must be at least 1, got {top_k}")
@@ -120,12 +131,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     source_kind = _resolve(args, config, "source", "mutate")
     registry_path = _resolve(args, config, "registry", required=True)
     log_path = _resolve(args, config, "log")
-    cfg = OptimizerConfig(
-        n_iter=int(_resolve(args, config, "n_iter", 5)),
-        n_sample=int(_resolve(args, config, "n_sample", 5)),
-        top_k=int(_resolve(args, config, "top_k", 3)),
-        seed=int(_resolve(args, config, "seed", 0)),
-    )
+    try:
+        cfg = OptimizerConfig(**{key: _resolve_number(args, config, key, default) for key, default
+                                 in (("n_iter", 5), ("n_sample", 5), ("top_k", 3), ("seed", 0))})
+    except ValueError as exc:  # a CliError from _resolve_number too
+        raise CliError(str(exc)) from None
 
     suite = load_suite(suite_path, scenes_dir)
     registry = load_registry(registry_path) if Path(registry_path).exists() else EncoderRegistry()
@@ -156,7 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     dataset = _resolve(args, config, "dataset", required=True)
     registry_path = _resolve(args, config, "registry")
-    workers = int(_resolve(args, config, "workers", 1))
+    workers = _resolve_number(args, config, "workers", 1)
     baseline = bool(_resolve(args, config, "baseline", False))
     plots = _resolve(args, config, "plots")
     out = _resolve(args, config, "out")

@@ -6,11 +6,14 @@ Every operation is total: division is guarded away from zero, ``exp`` is
 clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
-Evaluation first compiles a body into a hash-consed DAG (identical subtrees
-share one node) and evaluates each distinct node once. One evaluator serves
-two leaf rules: the dense route broadcasts each accessor along its own axis
-(:func:`eval_encoder`), the gathered route reads accessors at given index
-arrays (:func:`eval_encoder_at`) and yields the same entries bit for bit.
+One pass walks a body (:func:`compile_definition`): it checks each node as
+it interns it into a hash-consed DAG (identical subtrees share one node), and
+the DAG is memoized on the definition, so :func:`validate_definition` is the
+same pass and a body is walked once. Evaluation runs each distinct DAG node
+once. One evaluator serves two leaf rules: the dense route
+broadcasts each accessor along its own axis (:func:`eval_encoder`), the
+gathered route reads accessors at given index arrays
+(:func:`eval_encoder_at`) and yields the same entries bit for bit.
 Bodies are treated as immutable: nothing here or in the mutation operator
 writes to a node, so trees may share subtrees.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,28 +66,28 @@ FEATURE_CAP = 1e30
 MAX_TREE_DEPTH = 64
 MAX_TREE_NODES = 512
 
-# operator name -> argument count
-OPS = {
-    "add": 2, "sub": 2, "mul": 2, "div": 2, "min": 2, "max": 2,
-    "abs": 1, "neg": 1, "exp": 1, "sqrt": 1, "relu": 1, "clamp01": 1,
-    # 2D dot/cross sugar over (ax, ay, bx, by); expands to add/sub/mul
-    "dot2": 4, "cross2": 4,
-}
-
 # swappable commutative pairs used by the mutation operator
 COMMUTATIVE_SWAPS = {"add": "mul", "mul": "add", "min": "max", "max": "min"}
 
-_GET_FIELDS = {"center": True, "size": True, "bottom": False, "top": False, "volume": False}
+# accessor -> (needs an axis, per-object values from geometry and axis index)
+_GET_FIELDS = {
+    "center": (True, lambda g, a: g.centers[:, a]),
+    "size": (True, lambda g, a: g.sizes[:, a]),
+    "bottom": (False, lambda g, a: g.centers[:, 2] - g.sizes[:, 2] / 2),
+    "top": (False, lambda g, a: g.centers[:, 2] + g.sizes[:, 2] / 2),
+    "volume": (False, lambda g, a: g.volumes),
+}
+# aggregate -> (axes it takes, or None for none; scalar from geometry and axis index)
 _AGG_FIELDS = {
-    "mean_diagonal": None,
-    "floor_z": None,
-    "hull_min": ("x", "y"),
-    "hull_max": ("x", "y"),
-    "centroid": ("x", "y"),
-    "volume_min": None,
-    "volume_max": None,
-    "center_min": ("x", "y", "z"),
-    "center_max": ("x", "y", "z"),
+    "mean_diagonal": (None, lambda g, a: g.mean_diagonal),
+    "floor_z": (None, lambda g, a: g.floor_z),
+    "hull_min": (("x", "y"), lambda g, a: float(g.hull_min[a])),
+    "hull_max": (("x", "y"), lambda g, a: float(g.hull_max[a])),
+    "centroid": (("x", "y"), lambda g, a: float(g.centroid_xy[a])),
+    "volume_min": (None, lambda g, a: float(g.volumes.min())),
+    "volume_max": (None, lambda g, a: float(g.volumes.max())),
+    "center_min": (("x", "y", "z"), lambda g, a: float(g.centers[:, a].min())),
+    "center_max": (("x", "y", "z"), lambda g, a: float(g.centers[:, a].max())),
 }
 _AXES = {"x": 0, "y": 1, "z": 2}
 OBJS_FOR_ARITY = {1: ("i",), 2: ("i", "j"), 3: ("i", "j", "k")}
@@ -190,133 +194,34 @@ def _fault(path: tuple | None, message: str) -> DefinitionError:
     return DefinitionError("body" + "".join(reversed(steps)) + f": {message}")
 
 
-def _validate_node(node: object, allowed_objs: tuple[str, ...], depth: int,
-                   path: tuple | None) -> int:
-    """Return node count of the subtree; raise DefinitionError at the first fault.
-
-    ``path`` is ``(parent_path, arg_position)``, ``None`` at the root; it is
-    spelled out only for the error message.
-    """
-    if depth > MAX_TREE_DEPTH:
-        raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
-    if not isinstance(node, dict):
-        raise _fault(path, f"node must be an object, got {type(node).__name__}")
-    if "const" in node:
-        value = node["const"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
-            raise _fault(path, "const must be a finite number")
-        return 1
-    if "get" in node:
-        field = node["get"]
-        if field not in _GET_FIELDS:
-            raise _fault(path, f"unknown accessor {field!r}")
-        obj = node.get("obj")
-        if obj not in allowed_objs:
-            raise _fault(
-                path, f"accessor object {obj!r} not allowed here (allowed: {allowed_objs})"
-            )
-        needs_axis = _GET_FIELDS[field]
-        axis = node.get("axis")
-        if needs_axis and axis not in _AXES:
-            raise _fault(path, f"accessor {field!r} needs axis x|y|z")
-        if not needs_axis and axis is not None:
-            raise _fault(path, f"accessor {field!r} takes no axis")
-        return 1
-    if "agg" in node:
-        name = node["agg"]
-        if name not in _AGG_FIELDS:
-            raise _fault(path, f"unknown aggregate {name!r}")
-        axes = _AGG_FIELDS[name]
-        axis = node.get("axis")
-        if axes is None and axis is not None:
-            raise _fault(path, f"aggregate {name!r} takes no axis")
-        if axes is not None and axis not in axes:
-            raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
-        return 1
-    if "op" in node:
-        name = node["op"]
-        if name not in OPS:
-            raise _fault(path, f"unknown op {name!r}")
-        args = node.get("args")
-        if not isinstance(args, list) or len(args) != OPS[name]:
-            raise _fault(path, f"op {name!r} takes {OPS[name]} args")
-        count = 1
-        for k, child in enumerate(args):
-            count += _validate_node(child, allowed_objs, depth + 1, (path, k))
-        return count
-    raise _fault(path, "node must have one of const/get/agg/op")
-
-
-def validate_definition(defn: EncoderDefinition) -> None:
-    """Static check: well-formed tree, arity-consistent accessors, size caps."""
-    arity = relation_arity(defn.relation)
-    allowed = OBJS_FOR_ARITY[arity]
-    count = _validate_node(defn.body, allowed, 1, None)
-    if count > MAX_TREE_NODES:
-        raise DefinitionError(f"body: tree has {count} nodes, cap is {MAX_TREE_NODES}")
-
-
 def _get_values(field: str, geom: PairGeometry, axis: str | None) -> np.ndarray:
-    if field == "center":
-        return geom.centers[:, _AXES[axis]]
-    if field == "size":
-        return geom.sizes[:, _AXES[axis]]
-    if field == "bottom":
-        return geom.centers[:, 2] - geom.sizes[:, 2] / 2
-    if field == "top":
-        return geom.centers[:, 2] + geom.sizes[:, 2] / 2
-    return geom.volumes  # volume
+    return _GET_FIELDS[field][1](geom, _AXES.get(axis))
 
 
 def _agg_value(name: str, geom: PairGeometry, axis: str | None) -> float:
-    if name == "mean_diagonal":
-        return geom.mean_diagonal
-    if name == "floor_z":
-        return geom.floor_z
-    if name == "hull_min":
-        return float(geom.hull_min[_AXES[axis]])
-    if name == "hull_max":
-        return float(geom.hull_max[_AXES[axis]])
-    if name == "centroid":
-        return float(geom.centroid_xy[_AXES[axis]])
-    if name == "volume_min":
-        return float(geom.volumes.min())
-    if name == "volume_max":
-        return float(geom.volumes.max())
-    if name == "center_min":
-        return float(geom.centers[:, _AXES[axis]].min())
-    return float(geom.centers[:, _AXES[axis]].max())  # center_max
+    return _AGG_FIELDS[name][1](geom, _AXES.get(axis))
 
 
-def _apply(name: str, args: list):
-    if name == "add":
-        return args[0] + args[1]
-    if name == "sub":
-        return args[0] - args[1]
-    if name == "mul":
-        return args[0] * args[1]
-    if name == "div":
-        return guarded_div(args[0], args[1])
-    if name == "min":
-        return np.minimum(args[0], args[1])
-    if name == "max":
-        return np.maximum(args[0], args[1])
-    if name == "abs":
-        return np.abs(args[0])
-    if name == "neg":
-        return -args[0]
-    if name == "exp":
-        return guarded_exp(args[0])
-    if name == "sqrt":
-        return guarded_sqrt(args[0])
-    if name == "relu":
-        return np.maximum(args[0], 0.0)
-    if name == "clamp01":
-        return np.clip(args[0], 0.0, 1.0)
-    if name == "dot2":
-        return args[0] * args[2] + args[1] * args[3]
-    # cross2
-    return args[0] * args[3] - args[1] * args[2]
+# operator name -> (argument count, function of the argument values)
+_OPS = {
+    "add": (2, lambda a, b: a + b),
+    "sub": (2, lambda a, b: a - b),
+    "mul": (2, lambda a, b: a * b),
+    "div": (2, guarded_div),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "abs": (1, np.abs),
+    "neg": (1, lambda a: -a),
+    "exp": (1, guarded_exp),
+    "sqrt": (1, guarded_sqrt),
+    "relu": (1, lambda a: np.maximum(a, 0.0)),
+    "clamp01": (1, lambda a: np.clip(a, 0.0, 1.0)),
+    # 2D dot/cross sugar over (ax, ay, bx, by)
+    "dot2": (4, lambda ax, ay, bx, by: ax * bx + ay * by),
+    "cross2": (4, lambda ax, ay, bx, by: ax * by - ay * bx),
+}
+# operator name -> argument count
+OPS = {name: arity for name, (arity, _) in _OPS.items()}
 
 
 @dataclass(frozen=True)
@@ -336,28 +241,89 @@ class CompiledEncoder:
     frees: tuple[tuple[int, ...], ...]
 
 
-def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:
-    """Give identical subtrees one node; the body must already validate."""
+def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
+    """The one walk over a body: check each node, then intern it into the DAG.
+
+    The first fault in depth-first order raises DefinitionError with the
+    node's ``body.args[..]`` path; the node cap (repeats counted) is checked
+    after the walk. A subtree object that occurs again (trees share
+    immutable subtrees) is walked again only where it sits deeper.
+    """
+    rank = relation_arity(defn.relation)
+    allowed = OBJS_FOR_ARITY[rank]
     ids: dict[tuple, int] = {}
     nodes: list[tuple] = []
+    # id of a checked node object -> (DAG position, subtree size, its depth)
+    checked: dict[int, tuple[int, int, int]] = {}
+    count = 0
 
-    def intern(node: dict) -> int:
+    def intern(node: object, depth: int, path: tuple | None) -> int:
+        # path is (parent_path, arg_position), None at the root, spelled out
+        # only for an error message; names are checked to be strings before
+        # any lookup, so a list there is a fault, not a TypeError
+        nonlocal count
+        seen = checked.get(id(node))
+        if seen is not None and depth <= seen[2]:
+            count += seen[1]
+            return seen[0]
+        if depth > MAX_TREE_DEPTH:
+            raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
+        if not isinstance(node, dict):
+            raise _fault(path, f"node must be an object, got {type(node).__name__}")
+        start = count
+        count += 1
         if "const" in node:
-            value = float(node["const"])
+            value = node["const"]
+            # a float must be finite, an int fit in 64 bits; a bool is no number
+            if isinstance(value, bool) or not (
+                    math.isfinite(value) if isinstance(value, float)
+                    else isinstance(value, int) and -2**63 <= value < 2**64):
+                raise _fault(path, "const must be a finite number")
+            value = float(value)
             # repr keeps -0.0 apart from 0.0, which compare equal
             key, entry = ("const", repr(value)), ("const", value)
         elif "get" in node:
-            key = entry = ("get", node["get"], node["obj"], node.get("axis"))
+            field, obj, axis = node["get"], node.get("obj"), node.get("axis")
+            if not isinstance(field, str) or field not in _GET_FIELDS:
+                raise _fault(path, f"unknown accessor {field!r}")
+            if obj not in allowed:
+                raise _fault(path, f"accessor object {obj!r} not allowed here "
+                                   f"(allowed: {allowed})")
+            if _GET_FIELDS[field][0]:
+                if not isinstance(axis, str) or axis not in _AXES:
+                    raise _fault(path, f"accessor {field!r} needs axis x|y|z")
+            elif axis is not None:
+                raise _fault(path, f"accessor {field!r} takes no axis")
+            key = entry = ("get", field, obj, axis)
         elif "agg" in node:
-            key = entry = ("agg", node["agg"], node.get("axis"))
+            name, axis = node["agg"], node.get("axis")
+            if not isinstance(name, str) or name not in _AGG_FIELDS:
+                raise _fault(path, f"unknown aggregate {name!r}")
+            axes = _AGG_FIELDS[name][0]
+            if axes is None and axis is not None:
+                raise _fault(path, f"aggregate {name!r} takes no axis")
+            if axes is not None and axis not in axes:
+                raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
+            key = entry = ("agg", name, axis)
+        elif "op" in node:
+            name, args = node["op"], node.get("args")
+            if not isinstance(name, str) or name not in OPS:
+                raise _fault(path, f"unknown op {name!r}")
+            if not isinstance(args, list) or len(args) != OPS[name]:
+                raise _fault(path, f"op {name!r} takes {OPS[name]} args")
+            children = tuple(intern(child, depth + 1, (path, k)) for k, child in enumerate(args))
+            key = entry = ("op", name, children)
         else:
-            key = entry = ("op", node["op"], tuple(intern(child) for child in node["args"]))
-        if key not in ids:
-            ids[key] = len(nodes)
+            raise _fault(path, "node must have one of const/get/agg/op")
+        pos = ids.setdefault(key, len(nodes))
+        if pos == len(nodes):
             nodes.append(entry)
-        return ids[key]
+        checked[id(node)] = (pos, count - start, depth)
+        return pos
 
-    intern(defn.body)
+    intern(defn.body, 1, None)
+    if count > MAX_TREE_NODES:
+        raise DefinitionError(f"body: tree has {count} nodes, cap is {MAX_TREE_NODES}")
     last_reader: dict[int, int] = {}
     for pos, node in enumerate(nodes):
         if node[0] == "op":
@@ -365,8 +331,26 @@ def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:
     frees: list[list[int]] = [[] for _ in nodes]
     for child, pos in last_reader.items():
         frees[pos].append(child)
-    return CompiledEncoder(relation=defn.relation, rank=relation_arity(defn.relation),
+    return CompiledEncoder(relation=defn.relation, rank=rank,
                            nodes=tuple(nodes), frees=tuple(map(tuple, frees)))
+
+
+def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:
+    """Check a body and compile it to its DAG, or raise DefinitionError.
+
+    Memoized on the definition, as bodies are immutable.
+    """
+    compiled = defn.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = _check_and_compile(defn)
+        object.__setattr__(defn, "_compiled", compiled)
+    return compiled
+
+
+def validate_definition(defn: EncoderDefinition) -> None:
+    """Static check: well-formed tree, arity-consistent accessors, size caps;
+    the memoized pass of :func:`compile_definition`."""
+    compile_definition(defn)
 
 
 def _evaluate(compiled: CompiledEncoder, geom: PairGeometry, leaf):
@@ -376,7 +360,7 @@ def _evaluate(compiled: CompiledEncoder, geom: PairGeometry, leaf):
     for node, frees in zip(compiled.nodes, compiled.frees):
         kind = node[0]
         if kind == "op":
-            values.append(_apply(node[1], [values[c] for c in node[2]]))
+            values.append(_OPS[node[1]][1](*[values[c] for c in node[2]]))
         elif kind == "get":
             values.append(leaf(_get_values(node[1], geom, node[3]), node[2]))
         elif kind == "agg":
@@ -451,19 +435,15 @@ def eval_encoder(
 ) -> RelationFeature:
     """Evaluate a definition over a scene; pure and deterministic.
 
-    The body is compiled to its DAG, so each distinct subtree is evaluated
-    once. Rank-3 bodies are evaluated in chunks along the first index so the
-    intermediate working set stays bounded even when N is large.
+    The body is checked and compiled to its DAG (:func:`compile_definition`),
+    so each distinct subtree is evaluated once. Rank-3 bodies are evaluated
+    in chunks along the first index so the intermediate working set stays
+    bounded even when N is large.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
         raise ValueError("scene and geometry disagree on object count")
-    # memoized on the definition (bodies are immutable): registry encoders
-    # are evaluated once per scene, candidates go through eval_encoder_at
-    compiled = defn.__dict__.get("_compiled")
-    if compiled is None:
-        compiled = compile_definition(defn)
-        object.__setattr__(defn, "_compiled", compiled)
+    compiled = compile_definition(defn)
     rank = compiled.rank
     if rank < 3:
         data = finalize_feature(_evaluate(compiled, geom, _dense_leaf(rank, None)), rank, n)

@@ -206,6 +206,18 @@ class LlmClient:
         self.ledger = ledger if ledger is not None else UsageLedger()
 
     def chat_complete(self, bundle: PromptBundle) -> tuple[str, UsageRecord]:
+        """Reply text and its usage record."""
+        return self._complete(bundle, lambda text: text)
+
+    def parse_utterance(self, utterance: str) -> SymbolicExpression:
+        """Expression parsed from the reply; a reply without one is retried."""
+        return self._complete(assemble_prompt("parsing", utterance=utterance),
+                              _expression_from_reply)[0]
+
+    def _complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
+        """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
+        HTTP errors, malformed replies and replies ``parse`` rejects share the
+        ``max_attempts`` budget; a 400/401/403/404 is not retried."""
         import requests  # deferred: importing it costs more than the rest of the package
 
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
@@ -224,6 +236,7 @@ class LlmClient:
         last_error = "no attempts made"
         for attempt in range(self.config.max_attempts):
             if attempt:
+                logger.warning("chat call failed (attempt %d): %s", attempt, last_error)
                 time.sleep(self.config.backoff * (2 ** (attempt - 1)))
             started = time.perf_counter()
             try:
@@ -231,11 +244,11 @@ class LlmClient:
                                          timeout=self.config.timeout)
             except requests.RequestException as exc:
                 last_error = f"network error: {exc}"
-                logger.warning("chat call failed (attempt %d): %s", attempt + 1, last_error)
                 continue
             if response.status_code != 200:
                 last_error = f"HTTP {response.status_code}: {response.text[:200]}"
-                logger.warning("chat call failed (attempt %d): %s", attempt + 1, last_error)
+                if response.status_code in (400, 401, 403, 404):  # a resend cannot fix it
+                    raise LlmError(f"chat completion failed, not retried: {last_error}")
                 continue
             try:
                 data = response.json()
@@ -243,7 +256,6 @@ class LlmClient:
                 usage = data.get("usage", {})
             except (ValueError, LookupError, TypeError) as exc:
                 last_error = f"malformed reply: {exc}"
-                logger.warning("chat call failed (attempt %d): %s", attempt + 1, last_error)
                 continue
             record = UsageRecord(
                 purpose=bundle.template_id,
@@ -252,27 +264,21 @@ class LlmClient:
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             )
             self.ledger.add(record)
-            return text, record
+            try:
+                return parse(text), record
+            except (LlmError, ValueError) as exc:  # an unusable reply is retried
+                last_error = f"unusable reply: {exc}"
         raise LlmError(
             f"chat completion failed after {self.config.max_attempts} attempts; "
             f"last error: {last_error}"
         )
 
-    def parse_utterance(self, utterance: str) -> SymbolicExpression:
-        bundle = assemble_prompt("parsing", utterance=utterance)
-        last_error = "no attempts made"
-        for _ in range(self.config.max_attempts):
-            reply, _record = self.chat_complete(bundle)
-            block = extract_json_block(reply)
-            if block is None:
-                last_error = "reply contains no JSON object"
-                continue
-            try:
-                return parse_expression(block)
-            except Exception as exc:  # noqa: BLE001 - report and retry
-                last_error = str(exc)
-        raise LlmError(f"could not parse utterance after "
-                       f"{self.config.max_attempts} attempts: {last_error}")
+
+def _expression_from_reply(text: str) -> SymbolicExpression:
+    block = extract_json_block(text)
+    if block is None:
+        raise LlmError("reply contains no JSON object")
+    return parse_expression(block)
 
 
 def parse_utterance_via_llm(

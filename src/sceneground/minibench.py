@@ -39,10 +39,6 @@ class _Obj:
         return [self.x, self.y, self.z, self.w, self.d, self.h]
 
 
-def _floor(h: float) -> float:
-    return h / 2
-
-
 def _clause(relation: str, *anchors: dict, negative: bool = False) -> dict:
     return {"relation_name": relation, "anchors": list(anchors), "negative": negative}
 

@@ -30,16 +30,17 @@ from .expression import relation_arity
 __all__ = ["mutate_definition"]
 
 Path = tuple[int, ...]
+Nodes = list[tuple[Path, dict]]  # every (path, node) of a body, depth first
 
 
-def _walk(node: dict, path: Path, out: list[tuple[Path, dict]]) -> None:
+def _walk(node: dict, path: Path, out: Nodes) -> None:
     out.append((path, node))
     for k, child in enumerate(node.get("args", [])):
         _walk(child, path + (k,), out)
 
 
-def _all_nodes(body: dict) -> list[tuple[Path, dict]]:
-    out: list[tuple[Path, dict]] = []
+def _all_nodes(body: dict) -> Nodes:
+    out: Nodes = []
     _walk(body, (), out)
     return out
 
@@ -85,9 +86,9 @@ def _graft_pool(allowed_objs: set[str]) -> list[dict]:
     return _POOL_CACHE[key]
 
 
-def _scale_constant(body: dict, rng: np.random.Generator) -> dict:
+def _scale_constant(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict:
     factor = float(rng.uniform(0.5, 2.0))
-    const_paths = [path for path, node in _all_nodes(body) if "const" in node]
+    const_paths = [path for path, node in nodes if "const" in node]
     if const_paths:
         path = const_paths[int(rng.integers(len(const_paths)))]
         old = _node_at(body, path)["const"]
@@ -96,14 +97,13 @@ def _scale_constant(body: dict, rng: np.random.Generator) -> dict:
             new = old + (factor - 1.0) or old + 0.5
         return _replace_at(body, path, const(new))
     # no constants anywhere: scale a random subtree instead
-    paths = [path for path, _ in _all_nodes(body)]
+    paths = [path for path, _ in nodes]
     path = paths[int(rng.integers(len(paths)))]
     return _replace_at(body, path, op("mul", _node_at(body, path), const(factor)))
 
 
-def _swap_operator(body: dict, rng: np.random.Generator) -> dict | None:
-    swappable = [path for path, node in _all_nodes(body)
-                 if node.get("op") in COMMUTATIVE_SWAPS]
+def _swap_operator(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict | None:
+    swappable = [path for path, node in nodes if node.get("op") in COMMUTATIVE_SWAPS]
     if not swappable:
         return None
     path = swappable[int(rng.integers(len(swappable)))]
@@ -111,8 +111,8 @@ def _swap_operator(body: dict, rng: np.random.Generator) -> dict | None:
     return _replace_at(body, path, {**node, "op": COMMUTATIVE_SWAPS[node["op"]]})
 
 
-def _insert_wrapper(body: dict, rng: np.random.Generator) -> dict:
-    paths = [path for path, _ in _all_nodes(body)]
+def _insert_wrapper(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict:
+    paths = [path for path, _ in nodes]
     path = paths[int(rng.integers(len(paths)))]
     target = _node_at(body, path)
     if int(rng.integers(2)) == 0:
@@ -122,18 +122,20 @@ def _insert_wrapper(body: dict, rng: np.random.Generator) -> dict:
     return _replace_at(body, path, wrapped)
 
 
-def _graft_subtree(body: dict, rng: np.random.Generator, allowed_objs: set[str]) -> dict | None:
+def _graft_subtree(body: dict, nodes: Nodes, rng: np.random.Generator,
+                   allowed_objs: set[str]) -> dict | None:
     pool = _graft_pool(allowed_objs)
     if not pool:
         return None
     source = pool[int(rng.integers(len(pool)))]
-    paths = [path for path, _ in _all_nodes(body)]
+    paths = [path for path, _ in nodes]
     path = paths[int(rng.integers(len(paths)))]
     return _replace_at(body, path, source)
 
 
 def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
-    """Return a valid definition differing from ``defn`` in at least one node."""
+    """Return a valid definition differing from ``defn`` in at least one node;
+    its check is memoized with its DAG, so scoring it walks the body no more."""
     rng = np.random.default_rng(seed)
     allowed = set(OBJS_FOR_ARITY[relation_arity(defn.relation)])
     original = defn.digest()
@@ -142,16 +144,17 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     # constant rescaling repairs continuously and carries the hill climb, so
     # it gets the largest share; wrappers rarely help and stay rare
     kind = kinds[int(rng.choice(4, p=[0.45, 0.25, 0.05, 0.25]))]
+    nodes = _all_nodes(defn.body)
     body: dict | None = None
     if kind == "op_swap":
-        body = _swap_operator(defn.body, rng)
+        body = _swap_operator(defn.body, nodes, rng)
     elif kind == "wrap":
-        body = _insert_wrapper(defn.body, rng)
+        body = _insert_wrapper(defn.body, nodes, rng)
     elif kind == "graft":
-        body = _graft_subtree(defn.body, rng, allowed)
+        body = _graft_subtree(defn.body, nodes, rng, allowed)
     if body is None:
         kind = "const_scale"
-        body = _scale_constant(defn.body, rng)
+        body = _scale_constant(defn.body, nodes, rng)
 
     candidate = EncoderDefinition(relation=defn.relation, body=body,
                                   metadata=f"mutated[{kind}, seed={seed}]")
@@ -162,7 +165,7 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
         changed = False
     if not changed:
         # graft may reproduce the original or overflow the caps: scale instead
-        body = _scale_constant(defn.body, rng)
+        body = _scale_constant(defn.body, nodes, rng)
         candidate = EncoderDefinition(relation=defn.relation, body=body,
                                       metadata=f"mutated[const_scale, seed={seed}]")
         validate_definition(candidate)

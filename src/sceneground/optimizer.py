@@ -26,7 +26,6 @@ from .dsl import (
     compile_definition,
     definition_from_dict,
     eval_encoder_at,
-    validate_definition,
 )
 from .expression import normalize_relation_name, relation_arity
 from .registry import EncoderRegistry
@@ -207,14 +206,16 @@ def run_test_suite(
     (distractor, anchors) tuples (:func:`eval_encoder_at`), which gives the
     dense feature's entries exactly. ``outcome_memo`` maps a definition
     digest to its per-case outcomes, so a repeated candidate is not
-    evaluated again.
+    evaluated again. The body is checked and compiled by the definition's
+    memoized pass, so a candidate that mutation already checked is not
+    walked again.
     """
     if defn.relation != suite.relation:
         raise SuiteError(
             f"definition is for {defn.relation!r}, suite is for {suite.relation!r}"
         )
     try:
-        validate_definition(defn)
+        compiled = compile_definition(defn)
     except DefinitionError as exc:
         return CandidateReport(definition=defn, pass_rate=0.0, failures=(),
                                note=f"validation failed: {exc}")
@@ -222,7 +223,6 @@ def run_test_suite(
     digest = defn.digest()
     outcomes = outcome_memo.get(digest) if outcome_memo is not None else None
     if outcomes is None:
-        compiled = compile_definition(defn)
         passed = np.zeros(len(suite.cases), dtype=bool)
         for scene_id, (positions, index) in suite._points.items():
             values = eval_encoder_at(compiled, suite.geometry(scene_id), index)

@@ -55,14 +55,6 @@ class BoundingBox:
             raise SceneError(f"size components must be strictly positive, got {self.size}")
 
     @property
-    def bottom_z(self) -> float:
-        return self.center[2] - self.size[2] / 2
-
-    @property
-    def top_z(self) -> float:
-        return self.center[2] + self.size[2] / 2
-
-    @property
     def volume(self) -> float:
         w, d, h = self.size
         return w * d * h

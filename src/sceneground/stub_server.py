@@ -19,15 +19,16 @@ class StubServer:
     """Scripted chat-completions endpoint.
 
     Replies are served in order (the last one repeats); the first
-    ``fail_times`` requests get a 500. Token usage figures are deterministic
-    word counts.
+    ``fail_times`` requests get the HTTP status ``fail_status``. Token usage
+    figures are deterministic word counts.
     """
 
-    def __init__(self, replies: list[str], fail_times: int = 0):
+    def __init__(self, replies: list[str], fail_times: int = 0, fail_status: int = 500):
         if not replies:
             raise ValueError("stub server needs at least one reply")
         self.replies = list(replies)
         self.fail_times = fail_times
+        self.fail_status = fail_status
         self.request_count = 0
         self._lock = threading.Lock()
         self._server: ThreadingHTTPServer | None = None
@@ -50,7 +51,7 @@ class StubServer:
             index = self.request_count
             self.request_count += 1
         if index < self.fail_times:
-            return 500, ""
+            return self.fail_status, ""
         return 200, self.replies[min(index - self.fail_times, len(self.replies) - 1)]
 
     def start(self) -> "StubServer":

@@ -157,7 +157,7 @@ def constant_perturbed(relation: str, seed: int, rounds: int = 1) -> EncoderDefi
     rng = np.random.default_rng(seed + 9000)
     body = encoder_to_dsl(relation).body
     for _ in range(rounds):
-        body = _scale_constant(body, rng)
+        body = _scale_constant(body, _all_nodes(body), rng)
     return EncoderDefinition(relation=relation, body=body, metadata="perturbed-const")
 
 

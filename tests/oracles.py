@@ -3,10 +3,12 @@
 ``compute_builtin`` is the native route: each builtin relation written
 directly in vectorized numpy over pair arrays, independent of the DSL trees
 the library evaluates. It uses the same guarded arithmetic, so the two agree
-within 1e-9 even on degenerate geometry. ``tree_walk_eval`` is the recursive evaluator the DAG compiler replaced: it
-walks every node of the tree, repeats included, and broadcasts accessors over
-full axes. ``dense_run_test_suite`` is the suite scorer that evaluates the
-whole N^arity feature per scene and reads two entries per case.
+within 1e-9 even on degenerate geometry. ``tree_walk_eval`` is the recursive
+evaluator the DAG compiler replaced: it walks every node of the tree, repeats
+included, and broadcasts accessors over full axes. ``reference_validate`` is
+the separate validation walk that the DAG compiler's checks replaced.
+``dense_run_test_suite`` is the suite scorer that evaluates the whole
+N^arity feature per scene and reads two entries per case.
 """
 
 from __future__ import annotations
@@ -14,16 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 from sceneground.dsl import (
+    MAX_TREE_DEPTH,
+    MAX_TREE_NODES,
+    OBJS_FOR_ARITY,
     DefinitionError,
     EncoderDefinition,
     RelationFeature,
     _agg_value,
+    _fault,
     _get_values,
     finalize_feature,
     guarded_div,
     guarded_exp,
     guarded_sqrt,
-    validate_definition,
 )
 from sceneground.expression import relation_arity
 from sceneground.optimizer import (
@@ -243,6 +248,94 @@ def tree_walk_eval(defn: EncoderDefinition, scene: Scene, geom: PairGeometry,
     return RelationFeature(relation=defn.relation, rank=rank, data=data)
 
 
+# the node grammar as the reference validator spells it, apart from the library's
+_GET_FIELDS = {"center": True, "size": True, "bottom": False, "top": False, "volume": False}
+_AGG_FIELDS = {
+    "mean_diagonal": None,
+    "floor_z": None,
+    "hull_min": ("x", "y"),
+    "hull_max": ("x", "y"),
+    "centroid": ("x", "y"),
+    "volume_min": None,
+    "volume_max": None,
+    "center_min": ("x", "y", "z"),
+    "center_max": ("x", "y", "z"),
+}
+_AXES = {"x": 0, "y": 1, "z": 2}
+OPS = {
+    "add": 2, "sub": 2, "mul": 2, "div": 2, "min": 2, "max": 2,
+    "abs": 1, "neg": 1, "exp": 1, "sqrt": 1, "relu": 1, "clamp01": 1,
+    "dot2": 4, "cross2": 4,
+}
+
+
+def _validate_node(node: object, allowed_objs: tuple[str, ...], depth: int,
+                   path: tuple | None) -> int:
+    """Return node count of the subtree; raise DefinitionError at the first fault.
+
+    ``path`` is ``(parent_path, arg_position)``, ``None`` at the root; it is
+    spelled out only for the error message. A name that is a list or an
+    object escapes as TypeError here.
+    """
+    if depth > MAX_TREE_DEPTH:
+        raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
+    if not isinstance(node, dict):
+        raise _fault(path, f"node must be an object, got {type(node).__name__}")
+    if "const" in node:
+        value = node["const"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not np.isfinite(value):
+            raise _fault(path, "const must be a finite number")
+        return 1
+    if "get" in node:
+        field = node["get"]
+        if field not in _GET_FIELDS:
+            raise _fault(path, f"unknown accessor {field!r}")
+        obj = node.get("obj")
+        if obj not in allowed_objs:
+            raise _fault(
+                path, f"accessor object {obj!r} not allowed here (allowed: {allowed_objs})"
+            )
+        needs_axis = _GET_FIELDS[field]
+        axis = node.get("axis")
+        if needs_axis and axis not in _AXES:
+            raise _fault(path, f"accessor {field!r} needs axis x|y|z")
+        if not needs_axis and axis is not None:
+            raise _fault(path, f"accessor {field!r} takes no axis")
+        return 1
+    if "agg" in node:
+        name = node["agg"]
+        if name not in _AGG_FIELDS:
+            raise _fault(path, f"unknown aggregate {name!r}")
+        axes = _AGG_FIELDS[name]
+        axis = node.get("axis")
+        if axes is None and axis is not None:
+            raise _fault(path, f"aggregate {name!r} takes no axis")
+        if axes is not None and axis not in axes:
+            raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
+        return 1
+    if "op" in node:
+        name = node["op"]
+        if name not in OPS:
+            raise _fault(path, f"unknown op {name!r}")
+        args = node.get("args")
+        if not isinstance(args, list) or len(args) != OPS[name]:
+            raise _fault(path, f"op {name!r} takes {OPS[name]} args")
+        count = 1
+        for k, child in enumerate(args):
+            count += _validate_node(child, allowed_objs, depth + 1, (path, k))
+        return count
+    raise _fault(path, "node must have one of const/get/agg/op")
+
+
+def reference_validate(defn: EncoderDefinition) -> None:
+    """Static check: well-formed tree, arity-consistent accessors, size caps."""
+    arity = relation_arity(defn.relation)
+    allowed = OBJS_FOR_ARITY[arity]
+    count = _validate_node(defn.body, allowed, 1, None)
+    if count > MAX_TREE_NODES:
+        raise DefinitionError(f"body: tree has {count} nodes, cap is {MAX_TREE_NODES}")
+
+
 def _case_passes(feature: RelationFeature, scene: Scene, case: TestCase) -> bool:
     index = scene.index_of
     t = index[case.target]
@@ -262,7 +355,7 @@ def dense_run_test_suite(defn: EncoderDefinition, suite: TestSuite,
     if defn.relation != suite.relation:
         raise SuiteError(f"definition is for {defn.relation!r}, suite is for {suite.relation!r}")
     try:
-        validate_definition(defn)
+        reference_validate(defn)
     except DefinitionError as exc:
         return CandidateReport(definition=defn, pass_rate=0.0, failures=(),
                                note=f"validation failed: {exc}")

@@ -268,9 +268,52 @@ def _ground_top_k(top_k):
     return build
 
 
+def _ground_with_registry(body):
+    """``ground`` over a registry whose library holds ``body`` for ``near``."""
+
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(
+            {"active": {}, "library": [{"relation": "near", "body": body}]}), encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr), "--registry", str(registry)], "body"
+
+    return build
+
+
+def _ground_config(**config):
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr), "--config", str(config_path)], "--top-k"
+
+    return build
+
+
+def _optimize_n_iter(n_iter):
+    def build(dataset, tmp_path):
+        suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+        return ["optimize", "--relation", "near", "--suite", str(suite_path),
+                "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json"),
+                "--n-iter", n_iter], "n_iter"
+
+    return build
+
+
 @pytest.mark.parametrize("build", [
     _ground_top_k("0"),
     _ground_top_k("-3"),
+    _ground_config(top_k="abc"),
+    _optimize_n_iter("0"),
+    _ground_with_registry({"get": []}),
+    _ground_with_registry({"op": {}, "args": []}),
+    _ground_with_registry({"agg": ["x"]}),
+    _ground_with_registry({"get": "center", "obj": "i", "axis": ["x"]}),
     _bench_with_line('{"scene_id": "mini_prox", '),
     _bench_with_line("[1, 2]"),
     _patched(scene_id=None),
@@ -283,7 +326,9 @@ def _ground_top_k(top_k):
     _patched(scene_id="no_such_scene"),
     _patched(ground_truth=999),
     _patched(expression={"relations": []}),
-], ids=["top_k_0", "top_k_negative", "invalid_json", "not_an_object", "no_scene_id",
+], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
+        "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
+        "invalid_json", "not_an_object", "no_scene_id",
         "no_expression", "no_ground_truth", "scene_id_list", "ground_truth_string",
         "ground_truth_float", "ground_truth_bool", "unknown_scene",
         "ground_truth_not_in_scene", "malformed_expression"])

@@ -79,6 +79,19 @@ def test_unknown_op_and_bad_const():
         validate_definition(EncoderDefinition(relation="large", body={"const": float("inf")}))
 
 
+@pytest.mark.parametrize("body, path", [
+    ({"get": []}, "body"),
+    ({"op": {}, "args": []}, "body"),
+    ({"agg": ["x"]}, "body"),
+    ({"get": "center", "obj": "i", "axis": ["x"]}, "body"),
+    (op("add", const(1.0), {"get": "size", "obj": "j", "axis": {"y": 1}}), r"body\.args\[1\]"),
+])
+def test_malformed_names_are_definition_errors(body, path):
+    # list- or object-valued names used to escape as TypeError: unhashable type
+    with pytest.raises(DefinitionError, match=rf"^{path}: "):
+        validate_definition(EncoderDefinition(relation="near", body=body))
+
+
 def test_guarded_div_never_blows_up():
     assert guarded_div(1.0, 0.0) == 1.0 / 1e-6
     assert guarded_div(1.0, -0.0) == 1.0 / 1e-6

@@ -148,6 +148,29 @@ def test_parse_utterance_gives_up_after_three_attempts():
         assert stub.request_count == 3
 
 
+def test_parse_utterance_shares_one_retry_budget():
+    # 2 failed requests and 1 prose reply: 3 requests in all, not 2 + 3
+    with StubServer(["no json"], fail_times=2) as stub:
+        with pytest.raises(LlmError, match="3 attempts"):
+            parse_utterance_via_llm("anything", fast_config(stub.base_url))
+        assert stub.request_count == 3
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_client_errors_are_not_retried(status):
+    with StubServer([CHAIR_REPLY], fail_times=5, fail_status=status) as stub:
+        with pytest.raises(LlmError, match=f"not retried: HTTP {status}"):
+            parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+        assert stub.request_count == 1
+
+
+def test_server_errors_are_retried():
+    with StubServer([CHAIR_REPLY], fail_times=2, fail_status=503) as stub:
+        expr = parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+    assert expr.category == "chair"
+    assert stub.request_count == 3
+
+
 def test_llm_source_parses_dsl_reply():
     defn = encoder_to_dsl("far")
     reply = "Sure thing:\n" + json.dumps(defn.to_dict())
