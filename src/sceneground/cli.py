@@ -69,6 +69,16 @@ def _resolve_number(args: argparse.Namespace, config: dict, key: str, default, k
     raise CliError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
 
 
+def _resolve_path(args: argparse.Namespace, config: dict, key: str,
+                  required=False) -> str | None:
+    """:func:`_resolve` for a file or directory option; a value that is not
+    a string (a config's ``5``, ``["x"]`` or ``{}``) is a CliError."""
+    value = _resolve(args, config, key, required=required)
+    if value is not None and not isinstance(value, str):
+        raise CliError(f"--{key.replace('_', '-')} must be a path string, got {value!r}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -78,9 +88,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    out = _resolve(args, config, "out")
-    offline = _resolve(args, config, "offline_expr")
-    infile = _resolve(args, config, "infile")
+    out = _resolve_path(args, config, "out")
+    offline = _resolve_path(args, config, "offline_expr")
+    infile = _resolve_path(args, config, "infile")
     utterance = _resolve(args, config, "utterance")
     if offline:
         expr = parse_expression(Path(offline).read_text(encoding="utf-8"))
@@ -105,12 +115,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_ground(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    scene_path = _resolve(args, config, "scene", required=True)
-    expr_path = _resolve(args, config, "expr", required=True)
-    registry_path = _resolve(args, config, "registry")
+    scene_path = _resolve_path(args, config, "scene", required=True)
+    expr_path = _resolve_path(args, config, "expr", required=True)
+    registry_path = _resolve_path(args, config, "registry")
     top_k = _resolve_number(args, config, "top_k", 5)
     threshold = _resolve_number(args, config, "threshold", 0.9, float)
-    out = _resolve(args, config, "out")
+    out = _resolve_path(args, config, "out")
     if top_k < 1:
         raise CliError(f"--top-k must be at least 1, got {top_k}")
 
@@ -126,11 +136,11 @@ def cmd_ground(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     relation = _resolve(args, config, "relation", required=True)
-    suite_path = _resolve(args, config, "suite", required=True)
-    scenes_dir = _resolve(args, config, "scenes", required=True)
+    suite_path = _resolve_path(args, config, "suite", required=True)
+    scenes_dir = _resolve_path(args, config, "scenes", required=True)
     source_kind = _resolve(args, config, "source", "mutate")
-    registry_path = _resolve(args, config, "registry", required=True)
-    log_path = _resolve(args, config, "log")
+    registry_path = _resolve_path(args, config, "registry", required=True)
+    log_path = _resolve_path(args, config, "log")
     try:
         cfg = OptimizerConfig(**{key: _resolve_number(args, config, key, default) for key, default
                                  in (("n_iter", 5), ("n_sample", 5), ("top_k", 3), ("seed", 0))})
@@ -164,12 +174,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    dataset = _resolve(args, config, "dataset", required=True)
-    registry_path = _resolve(args, config, "registry")
+    dataset = _resolve_path(args, config, "dataset", required=True)
+    registry_path = _resolve_path(args, config, "registry")
     workers = _resolve_number(args, config, "workers", 1)
     baseline = bool(_resolve(args, config, "baseline", False))
-    plots = _resolve(args, config, "plots")
-    out = _resolve(args, config, "out")
+    plots = _resolve_path(args, config, "plots")
+    out = _resolve_path(args, config, "out")
 
     registry = load_registry(registry_path) if registry_path else EncoderRegistry()
     report = run_bench(dataset, registry, workers=workers, with_baseline=baseline,

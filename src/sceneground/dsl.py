@@ -10,10 +10,12 @@ One pass walks a body (:func:`compile_definition`): it checks each node as
 it interns it into a hash-consed DAG (identical subtrees share one node), and
 the DAG is memoized on the definition, so :func:`validate_definition` is the
 same pass and a body is walked once. Evaluation runs each distinct DAG node
-once. One evaluator serves two leaf rules: the dense route
-broadcasts each accessor along its own axis (:func:`eval_encoder`), the
-gathered route reads accessors at given index arrays
-(:func:`eval_encoder_at`) and yields the same entries bit for bit.
+once. One evaluator serves two routes, which differ only in their rules for
+accessors and aggregates: the dense route broadcasts each accessor along its
+own axis and keeps aggregates scalar (:func:`eval_encoder`); the gathered
+route reads both at the points of a :class:`GatherPlan`, which may span
+several scenes (:func:`eval_gathered`; :func:`eval_encoder_at` is its
+one-scene case), and yields the dense entries bit for bit.
 Bodies are treated as immutable: nothing here or in the mutation operator
 writes to a node, so trees may share subtrees.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +53,8 @@ __all__ = [
     "compile_definition",
     "eval_encoder",
     "eval_encoder_at",
+    "GatherPlan",
+    "eval_gathered",
     "OBJS_FOR_ARITY",
     "const",
     "get",
@@ -353,18 +358,20 @@ def validate_definition(defn: EncoderDefinition) -> None:
     compile_definition(defn)
 
 
-def _evaluate(compiled: CompiledEncoder, geom: PairGeometry, leaf):
-    """Evaluate every distinct node once; ``leaf(values, obj)`` places an
-    accessor's per-object values (broadcast axis or gathered entries)."""
+def _evaluate(compiled: CompiledEncoder, get_rule, agg_rule):
+    """Evaluate every distinct node once. ``get_rule(field, obj, axis)``
+    places an accessor's values (broadcast along the object's axis, or
+    gathered at points); ``agg_rule(name, axis)`` gives an aggregate's value
+    (a scalar, or one entry per point)."""
     values: list = []
     for node, frees in zip(compiled.nodes, compiled.frees):
         kind = node[0]
         if kind == "op":
             values.append(_OPS[node[1]][1](*[values[c] for c in node[2]]))
         elif kind == "get":
-            values.append(leaf(_get_values(node[1], geom, node[3]), node[2]))
+            values.append(get_rule(node[1], node[2], node[3]))
         elif kind == "agg":
-            values.append(_agg_value(node[1], geom, node[2]))
+            values.append(agg_rule(node[1], node[2]))
         else:
             values.append(node[1])
         for dead in frees:
@@ -413,18 +420,20 @@ class RelationFeature:
             raise ValueError(f"feature rank {self.rank} but data has ndim {self.data.ndim}")
 
 
-def _dense_leaf(rank: int, i_slice: slice | None):
-    """Leaf rule of the dense route: each object varies along its own axis."""
+def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice | None):
+    """Rules of the dense route: each object varies along its own axis, and
+    an aggregate is the scene's scalar."""
 
-    def leaf(values: np.ndarray, obj: str) -> np.ndarray:
-        axis = _AXIS_OF_OBJ[obj]
-        if axis == 0 and i_slice is not None:
+    def get_rule(field: str, obj: str, axis: str | None) -> np.ndarray:
+        values = _get_values(field, geom, axis)
+        o = _AXIS_OF_OBJ[obj]
+        if o == 0 and i_slice is not None:
             values = values[i_slice]
         shape = [1] * rank
-        shape[axis] = -1
+        shape[o] = -1
         return values.reshape(shape)
 
-    return leaf
+    return get_rule, lambda name, axis: _agg_value(name, geom, axis)
 
 
 def eval_encoder(
@@ -446,15 +455,96 @@ def eval_encoder(
     compiled = compile_definition(defn)
     rank = compiled.rank
     if rank < 3:
-        data = finalize_feature(_evaluate(compiled, geom, _dense_leaf(rank, None)), rank, n)
+        data = finalize_feature(_evaluate(compiled, *_dense_rules(geom, rank, None)), rank, n)
     else:
         out = np.empty((n, n, n), dtype=np.float64)
         step = max(1, chunk_elems // max(1, n * n))
         for start in range(0, n, step):
             sl = slice(start, min(start + step, n))
-            out[sl] = _evaluate(compiled, geom, _dense_leaf(rank, sl))
+            out[sl] = _evaluate(compiled, *_dense_rules(geom, rank, sl))
         data = _finalize_owned(out, rank)
     return RelationFeature(relation=defn.relation, rank=rank, data=data)
+
+
+class GatherPlan:
+    """Points gathered from one or more scenes, for :func:`eval_gathered`.
+
+    Point m lies in scene ``segment[m]`` and reads, for each object (i, then
+    j, then k), entry ``index[o][m]`` of the scenes' concatenated
+    ``centers``, ``sizes`` and ``volumes``; ``repeated[m]`` marks a point
+    whose objects repeat. An accessor is its per-object values gathered at
+    ``index``, an aggregate its per-scene values gathered at ``segment``.
+    Both are memoized, so every encoder evaluated on a plan shares them
+    (readers that race on a first read compute equal arrays).
+    """
+
+    def __init__(self, geoms: Sequence[PairGeometry], segment, index: Sequence) -> None:
+        """``index`` holds one array per object of indices into point m's own
+        scene ``geoms[segment[m]]``; all arrays are one-dimensional and of
+        one length M."""
+        self.geoms = tuple(geoms)
+        self.segment = np.asarray(segment, dtype=np.intp)
+        local = tuple(np.asarray(a, dtype=np.intp) for a in index)
+        for a in (self.segment, *local):
+            if a.ndim != 1 or a.shape != self.segment.shape:
+                raise ValueError("index arrays must be one-dimensional and of equal length")
+        if self.segment.size and (self.segment.min() < 0 or self.segment.max() >= len(self.geoms)):
+            raise ValueError(f"segment out of range for {len(self.geoms)} scenes")
+        counts = np.array([g.centers.shape[0] for g in self.geoms], dtype=np.intp)
+        n = counts[self.segment]
+        for a in local:
+            bad = np.flatnonzero((a < 0) | (a >= n))
+            if bad.size:
+                raise ValueError(f"index {a[bad[0]]} out of range for {n[bad[0]]} objects")
+        offset = (np.cumsum(counts) - counts)[self.segment]
+        self.index = tuple(a + offset for a in local)
+        self.centers = np.concatenate([g.centers for g in self.geoms])
+        self.sizes = np.concatenate([g.sizes for g in self.geoms])
+        self.volumes = np.concatenate([g.volumes for g in self.geoms])
+        self.repeated = np.zeros(self.segment.shape, dtype=bool)
+        for p in range(len(local)):
+            for q in range(p + 1, len(local)):
+                self.repeated |= local[p] == local[q]
+        self._leaves: dict[tuple, np.ndarray] = {}
+
+    def get(self, field: str, obj: str, axis: str | None) -> np.ndarray:
+        """An accessor's values at every point (read-only, memoized)."""
+        key = (field, obj, axis)
+        values = self._leaves.get(key)
+        if values is None:
+            values = _get_values(field, self, axis)[self.index[_AXIS_OF_OBJ[obj]]]
+            values.setflags(write=False)
+            self._leaves[key] = values
+        return values
+
+    def agg(self, name: str, axis: str | None) -> np.ndarray:
+        """An aggregate's value at every point: its scene's scalar (read-only,
+        memoized)."""
+        key = (name, axis)
+        values = self._leaves.get(key)
+        if values is None:
+            per_scene = np.array([_agg_value(name, g, axis) for g in self.geoms], dtype=np.float64)
+            values = per_scene[self.segment]
+            values.setflags(write=False)
+            self._leaves[key] = values
+        return values
+
+
+def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan) -> np.ndarray:
+    """Feature entries at every point of a plan, in one evaluation.
+
+    Entry m equals the dense feature of point m's scene at point m's
+    indices, bit for bit: ops act elementwise, and an op rounds an entry of
+    an aggregate's per-point array as it rounds the dense route's scalar.
+    finalize_feature's rules apply at each point (repeated indices give 0).
+    """
+    if len(plan.index) != compiled.rank:
+        raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
+    raw = _evaluate(compiled, plan.get, plan.agg)
+    data = _sanitize(np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64),
+                                              plan.segment.shape)))
+    data[plan.repeated] = 0.0
+    return data
 
 
 def eval_encoder_at(
@@ -466,23 +556,11 @@ def eval_encoder_at(
 
     ``index`` holds one integer array per object (i, then j, then k), all of
     one length M; entry m equals ``eval_encoder(...).data[index[0][m], ...]``
-    bit for bit: accessors gather ``values[index[obj]]`` while subtrees with
-    no accessor stay scalars, as in the dense route, and finalize_feature's
-    rules apply at each point (repeated indices give 0).
+    bit for bit, and finalize_feature's rules apply at each point (repeated
+    indices give 0). The one-scene case of :func:`eval_gathered`.
     """
     if len(index) != compiled.rank:
         raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
     index = tuple(np.asarray(a, dtype=np.intp) for a in index)
-    n = geom.centers.shape[0]
-    shape = index[0].shape
-    for a in index:
-        if a.ndim != 1 or a.shape != shape:
-            raise ValueError("index arrays must be one-dimensional and of equal length")
-        if a.size and (a.min() < 0 or a.max() >= n):
-            raise ValueError(f"index out of range for {n} objects")
-    raw = _evaluate(compiled, geom, lambda values, obj: values[index[_AXIS_OF_OBJ[obj]]])
-    data = _sanitize(np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64), shape)))
-    for p in range(len(index)):
-        for q in range(p + 1, len(index)):
-            data[index[p] == index[q]] = 0.0
-    return data
+    segment = np.zeros(index[0].shape[:1], dtype=np.intp)
+    return eval_gathered(compiled, GatherPlan((geom,), segment, index))

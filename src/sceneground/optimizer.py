@@ -2,12 +2,13 @@
 
 A relation encoder is scored against a suite of ordering triplets: the
 feature value for the (target, anchor) pair must strictly exceed the value
-for the (distractor, anchor) pair. Scoring evaluates each scene's feature
-only at the index tuples its cases read, never the dense N^arity tensor.
-Failures are rendered into deterministic error messages that a candidate
-source can condition on. The search keeps the top candidates of each round,
-asks the source for refinements of each, and stops early once a candidate
-passes everything.
+for the (distractor, anchor) pair. A suite gathers the index tuples its
+cases read, across all its scenes, into one plan, so scoring a candidate is
+one DAG evaluation over the whole suite, never the dense N^arity tensor.
+Failures are rendered once per suite into deterministic error messages that
+a candidate source can condition on. The search keeps the top candidates of
+each round, asks the source for refinements of each, and stops early once a
+candidate passes everything.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 from .dsl import (
     DefinitionError,
     EncoderDefinition,
+    GatherPlan,
     compile_definition,
     definition_from_dict,
-    eval_encoder_at,
+    eval_gathered,
 )
 from .expression import normalize_relation_name, relation_arity
 from .registry import EncoderRegistry
@@ -98,7 +100,8 @@ class TestSuite:
     cases: tuple[TestCase, ...]
     scenes: dict[str, Scene]
     _geometry: dict[str, PairGeometry] = field(init=False, repr=False)
-    _points: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(init=False, repr=False)
+    _plan: GatherPlan = field(init=False, repr=False)
+    _messages: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.cases:
@@ -126,25 +129,24 @@ class TestSuite:
             if anchors & {case.target, case.distractor}:
                 raise SuiteError(f"case {k}: anchors must differ from target and distractor")
         self._geometry = {sid: precompute_geometry(s) for sid, s in self.scenes.items()}
-        self._points = self._case_points(arity)
+        self._plan = self._gather_plan(arity)
+        self._messages = tuple(
+            synthesize_error_message(case, self.scenes[case.scene_id], self.relation)
+            for case in self.cases)
 
-    def _case_points(self, arity: int) -> dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-        """Per scene: its case positions, and index arrays (one per object)
-        holding every (target, anchors) tuple, then every (distractor, anchors)."""
-        positions: dict[str, list[int]] = {}
-        for k, case in enumerate(self.cases):
-            positions.setdefault(case.scene_id, []).append(k)
-        points = {}
-        for sid, ks in positions.items():
-            index_of = self.scenes[sid].index_of
-            cases = [self.cases[k] for k in ks]
-            rows = [index_of[c.target] for c in cases] + [index_of[c.distractor] for c in cases]
-            index = [np.array(rows, dtype=np.intp)]
-            for name in ("anchor", "anchor2")[:arity - 1]:
-                anchors = [index_of[getattr(c, name)] for c in cases]
-                index.append(np.array(anchors + anchors, dtype=np.intp))
-            points[sid] = (np.array(ks, dtype=np.intp), tuple(index))
-        return points
+    def _gather_plan(self, arity: int) -> GatherPlan:
+        """One plan over every scene: each case's (target, anchors) point in
+        case order, then each case's (distractor, anchors) point."""
+        order = {sid: k for k, sid in enumerate(self._geometry)}
+
+        def column(name: str) -> list[int]:
+            return [self.scenes[c.scene_id].index_of[getattr(c, name)] for c in self.cases]
+
+        index = [column("target") + column("distractor")]
+        for name in ("anchor", "anchor2")[:arity - 1]:
+            index.append(column(name) * 2)
+        segment = [order[c.scene_id] for c in self.cases] * 2
+        return GatherPlan(list(self._geometry.values()), segment, index)
 
     def geometry(self, scene_id: str) -> PairGeometry:
         return self._geometry[scene_id]
@@ -202,13 +204,15 @@ def run_test_suite(
 ) -> CandidateReport:
     """Score a candidate; ties count as failures (strict ordering required).
 
-    Each scene is evaluated only at its cases' (target, anchors) and
-    (distractor, anchors) tuples (:func:`eval_encoder_at`), which gives the
-    dense feature's entries exactly. ``outcome_memo`` maps a definition
+    One evaluation covers the whole suite: the body's DAG runs once over
+    every case's (target, anchors) and (distractor, anchors) points of all
+    scenes (:func:`eval_gathered` on the suite's plan), which gives the
+    dense features' entries exactly. ``outcome_memo`` maps a definition
     digest to its per-case outcomes, so a repeated candidate is not
     evaluated again. The body is checked and compiled by the definition's
     memoized pass, so a candidate that mutation already checked is not
-    walked again.
+    walked again. Failure messages are rendered once, when the suite is
+    built.
     """
     if defn.relation != suite.relation:
         raise SuiteError(
@@ -223,16 +227,14 @@ def run_test_suite(
     digest = defn.digest()
     outcomes = outcome_memo.get(digest) if outcome_memo is not None else None
     if outcomes is None:
-        passed = np.zeros(len(suite.cases), dtype=bool)
-        for scene_id, (positions, index) in suite._points.items():
-            values = eval_encoder_at(compiled, suite.geometry(scene_id), index)
-            passed[positions] = values[:len(positions)] > values[len(positions):]
-        outcomes = tuple(passed.tolist())
+        values = eval_gathered(compiled, suite._plan)
+        n_cases = len(suite.cases)
+        outcomes = tuple((values[:n_cases] > values[n_cases:]).tolist())
         if outcome_memo is not None:
             outcome_memo[digest] = outcomes
     failures = tuple(
-        (case, synthesize_error_message(case, suite.scenes[case.scene_id], suite.relation))
-        for case, ok in zip(suite.cases, outcomes) if not ok
+        (case, message)
+        for case, message, ok in zip(suite.cases, suite._messages, outcomes) if not ok
     )
     return CandidateReport(
         definition=defn,

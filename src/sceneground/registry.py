@@ -61,10 +61,16 @@ class EncoderRegistry:
         return None
 
     def accept(self, defn: EncoderDefinition) -> None:
-        """Append to the library and make the definition active."""
+        """Append to the library and make the definition active.
+
+        The library keeps a fresh copy of the definition, without its
+        memoized DAG, so a long search does not pin every winner's DAG; the
+        active map keeps the compiled definition.
+        """
         validate_definition(defn)
+        entry = EncoderDefinition(relation=defn.relation, body=defn.body, metadata=defn.metadata)
         with self._lock:
-            self._library.append(defn)
+            self._library.append(entry)
             self._active[defn.relation] = defn
 
     def install(self, defn: EncoderDefinition) -> None:

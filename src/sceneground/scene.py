@@ -90,7 +90,14 @@ class SimilarityTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        try:
+            raw = np.asarray(self.values)
+        except ValueError as exc:  # ragged rows
+            raise SceneError(f"similarity table is not a table: {exc}") from None
+        # numpy would cast a string such as "0.5" or a bool to a float
+        if raw.dtype.kind not in "iuf":
+            raise SceneError("similarity table entries must be numbers")
+        values = np.array(raw, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[1] != len(self.categories):
@@ -246,10 +253,7 @@ def _parse_similarities(raw: object) -> SimilarityTable:
     categories = raw["categories"]
     if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
         raise SceneError("similarities.categories must be a list of strings")
-    return SimilarityTable(
-        categories=tuple(categories),
-        values=np.asarray(raw["values"], dtype=np.float64),
-    )
+    return SimilarityTable(categories=tuple(categories), values=raw["values"])
 
 
 def scene_from_dict(raw: dict) -> Scene:

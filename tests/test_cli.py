@@ -295,6 +295,39 @@ def _ground_config(**config):
     return build
 
 
+def _config_only(command, where, **overrides):
+    """``command`` given only a config: valid paths, then ``overrides``."""
+
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        config = {
+            "ground": {"scene": str(dataset / "scenes" / "mini_prox.json"), "expr": str(expr)},
+            "bench": {"dataset": str(dataset)},
+        }[command]
+        config.update(overrides)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        return [command, "--config", str(config_path)], where
+
+    return build
+
+
+def _ground_scene_with(**changes):
+    """``ground`` over a copy of a dataset scene with ``changes`` applied."""
+
+    def build(dataset, tmp_path):
+        raw = json.loads((dataset / "scenes" / "mini_prox.json").read_text())
+        raw.update(changes)
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(raw), encoding="utf-8")
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        return ["ground", "--scene", str(scene), "--expr", str(expr)], "scene.json"
+
+    return build
+
+
 def _optimize_n_iter(n_iter):
     def build(dataset, tmp_path):
         suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
@@ -326,12 +359,21 @@ def _optimize_n_iter(n_iter):
     _patched(scene_id="no_such_scene"),
     _patched(ground_truth=999),
     _patched(expression={"relations": []}),
+    _config_only("ground", "--scene", scene=5),
+    _config_only("ground", "--out", out=["x"]),
+    _config_only("ground", "--registry", registry={}),
+    _config_only("bench", "--dataset", dataset=7),
+    _ground_scene_with(similarities={"categories": ["chair"], "values": [["q"]]}),
+    _ground_scene_with(similarities={"categories": ["chair"], "values": [["0.5"]]}),
+    _ground_scene_with(similarities={"categories": ["chair"], "values": [[0.5], [0.5, 1]]}),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
         "no_expression", "no_ground_truth", "scene_id_list", "ground_truth_string",
         "ground_truth_float", "ground_truth_bool", "unknown_scene",
-        "ground_truth_not_in_scene", "malformed_expression"])
+        "ground_truth_not_in_scene", "malformed_expression", "config_scene_number",
+        "config_out_list", "config_registry_object", "config_bench_dataset_number",
+        "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

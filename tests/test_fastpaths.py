@@ -1,7 +1,8 @@
 """Fast paths against their reference paths.
 
-The DAG evaluator, the gathered suite scorer and path-copying mutation must
-reproduce the tree walk, the dense scorer and deep-copying exactly.
+The DAG evaluator, the suite-batched scorer and path-copying mutation must
+reproduce the tree walk, per-scene gathering, the dense scorer and
+deep-copying exactly.
 """
 
 import hashlib
@@ -15,16 +16,26 @@ import sceneground.optimizer as optimizer_module
 from sceneground.builtins import builtin_definitions, encoder_to_dsl
 from sceneground.dsl import (
     EncoderDefinition,
+    GatherPlan,
+    agg,
     compile_definition,
     const,
     eval_encoder,
     eval_encoder_at,
+    eval_gathered,
     get,
     op,
 )
 from sceneground.expression import ALL_RELATIONS, relation_arity
 from sceneground.mutation import _graft_pool, mutate_definition
-from sceneground.optimizer import MutationSource, OptimizerConfig, TestSuite, optimize_encoder
+from sceneground.optimizer import (
+    MutationSource,
+    OptimizerConfig,
+    TestCase,
+    TestSuite,
+    optimize_encoder,
+    run_test_suite,
+)
 from sceneground.registry import EncoderRegistry
 from sceneground.scene import precompute_geometry
 
@@ -151,6 +162,67 @@ def test_gather_rejects_bad_index():
         eval_encoder_at(compiled, geom, (np.arange(3), np.array([0, 1, 5])))
     with pytest.raises(ValueError, match="equal length"):
         eval_encoder_at(compiled, geom, (np.arange(3), np.arange(2)))
+    with pytest.raises(ValueError, match="segment out of range"):
+        GatherPlan((geom,), [0, 1], (np.arange(2), np.arange(2)))
+
+
+def _scene_constant_bodies(arity):
+    """Bodies with const-only and aggregate-only subtrees, some under exp/sqrt/div."""
+    last = "ijk"[arity - 1]
+    diag = agg("mean_diagonal")
+    return [
+        const(0.5),
+        op("exp", const(60.0)),
+        op("div", const(1.0), const(0.0)),
+        diag,
+        op("exp", op("mul", agg("center_max", "x"), const(3.7))),
+        op("exp", op("neg", op("div", agg("volume_max"), agg("volume_min")))),
+        op("sqrt", op("sub", agg("center_max", "z"), agg("floor_z"))),
+        op("div", agg("volume_max"), op("sub", agg("hull_min", "y"), agg("centroid", "y"))),
+        op("mul", op("exp", op("neg", diag)), get("size", last, "x")),
+        op("add", get("center", "i", "x"), op("exp", op("div", agg("hull_max", "x"), diag))),
+    ]
+
+
+def _mixed_n_suite(arity, rng):
+    """Suite over scenes of 4, 7 and 11 objects; every third case at arity 3
+    repeats its anchor as anchor2."""
+    scenes, cases = {}, []
+    for n in (4, 7, 11):
+        sid = f"n{n}"
+        scenes[sid] = random_scene(rng, n, sid)
+        for k in range(6):
+            t, d, a, a2 = (int(v) for v in rng.permutation(n)[:4])
+            cases.append(TestCase(scene_id=sid, target=t, distractor=d,
+                                  anchor=a if arity >= 2 else None,
+                                  anchor2=(a if k % 3 == 0 else a2) if arity == 3 else None))
+    return TestSuite(relation=RELATION_OF_ARITY[arity], cases=tuple(cases), scenes=scenes)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_suite_batched_scores_match_per_scene_and_dense(arity):
+    rng = np.random.default_rng(40 + arity)
+    suite = _mixed_n_suite(arity, rng)
+    bodies = [d.body for d in _definitions_of_arity(arity, rng)] + _scene_constant_bodies(arity)
+    defns = [EncoderDefinition(relation=suite.relation, body=b) for b in bodies]
+    # the plan's points: every case's target tuple, then every distractor tuple
+    points = [(c.scene_id, tuple(suite.scenes[c.scene_id].index_of[getattr(c, name)]
+                                 for name in (who, "anchor", "anchor2")[:arity]))
+              for who in ("target", "distractor") for c in suite.cases]
+    for defn in defns:
+        compiled = compile_definition(defn)
+        batched = eval_gathered(compiled, suite._plan)
+        per_scene = np.empty_like(batched)
+        dense = np.empty_like(batched)
+        for sid, scene in suite.scenes.items():
+            geom = suite.geometry(sid)
+            rows = [m for m, (s, _) in enumerate(points) if s == sid]
+            index = tuple(np.array(column) for column in zip(*(points[m][1] for m in rows)))
+            per_scene[rows] = eval_encoder_at(compiled, geom, index)
+            dense[rows] = eval_encoder(defn, scene, geom).data[index]
+        assert batched.tobytes() == per_scene.tobytes() == dense.tobytes()
+        fast, reference = run_test_suite(defn, suite), dense_run_test_suite(defn, suite)
+        assert (fast.pass_rate, fast.failures) == (reference.pass_rate, reference.failures)
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
