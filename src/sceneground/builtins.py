@@ -18,7 +18,7 @@ the scene's xy-centroid and facing the anchor object.
 
 from __future__ import annotations
 
-from .dsl import EncoderDefinition, agg, const, get, op
+from .dsl import EncoderDefinition, agg, const, get, op, share_summaries
 from .expression import ALL_RELATIONS
 
 __all__ = ["encoder_to_dsl", "builtin_definitions"]
@@ -156,6 +156,8 @@ def _build_trees() -> dict[str, dict]:
 
 _DEFINITIONS = {name: EncoderDefinition(relation=name, body=tree, metadata="builtin")
                 for name, tree in _build_trees().items()}
+# builtins share subtree objects, so each is checked once for all of them
+share_summaries(_DEFINITIONS.values())
 
 
 def encoder_to_dsl(relation: str) -> EncoderDefinition:

@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .atomic import write_text_atomic
 from .bench import DatasetError, report_to_dict, run_bench
 from .dsl import DefinitionError
 from .executor import ExecutionError, FeatureCache, execute, grounding_result
@@ -81,7 +82,7 @@ def _resolve_path(args: argparse.Namespace, config: dict, key: str,
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -149,24 +150,33 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     suite = load_suite(suite_path, scenes_dir)
     registry = load_registry(registry_path) if Path(registry_path).exists() else EncoderRegistry()
+    client = None
     if source_kind == "llm":
         from .llm import LlmClient
         from .optimizer import LlmSource
 
-        source = LlmSource(client=LlmClient(EndpointConfig.from_env()))
+        client = LlmClient(EndpointConfig.from_env())
+        source = LlmSource(client=client)
     elif source_kind == "mutate":
         source = MutationSource()
     else:
         raise CliError(f"unknown source {source_kind!r}; expected mutate or llm")
     log: list[dict] = []
-    best, history = optimize_encoder(relation, suite, source, registry, cfg,
-                                     graph=default_example_graph(), log=log)
+    try:
+        best, history = optimize_encoder(relation, suite, source, registry, cfg,
+                                         graph=default_example_graph(), log=log)
+    finally:
+        if client is not None:
+            totals = client.ledger.totals()
+            print(f"llm usage: calls={totals['calls']}, "
+                  f"prompt_tokens={totals['prompt_tokens']}, "
+                  f"completion_tokens={totals['completion_tokens']}, "
+                  f"wall_ms={totals['wall_ms']:.1f}", file=sys.stderr)
     for iteration, rate in enumerate(history, 1):
         print(f"iteration {iteration}: best pass rate {rate:.4f}")
     save_registry(registry, registry_path)
     if log_path:
-        Path(log_path).write_text(
-            "\n".join(json.dumps(entry) for entry in log) + "\n", encoding="utf-8")
+        write_text_atomic(log_path, "\n".join(json.dumps(entry) for entry in log) + "\n")
     print(f"accepted encoder for {relation!r} "
           f"(hash {best.digest()[:12]}, final pass rate {history[-1]:.4f})")
     return 0

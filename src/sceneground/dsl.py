@@ -6,11 +6,19 @@ Every operation is total: division is guarded away from zero, ``exp`` is
 clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
-One pass walks a body (:func:`compile_definition`): it checks each node as
-it interns it into a hash-consed DAG (identical subtrees share one node), and
-the DAG is memoized on the definition, so :func:`validate_definition` is the
-same pass and a body is walked once. Evaluation runs each distinct DAG node
-once. One evaluator serves two routes, which differ only in their rules for
+One check walks a body (:func:`compile_definition`). It checks each node
+object once and memoizes a :class:`NodeSummary` for it (structural key,
+node count, height, counts of constants and swappable operators, canonical
+JSON), reused wherever the object occurs again: in the same body, or in a
+body that shares the subtree, such as a mutated child
+(:func:`share_summaries`). A child that shares all but one path with its
+parent costs that path to check and to serialize for its digest. The
+hash-consed DAG (identical subtrees share one node) is built from the
+summaries' keys; check and DAG are memoized on the definition, so
+:func:`validate_definition` is the same pass. Evaluation runs each distinct
+DAG node once.
+
+One evaluator serves two routes, which differ only in their rules for
 accessors and aggregates: the dense route broadcasts each accessor along its
 own axis and keeps aggregates scalar (:func:`eval_encoder`); the gathered
 route reads both at the points of a :class:`GatherPlan`, which may span
@@ -31,11 +39,12 @@ import hashlib
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .expression import relation_arity
 from .scene import PairGeometry, Scene
 
@@ -49,6 +58,8 @@ __all__ = [
     "guarded_sqrt",
     "finalize_feature",
     "validate_definition",
+    "NodeSummary",
+    "share_summaries",
     "CompiledEncoder",
     "compile_definition",
     "eval_encoder",
@@ -151,12 +162,20 @@ class EncoderDefinition:
         return {"relation": self.relation, "metadata": self.metadata, "body": self.body}
 
     def canonical_json(self) -> str:
-        return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
+        """``json.dumps`` of relation and body with sorted keys. Once the body
+        has passed its check, the text is joined from its node summaries'
+        texts instead of serializing the whole tree again."""
+        compiled = self.__dict__.get("_compiled")
+        text = _key_text(compiled.summary)[1] if compiled is not None else ""
+        if not text:
+            return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
+        return _canonical_json(self.relation, text)
 
     def digest(self) -> str:
         """Content hash over relation + body (metadata excluded).
 
-        Computed on the first call and memoized; bodies are immutable.
+        Computed on the first call, or by the body's check, and memoized;
+        bodies are immutable.
         """
         digest = self.__dict__.get("_digest")
         if digest is None:
@@ -188,7 +207,8 @@ def load_definition(path: str | Path) -> EncoderDefinition:
 
 
 def save_definition(defn: EncoderDefinition, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(defn.to_dict(), indent=2) + "\n", encoding="utf-8")
+    """Write a definition file atomically."""
+    write_text_atomic(path, json.dumps(defn.to_dict(), indent=2) + "\n")
 
 
 def _fault(path: tuple | None, message: str) -> DefinitionError:
@@ -229,6 +249,102 @@ _OPS = {
 OPS = {name: arity for name, (arity, _) in _OPS.items()}
 
 
+class NodeSummary:
+    """What the check learned about one body node object.
+
+    Computed once per node object, when the node passes its check, and
+    reused by identity wherever the object occurs again, in this body or in
+    a body that shares the subtree (see :func:`share_summaries`):
+
+    - ``size``: node count, repeats counted.
+    - ``height``: levels of the subtree; a leaf has height 1.
+    - ``objs``: bit o set when an accessor reads object o (i, j, k).
+    - ``consts``, ``swaps``: const nodes, and nodes whose ``op`` is in
+      ``COMMUTATIVE_SWAPS``, repeats counted.
+    - ``args``: the children's summaries; ``entry`` the node's DAG entry
+      (``("op", name)`` for an op, whose entry also lists child positions).
+    - ``key_text``: the node's DAG key, a structural text equal for equal
+      subtrees, and ``json.dumps(node, sort_keys=True)`` (``""`` where that
+      would fail), both joined from the children's (:func:`_key_text`).
+
+    An op's key and text are as long as its subtree's JSON. The check that
+    makes the summary keeps them only while it runs (``key_text`` is None
+    after), and they are stored for good once another check reuses the
+    node, so the new path of a candidate that is never mutated again keeps
+    no text. The summary holds its node, so the identity it is keyed by
+    stays valid.
+    """
+
+    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps",
+                 "key_text")
+
+    def __init__(self, node: dict, args: tuple, entry: tuple, objs: int,
+                 key_text: tuple[str, str]) -> None:
+        name = node.get("op")
+        self.node = node
+        self.args = args
+        self.entry = entry
+        self.key_text = key_text
+        size = height = 0
+        consts = "const" in node
+        swaps = isinstance(name, str) and name in COMMUTATIVE_SWAPS
+        for a in args:
+            size += a.size
+            height = max(height, a.height)
+            objs |= a.objs
+            consts += a.consts
+            swaps += a.swaps
+        self.size = size + 1
+        self.height = height + 1
+        self.objs = objs
+        self.consts = int(consts)
+        self.swaps = int(swaps)
+
+
+# operator name -> its JSON string
+_QUOTED = {name: json.dumps(name) for name in _OPS}
+
+
+def _json_text(node: dict, args_text: str | None) -> str:
+    """``json.dumps(node, sort_keys=True)``, with an op's argument list given
+    as ``args_text``; ``""`` where json.dumps would fail. (A node's kind key
+    is a string, so a key that is not one fails the sort, as it does in
+    json.dumps.)"""
+    try:
+        return "{" + ", ".join(
+            json.dumps(k) + ": " + (args_text if k == "args" and args_text is not None
+                                    else json.dumps(node[k], sort_keys=True))
+            for k in sorted(node)) + "}"
+    except (TypeError, ValueError, RecursionError):
+        return ""
+
+
+def _op_key_text(node: dict, children: list[tuple[str, str]]) -> tuple[str, str]:
+    """An op node's DAG key and text, joined from its children's."""
+    texts = [text for _, text in children]
+    if "" in texts:
+        text = ""
+    elif len(node) == 2:
+        text = f'{{"args": [{", ".join(texts)}], "op": {_QUOTED[node["op"]]}}}'
+    else:
+        text = _json_text(node, f'[{", ".join(texts)}]')
+    return f'{node["op"]}({",".join([key for key, _ in children])})', text
+
+
+def _key_text(summary: NodeSummary) -> tuple[str, str]:
+    """A summary's DAG key and text, stored from now on. Read once into a
+    local, so a check that drops the pair meanwhile cannot tear it."""
+    pair = summary.key_text
+    if pair is None:
+        pair = summary.key_text = _op_key_text(summary.node,
+                                               [_key_text(c) for c in summary.args])
+    return pair
+
+
+def _canonical_json(relation: str, body_text: str) -> str:
+    return '{"body": ' + body_text + ', "relation": ' + json.dumps(relation) + "}"
+
+
 @dataclass(frozen=True)
 class CompiledEncoder:
     """A definition body as a hash-consed DAG.
@@ -237,46 +353,66 @@ class CompiledEncoder:
     the root is last: ``("const", value)``, ``("get", field, obj, axis)``,
     ``("agg", name, axis)`` or ``("op", name, child_positions)``.
     ``frees[p]`` names the positions whose last reader is node ``p``, so an
-    evaluation holds no more intermediates than it still needs.
+    evaluation holds no more intermediates than it still needs. ``summary``
+    is the root's :class:`NodeSummary`.
     """
 
     relation: str
     rank: int
     nodes: tuple[tuple, ...]
     frees: tuple[tuple[int, ...], ...]
+    summary: NodeSummary = field(repr=False, compare=False)
+
+
+def share_summaries(definitions, known: dict[int, NodeSummary] | None = None) -> None:
+    """Let the checks of ``definitions`` reuse ``known`` (id of a node object
+    -> its summary) for the subtree objects their bodies share, and add the
+    summaries they compute to it; ``known`` starts empty when not given.
+
+    Call it before the definitions are checked. Each keeps the table until
+    its check, so the table lives no longer than its unchecked definitions.
+    """
+    known = {} if known is None else known
+    for defn in definitions:
+        defn.__dict__.setdefault("_known", known)
 
 
 def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
-    """The one walk over a body: check each node, then intern it into the DAG.
+    """The one check of a body: summarize each node, then build the DAG.
 
-    The first fault in depth-first order raises DefinitionError with the
-    node's ``body.args[..]`` path; the node cap (repeats counted) is checked
-    after the walk. A subtree object that occurs again (trees share
-    immutable subtrees) is walked again only where it sits deeper.
+    A node object with no summary yet gets the node checks and is
+    summarized; a known one (repeated in this body, or shared from a body
+    given by :func:`share_summaries`) is reused when it fits where it sits:
+    its deepest node within the depth cap and its accessors allowed for the
+    relation. One that does not fit is walked again, so the first fault in
+    depth-first order raises DefinitionError with its ``body.args[..]``
+    path, as a walk of the whole tree would. The node cap (repeats counted)
+    is checked after the walk. The DAG is built from the summaries' keys,
+    one step per distinct DAG node. The check records the body's digest
+    from the text it joins, then drops the key and text of each op summary
+    it made and did not reuse (see :class:`NodeSummary`).
     """
     rank = relation_arity(defn.relation)
     allowed = OBJS_FOR_ARITY[rank]
-    ids: dict[tuple, int] = {}
-    nodes: list[tuple] = []
-    # id of a checked node object -> (DAG position, subtree size, its depth)
-    checked: dict[int, tuple[int, int, int]] = {}
-    count = 0
+    known = defn.__dict__.pop("_known", None)
+    if known is None:
+        known = {}
+    made: list[NodeSummary] = []  # op summaries made here
+    reused: set[int] = set()  # ids of the summaries reused here
 
-    def intern(node: object, depth: int, path: tuple | None) -> int:
+    def summarize(node: object, depth: int, path: tuple | None) -> NodeSummary:
         # path is (parent_path, arg_position), None at the root, spelled out
         # only for an error message; names are checked to be strings before
         # any lookup, so a list there is a fault, not a TypeError
-        nonlocal count
-        seen = checked.get(id(node))
-        if seen is not None and depth <= seen[2]:
-            count += seen[1]
-            return seen[0]
+        seen = known.get(id(node))
+        if (seen is not None and depth + seen.height - 1 <= MAX_TREE_DEPTH
+                and not seen.objs >> rank):
+            reused.add(id(seen))
+            return seen
         if depth > MAX_TREE_DEPTH:
             raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
         if not isinstance(node, dict):
             raise _fault(path, f"node must be an object, got {type(node).__name__}")
-        start = count
-        count += 1
         if "const" in node:
             value = node["const"]
             # a float must be finite, an int fit in 64 bits; a bool is no number
@@ -284,9 +420,14 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
                     math.isfinite(value) if isinstance(value, float)
                     else isinstance(value, int) and -2**63 <= value < 2**64):
                 raise _fault(path, "const must be a finite number")
-            value = float(value)
+            if len(node) > 1:
+                text = _json_text(node, None)
+            else:  # json.dumps writes a number with its type's repr
+                written = (float if isinstance(value, float) else int).__repr__(value)
+                text = f'{{"const": {written}}}'
+            number = float(value)
             # repr keeps -0.0 apart from 0.0, which compare equal
-            key, entry = ("const", repr(value)), ("const", value)
+            summary = NodeSummary(node, (), ("const", number), 0, (repr(number), text))
         elif "get" in node:
             field, obj, axis = node["get"], node.get("obj"), node.get("axis")
             if not isinstance(field, str) or field not in _GET_FIELDS:
@@ -299,7 +440,8 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
                     raise _fault(path, f"accessor {field!r} needs axis x|y|z")
             elif axis is not None:
                 raise _fault(path, f"accessor {field!r} takes no axis")
-            key = entry = ("get", field, obj, axis)
+            summary = NodeSummary(node, (), ("get", field, obj, axis), 1 << _AXIS_OF_OBJ[obj],
+                                  (f"{field}[{obj}]{axis}", _json_text(node, None)))
         elif "agg" in node:
             name, axis = node["agg"], node.get("axis")
             if not isinstance(name, str) or name not in _AGG_FIELDS:
@@ -309,35 +451,61 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
                 raise _fault(path, f"aggregate {name!r} takes no axis")
             if axes is not None and axis not in axes:
                 raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
-            key = entry = ("agg", name, axis)
+            summary = NodeSummary(node, (), ("agg", name, axis), 0,
+                                  (f"{name}<{axis}>", _json_text(node, None)))
         elif "op" in node:
             name, args = node["op"], node.get("args")
             if not isinstance(name, str) or name not in OPS:
                 raise _fault(path, f"unknown op {name!r}")
             if not isinstance(args, list) or len(args) != OPS[name]:
                 raise _fault(path, f"op {name!r} takes {OPS[name]} args")
-            children = tuple(intern(child, depth + 1, (path, k)) for k, child in enumerate(args))
-            key = entry = ("op", name, children)
+            children = tuple([summarize(child, depth + 1, (path, k))
+                              for k, child in enumerate(args)])
+            summary = NodeSummary(node, children, ("op", name), 0,
+                                  _op_key_text(node, [_key_text(c) for c in children]))
+            made.append(summary)
         else:
             raise _fault(path, "node must have one of const/get/agg/op")
-        pos = ids.setdefault(key, len(nodes))
-        if pos == len(nodes):
-            nodes.append(entry)
-        checked[id(node)] = (pos, count - start, depth)
+        known[id(node)] = summary
+        return summary
+
+    root = summarize(defn.body, 1, None)
+    if root.size > MAX_TREE_NODES:
+        raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
+    ids: dict[str, int] = {}
+    nodes: list[tuple] = []
+    # last_reader[p]: the last DAG node that reads node p (p itself until one does)
+    last_reader: list[int] = []
+
+    def emit(summary: NodeSummary) -> int:
+        # appends the subtree's DAG nodes that are not in the DAG yet
+        children = []
+        for child in summary.args:
+            pos = ids.get((child.key_text or _key_text(child))[0])
+            children.append(emit(child) if pos is None else pos)
+        pos = ids[(summary.key_text or _key_text(summary))[0]] = len(nodes)
+        if children:
+            nodes.append((*summary.entry, tuple(children)))
+            for child in children:
+                last_reader[child] = pos
+        else:
+            nodes.append(summary.entry)
+        last_reader.append(pos)
         return pos
 
-    intern(defn.body, 1, None)
-    if count > MAX_TREE_NODES:
-        raise DefinitionError(f"body: tree has {count} nodes, cap is {MAX_TREE_NODES}")
-    last_reader: dict[int, int] = {}
-    for pos, node in enumerate(nodes):
-        if node[0] == "op":
-            last_reader.update((child, pos) for child in node[2])
+    emit(root)
     frees: list[list[int]] = [[] for _ in nodes]
-    for child, pos in last_reader.items():
+    for child, pos in enumerate(last_reader[:-1]):
         frees[pos].append(child)
-    return CompiledEncoder(relation=defn.relation, rank=rank,
-                           nodes=tuple(nodes), frees=tuple(map(tuple, frees)))
+    text = _key_text(root)[1]
+    if text:
+        digest = hashlib.sha256(_canonical_json(defn.relation, text).encode("utf-8"))
+        defn.__dict__.setdefault("_digest", digest.hexdigest())
+    for summary in made:
+        if id(summary) not in reused:
+            summary.key_text = None
+    return CompiledEncoder(relation=defn.relation, rank=rank, nodes=tuple(nodes),
+                           frees=tuple(map(tuple, frees)), summary=root)
 
 
 def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:

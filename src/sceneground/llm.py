@@ -217,7 +217,13 @@ class LlmClient:
     def _complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
         HTTP errors, malformed replies and replies ``parse`` rejects share the
-        ``max_attempts`` budget; a 400/401/403/404 is not retried."""
+        ``max_attempts`` budget; a 400/401/403/404 is not retried.
+
+        Before each resend the client waits the exponential backoff, or a
+        429/503 reply's delta-seconds ``Retry-After`` when that is longer.
+        The waits of one call total at most ``timeout`` seconds: a wait that
+        would pass it ends the call with LlmError instead.
+        """
         import requests  # deferred: importing it costs more than the rest of the package
 
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
@@ -234,10 +240,19 @@ class LlmClient:
             "top_p": self.config.top_p,
         }
         last_error = "no attempts made"
+        asked = 0.0  # seconds the last reply's Retry-After asked for
+        slept = 0.0
         for attempt in range(self.config.max_attempts):
             if attempt:
+                wait = max(self.config.backoff * (2 ** (attempt - 1)), asked)
+                if slept + wait > self.config.timeout:
+                    raise LlmError(
+                        f"chat completion failed: waiting {wait:g}s more would pass the "
+                        f"{self.config.timeout:g}s retry budget; last error: {last_error}")
                 logger.warning("chat call failed (attempt %d): %s", attempt, last_error)
-                time.sleep(self.config.backoff * (2 ** (attempt - 1)))
+                time.sleep(wait)
+                slept += wait
+                asked = 0.0
             started = time.perf_counter()
             try:
                 response = requests.post(url, headers=headers, json=payload,
@@ -249,6 +264,8 @@ class LlmClient:
                 last_error = f"HTTP {response.status_code}: {response.text[:200]}"
                 if response.status_code in (400, 401, 403, 404):  # a resend cannot fix it
                     raise LlmError(f"chat completion failed, not retried: {last_error}")
+                if response.status_code in (429, 503):
+                    asked = _retry_after_seconds(response.headers.get("Retry-After"))
                 continue
             try:
                 data = response.json()
@@ -272,6 +289,13 @@ class LlmClient:
             f"chat completion failed after {self.config.max_attempts} attempts; "
             f"last error: {last_error}"
         )
+
+
+def _retry_after_seconds(value: str | None) -> float:
+    """The delay a delta-seconds ``Retry-After`` value asks for; 0 for none
+    and for the HTTP-date form."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def _expression_from_reply(text: str) -> SymbolicExpression:

@@ -9,9 +9,19 @@ Bodies are never mutated in place. A mutation copies only the nodes on the
 path from the root to the changed node and shares every untouched subtree
 with its parent (and grafts share nodes with the builtin pool), so a
 mutation copies as many nodes as the change is deep, not the whole tree.
+
+A mutation costs its changed path, not its tree. The node to change is
+found by descending the base's node summaries (:class:`~sceneground.dsl.
+NodeSummary`), which count each subtree's nodes, constants and swappable
+operators, straight to the k-th qualifying node in depth-first order
+(repeats counted), in as many steps as that node is deep. The child's check
+is handed the base's summaries of the subtrees it shares, so checking it,
+building its DAG and serializing it for the digest touch only the new path.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,35 +31,46 @@ from .dsl import (
     OBJS_FOR_ARITY,
     DefinitionError,
     EncoderDefinition,
+    NodeSummary,
+    compile_definition,
     const,
     op,
+    share_summaries,
     validate_definition,
 )
-from .expression import relation_arity
 
 __all__ = ["mutate_definition"]
 
 Path = tuple[int, ...]
-Nodes = list[tuple[Path, dict]]  # every (path, node) of a body, depth first
+# a change: the path to the picked node, the summaries from the root to it,
+# the node that replaces it, and summaries of other objects that node reuses
+Change = tuple[Path, list[NodeSummary], dict, tuple[NodeSummary, ...]]
+
+_NODES, _CONSTS, _SWAPS = attrgetter("size"), attrgetter("consts"), attrgetter("swaps")
 
 
-def _walk(node: dict, path: Path, out: Nodes) -> None:
-    out.append((path, node))
-    for k, child in enumerate(node.get("args", [])):
-        _walk(child, path + (k,), out)
+def _descend(root: NodeSummary, count, k: int) -> tuple[Path, list[NodeSummary]]:
+    """Path to the k-th node that ``count`` counts, in depth-first order with
+    repeats, and the summaries from the root to it."""
+    path: list[int] = []
+    trail = [root]
+    node = root
+    while True:
+        own = count(node) - sum(count(child) for child in node.args)
+        if k < own:
+            return tuple(path), trail
+        k -= own
+        for pos, child in enumerate(node.args):
+            if k < count(child):
+                break
+            k -= count(child)
+        path.append(pos)
+        trail.append(child)
+        node = child
 
 
-def _all_nodes(body: dict) -> Nodes:
-    out: Nodes = []
-    _walk(body, (), out)
-    return out
-
-
-def _node_at(body: dict, path: Path) -> dict:
-    node = body
-    for k in path:
-        node = node["args"][k]
-    return node
+def _pick(root: NodeSummary, count, rng: np.random.Generator) -> tuple[Path, list[NodeSummary]]:
+    return _descend(root, count, int(rng.integers(count(root))))
 
 
 def _replace_at(body: dict, path: Path, new_node: dict) -> dict:
@@ -62,102 +83,113 @@ def _replace_at(body: dict, path: Path, new_node: dict) -> dict:
     return {**body, "args": args}
 
 
-def _objects_used(node: dict) -> set[str]:
-    used: set[str] = set()
-    for _, n in _all_nodes(node):
-        if "get" in n:
-            used.add(n["obj"])
-    return used
+_POOL_CACHE: dict[int, list[NodeSummary]] = {}
 
 
-_POOL_CACHE: dict[frozenset[str], list[dict]] = {}
+def _preorder(summary: NodeSummary):
+    yield summary
+    for child in summary.args:
+        yield from _preorder(child)
+
+
+def _graft_sources(objs: int) -> list[NodeSummary]:
+    """Summaries of the builtin subtrees whose accessors read only objects in
+    the ``objs`` bit set, depth first with repeats, builtin by builtin."""
+    pool = _POOL_CACHE.get(objs)
+    if pool is None:
+        pool = [s for defn in builtin_definitions().values()
+                for s in _preorder(compile_definition(defn).summary) if not s.objs & ~objs]
+        _POOL_CACHE[objs] = pool
+    return pool
 
 
 def _graft_pool(allowed_objs: set[str]) -> list[dict]:
-    """Subtrees of builtin bodies whose accessors fit the target arity."""
-    key = frozenset(allowed_objs)
-    if key not in _POOL_CACHE:
-        pool: list[dict] = []
-        for defn in builtin_definitions().values():
-            for _, node in _all_nodes(defn.body):
-                if _objects_used(node) <= allowed_objs:
-                    pool.append(node)
-        _POOL_CACHE[key] = pool
-    return _POOL_CACHE[key]
+    """Subtrees of builtin bodies whose accessors fit ``allowed_objs``."""
+    objs = sum(1 << OBJS_FOR_ARITY[3].index(o) for o in allowed_objs)
+    return [s.node for s in _graft_sources(objs)]
 
 
-def _scale_constant(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict:
+def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> Change:
     factor = float(rng.uniform(0.5, 2.0))
-    const_paths = [path for path, node in nodes if "const" in node]
-    if const_paths:
-        path = const_paths[int(rng.integers(len(const_paths)))]
-        old = _node_at(body, path)["const"]
+    if root.consts:
+        path, trail = _pick(root, _CONSTS, rng)
+        old = trail[-1].node["const"]
         new = old * factor
         if new == old:
             new = old + (factor - 1.0) or old + 0.5
-        return _replace_at(body, path, const(new))
+        return path, trail, const(new), ()
     # no constants anywhere: scale a random subtree instead
-    paths = [path for path, _ in nodes]
-    path = paths[int(rng.integers(len(paths)))]
-    return _replace_at(body, path, op("mul", _node_at(body, path), const(factor)))
+    path, trail = _pick(root, _NODES, rng)
+    return path, trail, op("mul", trail[-1].node, const(factor)), ()
 
 
-def _swap_operator(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict | None:
-    swappable = [path for path, node in nodes if node.get("op") in COMMUTATIVE_SWAPS]
-    if not swappable:
+def _swap_operator(root: NodeSummary, rng: np.random.Generator) -> Change | None:
+    if not root.swaps:
         return None
-    path = swappable[int(rng.integers(len(swappable)))]
-    node = _node_at(body, path)
-    return _replace_at(body, path, {**node, "op": COMMUTATIVE_SWAPS[node["op"]]})
+    path, trail = _pick(root, _SWAPS, rng)
+    node = trail[-1].node
+    return path, trail, {**node, "op": COMMUTATIVE_SWAPS[node["op"]]}, ()
 
 
-def _insert_wrapper(body: dict, nodes: Nodes, rng: np.random.Generator) -> dict:
-    paths = [path for path, _ in nodes]
-    path = paths[int(rng.integers(len(paths)))]
-    target = _node_at(body, path)
+def _insert_wrapper(root: NodeSummary, rng: np.random.Generator) -> Change:
+    path, trail = _pick(root, _NODES, rng)
+    target = trail[-1].node
     if int(rng.integers(2)) == 0:
         wrapped = op("exp", op("neg", target))
     else:
         wrapped = op("abs", target)
-    return _replace_at(body, path, wrapped)
+    return path, trail, wrapped, ()
 
 
-def _graft_subtree(body: dict, nodes: Nodes, rng: np.random.Generator,
-                   allowed_objs: set[str]) -> dict | None:
-    pool = _graft_pool(allowed_objs)
+def _graft_subtree(root: NodeSummary, rng: np.random.Generator, objs: int) -> Change | None:
+    pool = _graft_sources(objs)
     if not pool:
         return None
     source = pool[int(rng.integers(len(pool)))]
-    paths = [path for path, _ in nodes]
-    path = paths[int(rng.integers(len(paths)))]
-    return _replace_at(body, path, source)
+    path, trail = _pick(root, _NODES, rng)
+    return path, trail, source.node, (source,)
+
+
+def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDefinition:
+    """The definition ``change`` makes of ``base``. Its check reuses the
+    summaries of every object the new path shares: the path's old nodes,
+    their children and whatever the new node reuses."""
+    path, trail, node, reused = change
+    child = EncoderDefinition(relation=base.relation, body=_replace_at(base.body, path, node),
+                              metadata=metadata)
+    shared = (*trail, *(c for s in trail for c in s.args), *reused)
+    share_summaries((child,), {id(s.node): s for s in shared})
+    return child
 
 
 def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     """Return a valid definition differing from ``defn`` in at least one node;
-    its check is memoized with its DAG, so scoring it walks the body no more."""
+    its check is memoized with its DAG, so scoring it walks the body no more.
+
+    ``defn`` must pass the check (DefinitionError otherwise): its memoized
+    summaries guide the pick.
+    """
     rng = np.random.default_rng(seed)
-    allowed = set(OBJS_FOR_ARITY[relation_arity(defn.relation)])
+    compiled = compile_definition(defn)
+    root = compiled.summary
     original = defn.digest()
 
     kinds = ["const_scale", "op_swap", "wrap", "graft"]
     # constant rescaling repairs continuously and carries the hill climb, so
     # it gets the largest share; wrappers rarely help and stay rare
     kind = kinds[int(rng.choice(4, p=[0.45, 0.25, 0.05, 0.25]))]
-    nodes = _all_nodes(defn.body)
-    body: dict | None = None
+    change: Change | None = None
     if kind == "op_swap":
-        body = _swap_operator(defn.body, nodes, rng)
+        change = _swap_operator(root, rng)
     elif kind == "wrap":
-        body = _insert_wrapper(defn.body, nodes, rng)
+        change = _insert_wrapper(root, rng)
     elif kind == "graft":
-        body = _graft_subtree(defn.body, nodes, rng, allowed)
-    if body is None:
+        change = _graft_subtree(root, rng, (1 << compiled.rank) - 1)
+    if change is None:
         kind = "const_scale"
-        body = _scale_constant(defn.body, nodes, rng)
+        change = _scale_constant(root, rng)
 
-    candidate = EncoderDefinition(relation=defn.relation, body=body,
-                                  metadata=f"mutated[{kind}, seed={seed}]")
+    candidate = _apply(defn, change, f"mutated[{kind}, seed={seed}]")
     try:
         validate_definition(candidate)
         changed = candidate.digest() != original
@@ -165,8 +197,6 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
         changed = False
     if not changed:
         # graft may reproduce the original or overflow the caps: scale instead
-        body = _scale_constant(defn.body, nodes, rng)
-        candidate = EncoderDefinition(relation=defn.relation, body=body,
-                                      metadata=f"mutated[const_scale, seed={seed}]")
+        candidate = _apply(defn, _scale_constant(root, rng), f"mutated[const_scale, seed={seed}]")
         validate_definition(candidate)
     return candidate

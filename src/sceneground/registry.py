@@ -8,14 +8,11 @@ snapshot, so a run observes one consistent set of encoders.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import stat
-import tempfile
 import threading
 from pathlib import Path
 
+from .atomic import write_text_atomic
 from .builtins import builtin_definitions
 from .dsl import EncoderDefinition, definition_from_dict, validate_definition
 from .expression import ALL_RELATIONS
@@ -27,6 +24,11 @@ class RegistryError(ValueError):
     """Raised for a registry file that cannot be read or has the wrong layout."""
 
 
+def _bare(defn: EncoderDefinition) -> EncoderDefinition:
+    """A copy of ``defn`` without its memoized check, DAG and digest."""
+    return EncoderDefinition(relation=defn.relation, body=defn.body, metadata=defn.metadata)
+
+
 class EncoderRegistry:
     """Single-writer, many-reader store of encoder definitions."""
 
@@ -34,6 +36,8 @@ class EncoderRegistry:
         self._lock = threading.Lock()
         self._active: dict[str, EncoderDefinition] = builtin_definitions()
         self._library: list[EncoderDefinition] = []
+        # relation -> its latest accepted definition, as accepted
+        self._accepted: dict[str, EncoderDefinition] = {}
 
     def active_definition(self, relation: str) -> EncoderDefinition:
         with self._lock:
@@ -53,25 +57,27 @@ class EncoderRegistry:
             return tuple(self._library)
 
     def accepted_definition(self, relation: str) -> EncoderDefinition | None:
-        """Most recently accepted definition for a relation, if any."""
+        """Most recently accepted definition for a relation, if any.
+
+        This is the object that was accepted, not its library copy, so a
+        search that starts from it reuses its memoized check; one object per
+        relation is kept this way.
+        """
         with self._lock:
-            for defn in reversed(self._library):
-                if defn.relation == relation:
-                    return defn
-        return None
+            return self._accepted.get(relation)
 
     def accept(self, defn: EncoderDefinition) -> None:
         """Append to the library and make the definition active.
 
         The library keeps a fresh copy of the definition, without its
-        memoized DAG, so a long search does not pin every winner's DAG; the
-        active map keeps the compiled definition.
+        memoized check and DAG, so a long search does not pin every winner's;
+        the active map keeps the compiled definition.
         """
         validate_definition(defn)
-        entry = EncoderDefinition(relation=defn.relation, body=defn.body, metadata=defn.metadata)
         with self._lock:
-            self._library.append(entry)
+            self._library.append(_bare(defn))
             self._active[defn.relation] = defn
+            self._accepted[defn.relation] = defn
 
     def install(self, defn: EncoderDefinition) -> None:
         """Replace the active definition without recording an acceptance."""
@@ -88,27 +94,8 @@ class EncoderRegistry:
 
 
 def save_registry(registry: EncoderRegistry, path: str | Path) -> None:
-    """Write the registry atomically.
-
-    The JSON goes to a temporary file in the target's directory, which then
-    replaces the target, so a crash mid-write leaves the previous file whole.
-    An existing file keeps its permission bits.
-    """
-    path = Path(path)
-    text = json.dumps(registry.to_dict(), indent=2) + "\n"
-    mode = stat.S_IMODE(path.stat().st_mode) if path.exists() else 0o644
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    """Write the registry atomically (:func:`~sceneground.atomic.write_text_atomic`)."""
+    write_text_atomic(path, json.dumps(registry.to_dict(), indent=2) + "\n")
 
 
 def load_registry(path: str | Path) -> EncoderRegistry:
@@ -131,7 +118,8 @@ def load_registry(path: str | Path) -> EncoderRegistry:
     for defn_raw in library:
         defn = definition_from_dict(defn_raw)
         validate_definition(defn)
-        registry._library.append(defn)
+        registry._library.append(_bare(defn))
+        registry._accepted[defn.relation] = defn
     for name, defn_raw in active.items():
         defn = definition_from_dict(defn_raw)
         if defn.relation != name:

@@ -19,16 +19,19 @@ class StubServer:
     """Scripted chat-completions endpoint.
 
     Replies are served in order (the last one repeats); the first
-    ``fail_times`` requests get the HTTP status ``fail_status``. Token usage
-    figures are deterministic word counts.
+    ``fail_times`` requests get the HTTP status ``fail_status``, with a
+    ``Retry-After: <retry_after>`` header when ``retry_after`` is given.
+    Token usage figures are deterministic word counts.
     """
 
-    def __init__(self, replies: list[str], fail_times: int = 0, fail_status: int = 500):
+    def __init__(self, replies: list[str], fail_times: int = 0, fail_status: int = 500,
+                 retry_after: int | str | None = None):
         if not replies:
             raise ValueError("stub server needs at least one reply")
         self.replies = list(replies)
         self.fail_times = fail_times
         self.fail_status = fail_status
+        self.retry_after = retry_after
         self.request_count = 0
         self._lock = threading.Lock()
         self._server: ThreadingHTTPServer | None = None
@@ -64,6 +67,8 @@ class StubServer:
                 status, reply = stub._next_reply()
                 if status != 200:
                     self.send_response(status)
+                    if stub.retry_after is not None:
+                        self.send_header("Retry-After", str(stub.retry_after))
                     self.end_headers()
                     self.wfile.write(b"stubbed failure")
                     return
@@ -85,7 +90,9 @@ class StubServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval keeps stop() from waiting half a second
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 

@@ -9,18 +9,18 @@ import math
 import numpy as np
 
 from sceneground.builtins import encoder_to_dsl
-from sceneground.dsl import COMMUTATIVE_SWAPS, EncoderDefinition
+from sceneground.dsl import COMMUTATIVE_SWAPS, EncoderDefinition, compile_definition
 from sceneground.expression import (
     ALL_RELATIONS,
     RelationClause,
     SymbolicExpression,
     relation_arity,
 )
-from sceneground.mutation import _all_nodes, _node_at, _replace_at, _scale_constant
+from sceneground.mutation import _apply, _replace_at, _scale_constant
 from sceneground.optimizer import TestCase, TestSuite
 from sceneground.scene import Scene, precompute_geometry, scene_from_dict
 
-from oracles import compute_builtin
+from oracles import all_nodes, compute_builtin
 
 LABELS = ("chair", "table", "lamp", "shelf", "box", "sofa", "desk", "plant")
 
@@ -155,19 +155,20 @@ def build_margin_suite(relation: str, rng: np.random.Generator, n_cases: int = 3
 def constant_perturbed(relation: str, seed: int, rounds: int = 1) -> EncoderDefinition:
     """Builtin with constants rescaled; a continuously repairable start."""
     rng = np.random.default_rng(seed + 9000)
-    body = encoder_to_dsl(relation).body
+    defn = encoder_to_dsl(relation)
     for _ in range(rounds):
-        body = _scale_constant(body, _all_nodes(body), rng)
-    return EncoderDefinition(relation=relation, body=body, metadata="perturbed-const")
+        defn = _apply(defn, _scale_constant(compile_definition(defn).summary, rng),
+                      "perturbed-const")
+    return defn
 
 
 def op_swapped(relation: str, seed: int) -> EncoderDefinition:
     """Builtin with one commutative operator flipped; a discrete defect."""
     base = encoder_to_dsl(relation)
     rng = np.random.default_rng(seed + 5000)
-    swappable = [p for p, node in _all_nodes(base.body) if node.get("op") in ("add", "mul")]
-    path = swappable[int(rng.integers(len(swappable)))]
-    node = copy.deepcopy(_node_at(base.body, path))
+    swappable = [(p, node) for p, node in all_nodes(base.body) if node.get("op") in ("add", "mul")]
+    path, node = swappable[int(rng.integers(len(swappable)))]
+    node = copy.deepcopy(node)
     node["op"] = COMMUTATIVE_SWAPS[node["op"]]
     return EncoderDefinition(relation=relation, body=_replace_at(base.body, path, node),
                              metadata="perturbed-swap")

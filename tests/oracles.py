@@ -8,10 +8,17 @@ evaluator the DAG compiler replaced: it walks every node of the tree, repeats
 included, and broadcasts accessors over full axes. ``reference_validate`` is
 the separate validation walk that the DAG compiler's checks replaced.
 ``dense_run_test_suite`` is the suite scorer that evaluates the whole
-N^arity feature per scene and reads two entries per case.
+N^arity feature per scene and reads two entries per case. ``all_nodes`` is
+the list of every (path, node) that mutation used to build for its pick, and
+``reference_canonical_json``/``reference_digest`` serialize the whole
+definition with ``json.dumps``, as the digest did before it was joined from
+memoized subtree texts.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -372,3 +379,26 @@ def dense_run_test_suite(defn: EncoderDefinition, suite: TestSuite,
             failures.append((case, synthesize_error_message(case, scene, suite.relation)))
     return CandidateReport(definition=defn, pass_rate=passed / len(suite.cases),
                            failures=tuple(failures))
+
+
+def _walk(node: dict, path: tuple[int, ...], out: list) -> None:
+    out.append((path, node))
+    for k, child in enumerate(node.get("args", [])):
+        _walk(child, path + (k,), out)
+
+
+def all_nodes(body: dict) -> list[tuple[tuple[int, ...], dict]]:
+    """Every (path, node) of a body, depth first, repeats included. It walks
+    the ``args`` of every node, so a leaf's extra ``args`` key, which the
+    check ignores, is walked too."""
+    out: list = []
+    _walk(body, (), out)
+    return out
+
+
+def reference_canonical_json(defn: EncoderDefinition) -> str:
+    return json.dumps({"relation": defn.relation, "body": defn.body}, sort_keys=True)
+
+
+def reference_digest(defn: EncoderDefinition) -> str:
+    return hashlib.sha256(reference_canonical_json(defn).encode("utf-8")).hexdigest()

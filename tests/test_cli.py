@@ -380,3 +380,24 @@ def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert where in err
+
+
+def test_optimize_with_llm_source_reports_usage_totals(tmp_path, capsys, monkeypatch):
+    from sceneground.stub_server import StubServer
+
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+    reply = json.dumps(encoder_to_dsl("near").to_dict())
+    with StubServer([reply]) as stub:
+        monkeypatch.setenv("LASP_LLM_ENDPOINT", stub.base_url)
+        assert main(["optimize", "--relation", "near", "--suite", str(suite_path),
+                     "--scenes", str(scenes_dir), "--source", "llm", "--n-iter", "1",
+                     "--n-sample", "2", "--registry", str(tmp_path / "registry.json")]) == 0
+        assert stub.request_count == 2
+    err = capsys.readouterr().err
+    usage = [line for line in err.splitlines() if line.startswith("llm usage:")]
+    assert len(usage) == 1
+    fields = dict(part.split("=") for part in usage[0][len("llm usage: "):].split(", "))
+    assert fields["calls"] == "2"
+    assert int(fields["prompt_tokens"]) > 0
+    assert fields["completion_tokens"] == str(2 * len(reply.split()))
+    assert float(fields["wall_ms"]) > 0

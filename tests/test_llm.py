@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import sceneground.llm as llm_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.llm import (
     EndpointConfig,
@@ -227,3 +228,46 @@ def test_importing_the_package_does_not_import_requests():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(llm_module.time, "sleep", slept.append)
+    return slept
+
+
+def test_retry_after_sets_the_wait(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    with StubServer(["eventually"], fail_times=2, fail_status=429, retry_after=3) as stub:
+        client = LlmClient(fast_config(stub.base_url))
+        text, _ = client.chat_complete(assemble_prompt("parsing", utterance="x"))
+    assert text == "eventually"
+    assert slept == [3.0, 3.0]
+
+
+def test_backoff_longer_than_retry_after_wins(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    with StubServer(["eventually"], fail_times=2, fail_status=503, retry_after="1") as stub:
+        config = EndpointConfig(endpoint=stub.base_url, backoff=2.0, timeout=60.0)
+        LlmClient(config).chat_complete(assemble_prompt("parsing", utterance="x"))
+    assert slept == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("status,header", [(500, 3), (429, "Wed, 21 Oct 2015 07:28:00 GMT"),
+                                           (503, "-1"), (429, "1.5")])
+def test_retry_after_only_as_delta_seconds_on_429_and_503(monkeypatch, status, header):
+    slept = _sleeps(monkeypatch)
+    with StubServer(["eventually"], fail_times=2, fail_status=status, retry_after=header) as stub:
+        LlmClient(fast_config(stub.base_url)).chat_complete(assemble_prompt("parsing",
+                                                                            utterance="x"))
+    assert slept == [0.01, 0.02]
+
+
+def test_total_wait_is_capped_by_the_timeout(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    with StubServer(["never seen"], fail_times=10, fail_status=429, retry_after=6) as stub:
+        client = LlmClient(fast_config(stub.base_url))  # timeout 10 s
+        with pytest.raises(LlmError, match="retry budget; last error: HTTP 429"):
+            client.chat_complete(assemble_prompt("parsing", utterance="x"))
+        assert stub.request_count == 2
+    assert slept == [6.0]

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-import sceneground.registry as registry_module
+import sceneground.atomic as atomic_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import DefinitionError
 from sceneground.registry import EncoderRegistry, RegistryError, load_registry, save_registry
@@ -29,7 +29,7 @@ def test_crash_during_save_keeps_the_previous_file(tmp_path, monkeypatch):
     def crash(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(registry_module.os, "fsync", crash)
+    monkeypatch.setattr(atomic_module.os, "fsync", crash)
     registry = EncoderRegistry()
     registry.accept(encoder_to_dsl("near"))
     with pytest.raises(OSError, match="disk full"):
