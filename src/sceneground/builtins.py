@@ -4,7 +4,7 @@ Each builtin is an :class:`EncoderDefinition` whose body is evaluated like any
 other candidate (``eval_encoder``). Trees are immutable, so a repeated
 subtree (a proximity term, the unit vector toward an anchor, both operands of
 a square) is one node referenced twice, and every caller shares the one
-module-level definition per relation.
+module-level definition per relation, checked and compiled once at import.
 
 Guaranteed structure:
   * near / far are exactly symmetric.
@@ -18,7 +18,7 @@ the scene's xy-centroid and facing the anchor object.
 
 from __future__ import annotations
 
-from .dsl import EncoderDefinition, agg, const, get, op, share_summaries
+from .dsl import EncoderDefinition, agg, compile_definition, const, get, op
 from .expression import ALL_RELATIONS
 
 __all__ = ["encoder_to_dsl", "builtin_definitions"]
@@ -154,10 +154,18 @@ def _build_trees() -> dict[str, dict]:
     }
 
 
-_DEFINITIONS = {name: EncoderDefinition(relation=name, body=tree, metadata="builtin")
-                for name, tree in _build_trees().items()}
-# builtins share subtree objects, so each is checked once for all of them
-share_summaries(_DEFINITIONS.values())
+def _compiled_definitions() -> dict[str, EncoderDefinition]:
+    """The builtins, checked and compiled. They share subtree objects, so
+    one table of summaries lets each shared node be checked once for all."""
+    known: dict = {}
+    definitions = {}
+    for name, tree in _build_trees().items():
+        definitions[name] = EncoderDefinition(relation=name, body=tree, metadata="builtin")
+        compile_definition(definitions[name], known)
+    return definitions
+
+
+_DEFINITIONS = _compiled_definitions()
 
 
 def encoder_to_dsl(relation: str) -> EncoderDefinition:

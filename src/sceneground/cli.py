@@ -17,7 +17,12 @@ from .atomic import write_text_atomic
 from .bench import DatasetError, report_to_dict, run_bench
 from .dsl import DefinitionError
 from .executor import ExecutionError, FeatureCache, execute, grounding_result
-from .expression import ExpressionError, parse_expression, serialize_expression
+from .expression import (
+    ExpressionError,
+    normalize_relation_name,
+    parse_expression,
+    serialize_expression,
+)
 from .llm import EndpointConfig, LlmError, parse_utterance_via_llm
 from .optimizer import (
     MutationSource,
@@ -137,6 +142,9 @@ def cmd_ground(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     relation = _resolve(args, config, "relation", required=True)
+    if not isinstance(relation, str):
+        raise CliError(f"--relation must be a string, got {relation!r}")
+    relation = normalize_relation_name(relation)
     suite_path = _resolve_path(args, config, "suite", required=True)
     scenes_dir = _resolve_path(args, config, "scenes", required=True)
     source_kind = _resolve(args, config, "source", "mutate")
@@ -187,7 +195,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     dataset = _resolve_path(args, config, "dataset", required=True)
     registry_path = _resolve_path(args, config, "registry")
     workers = _resolve_number(args, config, "workers", 1)
-    baseline = bool(_resolve(args, config, "baseline", False))
+    if workers < 1:
+        raise CliError(f"--workers must be at least 1, got {workers}")
+    baseline = _resolve(args, config, "baseline", False)
+    if not isinstance(baseline, bool):
+        raise CliError(f"--baseline must be true or false, got {baseline!r}")
     plots = _resolve_path(args, config, "plots")
     out = _resolve_path(args, config, "out")
 

@@ -7,14 +7,14 @@ clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
 One check walks a body (:func:`compile_definition`). It checks each node
-object once and memoizes a :class:`NodeSummary` for it (structural key,
-node count, height, counts of constants and swappable operators, canonical
-JSON), reused wherever the object occurs again: in the same body, or in a
-body that shares the subtree, such as a mutated child
-(:func:`share_summaries`). A child that shares all but one path with its
-parent costs that path to check and to serialize for its digest. The
-hash-consed DAG (identical subtrees share one node) is built from the
-summaries' keys; check and DAG are memoized on the definition, so
+object once and memoizes a :class:`NodeSummary` for it (node count, height,
+counts of constants and swappable operators, and the node's canonical JSON
+text, joined from its children's), reused wherever the object occurs again:
+in the same body, or in a body checked with the same table of summaries,
+such as a mutated child given the summaries of its base's path. A child that
+shares all but one path with its parent costs that path to check and to
+serialize. The DAG is hash-consed on the texts: subtrees with equal JSON
+share one node. Check and DAG are memoized on the definition, so
 :func:`validate_definition` is the same pass. Evaluation runs each distinct
 DAG node once.
 
@@ -59,7 +59,6 @@ __all__ = [
     "finalize_feature",
     "validate_definition",
     "NodeSummary",
-    "share_summaries",
     "CompiledEncoder",
     "compile_definition",
     "eval_encoder",
@@ -163,20 +162,17 @@ class EncoderDefinition:
 
     def canonical_json(self) -> str:
         """``json.dumps`` of relation and body with sorted keys. Once the body
-        has passed its check, the text is joined from its node summaries'
-        texts instead of serializing the whole tree again."""
+        has passed its check, the root summary's text is used instead of
+        serializing the whole tree again."""
         compiled = self.__dict__.get("_compiled")
-        text = _key_text(compiled.summary)[1] if compiled is not None else ""
-        if not text:
+        if compiled is None or not compiled.summary.text:
             return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
-        return _canonical_json(self.relation, text)
+        relation = json.dumps(self.relation)
+        return '{"body": ' + compiled.summary.text + ', "relation": ' + relation + "}"
 
     def digest(self) -> str:
-        """Content hash over relation + body (metadata excluded).
-
-        Computed on the first call, or by the body's check, and memoized;
-        bodies are immutable.
-        """
+        """sha256 of :meth:`canonical_json` (relation + body, metadata
+        excluded); memoized, as bodies are immutable."""
         digest = self.__dict__.get("_digest")
         if digest is None:
             digest = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -254,7 +250,7 @@ class NodeSummary:
 
     Computed once per node object, when the node passes its check, and
     reused by identity wherever the object occurs again, in this body or in
-    a body that shares the subtree (see :func:`share_summaries`):
+    a body checked with the same table (see :func:`compile_definition`):
 
     - ``size``: node count, repeats counted.
     - ``height``: levels of the subtree; a leaf has height 1.
@@ -263,28 +259,21 @@ class NodeSummary:
       ``COMMUTATIVE_SWAPS``, repeats counted.
     - ``args``: the children's summaries; ``entry`` the node's DAG entry
       (``("op", name)`` for an op, whose entry also lists child positions).
-    - ``key_text``: the node's DAG key, a structural text equal for equal
-      subtrees, and ``json.dumps(node, sort_keys=True)`` (``""`` where that
-      would fail), both joined from the children's (:func:`_key_text`).
+    - ``text``: ``json.dumps(node, sort_keys=True)``, joined from the
+      children's texts, or ``""`` where json.dumps would fail. Equal texts
+      are equal subtrees, so the DAG is hash-consed on it.
 
-    An op's key and text are as long as its subtree's JSON. The check that
-    makes the summary keeps them only while it runs (``key_text`` is None
-    after), and they are stored for good once another check reuses the
-    node, so the new path of a candidate that is never mutated again keeps
-    no text. The summary holds its node, so the identity it is keyed by
-    stays valid.
+    The summary holds its node, so the identity it is keyed by stays valid.
     """
 
-    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps",
-                 "key_text")
+    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "text")
 
-    def __init__(self, node: dict, args: tuple, entry: tuple, objs: int,
-                 key_text: tuple[str, str]) -> None:
+    def __init__(self, node: dict, args: tuple, entry: tuple, objs: int, text: str) -> None:
         name = node.get("op")
         self.node = node
         self.args = args
         self.entry = entry
-        self.key_text = key_text
+        self.text = text
         size = height = 0
         consts = "const" in node
         swaps = isinstance(name, str) and name in COMMUTATIVE_SWAPS
@@ -319,30 +308,14 @@ def _json_text(node: dict, args_text: str | None) -> str:
         return ""
 
 
-def _op_key_text(node: dict, children: list[tuple[str, str]]) -> tuple[str, str]:
-    """An op node's DAG key and text, joined from its children's."""
-    texts = [text for _, text in children]
+def _op_text(node: dict, args: tuple[NodeSummary, ...]) -> str:
+    """An op node's text, joined from its children's."""
+    texts = [a.text for a in args]
     if "" in texts:
-        text = ""
-    elif len(node) == 2:
-        text = f'{{"args": [{", ".join(texts)}], "op": {_QUOTED[node["op"]]}}}'
-    else:
-        text = _json_text(node, f'[{", ".join(texts)}]')
-    return f'{node["op"]}({",".join([key for key, _ in children])})', text
-
-
-def _key_text(summary: NodeSummary) -> tuple[str, str]:
-    """A summary's DAG key and text, stored from now on. Read once into a
-    local, so a check that drops the pair meanwhile cannot tear it."""
-    pair = summary.key_text
-    if pair is None:
-        pair = summary.key_text = _op_key_text(summary.node,
-                                               [_key_text(c) for c in summary.args])
-    return pair
-
-
-def _canonical_json(relation: str, body_text: str) -> str:
-    return '{"body": ' + body_text + ', "relation": ' + json.dumps(relation) + "}"
+        return ""
+    if len(node) == 2:
+        return f'{{"args": [{", ".join(texts)}], "op": {_QUOTED[node["op"]]}}}'
+    return _json_text(node, f'[{", ".join(texts)}]')
 
 
 @dataclass(frozen=True)
@@ -364,41 +337,22 @@ class CompiledEncoder:
     summary: NodeSummary = field(repr=False, compare=False)
 
 
-def share_summaries(definitions, known: dict[int, NodeSummary] | None = None) -> None:
-    """Let the checks of ``definitions`` reuse ``known`` (id of a node object
-    -> its summary) for the subtree objects their bodies share, and add the
-    summaries they compute to it; ``known`` starts empty when not given.
-
-    Call it before the definitions are checked. Each keeps the table until
-    its check, so the table lives no longer than its unchecked definitions.
-    """
-    known = {} if known is None else known
-    for defn in definitions:
-        defn.__dict__.setdefault("_known", known)
-
-
-def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
+def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -> CompiledEncoder:
     """The one check of a body: summarize each node, then build the DAG.
 
-    A node object with no summary yet gets the node checks and is
-    summarized; a known one (repeated in this body, or shared from a body
-    given by :func:`share_summaries`) is reused when it fits where it sits:
-    its deepest node within the depth cap and its accessors allowed for the
-    relation. One that does not fit is walked again, so the first fault in
-    depth-first order raises DefinitionError with its ``body.args[..]``
-    path, as a walk of the whole tree would. The node cap (repeats counted)
-    is checked after the walk. The DAG is built from the summaries' keys,
-    one step per distinct DAG node. The check records the body's digest
-    from the text it joins, then drops the key and text of each op summary
-    it made and did not reuse (see :class:`NodeSummary`).
+    A node object with no summary in ``known`` yet gets the node checks, is
+    summarized and added; a known one (repeated in this body, or shared
+    with a body checked with the same table) is reused when it fits where
+    it sits: its deepest node within the depth cap and its accessors
+    allowed for the relation. One that does not fit is walked again, so the
+    first fault in depth-first order raises DefinitionError with its
+    ``body.args[..]`` path, as a walk of the whole tree would. The node cap
+    (repeats counted) is checked after the walk. The DAG is built on the
+    summaries' texts, one step per distinct DAG node; a node without a text
+    is its own DAG node.
     """
     rank = relation_arity(defn.relation)
     allowed = OBJS_FOR_ARITY[rank]
-    known = defn.__dict__.pop("_known", None)
-    if known is None:
-        known = {}
-    made: list[NodeSummary] = []  # op summaries made here
-    reused: set[int] = set()  # ids of the summaries reused here
 
     def summarize(node: object, depth: int, path: tuple | None) -> NodeSummary:
         # path is (parent_path, arg_position), None at the root, spelled out
@@ -407,7 +361,6 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
         seen = known.get(id(node))
         if (seen is not None and depth + seen.height - 1 <= MAX_TREE_DEPTH
                 and not seen.objs >> rank):
-            reused.add(id(seen))
             return seen
         if depth > MAX_TREE_DEPTH:
             raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
@@ -425,9 +378,7 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
             else:  # json.dumps writes a number with its type's repr
                 written = (float if isinstance(value, float) else int).__repr__(value)
                 text = f'{{"const": {written}}}'
-            number = float(value)
-            # repr keeps -0.0 apart from 0.0, which compare equal
-            summary = NodeSummary(node, (), ("const", number), 0, (repr(number), text))
+            summary = NodeSummary(node, (), ("const", float(value)), 0, text)
         elif "get" in node:
             field, obj, axis = node["get"], node.get("obj"), node.get("axis")
             if not isinstance(field, str) or field not in _GET_FIELDS:
@@ -441,7 +392,7 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
             elif axis is not None:
                 raise _fault(path, f"accessor {field!r} takes no axis")
             summary = NodeSummary(node, (), ("get", field, obj, axis), 1 << _AXIS_OF_OBJ[obj],
-                                  (f"{field}[{obj}]{axis}", _json_text(node, None)))
+                                  _json_text(node, None))
         elif "agg" in node:
             name, axis = node["agg"], node.get("axis")
             if not isinstance(name, str) or name not in _AGG_FIELDS:
@@ -451,8 +402,7 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
                 raise _fault(path, f"aggregate {name!r} takes no axis")
             if axes is not None and axis not in axes:
                 raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
-            summary = NodeSummary(node, (), ("agg", name, axis), 0,
-                                  (f"{name}<{axis}>", _json_text(node, None)))
+            summary = NodeSummary(node, (), ("agg", name, axis), 0, _json_text(node, None))
         elif "op" in node:
             name, args = node["op"], node.get("args")
             if not isinstance(name, str) or name not in OPS:
@@ -461,18 +411,17 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
                 raise _fault(path, f"op {name!r} takes {OPS[name]} args")
             children = tuple([summarize(child, depth + 1, (path, k))
                               for k, child in enumerate(args)])
-            summary = NodeSummary(node, children, ("op", name), 0,
-                                  _op_key_text(node, [_key_text(c) for c in children]))
-            made.append(summary)
+            summary = NodeSummary(node, children, ("op", name), 0, _op_text(node, children))
         else:
             raise _fault(path, "node must have one of const/get/agg/op")
-        known[id(node)] = summary
-        return summary
+        # a check racing on the table keeps the summary stored first, so a
+        # node without a text stays one DAG node
+        return known.setdefault(id(node), summary)
 
     root = summarize(defn.body, 1, None)
     if root.size > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
-    ids: dict[str, int] = {}
+    ids: dict[str | NodeSummary, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
     last_reader: list[int] = []
@@ -481,9 +430,9 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
         # appends the subtree's DAG nodes that are not in the DAG yet
         children = []
         for child in summary.args:
-            pos = ids.get((child.key_text or _key_text(child))[0])
+            pos = ids.get(child.text or child)
             children.append(emit(child) if pos is None else pos)
-        pos = ids[(summary.key_text or _key_text(summary))[0]] = len(nodes)
+        pos = ids[summary.text or summary] = len(nodes)
         if children:
             nodes.append((*summary.entry, tuple(children)))
             for child in children:
@@ -497,25 +446,23 @@ def _check_and_compile(defn: EncoderDefinition) -> CompiledEncoder:
     frees: list[list[int]] = [[] for _ in nodes]
     for child, pos in enumerate(last_reader[:-1]):
         frees[pos].append(child)
-    text = _key_text(root)[1]
-    if text:
-        digest = hashlib.sha256(_canonical_json(defn.relation, text).encode("utf-8"))
-        defn.__dict__.setdefault("_digest", digest.hexdigest())
-    for summary in made:
-        if id(summary) not in reused:
-            summary.key_text = None
     return CompiledEncoder(relation=defn.relation, rank=rank, nodes=tuple(nodes),
                            frees=tuple(map(tuple, frees)), summary=root)
 
 
-def compile_definition(defn: EncoderDefinition) -> CompiledEncoder:
+def compile_definition(defn: EncoderDefinition,
+                       known: dict[int, NodeSummary] | None = None) -> CompiledEncoder:
     """Check a body and compile it to its DAG, or raise DefinitionError.
 
-    Memoized on the definition, as bodies are immutable.
+    ``known`` maps the id of a node object to its summary: the check reuses
+    it for the subtree objects the body shares with bodies checked before
+    with the same table, and adds the summaries it makes. Memoized on the
+    definition, as bodies are immutable; a memoized definition ignores
+    ``known``.
     """
     compiled = defn.__dict__.get("_compiled")
     if compiled is None:
-        compiled = _check_and_compile(defn)
+        compiled = _check_and_compile(defn, {} if known is None else known)
         object.__setattr__(defn, "_compiled", compiled)
     return compiled
 

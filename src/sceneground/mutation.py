@@ -14,9 +14,10 @@ A mutation costs its changed path, not its tree. The node to change is
 found by descending the base's node summaries (:class:`~sceneground.dsl.
 NodeSummary`), which count each subtree's nodes, constants and swappable
 operators, straight to the k-th qualifying node in depth-first order
-(repeats counted), in as many steps as that node is deep. The child's check
-is handed the base's summaries of the subtrees it shares, so checking it,
-building its DAG and serializing it for the digest touch only the new path.
+(repeats counted), in as many steps as that node is deep. The child is
+checked with a table of the base's summaries of the objects its new path
+shares, so checking it, serializing it for the digest and keying its DAG
+touch only the new path.
 """
 
 from __future__ import annotations
@@ -28,15 +29,12 @@ import numpy as np
 from .builtins import builtin_definitions
 from .dsl import (
     COMMUTATIVE_SWAPS,
-    OBJS_FOR_ARITY,
     DefinitionError,
     EncoderDefinition,
     NodeSummary,
     compile_definition,
     const,
     op,
-    share_summaries,
-    validate_definition,
 )
 
 __all__ = ["mutate_definition"]
@@ -103,12 +101,6 @@ def _graft_sources(objs: int) -> list[NodeSummary]:
     return pool
 
 
-def _graft_pool(allowed_objs: set[str]) -> list[dict]:
-    """Subtrees of builtin bodies whose accessors fit ``allowed_objs``."""
-    objs = sum(1 << OBJS_FOR_ARITY[3].index(o) for o in allowed_objs)
-    return [s.node for s in _graft_sources(objs)]
-
-
 def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> Change:
     factor = float(rng.uniform(0.5, 2.0))
     if root.consts:
@@ -151,14 +143,15 @@ def _graft_subtree(root: NodeSummary, rng: np.random.Generator, objs: int) -> Ch
 
 
 def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDefinition:
-    """The definition ``change`` makes of ``base``. Its check reuses the
-    summaries of every object the new path shares: the path's old nodes,
-    their children and whatever the new node reuses."""
+    """The definition ``change`` makes of ``base``, checked and compiled
+    (DefinitionError if it fails). Its check reuses the summaries of every
+    object the new path shares: the path's old nodes, their children and
+    whatever the new node reuses."""
     path, trail, node, reused = change
     child = EncoderDefinition(relation=base.relation, body=_replace_at(base.body, path, node),
                               metadata=metadata)
     shared = (*trail, *(c for s in trail for c in s.args), *reused)
-    share_summaries((child,), {id(s.node): s for s in shared})
+    compile_definition(child, {id(s.node): s for s in shared})
     return child
 
 
@@ -189,14 +182,12 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
         kind = "const_scale"
         change = _scale_constant(root, rng)
 
-    candidate = _apply(defn, change, f"mutated[{kind}, seed={seed}]")
     try:
-        validate_definition(candidate)
+        candidate = _apply(defn, change, f"mutated[{kind}, seed={seed}]")
         changed = candidate.digest() != original
     except DefinitionError:
         changed = False
     if not changed:
         # graft may reproduce the original or overflow the caps: scale instead
         candidate = _apply(defn, _scale_constant(root, rng), f"mutated[const_scale, seed={seed}]")
-        validate_definition(candidate)
     return candidate

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
+
 __all__ = [
     "SceneError",
     "BoundingBox",
@@ -307,8 +309,9 @@ def _scene_to_dict(scene: Scene) -> dict:
 
 
 def save_scene(scene: Scene, path: str | Path) -> None:
-    """Write the wire format back out; numeric fields round-trip exactly."""
-    Path(path).write_text(json.dumps(_scene_to_dict(scene), indent=2) + "\n", encoding="utf-8")
+    """Write the wire format back out atomically; numeric fields round-trip
+    exactly."""
+    write_text_atomic(path, json.dumps(_scene_to_dict(scene), indent=2) + "\n")
 
 
 def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:

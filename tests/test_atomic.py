@@ -11,7 +11,9 @@ from sceneground.builtins import encoder_to_dsl
 from sceneground.cli import main
 from sceneground.dsl import save_definition
 from sceneground.registry import EncoderRegistry, save_registry
+from sceneground.scene import save_scene
 
+from helpers import random_scene
 from test_cli import CHAIR_EXPR, make_near_suite_files
 
 
@@ -49,9 +51,15 @@ def _save_registry(target: Path) -> None:
         save_registry(EncoderRegistry(), target)
 
 
+def _save_scene(target: Path) -> None:
+    with pytest.raises(OSError, match="replace failed"):
+        save_scene(random_scene(np.random.default_rng(0), 3, "atomic"), target)
+
+
 @pytest.mark.parametrize("write", [_write_parse_out, _write_optimize_log, _save_definition,
-                                   _save_registry],
-                         ids=["parse_out", "optimize_log", "save_definition", "save_registry"])
+                                   _save_registry, _save_scene],
+                         ids=["parse_out", "optimize_log", "save_definition", "save_registry",
+                              "save_scene"])
 def test_failed_replace_keeps_the_previous_file(tmp_path, monkeypatch, write):
     target = tmp_path / "out" / "target.json"
     target.parent.mkdir()

@@ -196,13 +196,36 @@ def test_pass_matches_reference_validator_and_tree_walk(case):
     assert gathered.tobytes() == reference[index].tobytes()
 
 
+def test_nodes_without_text_and_mixed_number_types_evaluate_as_the_tree_walk():
+    """A node json.dumps refuses (an extra that is a set) has no text, so only
+    repeats of that one object share its DAG node; ``1`` and ``1.0`` have
+    different JSON, so they are two DAG constants of one value. Both
+    evaluate, dense and gathered, to the tree walk's values bit for bit."""
+    odd = {"get": "center", "obj": "j", "axis": "x", "note": {1, 2}}
+    twin = {"get": "center", "obj": "j", "axis": "x", "note": {1, 2}}
+    body = op("add", op("mul", odd, const(1.0)), op("sub", op("mul", odd, {"const": 1}), twin))
+    for relation in ("near", "between"):
+        defn = EncoderDefinition(relation=relation, body=body)
+        compiled = compile_definition(defn)
+        assert [n for n in compiled.nodes if n[0] == "const"] == [("const", 1.0)] * 2
+        assert sum(n[0] == "get" for n in compiled.nodes) == 2
+        reference = tree_walk_eval(defn, SCENE, GEOM).data
+        assert eval_encoder(defn, SCENE, GEOM).data.tobytes() == reference.tobytes()
+        index = tuple(np.array(t) for t in zip(*itertools.product(range(len(SCENE)),
+                                                                   repeat=compiled.rank)))
+        gathered = eval_encoder_at(compiled, GEOM, index)
+        assert gathered.tobytes() == reference[index].tobytes()
+        with pytest.raises(TypeError):  # as json.dumps of the body raises
+            defn.digest()
+
+
 def test_each_candidate_is_walked_once(monkeypatch):
     walked = []
     real = dsl._check_and_compile
 
-    def counting(defn):
+    def counting(defn, known):
         walked.append(defn)
-        return real(defn)
+        return real(defn, known)
 
     monkeypatch.setattr(dsl, "_check_and_compile", counting)
     drawn = []

@@ -137,6 +137,26 @@ def test_optimize_single_iteration(tmp_path, capsys):
     assert out.count("iteration") == 1
 
 
+def test_optimize_accepts_loose_relation_spellings(tmp_path, capsys):
+    """``--relation`` is normalized as the suite's relation is, whichever
+    spelling either uses."""
+    scenes_dir = tmp_path / "scenes"
+    scenes_dir.mkdir()
+    scene = random_scene(np.random.default_rng(4), 8, "sc0")
+    save_scene(scene, scenes_dir / "sc0.json")
+    data = eval_encoder(encoder_to_dsl("on_the_floor"), scene, precompute_geometry(scene)).data
+    order = [int(k) for k in np.argsort(-data, kind="stable")]
+    cases = [{"scene_id": "sc0", "target": order[0], "distractor": d} for d in order[4:]]
+    suite_path = tmp_path / "suite.json"
+    for written, given in (("On The Floor", "on the floor"), ("on_the_floor", "On_The_Floor"),
+                           ("on-the-floor", "on_the_floor")):
+        suite_path.write_text(json.dumps({"relation": written, "cases": cases}), encoding="utf-8")
+        assert main(["optimize", "--relation", given, "--suite", str(suite_path),
+                     "--scenes", str(scenes_dir), "--n-iter", "1", "--n-sample", "2",
+                     "--registry", str(tmp_path / "registry.json")]) == 0
+        assert "accepted encoder for 'on_the_floor'" in capsys.readouterr().out
+
+
 def test_bench_report_self_consistent(dataset, tmp_path, capsys):
     out = tmp_path / "report.json"
     plots = tmp_path / "plots"
@@ -328,6 +348,13 @@ def _ground_scene_with(**changes):
     return build
 
 
+def _bench_workers(workers):
+    def build(dataset, tmp_path):
+        return ["bench", "--dataset", str(dataset), "--workers", workers], "--workers"
+
+    return build
+
+
 def _optimize_n_iter(n_iter):
     def build(dataset, tmp_path):
         suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
@@ -363,6 +390,9 @@ def _optimize_n_iter(n_iter):
     _config_only("ground", "--out", out=["x"]),
     _config_only("ground", "--registry", registry={}),
     _config_only("bench", "--dataset", dataset=7),
+    _bench_workers("0"),
+    _config_only("bench", "--workers", workers=-3),
+    _config_only("bench", "--baseline", baseline="no"),
     _ground_scene_with(similarities={"categories": ["chair"], "values": [["q"]]}),
     _ground_scene_with(similarities={"categories": ["chair"], "values": [["0.5"]]}),
     _ground_scene_with(similarities={"categories": ["chair"], "values": [[0.5], [0.5, 1]]}),
@@ -373,6 +403,7 @@ def _optimize_n_iter(n_iter):
         "ground_truth_float", "ground_truth_bool", "unknown_scene",
         "ground_truth_not_in_scene", "malformed_expression", "config_scene_number",
         "config_out_list", "config_registry_object", "config_bench_dataset_number",
+        "bench_workers_0", "config_bench_workers_negative", "config_bench_baseline_string",
         "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)

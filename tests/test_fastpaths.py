@@ -27,7 +27,7 @@ from sceneground.dsl import (
     op,
 )
 from sceneground.expression import ALL_RELATIONS, relation_arity
-from sceneground.mutation import _graft_pool, mutate_definition
+from sceneground.mutation import _graft_sources, mutate_definition
 from sceneground.optimizer import (
     MutationSource,
     OptimizerConfig,
@@ -247,7 +247,7 @@ def test_optimizer_matches_dense_scorer(arity, monkeypatch):
 
 
 def test_chained_mutation_leaves_parents_and_graft_pool_untouched():
-    pools = {objs: _graft_pool(set(objs)) for objs in ("i", "ij", "ijk")}
+    pools = {objs: [s.node for s in _graft_sources(objs)] for objs in (1, 3, 7)}
     pool_before = {key: json.dumps(pool, sort_keys=True) for key, pool in pools.items()}
     builtins_before = {name: json.dumps(d.body, sort_keys=True)
                        for name, d in builtin_definitions().items()}

@@ -13,12 +13,12 @@ signed-zero and subnormal constants:
   unseeded check and the reference validator accept, with the same messages,
   and builds the same DAG.
 
-A full search then shows that each candidate costs its changed path.
+A full search then shows that each candidate costs its changed path: no node
+is summarized twice and no node's text is built twice.
 """
 
 import sys
 import threading
-from collections import Counter
 from dataclasses import replace
 from operator import attrgetter
 
@@ -38,7 +38,6 @@ from sceneground.dsl import (
     const,
     get,
     op,
-    share_summaries,
 )
 from sceneground.optimizer import MutationSource, OptimizerConfig, TestSuite, optimize_encoder
 from sceneground.registry import EncoderRegistry
@@ -154,7 +153,7 @@ def test_joined_canonical_json_and_digest_equal_json_dumps(case):
     if expected[0] == "ok":
         assert defn.digest() == reference_digest(defn)
         if checked:  # the text came from the summaries, not from json.dumps
-            assert dsl._key_text(compile_definition(defn).summary)[1]
+            assert compile_definition(defn).summary.text
 
 
 _COUNTS = {
@@ -233,9 +232,9 @@ def test_seeded_check_accepts_what_the_full_check_accepts(case):
     base_relation, base_body, relation, body = case
     base = _compiled_or_reject(EncoderDefinition(relation=base_relation, body=base_body))
     seeded = EncoderDefinition(relation=relation, body=body)
-    share_summaries((seeded,), _summaries(base.summary))
     fresh = EncoderDefinition(relation=relation, body=body)
-    got, full = _outcome(compile_definition, seeded), _outcome(compile_definition, fresh)
+    got = _outcome(compile_definition, seeded, _summaries(base.summary))
+    full = _outcome(compile_definition, fresh)
     reference = _outcome(reference_validate, fresh)
     if full[0] != "ok":
         assert got == full
@@ -248,40 +247,22 @@ def test_seeded_check_accepts_what_the_full_check_accepts(case):
     assert seeded.canonical_json() == fresh.canonical_json() == reference_canonical_json(fresh)
 
 
-def test_a_child_stores_no_path_text_until_a_check_reuses_it():
-    child = mutation.mutate_definition(encoder_to_dsl("between"), 3)
-    root = compile_definition(child).summary
-    assert root.key_text is None
-    assert child.digest() == reference_digest(child)  # recorded by the check
-    grandchild = mutation.mutate_definition(child, 4)
-    assert grandchild.digest() == reference_digest(grandchild)
-    assert child.canonical_json() == reference_canonical_json(child)
-    assert root.key_text is not None  # stored now
-
-
 def test_each_candidate_costs_its_changed_path(monkeypatch):
-    """A full-budget search. No node object is summarized twice, and a draw
-    summarizes (so checks) only the nodes its mutation made. Its check
-    serializes those, plus any node of its base it reuses whose text was
-    not stored yet (the base's own new path, when the base is first
-    mutated), so no node is serialized more than twice. The pick visits
-    one node per level down to the node it changes."""
+    """A full-budget search. No node object is summarized twice and no
+    node's text is built twice: a draw summarizes (so checks and
+    serializes) only the nodes its mutation made. The pick visits one node
+    per level down to the node it changes."""
     suite = build_margin_suite("between", np.random.default_rng(8), n_cases=12)
     first = suite.cases[0]
     mirrored = replace(first, target=first.distractor, distractor=first.target)
     suite = TestSuite(relation="between", cases=suite.cases + (mirrored,), scenes=suite.scenes)
-    pool = set(map(id, mutation._graft_pool({"i", "j", "k"})))  # compiles every builtin
-    # a builtin node's text is stored once per process, when a body first
-    # reuses the node; store them all, so the counts below are per candidate
-    for defn in builtin_definitions().values():
-        for summary in mutation._preorder(compile_definition(defn).summary):
-            dsl._key_text(summary)
+    pool = {id(s.node) for s in mutation._graft_sources(7)}
     builtin_objects = {id(n) for d in builtin_definitions().values() for _, n in all_nodes(d.body)}
     assert pool <= builtin_objects
 
     events: list[tuple[str, dict]] = []  # holds the objects, so ids stay unique
     real_summary = dsl.NodeSummary
-    real_key_text = dsl._op_key_text
+    real_op_text = dsl._op_text
 
     class CountingSummary(real_summary):
         __slots__ = ()
@@ -290,17 +271,19 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
             events.append(("summarized", node))
             super().__init__(node, *args)
 
-    def counting_key_text(node, children):
+    def counting_op_text(node, args):
         events.append(("serialized", node))
-        return real_key_text(node, children)
+        return real_op_text(node, args)
 
-    attempts: list[tuple[EncoderDefinition, tuple, int]] = []
+    attempts: list[tuple[EncoderDefinition, tuple, int, int]] = []
     real_apply = mutation._apply
 
     def recording_apply(base, change, metadata):
-        child = real_apply(base, change, metadata)
-        attempts.append((base, change, len(events)))
-        return child
+        start = len(events)
+        try:
+            return real_apply(base, change, metadata)
+        finally:
+            attempts.append((base, change, start, len(events)))
 
     descents: list[tuple[int, int, int]] = []
     real_descend = mutation._descend
@@ -311,7 +294,7 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
         return path, trail
 
     monkeypatch.setattr(dsl, "NodeSummary", CountingSummary)
-    monkeypatch.setattr(dsl, "_op_key_text", counting_key_text)
+    monkeypatch.setattr(dsl, "_op_text", counting_op_text)
     monkeypatch.setattr(mutation, "_apply", recording_apply)
     monkeypatch.setattr(mutation, "_descend", recording_descend)
     log: list[dict] = []
@@ -319,30 +302,29 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
                      OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=4), log=log)
     assert len(log) == 15 and len(attempts) >= 15
 
+    # every summary and text was made by a draw's check, none before the search
+    assert sum(end - start for _, _, start, end in attempts) == len(events)
     summarized = [id(n) for kind, n in events if kind == "summarized"]
     assert len(set(summarized)) == len(summarized)
-    serialized = Counter(id(n) for kind, n in events if kind == "serialized")
-    assert max(serialized.values()) <= 2
-    assert events[:attempts[0][2]] == []  # the base was checked before the search
-    ends = [start for _, _, start in attempts[1:]] + [len(events)]
-    for (base, (path, trail, node, reused), start), end in zip(attempts, ends):
+    serialized = [id(n) for kind, n in events if kind == "serialized"]
+    assert len(set(serialized)) == len(serialized)
+    made_ops = [id(n) for kind, n in events if kind == "summarized" and "op" in n]
+    assert sorted(serialized) == sorted(made_ops)
+    for base, (path, *_), start, end in attempts:
         base_objects = {id(n) for _, n in all_nodes(base.body)}
         made = {id(n) for kind, n in events[start:end] if kind == "summarized"}
         # only new objects: the copies of the path's nodes and what replaced the node
         assert not made & (base_objects | builtin_objects)
         assert len(made) <= len(path) + 2  # a wrap adds two nodes: exp(neg(target))
-        written = [id(n) for kind, n in events[start:end] if kind == "serialized"]
-        assert set(written) <= made | base_objects
-        assert len(written) <= len(path) + 2 + compile_definition(base).summary.height
+        assert {id(n) for kind, n in events[start:end] if kind == "serialized"} <= made
     for visited, depth, height in descents:
         assert visited == depth + 1 <= height
 
 
 def test_checks_racing_on_one_table_agree_with_separate_checks():
-    """Threads check bodies that share subtree objects through one table, as
-    the builtins do under a threaded bench: one check may drop the key and
-    text of a summary another is using, which then rebuilds them. Every
-    result equals that of a check on its own."""
+    """Threads check bodies that share subtree objects through one table, so
+    they race on its summaries. Every result equals that of a check on its
+    own."""
     bodies = [mutation.mutate_definition(encoder_to_dsl(relation), seed)
               for relation in ("near", "at_the_corner", "between") for seed in range(4)]
     expected = []
@@ -354,11 +336,11 @@ def test_checks_racing_on_one_table_agree_with_separate_checks():
     try:
         for _ in range(4):
             racing = [EncoderDefinition(relation=d.relation, body=d.body) for d in bodies * 2]
-            share_summaries(racing)
+            table: dict = {}
             got: list = [None] * len(racing)
 
             def check(k):
-                got[k] = (compile_definition(racing[k]).nodes, racing[k].digest())
+                got[k] = (compile_definition(racing[k], table).nodes, racing[k].digest())
 
             threads = [threading.Thread(target=check, args=(k,)) for k in range(len(racing))]
             for thread in threads:
