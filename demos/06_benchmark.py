@@ -3,8 +3,8 @@
 Every query has a geometrically unambiguous answer and several
 same-category distractors, so the random baseline stays far below the
 pipeline. The bench harness also reports condition-level precision/recall
-(each root clause executed in isolation) and can emit CSV matrices for
-feature heatmaps and per-step grounding scores.
+(scored from the grounding pass's per-clause terms) and can emit CSV
+matrices for feature heatmaps and per-step grounding scores.
 """
 
 import json

@@ -13,11 +13,12 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .executor import FeatureCache, condition_level_eval, execute
+from .executor import FeatureCache, MatchingScore, condition_precision_recall, execute
 from .expression import (
     ExpressionError,
     SymbolicExpression,
@@ -25,10 +26,10 @@ from .expression import (
     expression_to_dict,
 )
 from .registry import EncoderRegistry
-from .scene import Scene, load_scene
+from .scene import Scene, exact_match_column, load_scene
 
 __all__ = ["BenchEntry", "BenchRecord", "BenchReport", "DatasetError", "load_dataset",
-           "run_bench", "report_to_dict", "emit_plot_data"]
+           "run_bench", "report_to_dict"]
 
 HEATMAP_RELATIONS = ("near", "far", "left", "right")
 
@@ -112,24 +113,12 @@ def _parse_entry(line: str, scenes: dict[str, Scene], where: str) -> BenchEntry:
 
 def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> float:
     """Expected accuracy of picking uniformly among same-category objects."""
-    from .scene import normalize_label
-
     chances = []
     for entry in entries:
-        scene = scenes[entry.scene_id]
-        key = normalize_label(entry.expression.category)
-        count = sum(1 for obj in scene.objects if normalize_label(obj.label) == key)
+        count = np.count_nonzero(exact_match_column(scenes[entry.scene_id],
+                                                    entry.expression.category))
         chances.append(1.0 / count if count else 0.0)
     return float(np.mean(chances))
-
-
-def _prepare(
-    dataset_dir: str | Path, registry: EncoderRegistry,
-) -> tuple[dict[str, Scene], list[BenchEntry], dict[str, FeatureCache]]:
-    """Load and check a dataset, with one feature cache per scene."""
-    scenes, entries = load_dataset(dataset_dir)
-    caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
-    return scenes, entries, caches
 
 
 def run_bench(
@@ -139,15 +128,17 @@ def run_bench(
     with_baseline: bool = False,
     plots_dir: str | Path | None = None,
 ) -> BenchReport:
-    """Ground every entry, then score single conditions on the same caches.
+    """Ground every entry once; its score's terms also give the
+    condition-level precision/recall and, with ``plots_dir``, the per-step
+    plot files.
 
-    Each (scene, relation) feature is evaluated once per run. With
-    ``plots_dir``, the :func:`emit_plot_data` files are written from those
-    caches too.
+    Each (scene, relation) feature is evaluated once per run, and the
+    heatmap files come from the same feature caches.
     """
-    scenes, entries, caches = _prepare(dataset_dir, registry)
+    scenes, entries = load_dataset(dataset_dir)
+    caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
 
-    def ground_one(entry: BenchEntry) -> BenchRecord:
+    def ground_one(entry: BenchEntry) -> tuple[BenchRecord, MatchingScore]:
         started = time.perf_counter()
         score = execute(entry.expression, scenes[entry.scene_id], caches[entry.scene_id])
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -159,16 +150,17 @@ def run_bench(
             ground_truth=entry.ground_truth,
             correct=argmax == entry.ground_truth,
             wall_ms=wall_ms,
-        )
+        ), score
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(ground_one, entries))
+            grounded = list(pool.map(ground_one, entries))
     else:
-        records = [ground_one(e) for e in entries]
+        grounded = [ground_one(e) for e in entries]
+    records, scores = map(list, zip(*grounded))
 
-    precision, recall = condition_level_eval(
-        [(e.scene_id, e.expression, e.ground_truth) for e in entries], scenes, registry, caches)
+    precision, recall = condition_precision_recall(
+        (e.scene_id, e.expression, e.ground_truth, score) for e, score in zip(entries, scores))
     aggregates = {
         "n_records": len(records),
         "accuracy": sum(r.correct for r in records) / len(records),
@@ -183,7 +175,7 @@ def run_bench(
         "workers": workers,
     }
     if plots_dir is not None:
-        _write_plot_data(scenes, entries, caches, plots_dir)
+        _write_plot_data(scenes, entries, scores, caches, plots_dir)
     return BenchReport(records=records, aggregates=aggregates, config=config)
 
 
@@ -195,19 +187,15 @@ def report_to_dict(report: BenchReport) -> dict:
     }
 
 
-def emit_plot_data(dataset_dir: str | Path, registry: EncoderRegistry,
-                   out_dir: str | Path) -> dict:
+def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
+                     scores: list[MatchingScore], caches: dict[str, FeatureCache],
+                     out_dir: str | Path) -> None:
     """CSV matrices for feature heatmaps and per-step grounding scores.
 
     Heatmaps cover the symmetric/antisymmetric showcase relations per scene;
-    step files hold the score vector after the category row and after each
-    successive clause of every expression.
+    step files hold each entry's score after its category term and after
+    each successive clause (the running products of its terms).
     """
-    return _write_plot_data(*_prepare(dataset_dir, registry), out_dir)
-
-
-def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
-                     caches: dict[str, FeatureCache], out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"heatmaps": [], "steps": []}
@@ -222,24 +210,16 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
                 writer.writerows(feature.data.tolist())
             manifest["heatmaps"].append({"file": name, "scene_id": sid, "relation": relation})
 
-    for idx, entry in enumerate(entries):
-        scene = scenes[entry.scene_id]
-        cache = caches[entry.scene_id]
-        steps = [("category", cache.category_feature(entry.expression.category).data)]
-        for n_clauses in range(1, len(entry.expression.relations) + 1):
-            partial = SymbolicExpression(
-                category=entry.expression.category,
-                relations=entry.expression.relations[:n_clauses],
-            )
-            steps.append((f"clause_{n_clauses}", execute(partial, scene, cache).data))
+    for idx, (entry, score) in enumerate(zip(entries, scores)):
+        labels = ["category", *(f"clause_{n}" for n in range(1, len(score.terms)))]
+        steps = zip(labels, accumulate(score.terms, np.multiply))
         name = f"steps_{idx:03d}.csv"
         with open(out_dir / name, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", *[f"obj_{oid}" for oid in scene.ids]])
+            writer.writerow(["step", *[f"obj_{oid}" for oid in score.object_ids]])
             for label, vector in steps:
                 writer.writerow([label, *vector.tolist()])
         manifest["steps"].append({"file": name, "scene_id": entry.scene_id, "index": idx})
 
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                            encoding="utf-8")
-    return manifest

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,12 +44,20 @@ class CliError(ValueError):
     """Input validation failure at the command level (exit code 2)."""
 
 
+def _read_input(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; an unreadable one is a CliError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(_read_input(path, "config"))
+    except json.JSONDecodeError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must be a JSON object")
@@ -99,12 +108,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
     infile = _resolve_path(args, config, "infile")
     utterance = _resolve(args, config, "utterance")
     if offline:
-        expr = parse_expression(Path(offline).read_text(encoding="utf-8"))
+        expr = parse_expression(_read_input(offline, "expression file"))
         _write_or_print(serialize_expression(expr) + "\n", out)
         return 0
     if infile:
         lines = []
-        for raw in Path(infile).read_text(encoding="utf-8").splitlines():
+        for raw in _read_input(infile, "expression file").splitlines():
             if raw.strip():
                 lines.append(serialize_expression(parse_expression(raw)))
         _write_or_print("\n".join(lines) + "\n", out)
@@ -129,9 +138,11 @@ def cmd_ground(args: argparse.Namespace) -> int:
     out = _resolve_path(args, config, "out")
     if top_k < 1:
         raise CliError(f"--top-k must be at least 1, got {top_k}")
+    if not math.isfinite(threshold):
+        raise CliError(f"--threshold must be a finite number, got {threshold}")
 
     scene = load_scene(scene_path)
-    expr = parse_expression(Path(expr_path).read_text(encoding="utf-8"))
+    expr = parse_expression(_read_input(expr_path, "expression file"))
     registry = load_registry(registry_path) if registry_path else EncoderRegistry()
     score = execute(expr, scene, FeatureCache(scene, registry))
     result = grounding_result(scene, expr, score, top_k=top_k, threshold=threshold)

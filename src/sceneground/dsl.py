@@ -80,6 +80,8 @@ EXP_CLIP = 50.0
 FEATURE_CAP = 1e30
 MAX_TREE_DEPTH = 64
 MAX_TREE_NODES = 512
+# entries per chunk of a dense feature evaluation (eval_encoder)
+CHUNK_ELEMS = 1 << 18
 
 # swappable commutative pairs used by the mutation operator
 COMMUTATIVE_SWAPS = {"add": "mul", "mul": "add", "min": "max", "max": "min"}
@@ -165,7 +167,7 @@ class EncoderDefinition:
         has passed its check, the root summary's text is used instead of
         serializing the whole tree again."""
         compiled = self.__dict__.get("_compiled")
-        if compiled is None or not compiled.summary.text:
+        if compiled is None:
             return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
         relation = json.dumps(self.relation)
         return '{"body": ' + compiled.summary.text + ', "relation": ' + relation + "}"
@@ -260,8 +262,8 @@ class NodeSummary:
     - ``args``: the children's summaries; ``entry`` the node's DAG entry
       (``("op", name)`` for an op, whose entry also lists child positions).
     - ``text``: ``json.dumps(node, sort_keys=True)``, joined from the
-      children's texts, or ``""`` where json.dumps would fail. Equal texts
-      are equal subtrees, so the DAG is hash-consed on it.
+      children's texts. Equal texts are equal subtrees, so the DAG is
+      hash-consed on it.
 
     The summary holds its node, so the identity it is keyed by stays valid.
     """
@@ -294,28 +296,27 @@ class NodeSummary:
 _QUOTED = {name: json.dumps(name) for name in _OPS}
 
 
-def _json_text(node: dict, args_text: str | None) -> str:
+def _json_text(node: dict, args_text: str | None, path: tuple | None) -> str:
     """``json.dumps(node, sort_keys=True)``, with an op's argument list given
-    as ``args_text``; ``""`` where json.dumps would fail. (A node's kind key
-    is a string, so a key that is not one fails the sort, as it does in
+    as ``args_text``; a node json.dumps refuses (a set-valued extra, a key
+    that is not a string) is a fault at ``path``. (A node's kind key is a
+    string, so a key that is not one fails the sort, as it does in
     json.dumps.)"""
     try:
         return "{" + ", ".join(
             json.dumps(k) + ": " + (args_text if k == "args" and args_text is not None
                                     else json.dumps(node[k], sort_keys=True))
             for k in sorted(node)) + "}"
-    except (TypeError, ValueError, RecursionError):
-        return ""
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise _fault(path, f"node is not JSON: {exc}") from None
 
 
-def _op_text(node: dict, args: tuple[NodeSummary, ...]) -> str:
+def _op_text(node: dict, args: tuple[NodeSummary, ...], path: tuple | None) -> str:
     """An op node's text, joined from its children's."""
-    texts = [a.text for a in args]
-    if "" in texts:
-        return ""
+    texts = ", ".join(a.text for a in args)
     if len(node) == 2:
-        return f'{{"args": [{", ".join(texts)}], "op": {_QUOTED[node["op"]]}}}'
-    return _json_text(node, f'[{", ".join(texts)}]')
+        return f'{{"args": [{texts}], "op": {_QUOTED[node["op"]]}}}'
+    return _json_text(node, f"[{texts}]", path)
 
 
 @dataclass(frozen=True)
@@ -348,8 +349,8 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
     first fault in depth-first order raises DefinitionError with its
     ``body.args[..]`` path, as a walk of the whole tree would. The node cap
     (repeats counted) is checked after the walk. The DAG is built on the
-    summaries' texts, one step per distinct DAG node; a node without a text
-    is its own DAG node.
+    summaries' texts, one step per distinct DAG node. A node json.dumps
+    refuses is a fault, checked after the node's other rules.
     """
     rank = relation_arity(defn.relation)
     allowed = OBJS_FOR_ARITY[rank]
@@ -374,7 +375,7 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
                     else isinstance(value, int) and -2**63 <= value < 2**64):
                 raise _fault(path, "const must be a finite number")
             if len(node) > 1:
-                text = _json_text(node, None)
+                text = _json_text(node, None, path)
             else:  # json.dumps writes a number with its type's repr
                 written = (float if isinstance(value, float) else int).__repr__(value)
                 text = f'{{"const": {written}}}'
@@ -392,7 +393,7 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
             elif axis is not None:
                 raise _fault(path, f"accessor {field!r} takes no axis")
             summary = NodeSummary(node, (), ("get", field, obj, axis), 1 << _AXIS_OF_OBJ[obj],
-                                  _json_text(node, None))
+                                  _json_text(node, None, path))
         elif "agg" in node:
             name, axis = node["agg"], node.get("axis")
             if not isinstance(name, str) or name not in _AGG_FIELDS:
@@ -402,7 +403,8 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
                 raise _fault(path, f"aggregate {name!r} takes no axis")
             if axes is not None and axis not in axes:
                 raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
-            summary = NodeSummary(node, (), ("agg", name, axis), 0, _json_text(node, None))
+            summary = NodeSummary(node, (), ("agg", name, axis), 0,
+                                  _json_text(node, None, path))
         elif "op" in node:
             name, args = node["op"], node.get("args")
             if not isinstance(name, str) or name not in OPS:
@@ -411,17 +413,17 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
                 raise _fault(path, f"op {name!r} takes {OPS[name]} args")
             children = tuple([summarize(child, depth + 1, (path, k))
                               for k, child in enumerate(args)])
-            summary = NodeSummary(node, children, ("op", name), 0, _op_text(node, children))
+            summary = NodeSummary(node, children, ("op", name), 0,
+                                  _op_text(node, children, path))
         else:
             raise _fault(path, "node must have one of const/get/agg/op")
-        # a check racing on the table keeps the summary stored first, so a
-        # node without a text stays one DAG node
+        # a check racing on the table keeps the summary stored first
         return known.setdefault(id(node), summary)
 
     root = summarize(defn.body, 1, None)
     if root.size > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
-    ids: dict[str | NodeSummary, int] = {}
+    ids: dict[str, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
     last_reader: list[int] = []
@@ -430,9 +432,9 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
         # appends the subtree's DAG nodes that are not in the DAG yet
         children = []
         for child in summary.args:
-            pos = ids.get(child.text or child)
+            pos = ids.get(child.text)
             children.append(emit(child) if pos is None else pos)
-        pos = ids[summary.text or summary] = len(nodes)
+        pos = ids[summary.text] = len(nodes)
         if children:
             nodes.append((*summary.entry, tuple(children)))
             for child in children:
@@ -535,14 +537,15 @@ class RelationFeature:
             raise ValueError(f"feature rank {self.rank} but data has ndim {self.data.ndim}")
 
 
-def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice | None):
-    """Rules of the dense route: each object varies along its own axis, and
-    an aggregate is the scene's scalar."""
+def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice):
+    """Rules of the dense route over the objects i in ``i_slice``: each
+    object varies along its own axis, and an aggregate is the scene's
+    scalar."""
 
     def get_rule(field: str, obj: str, axis: str | None) -> np.ndarray:
         values = _get_values(field, geom, axis)
         o = _AXIS_OF_OBJ[obj]
-        if o == 0 and i_slice is not None:
+        if o == 0:
             values = values[i_slice]
         shape = [1] * rank
         shape[o] = -1
@@ -551,34 +554,25 @@ def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice | None):
     return get_rule, lambda name, axis: _agg_value(name, geom, axis)
 
 
-def eval_encoder(
-    defn: EncoderDefinition,
-    scene: Scene,
-    geom: PairGeometry,
-    chunk_elems: int = 1 << 18,
-) -> RelationFeature:
+def eval_encoder(defn: EncoderDefinition, scene: Scene, geom: PairGeometry) -> RelationFeature:
     """Evaluate a definition over a scene; pure and deterministic.
 
     The body is checked and compiled to its DAG (:func:`compile_definition`),
-    so each distinct subtree is evaluated once. Rank-3 bodies are evaluated
-    in chunks along the first index so the intermediate working set stays
-    bounded even when N is large.
+    so each distinct subtree is evaluated once. The feature is evaluated in
+    chunks along the first index of about ``CHUNK_ELEMS`` entries each, so
+    the intermediate working set stays bounded even when N is large.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
         raise ValueError("scene and geometry disagree on object count")
     compiled = compile_definition(defn)
     rank = compiled.rank
-    if rank < 3:
-        data = finalize_feature(_evaluate(compiled, *_dense_rules(geom, rank, None)), rank, n)
-    else:
-        out = np.empty((n, n, n), dtype=np.float64)
-        step = max(1, chunk_elems // max(1, n * n))
-        for start in range(0, n, step):
-            sl = slice(start, min(start + step, n))
-            out[sl] = _evaluate(compiled, *_dense_rules(geom, rank, sl))
-        data = _finalize_owned(out, rank)
-    return RelationFeature(relation=defn.relation, rank=rank, data=data)
+    out = np.empty((n,) * rank, dtype=np.float64)
+    step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
+    for start in range(0, n, step):
+        sl = slice(start, min(start + step, n))
+        out[sl] = _evaluate(compiled, *_dense_rules(geom, rank, sl))
+    return RelationFeature(relation=defn.relation, rank=rank, data=_finalize_owned(out, rank))
 
 
 class GatherPlan:

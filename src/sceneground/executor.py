@@ -5,26 +5,24 @@ per relation clause: unary clauses contribute their feature directly, binary
 clauses contract the pair feature against the anchor's scores, ternary
 clauses contract over both anchors. Each factor is softmax-normalized,
 optionally negated as ``max(f) - f``, and multiplied into the running score.
+:func:`execute` keeps the factors as the score's terms, so condition-level
+scores and per-step scores read them instead of executing again.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dsl import EncoderDefinition, RelationFeature, eval_encoder
 from .expression import SymbolicExpression, expression_to_dict, relation_arity
 from .registry import EncoderRegistry
-from .scene import (
-    PairGeometry,
-    Scene,
-    SimilarityTable,
-    exact_match_similarity,
-    precompute_geometry,
-)
+from .scene import PairGeometry, Scene, exact_match_column, precompute_geometry
 
 __all__ = [
     "ExecutionError",
@@ -37,6 +35,7 @@ __all__ = [
     "rank_candidates",
     "grounding_result",
     "condition_level_eval",
+    "condition_precision_recall",
 ]
 
 logger = logging.getLogger(__name__)
@@ -85,17 +84,12 @@ class FeatureCache:
     computed never wait. Entries are only valid for the fingerprinted scene.
     """
 
-    def __init__(
-        self,
-        scene: Scene,
-        registry: EncoderRegistry | dict[str, EncoderDefinition],
-        similarities: SimilarityTable | None = None,
-    ) -> None:
+    def __init__(self, scene: Scene,
+                 registry: EncoderRegistry | dict[str, EncoderDefinition]) -> None:
         self.scene = scene
         self.geometry: PairGeometry = precompute_geometry(scene)
         self.fingerprint = scene.fingerprint()
         self._definitions = registry.snapshot() if isinstance(registry, EncoderRegistry) else dict(registry)
-        self._similarities = similarities if similarities is not None else scene.similarities
         self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
         self._key_locks: dict[tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()  # guards _key_locks only
@@ -125,11 +119,10 @@ class FeatureCache:
         return eval_encoder(defn, self.scene, self.geometry)
 
     def _compute_category(self, category: str) -> CategoryFeature:
-        column = None
-        if self._similarities is not None:
-            column = self._similarities.column(category)
+        table = self.scene.similarities
+        column = None if table is None else table.column(category)
         if column is None:
-            column = exact_match_similarity(self.scene, [category]).values[:, 0]
+            column = exact_match_column(self.scene, category)
         if not np.any(column):
             logger.warning(
                 "category %r matches nothing in scene %s; scores fall back to uniform",
@@ -140,10 +133,16 @@ class FeatureCache:
 
 @dataclass(frozen=True)
 class MatchingScore:
-    """Final per-object scores, aligned with scene object positions."""
+    """Final per-object scores, aligned with scene object positions.
+
+    ``terms`` are the factors of ``data``: the target category's feature,
+    then one factor per root clause in clause order; ``data`` multiplies
+    them left to right.
+    """
 
     data: np.ndarray
     object_ids: tuple[int, ...]
+    terms: tuple[np.ndarray, ...] = ()
 
     def order(self) -> np.ndarray:
         """Positions sorted by descending score; ties keep scene order."""
@@ -153,37 +152,38 @@ class MatchingScore:
         return self.object_ids[int(self.order()[0])]
 
 
-def _run(expr: SymbolicExpression, cache: FeatureCache) -> np.ndarray:
-    score = cache.category_feature(expr.category).data.copy()
+def _run(expr: SymbolicExpression, cache: FeatureCache) -> list[np.ndarray]:
+    """The category feature, then each root clause's factor (read-only)."""
+    terms = [cache.category_feature(expr.category).data]
     for clause in expr.relations:
         feature = cache.relation_feature(clause.relation).data
+        anchors = [reduce(np.multiply, _run(anchor, cache)) for anchor in clause.anchors]
         arity = relation_arity(clause.relation)
         if arity == 1:
-            f = feature.copy()
+            f = feature
         elif arity == 2:
-            anchor = _run(clause.anchors[0], cache)
-            f = feature @ anchor
+            f = feature @ anchors[0]
         else:
-            a1 = _run(clause.anchors[0], cache)
-            a2 = _run(clause.anchors[1], cache)
-            f = np.einsum("ijk,j,k->i", feature, a1, a2)
+            f = np.einsum("ijk,j,k->i", feature, *anchors)
         f = stable_softmax(f)
         if clause.negative:
             f = f.max() - f
-        score = score * f
-    return score
+        f.setflags(write=False)
+        terms.append(f)
+    return terms
 
 
 def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> MatchingScore:
-    """Evaluate an expression to per-object matching scores."""
+    """Evaluate an expression to per-object matching scores and their terms."""
     if cache.fingerprint != scene.fingerprint():
         raise ExecutionError(
             f"feature cache was built for a different scene "
             f"(cache {cache.fingerprint[:12]}, scene {scene.fingerprint()[:12]})"
         )
-    data = _run(expr, cache)
+    terms = tuple(_run(expr, cache))
+    data = reduce(np.multiply, terms)
     data.setflags(write=False)
-    return MatchingScore(data=data, object_ids=tuple(scene.ids))
+    return MatchingScore(data=data, object_ids=tuple(scene.ids), terms=terms)
 
 
 def rank_candidates(score: MatchingScore, top_k: int, threshold: float) -> list[int]:
@@ -229,22 +229,15 @@ def condition_level_eval(
     registry: EncoderRegistry | dict[str, EncoderDefinition],
     caches: dict[str, FeatureCache] | None = None,
 ) -> tuple[float, float]:
-    """Macro-averaged precision/recall of single-condition grounding.
-
-    Each root-level clause of every expression is executed in isolation; its
-    argmax is a prediction for that expression's ground-truth object.
-    Predictions and ground truths are grouped per (scene, target category),
-    and set precision/recall are macro-averaged over groups. An empty
-    condition set scores (1.0, 1.0) by convention.
+    """Execute every entry once and score its conditions with
+    :func:`condition_precision_recall`.
 
     ``caches`` maps scene ids to feature caches already built for those
     scenes, which are reused; scenes without one get a cache over
     ``registry``. The mapping itself is not modified.
     """
     caches = dict(caches or {})
-    predicted: dict[tuple[str, str], set[int]] = {}
-    truth: dict[tuple[str, str], set[int]] = {}
-
+    scored = []
     for scene_id, expr, ground_truth in entries:
         try:
             scene = scenes[scene_id]
@@ -254,12 +247,30 @@ def condition_level_eval(
             raise ExecutionError(f"unknown ground-truth id {ground_truth} in scene {scene_id!r}")
         if scene_id not in caches:
             caches[scene_id] = FeatureCache(scene, registry)
-        cache = caches[scene_id]
+        scored.append((scene_id, expr, ground_truth, execute(expr, scene, caches[scene_id])))
+    return condition_precision_recall(scored)
+
+
+def condition_precision_recall(
+    scored: Iterable[tuple[str, SymbolicExpression, int, MatchingScore]],
+) -> tuple[float, float]:
+    """Macro-averaged precision/recall of single-condition grounding.
+
+    Each entry is (scene id, expression, ground-truth id, its executed
+    score). Root clause c predicts the argmax of ``terms[0] * terms[c]``,
+    the score of that clause alone with the category. Predictions and
+    ground truths are grouped per (scene, target category), and set
+    precision/recall are macro-averaged over groups. An empty condition set
+    scores (1.0, 1.0) by convention.
+    """
+    predicted: dict[tuple[str, str], set[int]] = {}
+    truth: dict[tuple[str, str], set[int]] = {}
+    for scene_id, expr, ground_truth, score in scored:
         group = (scene_id, expr.category.casefold())
-        for clause in expr.relations:
-            single = SymbolicExpression(category=expr.category, relations=(clause,))
-            result = execute(single, scene, cache)
-            predicted.setdefault(group, set()).add(result.argmax_id())
+        category, *factors = score.terms
+        for factor in factors:
+            single = MatchingScore(data=category * factor, object_ids=score.object_ids)
+            predicted.setdefault(group, set()).add(single.argmax_id())
             truth.setdefault(group, set()).add(ground_truth)
 
     if not predicted:

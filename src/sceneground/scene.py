@@ -27,6 +27,7 @@ __all__ = [
     "PairGeometry",
     "load_scene",
     "save_scene",
+    "exact_match_column",
     "exact_match_similarity",
     "precompute_geometry",
     "normalize_label",
@@ -278,7 +279,7 @@ def load_scene(path: str | Path) -> Scene:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -314,19 +315,20 @@ def save_scene(scene: Scene, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(_scene_to_dict(scene), indent=2) + "\n")
 
 
-def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:
-    """Binary 0/1 similarity by normalized label equality.
+def exact_match_column(scene: Scene, category: str) -> np.ndarray:
+    """1.0 where an object's normalized label equals the category's, else 0.0.
 
     Stand-in for an embedding model: no synonym resolution, only case-fold,
     trim, and whitespace-collapse before comparing.
     """
+    key = normalize_label(category)
+    return np.array([normalize_label(obj.label) == key for obj in scene.objects],
+                    dtype=np.float64)
+
+
+def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:
+    """Binary similarity table: one :func:`exact_match_column` per category."""
     if not categories:
         raise SceneError("categories must be non-empty")
-    labels = [normalize_label(obj.label) for obj in scene.objects]
-    values = np.zeros((len(scene), len(categories)), dtype=np.float64)
-    for q, cat in enumerate(categories):
-        key = normalize_label(cat)
-        for i, label in enumerate(labels):
-            if label == key:
-                values[i, q] = 1.0
+    values = np.stack([exact_match_column(scene, cat) for cat in categories], axis=1)
     return SimilarityTable(categories=tuple(categories), values=values)

@@ -12,7 +12,12 @@ N^arity feature per scene and reads two entries per case. ``all_nodes`` is
 the list of every (path, node) that mutation used to build for its pick, and
 ``reference_canonical_json``/``reference_digest`` serialize the whole
 definition with ``json.dumps``, as the digest did before it was joined from
-memoized subtree texts.
+memoized subtree texts. ``prefix_scores`` and ``single_clause_predictions``
+execute every clause prefix, and every root clause alone with the category,
+as their own expressions: the per-step plot rows and condition-level
+predictions before both were read from one execution's terms;
+``reference_condition_level`` is the condition-level evaluation built on
+them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from sceneground.dsl import (
     guarded_exp,
     guarded_sqrt,
 )
-from sceneground.expression import relation_arity
+from sceneground.executor import FeatureCache, execute
+from sceneground.expression import SymbolicExpression, relation_arity
 from sceneground.optimizer import (
     CandidateReport,
     SuiteError,
@@ -402,3 +408,40 @@ def reference_canonical_json(defn: EncoderDefinition) -> str:
 
 def reference_digest(defn: EncoderDefinition) -> str:
     return hashlib.sha256(reference_canonical_json(defn).encode("utf-8")).hexdigest()
+
+
+def prefix_scores(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> list[np.ndarray]:
+    """The category feature, then the score of each clause prefix executed
+    as its own expression."""
+    steps = [cache.category_feature(expr.category).data]
+    for n_clauses in range(1, len(expr.relations) + 1):
+        partial = SymbolicExpression(category=expr.category, relations=expr.relations[:n_clauses])
+        steps.append(execute(partial, scene, cache).data)
+    return steps
+
+
+def single_clause_predictions(expr: SymbolicExpression, scene: Scene,
+                              cache: FeatureCache) -> list[int]:
+    """Argmax id of each root clause executed alone with the category."""
+    return [execute(SymbolicExpression(category=expr.category, relations=(clause,)),
+                    scene, cache).argmax_id()
+            for clause in expr.relations]
+
+
+def reference_condition_level(entries: list[tuple[str, SymbolicExpression, int]],
+                              scenes: dict[str, Scene],
+                              caches: dict[str, FeatureCache]) -> tuple[float, float]:
+    """Macro-averaged precision/recall over (scene, category) groups of the
+    single-clause predictions; (1.0, 1.0) without conditions."""
+    predicted: dict[tuple[str, str], set[int]] = {}
+    truth: dict[tuple[str, str], set[int]] = {}
+    for scene_id, expr, ground_truth in entries:
+        group = (scene_id, expr.category.casefold())
+        for argmax in single_clause_predictions(expr, scenes[scene_id], caches[scene_id]):
+            predicted.setdefault(group, set()).add(argmax)
+            truth.setdefault(group, set()).add(ground_truth)
+    if not predicted:
+        return 1.0, 1.0
+    hits = [(len(preds & truth[g]), len(preds), len(truth[g])) for g, preds in predicted.items()]
+    return (float(np.mean([h / p for h, p, _ in hits])),
+            float(np.mean([h / t for h, _, t in hits])))

@@ -4,11 +4,14 @@ import json
 import numpy as np
 import pytest
 
+import sceneground.bench as bench_module
 import sceneground.executor as executor_module
-from sceneground.bench import HEATMAP_RELATIONS, emit_plot_data, load_dataset, run_bench
+from sceneground.bench import HEATMAP_RELATIONS, load_dataset, run_bench
 from sceneground.executor import FeatureCache, condition_level_eval, execute
 from sceneground.minibench import generate_mini_benchmark
 from sceneground.registry import EncoderRegistry
+
+from oracles import prefix_scores
 
 
 @pytest.fixture(scope="module")
@@ -110,14 +113,44 @@ def test_run_bench_matches_fresh_cache_reference(dataset, registry):
     assert report.config == {"dataset": str(dataset), "workers": 1}
 
 
-def test_run_bench_plots_match_emit_plot_data(dataset, registry, tmp_path):
-    manifest = emit_plot_data(dataset, registry, tmp_path / "alone")
-    run_bench(dataset, registry, plots_dir=tmp_path / "with_bench")
-    for entry in manifest["heatmaps"] + manifest["steps"]:
-        alone = (tmp_path / "alone" / entry["file"]).read_bytes()
-        assert (tmp_path / "with_bench" / entry["file"]).read_bytes() == alone
-    assert (tmp_path / "with_bench" / "manifest.json").read_bytes() == \
-        (tmp_path / "alone" / "manifest.json").read_bytes()
+def test_run_bench_executes_each_entry_once(dataset, registry, monkeypatch, tmp_path):
+    """Grounding, condition-level scores and step files share one execution
+    per entry: 40 on the mini benchmark, with or without plot files."""
+    _, entries = load_dataset(dataset)
+    executed = []
+    real = executor_module.execute
+
+    def counting_execute(expr, scene, cache):
+        executed.append(expr)
+        return real(expr, scene, cache)
+
+    monkeypatch.setattr(executor_module, "execute", counting_execute)
+    monkeypatch.setattr(bench_module, "execute", counting_execute)
+    expected = [e.expression for e in entries]
+    assert len(expected) == 40
+    run_bench(dataset, registry)
+    assert sorted(map(repr, executed)) == sorted(map(repr, expected))
+    executed.clear()
+    run_bench(dataset, registry, workers=4, plots_dir=tmp_path / "plots")
+    assert sorted(map(repr, executed)) == sorted(map(repr, expected))
+
+
+def test_step_files_hold_the_clause_prefix_scores(dataset, registry, tmp_path):
+    scenes, entries = load_dataset(dataset)
+    out = tmp_path / "plots"
+    run_bench(dataset, registry, plots_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [s["index"] for s in manifest["steps"]] == list(range(len(entries)))
+    for step, entry in zip(manifest["steps"], entries):
+        scene = scenes[entry.scene_id]
+        with open(out / step["file"]) as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["step", *[f"obj_{oid}" for oid in scene.ids]]
+        n_clauses = len(entry.expression.relations)
+        assert [row[0] for row in rows] == \
+            ["category", *[f"clause_{n}" for n in range(1, n_clauses + 1)]]
+        expected = prefix_scores(entry.expression, scene, FeatureCache(scene, registry))
+        assert [[float(v) for v in row[1:]] for row in rows] == [e.tolist() for e in expected]
 
 
 def test_worker_scheduling_keeps_input_order(dataset, registry):
@@ -139,7 +172,8 @@ def test_generator_is_deterministic(tmp_path):
 
 def test_heatmap_csvs_reflect_relation_structure(dataset, registry, tmp_path):
     out = tmp_path / "plots"
-    manifest = emit_plot_data(dataset, registry, out)
+    run_bench(dataset, registry, plots_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
     by_key = {(h["scene_id"], h["relation"]): h["file"] for h in manifest["heatmaps"]}
 
     def load_matrix(scene_id, relation):

@@ -10,6 +10,7 @@ walked once.
 """
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -196,27 +197,40 @@ def test_pass_matches_reference_validator_and_tree_walk(case):
     assert gathered.tobytes() == reference[index].tobytes()
 
 
-def test_nodes_without_text_and_mixed_number_types_evaluate_as_the_tree_walk():
-    """A node json.dumps refuses (an extra that is a set) has no text, so only
-    repeats of that one object share its DAG node; ``1`` and ``1.0`` have
-    different JSON, so they are two DAG constants of one value. Both
+@pytest.mark.parametrize("extra, where", [
+    ({"note": {1, 2}}, "body.args[0].args[0]"),  # a set-valued extra
+    ({5: 1}, "body.args[0].args[0]"),  # a key that is not a string
+], ids=["set_extra", "non_string_key"])
+def test_nodes_json_refuses_are_definition_errors(extra, where):
+    """A node json.dumps refuses has no text, so the check rejects it at its
+    path, after the node's own rules: an unknown accessor still wins."""
+    odd = {"get": "center", "obj": "j", "axis": "x", **extra}
+    body = op("add", op("mul", odd, const(1.0)), get("center", "i", "x"))
+    with pytest.raises(DefinitionError, match=rf"^{re.escape(where)}: node is not JSON"):
+        compile_definition(EncoderDefinition(relation="near", body=body))
+    bad = op("add", op("mul", {**odd, "get": "colour"}, const(1.0)), get("center", "i", "x"))
+    with pytest.raises(DefinitionError, match=rf"^{re.escape(where)}: unknown accessor"):
+        compile_definition(EncoderDefinition(relation="near", body=bad))
+
+
+def test_mixed_number_types_evaluate_as_the_tree_walk():
+    """``1`` and ``1.0`` have different JSON, so they are two DAG constants
+    of one value, while two equal accessor objects are one DAG node; all
     evaluate, dense and gathered, to the tree walk's values bit for bit."""
-    odd = {"get": "center", "obj": "j", "axis": "x", "note": {1, 2}}
-    twin = {"get": "center", "obj": "j", "axis": "x", "note": {1, 2}}
-    body = op("add", op("mul", odd, const(1.0)), op("sub", op("mul", odd, {"const": 1}), twin))
+    first, twin = get("center", "j", "x"), get("center", "j", "x")
+    body = op("add", op("mul", first, const(1.0)), op("sub", op("mul", first, {"const": 1}), twin))
     for relation in ("near", "between"):
         defn = EncoderDefinition(relation=relation, body=body)
         compiled = compile_definition(defn)
         assert [n for n in compiled.nodes if n[0] == "const"] == [("const", 1.0)] * 2
-        assert sum(n[0] == "get" for n in compiled.nodes) == 2
+        assert sum(n[0] == "get" for n in compiled.nodes) == 1
         reference = tree_walk_eval(defn, SCENE, GEOM).data
         assert eval_encoder(defn, SCENE, GEOM).data.tobytes() == reference.tobytes()
         index = tuple(np.array(t) for t in zip(*itertools.product(range(len(SCENE)),
                                                                    repeat=compiled.rank)))
         gathered = eval_encoder_at(compiled, GEOM, index)
         assert gathered.tobytes() == reference[index].tobytes()
-        with pytest.raises(TypeError):  # as json.dumps of the body raises
-            defn.digest()
+        assert defn.digest() == oracles.reference_digest(defn)
 
 
 def test_each_candidate_is_walked_once(monkeypatch):

@@ -348,6 +348,44 @@ def _ground_scene_with(**changes):
     return build
 
 
+def _ground_threshold(threshold):
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr), "--threshold", threshold], "--threshold"
+
+    return build
+
+
+def _unreadable(option, kind):
+    """An input file given to ``option`` that is missing, a directory or not
+    UTF-8; the other inputs are valid."""
+
+    def build(dataset, tmp_path):
+        bad = tmp_path / "input.json"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not_utf8":
+            bad.write_bytes(b'{"category": "\xff"}')
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        scene = str(dataset / "scenes" / "mini_prox.json")
+        argv = {
+            "ground --expr": ["ground", "--scene", scene, "--expr", str(bad)],
+            "ground --scene": ["ground", "--scene", str(bad), "--expr", str(expr)],
+            "parse --offline-expr": ["parse", "--offline-expr", str(bad)],
+            "parse --in": ["parse", "--in", str(bad)],
+        }[option]
+        return argv, "input.json"
+
+    return build
+
+
+UNREADABLE = [(option, kind) for option in ("ground --expr", "parse --offline-expr", "parse --in")
+              for kind in ("missing", "directory", "not_utf8")]
+
+
 def _bench_workers(workers):
     def build(dataset, tmp_path):
         return ["bench", "--dataset", str(dataset), "--workers", workers], "--workers"
@@ -396,6 +434,10 @@ def _optimize_n_iter(n_iter):
     _ground_scene_with(similarities={"categories": ["chair"], "values": [["q"]]}),
     _ground_scene_with(similarities={"categories": ["chair"], "values": [["0.5"]]}),
     _ground_scene_with(similarities={"categories": ["chair"], "values": [[0.5], [0.5, 1]]}),
+    _ground_threshold("nan"),
+    _ground_threshold("inf"),
+    *[_unreadable(option, kind) for option, kind in UNREADABLE],
+    _unreadable("ground --scene", "not_utf8"),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -404,7 +446,10 @@ def _optimize_n_iter(n_iter):
         "ground_truth_not_in_scene", "malformed_expression", "config_scene_number",
         "config_out_list", "config_registry_object", "config_bench_dataset_number",
         "bench_workers_0", "config_bench_workers_negative", "config_bench_baseline_string",
-        "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged"])
+        "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged",
+        "threshold_nan", "threshold_inf",
+        *[f"{option.replace(' --', '_').replace('-', '_')}_{kind}" for option, kind in UNREADABLE],
+        "ground_scene_not_utf8"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

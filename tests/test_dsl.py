@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sceneground.dsl as dsl
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import (
     DefinitionError,
@@ -139,10 +140,12 @@ def test_rank_shapes_and_broadcast(scene, geom):
     assert ternary.data.shape == (n, n, n)
 
 
-def test_ternary_chunking_matches_full_eval(scene, geom):
+def test_ternary_chunking_matches_full_eval(scene, geom, monkeypatch):
     defn = encoder_to_dsl("between")
-    full = eval_encoder(defn, scene, geom, chunk_elems=1 << 30)
-    chunked = eval_encoder(defn, scene, geom, chunk_elems=len(scene) * len(scene))
+    monkeypatch.setattr(dsl, "CHUNK_ELEMS", 1 << 30)
+    full = eval_encoder(defn, scene, geom)
+    monkeypatch.setattr(dsl, "CHUNK_ELEMS", len(scene) * len(scene))  # one i-row per chunk
+    chunked = eval_encoder(defn, scene, geom)
     assert np.array_equal(full.data, chunked.data)
 
 

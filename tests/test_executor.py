@@ -27,6 +27,7 @@ from sceneground.registry import EncoderRegistry
 from sceneground.scene import scene_from_dict
 
 from helpers import brute_force_scores, random_expression, random_scene
+from oracles import prefix_scores, reference_condition_level, single_clause_predictions
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +337,54 @@ def test_condition_level_eval_shared_caches_match_fresh(registry):
     partial = {"s0": shared["s0"]}
     assert condition_level_eval(entries, scenes, registry, partial) == fresh
     assert list(partial) == ["s0"]
+
+
+def _clauses_of(expr):
+    stack, clauses = [expr], []
+    while stack:
+        node = stack.pop()
+        clauses.extend(node.relations)
+        stack.extend(a for c in node.relations for a in c.anchors)
+    return clauses
+
+
+def test_terms_fold_matches_prefix_and_single_clause_executions(registry):
+    """One execution's terms give the clause-prefix scores bit for bit and
+    each root clause's single-condition argmax, as separate executions of
+    the prefixes and clauses do; so does the condition-level evaluation."""
+    rng = np.random.default_rng(23)
+    scenes, caches, entries = {}, {}, []
+    for k in range(6):
+        scene = random_scene(rng, int(rng.integers(4, 10)), f"s{k}")
+        scenes[scene.scene_id] = scene
+        caches[scene.scene_id] = FeatureCache(scene, registry)
+        for _ in range(8):
+            # two to six root clauses: the roots of three random expressions
+            parts = [random_expression(rng, scene, depth=3) for _ in range(3)]
+            expr = SymbolicExpression(category=parts[0].category,
+                                      relations=sum((p.relations for p in parts), ()))
+            entries.append((scene.scene_id, expr, int(rng.choice(scene.ids))))
+    exprs = [expr for _, expr, _ in entries]
+    assert min(len(e.relations) for e in exprs) >= 2
+    assert any(c.negative for e in exprs for c in e.relations)
+    assert any(a.relations for e in exprs for c in e.relations for a in c.anchors)
+    assert {len(c.anchors) for e in exprs for c in _clauses_of(e)} == {0, 1, 2}
+
+    for scene_id, expr, _ in entries:
+        scene, cache = scenes[scene_id], caches[scene_id]
+        score = execute(expr, scene, cache)
+        assert len(score.terms) == len(expr.relations) + 1
+        running = [score.terms[0]]
+        for factor in score.terms[1:]:
+            running.append(running[-1] * factor)
+        expected = prefix_scores(expr, scene, cache)
+        assert [r.tobytes() for r in running] == [e.tobytes() for e in expected]
+        assert score.data.tobytes() == expected[-1].tobytes()
+        predicted = [MatchingScore(data=score.terms[0] * f, object_ids=score.object_ids)
+                     .argmax_id() for f in score.terms[1:]]
+        assert predicted == single_clause_predictions(expr, scene, cache)
+    assert condition_level_eval(entries, scenes, registry, caches) == \
+        reference_condition_level(entries, scenes, caches)
 
 
 def test_condition_level_eval_rejects_a_foreign_cache(registry):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sceneground.dsl as dsl
 import sceneground.optimizer as optimizer_module
 from sceneground.builtins import builtin_definitions, encoder_to_dsl
 from sceneground.dsl import (
@@ -96,16 +97,16 @@ def test_dense_dag_matches_tree_walk_on_every_builtin(n):
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
-def test_dense_dag_matches_tree_walk_on_mutation_chains(arity):
+def test_dense_dag_matches_tree_walk_on_mutation_chains(arity, monkeypatch):
     rng = np.random.default_rng(10 + arity)
     scene = random_scene(rng, 7, "chain")
     geom = precompute_geometry(scene)
     for defn in _definitions_of_arity(arity, rng):
         expected = tree_walk_eval(defn, scene, geom).data
         assert np.array_equal(eval_encoder(defn, scene, geom).data, expected)
-        if arity == 3:  # one i-row per chunk
-            chunked = eval_encoder(defn, scene, geom, chunk_elems=len(scene) ** 2)
-            assert np.array_equal(chunked.data, expected)
+        with monkeypatch.context() as patch:  # one i-row per chunk
+            patch.setattr(dsl, "CHUNK_ELEMS", len(scene) ** (arity - 1))
+            assert np.array_equal(eval_encoder(defn, scene, geom).data, expected)
 
 
 def test_repeated_subtrees_compile_to_one_node():

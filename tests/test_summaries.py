@@ -271,9 +271,9 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
             events.append(("summarized", node))
             super().__init__(node, *args)
 
-    def counting_op_text(node, args):
+    def counting_op_text(node, *args):
         events.append(("serialized", node))
-        return real_op_text(node, args)
+        return real_op_text(node, *args)
 
     attempts: list[tuple[EncoderDefinition, tuple, int, int]] = []
     real_apply = mutation._apply
