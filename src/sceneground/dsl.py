@@ -13,17 +13,23 @@ text, joined from its children's), reused wherever the object occurs again:
 in the same body, or in a body checked with the same table of summaries,
 such as a mutated child given the summaries of its base's path. A child that
 shares all but one path with its parent costs that path to check and to
-serialize. The DAG is hash-consed on the texts: subtrees with equal JSON
-share one node. Check and DAG are memoized on the definition, so
-:func:`validate_definition` is the same pass. Evaluation runs each distinct
-DAG node once.
+serialize. The check is memoized on the definition, so
+:func:`validate_definition` is the same pass.
 
-One evaluator serves two routes, which differ only in their rules for
-accessors and aggregates: the dense route broadcasts each accessor along its
-own axis and keeps aggregates scalar (:func:`eval_encoder`); the gathered
-route reads both at the points of a :class:`GatherPlan`, which may span
-several scenes (:func:`eval_gathered`; :func:`eval_encoder_at` is its
-one-scene case), and yields the dense entries bit for bit.
+Equal texts are equal subtrees, and each route evaluates a text once. Two
+routes apply a node by one rule (:func:`_node_value`) and differ only in how
+they read accessors and aggregates and in the order they visit nodes:
+
+- The dense route (:func:`eval_encoder`) broadcasts each accessor along its
+  own axis and keeps aggregates scalar. It runs the body's DAG, hash-consed
+  on the texts and built from the summaries the first time a dense
+  evaluation asks for it, and frees each intermediate after its last reader.
+- The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
+  one-scene case) reads both at the points of a :class:`GatherPlan`, which
+  may span several scenes, and yields the dense entries bit for bit. It
+  walks the summaries from the root with a memo of values by text, which a
+  caller may keep across bodies on one plan: a mutated child scored with
+  its search's memo evaluates only its new path and builds no DAG.
 Bodies are treated as immutable: nothing here or in the mutation operator
 writes to a node, so trees may share subtrees.
 
@@ -40,6 +46,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +269,8 @@ class NodeSummary:
     - ``args``: the children's summaries; ``entry`` the node's DAG entry
       (``("op", name)`` for an op, whose entry also lists child positions).
     - ``text``: ``json.dumps(node, sort_keys=True)``, joined from the
-      children's texts. Equal texts are equal subtrees, so the DAG is
-      hash-consed on it.
+      children's texts. Equal texts are equal subtrees, so the DAG and the
+      gathered route's memo are keyed by it.
 
     The summary holds its node, so the identity it is keyed by stays valid.
     """
@@ -319,27 +326,72 @@ def _op_text(node: dict, args: tuple[NodeSummary, ...], path: tuple | None) -> s
     return _json_text(node, f"[{texts}]", path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledEncoder:
-    """A definition body as a hash-consed DAG.
+    """A checked definition body: its relation, rank and root summary.
 
-    ``nodes`` lists each distinct subtree once, children before parents, so
-    the root is last: ``("const", value)``, ``("get", field, obj, axis)``,
-    ``("agg", name, axis)`` or ``("op", name, child_positions)``.
-    ``frees[p]`` names the positions whose last reader is node ``p``, so an
-    evaluation holds no more intermediates than it still needs. ``summary``
-    is the root's :class:`NodeSummary`.
+    ``summary`` is the root's :class:`NodeSummary`; the gathered route walks
+    the summaries (:func:`eval_gathered`). ``nodes`` and ``frees`` are the
+    body's hash-consed DAG, which only the dense route (:func:`eval_encoder`)
+    runs, so it is built from the summaries the first time it is read
+    (builds that race produce equal DAGs). ``nodes`` lists each distinct
+    subtree once, children before parents, so the root is last:
+    ``("const", value)``, ``("get", field, obj, axis)``, ``("agg", name,
+    axis)`` or ``("op", name, child_positions)``. ``frees[p]`` names the
+    positions whose last reader is node ``p``, so an evaluation holds no more
+    intermediates than it still needs.
     """
 
     relation: str
     rank: int
-    nodes: tuple[tuple, ...]
-    frees: tuple[tuple[int, ...], ...]
-    summary: NodeSummary = field(repr=False, compare=False)
+    summary: NodeSummary = field(repr=False)
+
+    @cached_property
+    def _dag(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+        return _build_dag(self.summary)
+
+    @property
+    def nodes(self) -> tuple[tuple, ...]:
+        return self._dag[0]
+
+    @property
+    def frees(self) -> tuple[tuple[int, ...], ...]:
+        return self._dag[1]
+
+
+def _build_dag(root: NodeSummary) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+    """``nodes`` and ``frees`` of a body (see :class:`CompiledEncoder`), one
+    step per distinct DAG node, keyed by the summaries' texts."""
+    ids: dict[str, int] = {}
+    nodes: list[tuple] = []
+    # last_reader[p]: the last DAG node that reads node p (p itself until one does)
+    last_reader: list[int] = []
+
+    def emit(summary: NodeSummary) -> int:
+        # appends the subtree's DAG nodes that are not in the DAG yet
+        children = []
+        for child in summary.args:
+            pos = ids.get(child.text)
+            children.append(emit(child) if pos is None else pos)
+        pos = ids[summary.text] = len(nodes)
+        if children:
+            nodes.append((*summary.entry, tuple(children)))
+            for child in children:
+                last_reader[child] = pos
+        else:
+            nodes.append(summary.entry)
+        last_reader.append(pos)
+        return pos
+
+    emit(root)
+    frees: list[list[int]] = [[] for _ in nodes]
+    for child, pos in enumerate(last_reader[:-1]):
+        frees[pos].append(child)
+    return tuple(nodes), tuple(map(tuple, frees))
 
 
 def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -> CompiledEncoder:
-    """The one check of a body: summarize each node, then build the DAG.
+    """The one check of a body: summarize each node, then check the node cap.
 
     A node object with no summary in ``known`` yet gets the node checks, is
     summarized and added; a known one (repeated in this body, or shared
@@ -348,9 +400,9 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
     allowed for the relation. One that does not fit is walked again, so the
     first fault in depth-first order raises DefinitionError with its
     ``body.args[..]`` path, as a walk of the whole tree would. The node cap
-    (repeats counted) is checked after the walk. The DAG is built on the
-    summaries' texts, one step per distinct DAG node. A node json.dumps
-    refuses is a fault, checked after the node's other rules.
+    (repeats counted) is checked after the walk. A node json.dumps refuses
+    is a fault, checked after the node's other rules. No DAG is built here
+    (see :class:`CompiledEncoder`).
     """
     rank = relation_arity(defn.relation)
     allowed = OBJS_FOR_ARITY[rank]
@@ -423,38 +475,12 @@ def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -
     root = summarize(defn.body, 1, None)
     if root.size > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
-    ids: dict[str, int] = {}
-    nodes: list[tuple] = []
-    # last_reader[p]: the last DAG node that reads node p (p itself until one does)
-    last_reader: list[int] = []
-
-    def emit(summary: NodeSummary) -> int:
-        # appends the subtree's DAG nodes that are not in the DAG yet
-        children = []
-        for child in summary.args:
-            pos = ids.get(child.text)
-            children.append(emit(child) if pos is None else pos)
-        pos = ids[summary.text] = len(nodes)
-        if children:
-            nodes.append((*summary.entry, tuple(children)))
-            for child in children:
-                last_reader[child] = pos
-        else:
-            nodes.append(summary.entry)
-        last_reader.append(pos)
-        return pos
-
-    emit(root)
-    frees: list[list[int]] = [[] for _ in nodes]
-    for child, pos in enumerate(last_reader[:-1]):
-        frees[pos].append(child)
-    return CompiledEncoder(relation=defn.relation, rank=rank, nodes=tuple(nodes),
-                           frees=tuple(map(tuple, frees)), summary=root)
+    return CompiledEncoder(relation=defn.relation, rank=rank, summary=root)
 
 
 def compile_definition(defn: EncoderDefinition,
                        known: dict[int, NodeSummary] | None = None) -> CompiledEncoder:
-    """Check a body and compile it to its DAG, or raise DefinitionError.
+    """Check a body, or raise DefinitionError; its DAG is built on first use.
 
     ``known`` maps the id of a node object to its summary: the check reuses
     it for the subtree objects the body shares with bodies checked before
@@ -475,31 +501,41 @@ def validate_definition(defn: EncoderDefinition) -> None:
     compile_definition(defn)
 
 
+def _node_value(entry: tuple, args: list, get_rule, agg_rule):
+    """The one node rule of both routes: the value of a node with entry
+    ``entry`` (a summary's entry, or a DAG node) whose children have the
+    values ``args``. ``get_rule(field, obj, axis)`` places an accessor's
+    values (broadcast along the object's axis, or gathered at points);
+    ``agg_rule(name, axis)`` gives an aggregate's value (a scalar, or one
+    entry per point)."""
+    kind = entry[0]
+    if kind == "op":
+        return _OPS[entry[1]][1](*args)
+    if kind == "get":
+        return get_rule(entry[1], entry[2], entry[3])
+    if kind == "agg":
+        return agg_rule(entry[1], entry[2])
+    return entry[1]
+
+
 def _evaluate(compiled: CompiledEncoder, get_rule, agg_rule):
-    """Evaluate every distinct node once. ``get_rule(field, obj, axis)``
-    places an accessor's values (broadcast along the object's axis, or
-    gathered at points); ``agg_rule(name, axis)`` gives an aggregate's value
-    (a scalar, or one entry per point)."""
+    """Run the DAG: every distinct node once, each intermediate dropped after
+    its last reader."""
     values: list = []
     for node, frees in zip(compiled.nodes, compiled.frees):
-        kind = node[0]
-        if kind == "op":
-            values.append(_OPS[node[1]][1](*[values[c] for c in node[2]]))
-        elif kind == "get":
-            values.append(get_rule(node[1], node[2], node[3]))
-        elif kind == "agg":
-            values.append(agg_rule(node[1], node[2]))
-        else:
-            values.append(node[1])
+        args = [values[c] for c in node[2]] if node[0] == "op" else ()
+        values.append(_node_value(node, args, get_rule, agg_rule))
         for dead in frees:
             values[dead] = None
     return values[-1]
 
 
 def _sanitize(data: np.ndarray) -> np.ndarray:
-    """In place: nan -> 0, +inf -> FEATURE_CAP, -inf and negatives -> 0."""
-    np.nan_to_num(data, copy=False, nan=0.0, posinf=FEATURE_CAP, neginf=0.0)
-    np.maximum(data, 0.0, out=data)
+    """In place: nan -> 0, +inf -> FEATURE_CAP, -inf and negatives -> 0,
+    -0.0 -> 0.0 (the bytes of ``nan_to_num`` then ``maximum(data, 0.0)``)."""
+    np.fmax(data, 0.0, out=data)
+    data[data == np.inf] = FEATURE_CAP
+    data += 0.0  # fmax may keep -0.0
     return data
 
 
@@ -557,8 +593,8 @@ def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice):
 def eval_encoder(defn: EncoderDefinition, scene: Scene, geom: PairGeometry) -> RelationFeature:
     """Evaluate a definition over a scene; pure and deterministic.
 
-    The body is checked and compiled to its DAG (:func:`compile_definition`),
-    so each distinct subtree is evaluated once. The feature is evaluated in
+    The body is checked (:func:`compile_definition`) and its DAG run, so
+    each distinct subtree is evaluated once. The feature is evaluated in
     chunks along the first index of about ``CHUNK_ELEMS`` entries each, so
     the intermediate working set stays bounded even when N is large.
     """
@@ -639,17 +675,35 @@ class GatherPlan:
         return values
 
 
-def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan) -> np.ndarray:
+def _walk(summary: NodeSummary, memo: dict, plan: GatherPlan):
+    """A subtree's value on ``plan``, from ``memo`` or computed and added."""
+    value = memo.get(summary.text)
+    if value is None:
+        args = [_walk(child, memo, plan) for child in summary.args]
+        value = memo[summary.text] = _node_value(summary.entry, args, plan.get, plan.agg)
+    return value
+
+
+def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None = None
+                  ) -> np.ndarray:
     """Feature entries at every point of a plan, in one evaluation.
 
     Entry m equals the dense feature of point m's scene at point m's
     indices, bit for bit: ops act elementwise, and an op rounds an entry of
     an aggregate's per-point array as it rounds the dense route's scalar.
     finalize_feature's rules apply at each point (repeated indices give 0).
+
+    The walk starts at the root summary. ``memo`` maps a node's text to its
+    value on ``plan``; equal texts are equal subtrees, so their values are
+    equal bit for bit. A node whose text the memo holds is not evaluated
+    again, and each node evaluated is added, so a memo kept across bodies
+    on one plan makes a body that shares all but one path with one seen
+    before cost that path. A memo must hold values of ``plan`` only; with
+    none, the call uses a fresh one. Memo values are never written to.
     """
     if len(plan.index) != compiled.rank:
         raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
-    raw = _evaluate(compiled, plan.get, plan.agg)
+    raw = _walk(compiled.summary, {} if memo is None else memo, plan)
     data = _sanitize(np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64),
                                               plan.segment.shape)))
     data[plan.repeated] = 0.0

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .scene import normalize_label
+
 __all__ = [
     "ExpressionError",
     "UNARY_RELATIONS",
@@ -86,8 +88,8 @@ class SymbolicExpression:
     relations: tuple[RelationClause, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.category:
-            raise ExpressionError("category must be a non-empty string")
+        if not normalize_label(self.category):
+            raise ExpressionError("category must not be empty or only whitespace")
 
     def depth(self) -> int:
         best = 1
@@ -133,7 +135,7 @@ def _expr_from_dict(raw: object, depth: int, path: str) -> SymbolicExpression:
     if not isinstance(raw, dict):
         raise ExpressionError(f"{path}: expected an object")
     category = raw.get("category")
-    if not isinstance(category, str) or not category:
+    if not isinstance(category, str) or not normalize_label(category):
         raise ExpressionError(f"{path}: missing category")
     relations_raw = raw.get("relations", [])
     if not isinstance(relations_raw, list):

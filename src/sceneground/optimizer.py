@@ -4,7 +4,9 @@ A relation encoder is scored against a suite of ordering triplets: the
 feature value for the (target, anchor) pair must strictly exceed the value
 for the (distractor, anchor) pair. A suite gathers the index tuples its
 cases read, across all its scenes, into one plan, so scoring a candidate is
-one DAG evaluation over the whole suite, never the dense N^arity tensor.
+one evaluation over the whole suite, never the dense N^arity tensor. A
+search keeps one :class:`SearchMemo` of the subtree values it has computed
+on its suite's plan, so a mutated child evaluates only its new path.
 Failures are rendered once per suite into deterministic error messages that
 a candidate source can condition on. The search keeps the top candidates of
 each round, asks the source for refinements of each, and stops early once a
@@ -40,6 +42,7 @@ __all__ = [
     "TestCase",
     "TestSuite",
     "CandidateReport",
+    "SearchMemo",
     "OptimizerConfig",
     "ExampleGraph",
     "default_example_graph",
@@ -197,27 +200,43 @@ def synthesize_error_message(case: TestCase, scene: Scene, relation: str) -> str
     )
 
 
+@dataclass
+class SearchMemo:
+    """What a search has computed on one suite: per-case ``outcomes`` by
+    definition digest, and ``values`` of subtrees on the suite's plan by
+    node text (the memo of :func:`eval_gathered`). It is bound to the plan
+    it was made for and lives as long as the search that made it."""
+
+    plan: GatherPlan
+    outcomes: dict[str, tuple[bool, ...]] = field(default_factory=dict)
+    values: dict[str, object] = field(default_factory=dict)
+
+
 def run_test_suite(
     defn: EncoderDefinition,
     suite: TestSuite,
-    outcome_memo: dict[str, tuple[bool, ...]] | None = None,
+    memo: SearchMemo | None = None,
 ) -> CandidateReport:
     """Score a candidate; ties count as failures (strict ordering required).
 
-    One evaluation covers the whole suite: the body's DAG runs once over
-    every case's (target, anchors) and (distractor, anchors) points of all
-    scenes (:func:`eval_gathered` on the suite's plan), which gives the
-    dense features' entries exactly. ``outcome_memo`` maps a definition
-    digest to its per-case outcomes, so a repeated candidate is not
-    evaluated again. The body is checked and compiled by the definition's
-    memoized pass, so a candidate that mutation already checked is not
-    walked again. Failure messages are rendered once, when the suite is
-    built.
+    One evaluation covers the whole suite: the body runs once over every
+    case's (target, anchors) and (distractor, anchors) points of all scenes
+    (:func:`eval_gathered` on the suite's plan), which gives the dense
+    features' entries exactly. ``memo`` (a fresh one when none is given)
+    must be one made for this suite's plan: a repeated candidate takes its
+    outcomes from it, and any other evaluates only the subtrees whose
+    values it lacks. The body is checked by the definition's memoized pass,
+    so a candidate that mutation already checked is not walked again.
+    Failure messages are rendered once, when the suite is built.
     """
     if defn.relation != suite.relation:
         raise SuiteError(
             f"definition is for {defn.relation!r}, suite is for {suite.relation!r}"
         )
+    if memo is None:
+        memo = SearchMemo(suite._plan)
+    elif memo.plan is not suite._plan:
+        raise ValueError("memo was made for another suite")
     try:
         compiled = compile_definition(defn)
     except DefinitionError as exc:
@@ -225,13 +244,11 @@ def run_test_suite(
                                note=f"validation failed: {exc}")
 
     digest = defn.digest()
-    outcomes = outcome_memo.get(digest) if outcome_memo is not None else None
+    outcomes = memo.outcomes.get(digest)
     if outcomes is None:
-        values = eval_gathered(compiled, suite._plan)
+        values = eval_gathered(compiled, suite._plan, memo.values)
         n_cases = len(suite.cases)
-        outcomes = tuple((values[:n_cases] > values[n_cases:]).tolist())
-        if outcome_memo is not None:
-            outcome_memo[digest] = outcomes
+        outcomes = memo.outcomes[digest] = tuple((values[:n_cases] > values[n_cases:]).tolist())
     failures = tuple(
         (case, message)
         for case, message, ok in zip(suite.cases, suite._messages, outcomes) if not ok
@@ -418,12 +435,13 @@ def optimize_encoder(
 
     The winning definition is accepted into the registry. Candidate budget is
     n_sample draws in the first iteration plus top_k * n_sample draws in each
-    of the remaining n_iter - 1 iterations.
+    of the remaining n_iter - 1 iterations. Candidates are scored with one
+    :class:`SearchMemo`, dropped when the search returns.
     """
     if suite.relation != relation:
         raise SuiteError(f"suite is for {suite.relation!r}, not {relation!r}")
     example = retrieve_example(relation, graph, registry) if graph is not None else None
-    memo: dict[str, tuple[bool, ...]] = {}
+    memo = SearchMemo(suite._plan)
     history: list[float] = []
     best: CandidateReport | None = None
     evaluated = 0

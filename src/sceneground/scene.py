@@ -76,8 +76,8 @@ class SceneObject:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise SceneError(f"object id must be non-negative, got {self.id}")
-        if not self.label:
-            raise SceneError(f"object {self.id}: label must be non-empty")
+        if not normalize_label(self.label):
+            raise SceneError(f"object {self.id}: label must not be empty or only whitespace")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ execute every clause prefix, and every root clause alone with the category,
 as their own expressions: the per-step plot rows and condition-level
 predictions before both were read from one execution's terms;
 ``reference_condition_level`` is the condition-level evaluation built on
-them.
+them. ``reference_sanitize`` is the ``nan_to_num`` form of the feature
+sanitizer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import numpy as np
 
 from sceneground.dsl import (
+    FEATURE_CAP,
     MAX_TREE_DEPTH,
     MAX_TREE_NODES,
     OBJS_FOR_ARITY,
@@ -54,6 +56,13 @@ from sceneground.optimizer import (
 from sceneground.scene import PairGeometry, Scene
 
 _HIGH_EPS = 1e-6
+
+
+def reference_sanitize(data: np.ndarray) -> np.ndarray:
+    """In place: nan -> 0, +inf -> FEATURE_CAP, -inf and negatives -> 0."""
+    np.nan_to_num(data, copy=False, nan=0.0, posinf=FEATURE_CAP, neginf=0.0)
+    np.maximum(data, 0.0, out=data)
+    return data
 
 
 def pair_delta(geom: PairGeometry) -> np.ndarray:

@@ -348,6 +348,34 @@ def _ground_scene_with(**changes):
     return build
 
 
+def _ground_blank_label(label):
+    """``ground`` over a copy of a dataset scene whose first object is
+    labelled ``label``."""
+
+    def build(dataset, tmp_path):
+        raw = json.loads((dataset / "scenes" / "mini_prox.json").read_text())
+        raw["objects"][0]["label"] = label
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(raw), encoding="utf-8")
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        return ["ground", "--scene", str(scene), "--expr", str(expr)], "label"
+
+    return build
+
+
+def _ground_blank_category(category):
+    """``ground`` with an expression whose anchor category is ``category``."""
+
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR.replace('"table"', json.dumps(category)), encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr)], "category"
+
+    return build
+
+
 def _ground_threshold(threshold):
     def build(dataset, tmp_path):
         expr = tmp_path / "expr.json"
@@ -436,6 +464,8 @@ def _optimize_n_iter(n_iter):
     _ground_scene_with(similarities={"categories": ["chair"], "values": [[0.5], [0.5, 1]]}),
     _ground_threshold("nan"),
     _ground_threshold("inf"),
+    _ground_blank_label("   "),
+    _ground_blank_category(" \t "),
     *[_unreadable(option, kind) for option, kind in UNREADABLE],
     _unreadable("ground --scene", "not_utf8"),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
@@ -447,7 +477,7 @@ def _optimize_n_iter(n_iter):
         "config_out_list", "config_registry_object", "config_bench_dataset_number",
         "bench_workers_0", "config_bench_workers_negative", "config_bench_baseline_string",
         "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged",
-        "threshold_nan", "threshold_inf",
+        "threshold_nan", "threshold_inf", "label_whitespace", "category_whitespace",
         *[f"{option.replace(' --', '_').replace('-', '_')}_{kind}" for option, kind in UNREADABLE],
         "ground_scene_not_utf8"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):

@@ -1,13 +1,16 @@
 """Fast paths against their reference paths.
 
-The DAG evaluator, the suite-batched scorer and path-copying mutation must
-reproduce the tree walk, per-scene gathering, the dense scorer and
-deep-copying exactly.
+The DAG evaluator, the memoized gathered walk, the suite-batched scorer,
+the feature sanitizer and path-copying mutation must reproduce the tree
+walk, fresh evaluations, per-scene gathering, the dense scorer, the
+``nan_to_num`` sanitizer and deep-copying exactly.
 """
 
+import gc
 import hashlib
 import json
-from dataclasses import replace
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from sceneground.dsl import (
     op,
 )
 from sceneground.expression import ALL_RELATIONS, relation_arity
-from sceneground.mutation import _graft_sources, mutate_definition
+from sceneground.mutation import _graft_sources, _preorder, mutate_definition
 from sceneground.optimizer import (
     MutationSource,
     OptimizerConfig,
@@ -41,7 +44,7 @@ from sceneground.registry import EncoderRegistry
 from sceneground.scene import precompute_geometry
 
 from helpers import build_margin_suite, constant_perturbed, random_scene
-from oracles import dense_run_test_suite, tree_walk_eval
+from oracles import dense_run_test_suite, reference_sanitize, tree_walk_eval
 
 RELATION_OF_ARITY = {1: "large", 2: "near", 3: "between"}
 
@@ -153,6 +156,125 @@ def test_hostile_bodies_reach_every_sanitize_rule():
     assert np.all(raws[2] == 0.0)  # nan becomes 0
 
 
+def test_sanitize_writes_the_bytes_of_nan_to_num():
+    """Every special value, at lengths and offsets that reach numpy's vector
+    loops and their scalar tails, and in arrays of rank 2."""
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, -1.5, 2.5, 1e300, -1e300,
+                        5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e30, 2e30])
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 40), 62, 64, 127, 1000]:
+        values = np.concatenate([rng.choice(special, n), rng.normal(0.0, 10.0, n)])
+        rng.shuffle(values)
+        for offset in range(3):  # misaligned views too
+            fast = np.empty(values.size + offset)[offset:]
+            fast[:] = values
+            assert dsl._sanitize(fast).tobytes() == reference_sanitize(values.copy()).tobytes()
+        square = values.reshape(2, n)
+        assert (dsl._sanitize(square.copy()).tobytes()
+                == reference_sanitize(square.copy()).tobytes())
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_memoized_gathered_walk_matches_fresh_calls_and_tree_walk(arity):
+    """One memo shared by the builtins, a mutation chain and the hostile
+    bodies: each body gives the bytes of a fresh call and of the tree walk,
+    and a second pass, served from the memo alone, gives them again."""
+    rng = np.random.default_rng(60 + arity)
+    scene = random_scene(rng, 7, "memo")
+    geom = precompute_geometry(scene)
+    index = tuple(rng.integers(0, len(scene), 80) for _ in range(arity))
+    plan = GatherPlan((geom,), np.zeros(80, dtype=np.intp), index)
+    defns = _definitions_of_arity(arity, rng)
+    memo: dict = {}
+    sizes = []
+    for _ in range(2):
+        for defn in defns:
+            compiled = compile_definition(defn)
+            expected = tree_walk_eval(defn, scene, geom).data[index].tobytes()
+            assert eval_gathered(compiled, plan, memo).tobytes() == expected
+            assert eval_gathered(compiled, plan).tobytes() == expected
+        sizes.append(len(memo))
+    assert sizes[0] == sizes[1]
+
+
+def _full_budget_suite(relation, seed, n_cases=12):
+    suite = build_margin_suite(relation, np.random.default_rng(seed), n_cases=n_cases)
+    # a mirrored case no candidate can pass keeps the search at full budget
+    first = suite.cases[0]
+    mirrored = replace(first, target=first.distractor, distractor=first.target)
+    return TestSuite(relation=relation, cases=(*suite.cases, mirrored), scenes=suite.scenes)
+
+
+def test_search_evaluates_each_node_text_once_and_builds_no_dag(monkeypatch):
+    """A full-budget search scores every candidate on one memo: every node
+    evaluated is stored under its text, no text twice, so a child evaluates
+    only what the search has not seen. No candidate's DAG is built."""
+    suite = _full_budget_suite("between", 8)
+    stored: list[str] = []
+
+    class RecordingDict(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    @dataclass
+    class RecordingMemo(optimizer_module.SearchMemo):
+        values: dict = field(default_factory=RecordingDict)
+
+    evaluated: list[str] = []
+    real_node_value = dsl._node_value
+
+    def counting_node_value(entry, *args):
+        evaluated.append(entry[0])
+        return real_node_value(entry, *args)
+
+    built = []
+    real_build = dsl._build_dag
+    monkeypatch.setattr(dsl, "_build_dag", lambda root: built.append(root) or real_build(root))
+    monkeypatch.setattr(dsl, "_node_value", counting_node_value)
+    monkeypatch.setattr(optimizer_module, "SearchMemo", RecordingMemo)
+    drawn = []
+
+    class RecordingSource(MutationSource):
+        def draw(self, relation, **kwargs):
+            drawn.append(super().draw(relation, **kwargs))
+            return drawn[-1]
+
+    log: list[dict] = []
+    optimize_encoder("between", suite, RecordingSource(), EncoderRegistry(),
+                     OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=4), log=log)
+    assert len(log) == len(drawn) == 15
+    assert len(evaluated) == len(stored) == len(set(stored))
+    assert "op" in evaluated
+    # far fewer evaluations than the candidates' distinct nodes
+    distinct = sum(len({s.text for s in _preorder(compile_definition(d).summary)})
+                   for d in drawn)
+    assert 2 * len(evaluated) < distinct
+    assert built == []
+
+
+def test_search_memo_dies_with_the_search(monkeypatch):
+    """Once optimize_encoder returns, no op value it computed is alive, over
+    repeated searches on one suite."""
+    suite = _full_budget_suite("near", 9)
+    refs = []
+    real_node_value = dsl._node_value
+
+    def recording_node_value(entry, *args):
+        value = real_node_value(entry, *args)
+        if entry[0] == "op" and isinstance(value, np.ndarray):
+            refs.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(dsl, "_node_value", recording_node_value)
+    registry = EncoderRegistry()
+    for seed in range(3):
+        optimize_encoder("near", suite, MutationSource(), registry,
+                         OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=seed))
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+
 def test_gather_rejects_bad_index():
     scene = random_scene(np.random.default_rng(4), 5, "bad")
     geom = precompute_geometry(scene)
@@ -233,11 +355,7 @@ def test_optimizer_matches_dense_scorer(arity, monkeypatch):
     runs = []
     for scorer in (optimizer_module.run_test_suite, dense_run_test_suite):
         monkeypatch.setattr(optimizer_module, "run_test_suite", scorer)
-        suite = build_margin_suite(relation, np.random.default_rng(30 + arity), n_cases=15)
-        # a mirrored case no candidate can pass keeps the search at full budget
-        first = suite.cases[0]
-        mirrored = replace(first, target=first.distractor, distractor=first.target)
-        suite = TestSuite(relation=relation, cases=(*suite.cases, mirrored), scenes=suite.scenes)
+        suite = _full_budget_suite(relation, 30 + arity, n_cases=15)
         source = MutationSource(skeleton=constant_perturbed(relation, arity))
         log = []
         best, history = optimize_encoder(relation, suite, source, EncoderRegistry(), cfg,

@@ -1,5 +1,6 @@
 import numpy as np
 
+import sceneground.mutation as mutation
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import validate_definition
 from sceneground.expression import ALL_RELATIONS
@@ -49,3 +50,14 @@ def test_constant_scaling_fallback_on_constless_tree():
     base = encoder_to_dsl("near")
     seen = {mutate_definition(base, seed).canonical_json() for seed in range(20)}
     assert len(seen) > 1
+
+
+def test_operator_draw_picks_what_rng_choice_picks():
+    """The kind comes from one rng.random() on the CDF that rng.choice
+    searches: the same kind, and the stream left where rng.choice left it."""
+    kinds = ["const_scale", "op_swap", "wrap", "graft"]
+    for seed in range(10_000):
+        reference, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = kinds[int(reference.choice(4, p=[0.45, 0.25, 0.05, 0.25]))]
+        assert mutation._draw_kind(fast) == expected
+        assert fast.random() == reference.random()

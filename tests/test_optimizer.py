@@ -12,6 +12,7 @@ from sceneground.optimizer import (
     MutationSource,
     OptimizationAborted,
     OptimizerConfig,
+    SearchMemo,
     SuiteError,
     CandidateReport,
     TestCase,
@@ -402,3 +403,14 @@ def test_log_entries_carry_the_failure_note():
     assert "" in notes
     assert any(note.startswith("validation failed: body: accessor object 'k'")
                for note in notes)
+
+
+def test_memo_of_another_suite_is_refused():
+    first = build_margin_suite("near", np.random.default_rng(11), n_cases=6)
+    second = build_margin_suite("near", np.random.default_rng(12), n_cases=6)
+    memo = SearchMemo(first._plan)
+    defn = encoder_to_dsl("near")
+    report = run_test_suite(defn, first, memo)
+    assert run_test_suite(defn, first, memo) == report == run_test_suite(defn, first)
+    with pytest.raises(ValueError, match="another suite"):
+        run_test_suite(defn, second, memo)
