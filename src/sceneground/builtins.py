@@ -155,13 +155,11 @@ def _build_trees() -> dict[str, dict]:
 
 
 def _compiled_definitions() -> dict[str, EncoderDefinition]:
-    """The builtins, checked and compiled. They share subtree objects, so
-    one table of summaries lets each shared node be checked once for all."""
-    known: dict = {}
+    """The builtins, each checked and compiled once, at import."""
     definitions = {}
     for name, tree in _build_trees().items():
         definitions[name] = EncoderDefinition(relation=name, body=tree, metadata="builtin")
-        compile_definition(definitions[name], known)
+        compile_definition(definitions[name])
     return definitions
 
 

@@ -6,15 +6,14 @@ Every operation is total: division is guarded away from zero, ``exp`` is
 clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
-One check walks a body (:func:`compile_definition`). It checks each node
-object once and memoizes a :class:`NodeSummary` for it (node count, height,
+Each node object of a body has a :class:`NodeSummary` (node count, height,
 counts of constants and swappable operators, and the node's canonical JSON
-text, joined from its children's), reused wherever the object occurs again:
-in the same body, or in a body checked with the same table of summaries,
-such as a mutated child given the summaries of its base's path. A child that
-shares all but one path with its parent costs that path to check and to
-serialize. The check is memoized on the definition, so
-:func:`validate_definition` is the same pass.
+text, joined from its children's), made by one node rule
+(:func:`summarize_node`) from the node and its children's summaries. The
+check pass walks a body and applies it to each node object once; mutation
+applies it to a child's new path only, over its base's summaries, and
+leaves just the caps to check on the new root. Either way
+:func:`compile_definition` memoizes the result on the definition.
 
 Equal texts are equal subtrees, and each route evaluates a text once. Two
 routes apply a node by one rule (:func:`_node_value`) and differ only in how
@@ -254,12 +253,16 @@ _OPS = {
 OPS = {name: arity for name, (arity, _) in _OPS.items()}
 
 
+def is_swappable(node: dict) -> bool:
+    """Whether the node's ``op`` (an op's name or a leaf's extra key) swaps."""
+    return isinstance(name := node.get("op"), str) and name in COMMUTATIVE_SWAPS
+
+
 class NodeSummary:
     """What the check learned about one body node object.
 
-    Computed once per node object, when the node passes its check, and
-    reused by identity wherever the object occurs again, in this body or in
-    a body checked with the same table (see :func:`compile_definition`):
+    Made by :func:`summarize_node`; a mutated child shares its base's
+    summaries of everything off its new path.
 
     - ``size``: node count, repeats counted.
     - ``height``: levels of the subtree; a leaf has height 1.
@@ -271,21 +274,18 @@ class NodeSummary:
     - ``text``: ``json.dumps(node, sort_keys=True)``, joined from the
       children's texts. Equal texts are equal subtrees, so the DAG and the
       gathered route's memo are keyed by it.
-
-    The summary holds its node, so the identity it is keyed by stays valid.
     """
 
     __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "text")
 
     def __init__(self, node: dict, args: tuple, entry: tuple, objs: int, text: str) -> None:
-        name = node.get("op")
         self.node = node
         self.args = args
         self.entry = entry
         self.text = text
         size = height = 0
         consts = "const" in node
-        swaps = isinstance(name, str) and name in COMMUTATIVE_SWAPS
+        swaps = is_swappable(node)
         for a in args:
             size += a.size
             height = max(height, a.height)
@@ -320,7 +320,7 @@ def _json_text(node: dict, args_text: str | None, path: tuple | None) -> str:
 
 def _op_text(node: dict, args: tuple[NodeSummary, ...], path: tuple | None) -> str:
     """An op node's text, joined from its children's."""
-    texts = ", ".join(a.text for a in args)
+    texts = ", ".join([a.text for a in args])
     if len(node) == 2:
         return f'{{"args": [{texts}], "op": {_QUOTED[node["op"]]}}}'
     return _json_text(node, f"[{texts}]", path)
@@ -390,107 +390,107 @@ def _build_dag(root: NodeSummary) -> tuple[tuple[tuple, ...], tuple[tuple[int, .
     return tuple(nodes), tuple(map(tuple, frees))
 
 
-def _check_and_compile(defn: EncoderDefinition, known: dict[int, NodeSummary]) -> CompiledEncoder:
-    """The one check of a body: summarize each node, then check the node cap.
+def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
+                   path: tuple | None = None) -> NodeSummary:
+    """The one node rule: the summary of ``node``, whose children have the
+    summaries ``args``, in a rank-``rank`` relation's body; DefinitionError
+    at ``path``, (parent_path, arg_position) or None at the root, if a const,
+    accessor or aggregate breaks its rules or json.dumps refuses the node.
+    An op's name and argument count are the caller's to check, before its
+    children: the check pass's walk does, and mutation's ops are valid."""
+    if "const" in node:
+        value = node["const"]
+        # a float must be finite, an int fit in 64 bits; a bool is no number
+        if isinstance(value, bool) or not (
+                math.isfinite(value) if isinstance(value, float)
+                else isinstance(value, int) and -2**63 <= value < 2**64):
+            raise _fault(path, "const must be a finite number")
+        if len(node) > 1:
+            text = _json_text(node, None, path)
+        else:  # json.dumps writes a number with its type's repr
+            written = (float if isinstance(value, float) else int).__repr__(value)
+            text = f'{{"const": {written}}}'
+        return NodeSummary(node, (), ("const", float(value)), 0, text)
+    if "get" in node:
+        field, obj, axis = node["get"], node.get("obj"), node.get("axis")
+        allowed = OBJS_FOR_ARITY[rank]
+        if not isinstance(field, str) or field not in _GET_FIELDS:
+            raise _fault(path, f"unknown accessor {field!r}")
+        if obj not in allowed:
+            raise _fault(path, f"accessor object {obj!r} not allowed here "
+                               f"(allowed: {allowed})")
+        if _GET_FIELDS[field][0]:
+            if not isinstance(axis, str) or axis not in _AXES:
+                raise _fault(path, f"accessor {field!r} needs axis x|y|z")
+        elif axis is not None:
+            raise _fault(path, f"accessor {field!r} takes no axis")
+        return NodeSummary(node, (), ("get", field, obj, axis), 1 << _AXIS_OF_OBJ[obj],
+                           _json_text(node, None, path))
+    if "agg" in node:
+        name, axis = node["agg"], node.get("axis")
+        if not isinstance(name, str) or name not in _AGG_FIELDS:
+            raise _fault(path, f"unknown aggregate {name!r}")
+        axes = _AGG_FIELDS[name][0]
+        if axes is None and axis is not None:
+            raise _fault(path, f"aggregate {name!r} takes no axis")
+        if axes is not None and axis not in axes:
+            raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
+        return NodeSummary(node, (), ("agg", name, axis), 0, _json_text(node, None, path))
+    if "op" in node:
+        return NodeSummary(node, args, ("op", node["op"]), 0, _op_text(node, args, path))
+    raise _fault(path, "node must have one of const/get/agg/op")
 
-    A node object with no summary in ``known`` yet gets the node checks, is
-    summarized and added; a known one (repeated in this body, or shared
-    with a body checked with the same table) is reused when it fits where
-    it sits: its deepest node within the depth cap and its accessors
-    allowed for the relation. One that does not fit is walked again, so the
-    first fault in depth-first order raises DefinitionError with its
-    ``body.args[..]`` path, as a walk of the whole tree would. The node cap
-    (repeats counted) is checked after the walk. A node json.dumps refuses
-    is a fault, checked after the node's other rules. No DAG is built here
-    (see :class:`CompiledEncoder`).
-    """
-    rank = relation_arity(defn.relation)
-    allowed = OBJS_FOR_ARITY[rank]
+
+def _check_and_compile(body: object, rank: int) -> NodeSummary:
+    """The check pass: apply the node rule to each node object of a body,
+    depth first, then check the node cap (repeats counted). A repeated
+    object reuses its summary where its deepest node stays within the depth
+    cap, and is walked again where not, so the first fault in depth-first
+    order raises DefinitionError with its ``body.args[..]`` path."""
+    seen: dict[int, NodeSummary] = {}
 
     def summarize(node: object, depth: int, path: tuple | None) -> NodeSummary:
-        # path is (parent_path, arg_position), None at the root, spelled out
-        # only for an error message; names are checked to be strings before
-        # any lookup, so a list there is a fault, not a TypeError
-        seen = known.get(id(node))
-        if (seen is not None and depth + seen.height - 1 <= MAX_TREE_DEPTH
-                and not seen.objs >> rank):
-            return seen
+        summary = seen.get(id(node))
+        if summary is not None and depth + summary.height - 1 <= MAX_TREE_DEPTH:
+            return summary
         if depth > MAX_TREE_DEPTH:
             raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
         if not isinstance(node, dict):
             raise _fault(path, f"node must be an object, got {type(node).__name__}")
-        if "const" in node:
-            value = node["const"]
-            # a float must be finite, an int fit in 64 bits; a bool is no number
-            if isinstance(value, bool) or not (
-                    math.isfinite(value) if isinstance(value, float)
-                    else isinstance(value, int) and -2**63 <= value < 2**64):
-                raise _fault(path, "const must be a finite number")
-            if len(node) > 1:
-                text = _json_text(node, None, path)
-            else:  # json.dumps writes a number with its type's repr
-                written = (float if isinstance(value, float) else int).__repr__(value)
-                text = f'{{"const": {written}}}'
-            summary = NodeSummary(node, (), ("const", float(value)), 0, text)
-        elif "get" in node:
-            field, obj, axis = node["get"], node.get("obj"), node.get("axis")
-            if not isinstance(field, str) or field not in _GET_FIELDS:
-                raise _fault(path, f"unknown accessor {field!r}")
-            if obj not in allowed:
-                raise _fault(path, f"accessor object {obj!r} not allowed here "
-                                   f"(allowed: {allowed})")
-            if _GET_FIELDS[field][0]:
-                if not isinstance(axis, str) or axis not in _AXES:
-                    raise _fault(path, f"accessor {field!r} needs axis x|y|z")
-            elif axis is not None:
-                raise _fault(path, f"accessor {field!r} takes no axis")
-            summary = NodeSummary(node, (), ("get", field, obj, axis), 1 << _AXIS_OF_OBJ[obj],
-                                  _json_text(node, None, path))
-        elif "agg" in node:
-            name, axis = node["agg"], node.get("axis")
-            if not isinstance(name, str) or name not in _AGG_FIELDS:
-                raise _fault(path, f"unknown aggregate {name!r}")
-            axes = _AGG_FIELDS[name][0]
-            if axes is None and axis is not None:
-                raise _fault(path, f"aggregate {name!r} takes no axis")
-            if axes is not None and axis not in axes:
-                raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
-            summary = NodeSummary(node, (), ("agg", name, axis), 0,
-                                  _json_text(node, None, path))
-        elif "op" in node:
+        args = ()
+        if "op" in node and node.keys().isdisjoint(("const", "get", "agg")):
             name, args = node["op"], node.get("args")
             if not isinstance(name, str) or name not in OPS:
                 raise _fault(path, f"unknown op {name!r}")
             if not isinstance(args, list) or len(args) != OPS[name]:
                 raise _fault(path, f"op {name!r} takes {OPS[name]} args")
-            children = tuple([summarize(child, depth + 1, (path, k))
-                              for k, child in enumerate(args)])
-            summary = NodeSummary(node, children, ("op", name), 0,
-                                  _op_text(node, children, path))
-        else:
-            raise _fault(path, "node must have one of const/get/agg/op")
-        # a check racing on the table keeps the summary stored first
-        return known.setdefault(id(node), summary)
+            args = tuple([summarize(child, depth + 1, (path, k))
+                          for k, child in enumerate(args)])
+        summary = seen[id(node)] = summarize_node(node, args, rank, path)
+        return summary
 
-    root = summarize(defn.body, 1, None)
+    root = summarize(body, 1, None)
     if root.size > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
-    return CompiledEncoder(relation=defn.relation, rank=rank, summary=root)
+    return root
 
 
-def compile_definition(defn: EncoderDefinition,
-                       known: dict[int, NodeSummary] | None = None) -> CompiledEncoder:
+def compile_definition(defn: EncoderDefinition, root: NodeSummary | None = None
+                       ) -> CompiledEncoder:
     """Check a body, or raise DefinitionError; its DAG is built on first use.
+    Memoized on the definition, as bodies are immutable.
 
-    ``known`` maps the id of a node object to its summary: the check reuses
-    it for the subtree objects the body shares with bodies checked before
-    with the same table, and adds the summaries it makes. Memoized on the
-    definition, as bodies are immutable; a memoized definition ignores
-    ``known``.
-    """
+    ``root``, the body's root summary made by the node rule from checked
+    summaries (as mutation builds a child), leaves only the caps to check:
+    ``height``, ``size`` and ``objs``. A body past one is checked in full,
+    for its first fault's text and ``body.args[..]`` path."""
     compiled = defn.__dict__.get("_compiled")
     if compiled is None:
-        compiled = _check_and_compile(defn, {} if known is None else known)
+        rank = relation_arity(defn.relation)
+        if (root is None or root.height > MAX_TREE_DEPTH or root.size > MAX_TREE_NODES
+                or root.objs >> rank):
+            root = _check_and_compile(defn.body, rank)
+        compiled = CompiledEncoder(relation=defn.relation, rank=rank, summary=root)
         object.__setattr__(defn, "_compiled", compiled)
     return compiled
 
@@ -676,11 +676,13 @@ class GatherPlan:
 
 
 def _walk(summary: NodeSummary, memo: dict, plan: GatherPlan):
-    """A subtree's value on ``plan``, from ``memo`` or computed and added."""
-    value = memo.get(summary.text)
-    if value is None:
-        args = [_walk(child, memo, plan) for child in summary.args]
-        value = memo[summary.text] = _node_value(summary.entry, args, plan.get, plan.agg)
+    """The value on ``plan`` of a subtree whose text ``memo`` lacks, computed
+    and added; its children are read from ``memo`` where it holds them."""
+    args = []
+    for child in summary.args:
+        value = memo.get(child.text)
+        args.append(_walk(child, memo, plan) if value is None else value)
+    value = memo[summary.text] = _node_value(summary.entry, args, plan.get, plan.agg)
     return value
 
 
@@ -693,19 +695,22 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
     an aggregate's per-point array as it rounds the dense route's scalar.
     finalize_feature's rules apply at each point (repeated indices give 0).
 
-    The walk starts at the root summary. ``memo`` maps a node's text to its
-    value on ``plan``; equal texts are equal subtrees, so their values are
-    equal bit for bit. A node whose text the memo holds is not evaluated
-    again, and each node evaluated is added, so a memo kept across bodies
-    on one plan makes a body that shares all but one path with one seen
-    before cost that path. A memo must hold values of ``plan`` only; with
-    none, the call uses a fresh one. Memo values are never written to.
+    ``memo`` maps a node's text to its value on ``plan`` (equal texts are
+    equal subtrees, with values equal bit for bit); only the nodes whose
+    texts it lacks are evaluated, and added. So a memo kept across bodies on
+    one plan makes a body that shares all but one path with one seen before
+    cost that path. It must hold values of ``plan`` only, and its values are
+    never written to; with none, the call uses a fresh one.
     """
     if len(plan.index) != compiled.rank:
         raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
-    raw = _walk(compiled.summary, {} if memo is None else memo, plan)
-    data = _sanitize(np.array(np.broadcast_to(np.asarray(raw, dtype=np.float64),
-                                              plan.segment.shape)))
+    memo = {} if memo is None else memo
+    raw = memo.get(compiled.summary.text)
+    if raw is None:
+        raw = _walk(compiled.summary, memo, plan)
+    data = np.empty(plan.segment.shape)
+    data[...] = raw  # an array of points, or the scalar of a body of constants only
+    _sanitize(data)
     data[plan.repeated] = 0.0
     return data
 

@@ -5,26 +5,21 @@ a constant, swapping a commutative operator, inserting a wrapper, or grafting
 a subtree from the builtin library. Every mutation is deterministic for a
 given seed and always yields a definition that passes validation.
 
-Bodies are never mutated in place. A mutation copies only the nodes on the
-path from the root to the changed node and shares every untouched subtree
-with its parent (and grafts share nodes with the builtin pool), so a
-mutation copies as many nodes as the change is deep, not the whole tree.
-
 A mutation costs its changed path, not its tree. The node to change is
 found by descending the base's node summaries (:class:`~sceneground.dsl.
-NodeSummary`), which count each subtree's nodes, constants and swappable
-operators, straight to the k-th qualifying node in depth-first order
-(repeats counted), in as many steps as that node is deep. The child is
-checked with a table of the base's summaries of the objects its new path
-shares, so checking it and serializing it for the digest touch only the new
-path. No DAG is built for it: a search scores it on a memo of subtree values
-by text (:func:`~sceneground.dsl.eval_gathered`), where it evaluates only
-its new path too.
+NodeSummary`), in depth-first order with repeats, in as many steps as that
+node is deep. Bodies are never mutated in place: the child copies the nodes
+on that path and shares every other subtree with the base (grafts share
+nodes with the builtin pool). Each new node gets its summary from the DSL's
+node rule and its children's, so the child is built checked, with only the
+caps left to test on its root; the check pass never walks it, and a search
+scoring it on its memo of subtree values evaluates only its new path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 from operator import attrgetter
 
 import numpy as np
@@ -37,18 +32,23 @@ from .dsl import (
     NodeSummary,
     compile_definition,
     const,
+    is_swappable,
     op,
+    summarize_node,
 )
 
 __all__ = ["mutate_definition"]
 
 Path = tuple[int, ...]
-# a change: the path to the picked node, the summaries from the root to it,
-# the node that replaces it, and summaries of other objects that node reuses
-Change = tuple[Path, list[NodeSummary], dict, tuple[NodeSummary, ...]]
+# what replaces a node: a checked subtree's summary, or (new node, child recipes)
+Recipe = NodeSummary | tuple[dict, tuple]
+# a change: the path to the picked node, the summaries from the root to it
+Change = tuple[Path, list[NodeSummary], Recipe]
 
-_NODES, _CONSTS, _SWAPS = attrgetter("size"), attrgetter("consts"), attrgetter("swaps")
-
+# what a pick counts: its total in a subtree, and what a node adds itself
+_NODES = (attrgetter("size"), lambda s: 1)
+_CONSTS = (attrgetter("consts"), lambda s: s.entry[0] == "const")
+_SWAPS = (attrgetter("swaps"), lambda s: is_swappable(s.node))
 # constant rescaling repairs continuously and carries the hill climb, so it
 # gets the largest share; wrappers rarely help and stay rare
 _KINDS = ("const_scale", "op_swap", "wrap", "graft")
@@ -66,38 +66,30 @@ def _draw_kind(rng: np.random.Generator) -> str:
 def _descend(root: NodeSummary, count, k: int) -> tuple[Path, list[NodeSummary]]:
     """Path to the k-th node that ``count`` counts, in depth-first order with
     repeats, and the summaries from the root to it."""
+    total, own = count
     path: list[int] = []
     trail = [root]
     node = root
     while True:
-        own = count(node) - sum(count(child) for child in node.args)
-        if k < own:
+        mine = own(node)
+        if k < mine:
             return tuple(path), trail
-        k -= own
+        k -= mine
         for pos, child in enumerate(node.args):
-            if k < count(child):
+            if k < total(child):
                 break
-            k -= count(child)
+            k -= total(child)
         path.append(pos)
         trail.append(child)
         node = child
 
 
 def _pick(root: NodeSummary, count, rng: np.random.Generator) -> tuple[Path, list[NodeSummary]]:
-    return _descend(root, count, int(rng.integers(count(root))))
+    return _descend(root, count, int(rng.integers(count[0](root))))
 
 
-def _replace_at(body: dict, path: Path, new_node: dict) -> dict:
-    """Copy of ``body`` with the node at ``path`` replaced; only the nodes on
-    the path are copied, every other subtree is shared."""
-    if not path:
-        return new_node
-    args = list(body["args"])
-    args[path[0]] = _replace_at(args[path[0]], path[1:], new_node)
-    return {**body, "args": args}
-
-
-_POOL_CACHE: dict[int, list[NodeSummary]] = {}
+def _op(name: str, *args: Recipe) -> tuple[dict, tuple]:
+    return op(name, *[a.node if isinstance(a, NodeSummary) else a[0] for a in args]), args
 
 
 def _preorder(summary: NodeSummary):
@@ -106,18 +98,18 @@ def _preorder(summary: NodeSummary):
         yield from _preorder(child)
 
 
+@cache
 def _graft_sources(objs: int) -> list[NodeSummary]:
     """Summaries of the builtin subtrees whose accessors read only objects in
     the ``objs`` bit set, depth first with repeats, builtin by builtin."""
-    pool = _POOL_CACHE.get(objs)
-    if pool is None:
-        pool = [s for defn in builtin_definitions().values()
-                for s in _preorder(compile_definition(defn).summary) if not s.objs & ~objs]
-        _POOL_CACHE[objs] = pool
-    return pool
+    return [s for defn in builtin_definitions().values()
+            for s in _preorder(compile_definition(defn).summary) if not s.objs & ~objs]
 
 
-def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> Change:
+def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> tuple[Change, Change]:
+    """A change that scales a constant by a random factor (a subtree when
+    there are no constants), and the change that puts the factor itself in
+    the picked node's place, which cannot overflow or grow the tree."""
     factor = float(rng.uniform(0.5, 2.0))
     if root.consts:
         path, trail = _pick(root, _CONSTS, rng)
@@ -125,28 +117,28 @@ def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> Change:
         new = old * factor
         if new == old:
             new = old + (factor - 1.0) or old + 0.5
-        return path, trail, const(new), ()
-    # no constants anywhere: scale a random subtree instead
-    path, trail = _pick(root, _NODES, rng)
-    return path, trail, op("mul", trail[-1].node, const(factor)), ()
+        scaled = const(new), ()
+    else:
+        path, trail = _pick(root, _NODES, rng)
+        scaled = _op("mul", trail[-1], (const(factor), ()))
+    return (path, trail, scaled), (path, trail, (const(factor), ()))
 
 
 def _swap_operator(root: NodeSummary, rng: np.random.Generator) -> Change | None:
     if not root.swaps:
         return None
     path, trail = _pick(root, _SWAPS, rng)
-    node = trail[-1].node
-    return path, trail, {**node, "op": COMMUTATIVE_SWAPS[node["op"]]}, ()
+    target = trail[-1]
+    return path, trail, ({**target.node, "op": COMMUTATIVE_SWAPS[target.node["op"]]},
+                         target.args)
 
 
 def _insert_wrapper(root: NodeSummary, rng: np.random.Generator) -> Change:
     path, trail = _pick(root, _NODES, rng)
-    target = trail[-1].node
+    target = trail[-1]
     if int(rng.integers(2)) == 0:
-        wrapped = op("exp", op("neg", target))
-    else:
-        wrapped = op("abs", target)
-    return path, trail, wrapped, ()
+        return path, trail, _op("exp", _op("neg", target))
+    return path, trail, _op("abs", target)
 
 
 def _graft_subtree(root: NodeSummary, rng: np.random.Generator, objs: int) -> Change | None:
@@ -155,33 +147,46 @@ def _graft_subtree(root: NodeSummary, rng: np.random.Generator, objs: int) -> Ch
         return None
     source = pool[int(rng.integers(len(pool)))]
     path, trail = _pick(root, _NODES, rng)
-    return path, trail, source.node, (source,)
+    return path, trail, source
+
+
+def _summarize(recipe: Recipe, rank: int, where: tuple | None) -> NodeSummary:
+    """The summary of what a recipe makes, at error path ``where``."""
+    if isinstance(recipe, NodeSummary):
+        return recipe
+    node, args = recipe
+    args = tuple([_summarize(a, rank, (where, k)) for k, a in enumerate(args)])
+    return summarize_node(node, args, rank, where)
 
 
 def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDefinition:
-    """The definition ``change`` makes of ``base``, checked and compiled
-    (DefinitionError if it fails). Its check reuses the summaries of every
-    object the new path shares: the path's old nodes, their children and
-    whatever the new node reuses."""
-    path, trail, node, reused = change
-    child = EncoderDefinition(relation=base.relation, body=_replace_at(base.body, path, node),
-                              metadata=metadata)
-    shared = (*trail, *(c for s in trail for c in s.args), *reused)
-    compile_definition(child, {id(s.node): s for s in shared})
+    """The definition ``change`` makes of ``base``, built checked from the
+    new node up, or DefinitionError: a cap (see :func:`~sceneground.dsl.
+    compile_definition`), or a scaled constant that overflowed, the first
+    fault of a child of the base's shape."""
+    path, trail, new = change
+    rank = compile_definition(base).rank
+    where = None  # the new node's error path
+    for k in path:
+        where = (where, k)
+    summary = _summarize(new, rank, where)
+    for parent, k in zip(trail[-2::-1], reversed(path)):
+        args = list(parent.node["args"])
+        args[k] = summary.node
+        summary = summarize_node({**parent.node, "args": args},
+                                 (*parent.args[:k], summary, *parent.args[k + 1:]), rank)
+    child = EncoderDefinition(relation=base.relation, body=summary.node, metadata=metadata)
+    compile_definition(child, summary)
     return child
 
 
 def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
-    """Return a valid definition differing from ``defn`` in at least one node;
-    its check is memoized, so scoring it walks the body no more.
-
-    ``defn`` must pass the check (DefinitionError otherwise): its memoized
-    summaries guide the pick.
-    """
+    """Return a valid definition differing from ``defn`` in at least one
+    node, built checked. ``defn`` must pass the check (DefinitionError
+    otherwise): its summaries guide the pick."""
     rng = np.random.default_rng(seed)
     compiled = compile_definition(defn)
     root = compiled.summary
-    original = defn.digest()
 
     kind = _draw_kind(rng)
     change: Change | None = None
@@ -193,14 +198,20 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
         change = _graft_subtree(root, rng, (1 << compiled.rank) - 1)
     if change is None:
         kind = "const_scale"
-        change = _scale_constant(root, rng)
-
+        change, _ = _scale_constant(root, rng)
     try:
         candidate = _apply(defn, change, f"mutated[{kind}, seed={seed}]")
-        changed = candidate.digest() != original
+        changed = candidate.digest() != defn.digest()
     except DefinitionError:
         changed = False
     if not changed:
-        # graft may reproduce the original or overflow the caps: scale instead
-        candidate = _apply(defn, _scale_constant(root, rng), f"mutated[const_scale, seed={seed}]")
+        # a graft may reproduce the original, and a change may overflow a
+        # constant or a cap: scale instead, and if that overflows too, put
+        # the scale factor in the picked node's place (no further draw)
+        change, safe = _scale_constant(root, rng)
+        metadata = f"mutated[const_scale, seed={seed}]"
+        try:
+            candidate = _apply(defn, change, metadata)
+        except DefinitionError:
+            candidate = _apply(defn, safe, metadata)
     return candidate

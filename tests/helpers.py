@@ -16,7 +16,7 @@ from sceneground.expression import (
     SymbolicExpression,
     relation_arity,
 )
-from sceneground.mutation import _apply, _replace_at, _scale_constant
+from sceneground.mutation import _apply, _scale_constant
 from sceneground.optimizer import TestCase, TestSuite
 from sceneground.scene import Scene, precompute_geometry, scene_from_dict
 
@@ -157,7 +157,7 @@ def constant_perturbed(relation: str, seed: int, rounds: int = 1) -> EncoderDefi
     rng = np.random.default_rng(seed + 9000)
     defn = encoder_to_dsl(relation)
     for _ in range(rounds):
-        defn = _apply(defn, _scale_constant(compile_definition(defn).summary, rng),
+        defn = _apply(defn, _scale_constant(compile_definition(defn).summary, rng)[0],
                       "perturbed-const")
     return defn
 
@@ -170,5 +170,15 @@ def op_swapped(relation: str, seed: int) -> EncoderDefinition:
     path, node = swappable[int(rng.integers(len(swappable)))]
     node = copy.deepcopy(node)
     node["op"] = COMMUTATIVE_SWAPS[node["op"]]
-    return EncoderDefinition(relation=relation, body=_replace_at(base.body, path, node),
+    return EncoderDefinition(relation=relation, body=replace_at(base.body, path, node),
                              metadata="perturbed-swap")
+
+
+def replace_at(body: dict, path: tuple[int, ...], node: dict) -> dict:
+    """Copy of ``body`` with the node at ``path`` replaced; only the nodes on
+    the path are copied."""
+    if not path:
+        return node
+    args = list(body["args"])
+    args[path[0]] = replace_at(args[path[0]], path[1:], node)
+    return {**body, "args": args}

@@ -332,9 +332,20 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
     points = [(c.scene_id, tuple(suite.scenes[c.scene_id].index_of[getattr(c, name)]
                                  for name in (who, "anchor", "anchor2")[:arity]))
               for who in ("target", "distractor") for c in suite.cases]
+    plan = suite._plan
+    raw_ndims = set()
     for defn in defns:
         compiled = compile_definition(defn)
-        batched = eval_gathered(compiled, suite._plan)
+        batched = eval_gathered(compiled, plan)
+        # the broadcast form every body took before: a copy, whatever the raw value
+        memo = {}
+        eval_gathered(compiled, plan, memo)
+        raw = memo[compiled.summary.text]
+        raw_ndims.add(np.ndim(raw))
+        broadcast = reference_sanitize(np.array(np.broadcast_to(
+            np.asarray(raw, dtype=np.float64), plan.segment.shape)))
+        broadcast[plan.repeated] = 0.0
+        assert batched.tobytes() == broadcast.tobytes()
         per_scene = np.empty_like(batched)
         dense = np.empty_like(batched)
         for sid, scene in suite.scenes.items():
@@ -346,6 +357,7 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
         assert batched.tobytes() == per_scene.tobytes() == dense.tobytes()
         fast, reference = run_test_suite(defn, suite), dense_run_test_suite(defn, suite)
         assert (fast.pass_rate, fast.failures) == (reference.pass_rate, reference.failures)
+    assert raw_ndims == {0, 1}  # scalar bodies and per-point arrays
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])

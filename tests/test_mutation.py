@@ -2,9 +2,11 @@ import numpy as np
 
 import sceneground.mutation as mutation
 from sceneground.builtins import encoder_to_dsl
-from sceneground.dsl import validate_definition
+from sceneground.dsl import EncoderDefinition, compile_definition, get, op, validate_definition
 from sceneground.expression import ALL_RELATIONS
 from sceneground.mutation import mutate_definition
+
+from oracles import reference_validate
 
 
 def test_mutation_changes_serialized_form():
@@ -61,3 +63,26 @@ def test_operator_draw_picks_what_rng_choice_picks():
         expected = kinds[int(reference.choice(4, p=[0.45, 0.25, 0.05, 0.25]))]
         assert mutation._draw_kind(fast) == expected
         assert fast.random() == reference.random()
+
+
+def _capped_bases():
+    """Valid bases that most changes overflow: a constant near the float
+    limit, a depth-64 chain of abs and a 511-node tree of sub, the last two
+    with no constant to scale and no operator to swap."""
+    chain = wide = get("volume", "i")
+    for _ in range(63):
+        chain = op("abs", chain)
+    for _ in range(8):
+        wide = op("sub", wide, wide)
+    return [EncoderDefinition(relation="large", body=body)
+            for body in ({"const": 1.7e308}, chain, wide)]
+
+
+def test_mutation_never_raises_on_a_valid_base():
+    for base in _capped_bases():
+        for seed in range(200):
+            child = mutate_definition(base, seed)
+            fresh = EncoderDefinition(relation=child.relation, body=child.body)
+            reference_validate(fresh)
+            compile_definition(fresh)
+            assert child.digest() != base.digest()

@@ -1,28 +1,26 @@
 """Per-subtree summaries against the whole-tree paths they replaced.
 
-The check memoizes one summary per node object and reuses it wherever the
-object occurs again, also in a mutated child that shares the subtree. On
-random bodies, valid and not, with shared subtrees, extra keys, int,
-signed-zero and subnormal constants:
+The check makes one summary per node object, and mutation builds a child's
+new path from its base's summaries by the same node rule. On random bodies,
+valid and not, with shared subtrees, extra keys, int, signed-zero and
+subnormal constants:
 
 - the canonical JSON joined from subtree texts, and its digest, equal
   ``json.dumps`` of the whole definition (``oracles.reference_canonical_json``);
 - the summary descent picks the same (path, node) as the list of every node
   mutation used to build (``oracles.all_nodes``), for every count and every k;
-- a check seeded with another body's summaries accepts exactly what an
-  unseeded check and the reference validator accept, with the same messages,
-  and builds the same DAG.
+- every summary a mutated child is built with equals that of a fresh full
+  check, field by field, and a child pushed past a cap raises the reference
+  validator's fault.
 
 A full search then shows that each candidate costs its changed path: no node
 is summarized twice and no node's text is built twice.
 """
 
-import sys
-import threading
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -42,9 +40,10 @@ from sceneground.dsl import (
 from sceneground.optimizer import MutationSource, OptimizerConfig, TestSuite, optimize_encoder
 from sceneground.registry import EncoderRegistry
 
-from helpers import build_margin_suite
+from helpers import build_margin_suite, replace_at
 from oracles import all_nodes, reference_canonical_json, reference_digest, reference_validate
 from test_check_pass import RELATIONS, _bad_node, _chain, _doubled, _plant
+from test_fastpaths import _hostile_bodies
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -156,11 +155,15 @@ def test_joined_canonical_json_and_digest_equal_json_dumps(case):
             assert compile_definition(defn).summary.text
 
 
-_COUNTS = {
+_COUNTS = {  # the node list's count, and the descent's
     "size": lambda node: True,
     "consts": lambda node: "const" in node,
     "swaps": lambda node: isinstance(node.get("op"), str) and node["op"] in COMMUTATIVE_SWAPS,
 }
+
+
+_DESCENT_COUNTS = {"size": mutation._NODES, "consts": mutation._CONSTS,
+                   "swaps": mutation._SWAPS}
 
 
 @SETTINGS
@@ -172,7 +175,7 @@ def test_descent_picks_what_the_node_list_picks(body):
         oracle = [(path, node) for path, node in listed if counts(node)]
         assert getattr(root, name) == len(oracle)
         for k, (path, node) in enumerate(oracle):
-            got_path, trail = mutation._descend(root, attrgetter(name), k)
+            got_path, trail = mutation._descend(root, _DESCENT_COUNTS[name], k)
             assert got_path == path and trail[-1].node is node
             assert len(trail) == len(path) + 1
 
@@ -186,65 +189,96 @@ def _compiled_or_reject(defn):
         reject()
 
 
-def _summaries(root):
-    return {id(s.node): s for s in mutation._preorder(root)}
+_FIELDS = ("text", "entry", "size", "height", "objs", "consts", "swaps")
 
 
-@st.composite
-def _children(draw):
-    """(base relation, base body, child relation, child body): the child
-    replaces one node of the base, keeps the rest as shared objects and may
-    be of another arity."""
-    base_arity = draw(st.integers(1, 3))
-    base = draw(valid_bodies(("i", "j", "k")[:base_arity]))
-    listed = all_nodes(base)
-    path, target = listed[draw(st.integers(0, len(listed) - 1))]
-    other = listed[draw(st.integers(0, len(listed) - 1))][1]
-    new = draw(st.sampled_from(["leaf", "bad", "wrap", "deep", "wide", "other"]))
-    if new == "leaf":
-        node = draw(_leaf(("i", "j", "k")))
-    elif new == "bad":
-        node = draw(_bad_node())
-    elif new == "wrap":
-        node = op("exp", op("neg", target))
-    elif new == "deep":  # the shared target, pushed past the depth cap or close to it
-        node = _chain(target, draw(st.integers(50, 64)))
-    elif new == "wide":  # the shared target, repeated past the node cap or close to it
-        node = _doubled(target, draw(st.integers(4, 9)))
-    else:  # another shared subtree
-        node = op("max", other, target)
-    child = mutation._replace_at(base, path, node)
-    return RELATIONS[base_arity], base, RELATIONS[draw(st.integers(1, 3))], child
-
-
-_SHARED = _chain(const(2.0), 3)
-_READS_J = get("volume", "j")
+def _assert_built_as_checked(child):
+    """Every summary ``child`` was built with equals a fresh full check's,
+    field by field, and its digest is the reference's."""
+    built = child.__dict__["_compiled"]  # stored as mutation built the child
+    fresh = compile_definition(EncoderDefinition(relation=child.relation, body=child.body))
+    assert built.rank == fresh.rank
+    pairs = list(zip(mutation._preorder(built.summary), mutation._preorder(fresh.summary)))
+    assert len(pairs) == fresh.summary.size
+    for got, want in pairs:
+        assert got.node is want.node
+        assert [getattr(got, f) for f in _FIELDS] == [getattr(want, f) for f in _FIELDS]
+    assert child.digest() == reference_digest(child)
 
 
 @SETTINGS
-@given(_children())
-# one shared object: its deepest node at depth 64, then at 65
-@example(("large", _SHARED, "large", op("max", const(1.0), _chain(_SHARED, 59))))
-@example(("large", _SHARED, "large", op("max", const(1.0), _chain(_SHARED, 60))))
-# summaries of a rank-2 body reused in a rank-1 body
-@example(("near", op("add", _READS_J, const(1.0)), "large", op("neg", _READS_J)))
-def test_seeded_check_accepts_what_the_full_check_accepts(case):
-    base_relation, base_body, relation, body = case
-    base = _compiled_or_reject(EncoderDefinition(relation=base_relation, body=base_body))
-    seeded = EncoderDefinition(relation=relation, body=body)
-    fresh = EncoderDefinition(relation=relation, body=body)
-    got = _outcome(compile_definition, seeded, _summaries(base.summary))
-    full = _outcome(compile_definition, fresh)
-    reference = _outcome(reference_validate, fresh)
-    if full[0] != "ok":
-        assert got == full
-        # where the reference validator escapes as TypeError, the check raises DefinitionError
-        assert reference == full or (reference[0], full[0]) == ("TypeError", "DefinitionError")
-        return
-    assert reference[0] == "ok"
-    assert got[0] == "ok"
-    assert got[1].nodes == full[1].nodes and got[1].frees == full[1].frees
-    assert seeded.canonical_json() == fresh.canonical_json() == reference_canonical_json(fresh)
+@given(st.integers(1, 3).flatmap(lambda arity: st.tuples(
+    st.just(arity), valid_bodies(("i", "j", "k")[:arity]))), st.integers(0, 2**32 - 1))
+def test_built_child_equals_a_fresh_check_on_random_bodies(case, seed):
+    arity, body = case
+    base = EncoderDefinition(relation=RELATIONS[arity], body=body)
+    _compiled_or_reject(base)
+    _assert_built_as_checked(mutation.mutate_definition(base, seed))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_built_child_equals_a_fresh_check_on_chains_hostile_bodies_and_grafts(arity):
+    relation = RELATIONS[arity]
+    rng = np.random.default_rng(70 + arity)
+    defn = encoder_to_dsl(relation)
+    for _ in range(60):  # a mutation chain
+        defn = mutation.mutate_definition(defn, int(rng.integers(2**31)))
+        _assert_built_as_checked(defn)
+    for body in _hostile_bodies(arity):
+        base = EncoderDefinition(relation=relation, body=body)
+        for seed in range(10):
+            _assert_built_as_checked(mutation.mutate_definition(base, seed))
+    for base in [encoder_to_dsl(relation), defn]:
+        root = compile_definition(base).summary
+        for _ in range(20):
+            change = mutation._graft_subtree(root, rng, (1 << arity) - 1)
+            _assert_built_as_checked(mutation._apply(base, change, "graft"))
+
+
+def _abs_chain(n):
+    node = get("volume", "i")
+    for _ in range(n):
+        node = op("abs", node)
+    return node
+
+
+_HUGE = {"const": 1.7e308}
+_READS_J = compile_definition(
+    EncoderDefinition(relation="near", body=op("neg", get("volume", "j")))).summary.args[0]
+
+
+@pytest.mark.parametrize("body, k, replace_with", [
+    (_abs_chain(62), 62, "abs"),  # the leaf, wrapped: depth 64
+    (_abs_chain(63), 63, "abs"),  # depth 65
+    (_abs_chain(63), 0, "abs"),  # the root, wrapped: depth 65
+    (_doubled(get("volume", "i"), 8), 5, "abs"),  # 512 nodes
+    (op("abs", _doubled(get("volume", "i"), 8)), 5, "abs"),  # 513 nodes
+    (_doubled(get("volume", "i"), 8), 3, "scale"),  # 513 nodes
+    (_HUGE, 0, "overflow"),  # a scaled constant past the float range
+    (op("neg", op("add", const(1.0), _HUGE)), 3, "overflow"),
+    (op("neg", const(1.0)), 1, "reads_j"),  # an object the relation has not
+], ids=["depth_64", "depth_65", "depth_65_root", "nodes_512", "nodes_513", "nodes_513_scale",
+        "overflow_root", "overflow_deep", "objects"])
+def test_built_child_past_a_cap_raises_the_reference_fault(body, k, replace_with):
+    base = EncoderDefinition(relation="large", body=body)
+    root = compile_definition(base).summary
+    path, trail = mutation._descend(root, mutation._NODES, k)
+    target = trail[-1]
+    recipe = {
+        "abs": mutation._op("abs", target),
+        "scale": mutation._op("mul", target, (const(0.5), ())),
+        "overflow": (const(target.node.get("const", 1.0) * 2), ()),
+        "reads_j": _READS_J,
+    }[replace_with]
+    node = recipe.node if replace_with == "reads_j" else recipe[0]
+    expected = EncoderDefinition(relation="large", body=replace_at(body, path, node))
+    reference = _outcome(reference_validate, expected)
+    got = _outcome(mutation._apply, base, (path, trail, recipe), "capped")
+    if reference[0] == "ok":
+        assert got[0] == "ok"
+        _assert_built_as_checked(got[1])
+    else:
+        assert (got[0], got[1]) == reference
 
 
 def test_each_candidate_costs_its_changed_path(monkeypatch):
@@ -319,39 +353,3 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
         assert {id(n) for kind, n in events[start:end] if kind == "serialized"} <= made
     for visited, depth, height in descents:
         assert visited == depth + 1 <= height
-
-
-def test_checks_racing_on_one_table_agree_with_separate_checks():
-    """Threads check bodies that share subtree objects through one table, so
-    they race on its summaries. Every result equals that of a check on its
-    own."""
-    bodies = [mutation.mutate_definition(encoder_to_dsl(relation), seed)
-              for relation in ("near", "at_the_corner", "between") for seed in range(4)]
-    expected = []
-    for defn in bodies:
-        alone = EncoderDefinition(relation=defn.relation, body=defn.body)
-        expected.append((compile_definition(alone).nodes, reference_canonical_json(alone)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            racing = [EncoderDefinition(relation=d.relation, body=d.body) for d in bodies * 2]
-            table: dict = {}
-            got: list = [None] * len(racing)
-
-            def check(k):
-                got[k] = (compile_definition(racing[k], table).nodes, racing[k].digest())
-
-            threads = [threading.Thread(target=check, args=(k,)) for k in range(len(racing))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            for (nodes, digest), defn, (want_nodes, want_json) in zip(got, racing,
-                                                                     expected * 2):
-                assert nodes == want_nodes
-                assert digest == reference_digest(defn)
-                assert defn.canonical_json() == want_json
-    finally:
-        sys.setswitchinterval(interval)
