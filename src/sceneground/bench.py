@@ -9,6 +9,7 @@ the input order regardless of scheduling.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
 from .executor import FeatureCache, MatchingScore, condition_precision_recall, execute
 from .expression import (
     ExpressionError,
@@ -67,7 +69,8 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
     """Scenes by id and the checked entries of ``expressions.jsonl``.
 
     Every entry must name a loaded scene and a ground-truth object id in it;
-    a bad line raises :class:`DatasetError` naming ``file:line``.
+    a bad line raises :class:`DatasetError` naming ``file:line``, and so does
+    an expressions file that cannot be read (a missing dataset among them).
     """
     dataset_dir = Path(dataset_dir)
     scenes: dict[str, Scene] = {}
@@ -76,7 +79,11 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
         scenes[scene.scene_id] = scene
     entries: list[BenchEntry] = []
     expr_path = dataset_dir / "expressions.jsonl"
-    for lineno, line in enumerate(expr_path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = expr_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {expr_path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
             entries.append(_parse_entry(line, scenes, f"{expr_path}:{lineno}"))
     if not entries:
@@ -204,22 +211,24 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
         for relation in HEATMAP_RELATIONS:
             feature = caches[sid].relation_feature(relation)
             name = f"heatmap_{sid}_{relation}.csv"
-            with open(out_dir / name, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"obj_{oid}" for oid in scene.ids])
-                writer.writerows(feature.data.tolist())
+            write_text_atomic(out_dir / name, _csv_text(
+                [[f"obj_{oid}" for oid in scene.ids], *feature.data.tolist()]))
             manifest["heatmaps"].append({"file": name, "scene_id": sid, "relation": relation})
 
     for idx, (entry, score) in enumerate(zip(entries, scores)):
         labels = ["category", *(f"clause_{n}" for n in range(1, len(score.terms)))]
         steps = zip(labels, accumulate(score.terms, np.multiply))
         name = f"steps_{idx:03d}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", *[f"obj_{oid}" for oid in score.object_ids]])
-            for label, vector in steps:
-                writer.writerow([label, *vector.tolist()])
+        write_text_atomic(out_dir / name, _csv_text(
+            [["step", *[f"obj_{oid}" for oid in score.object_ids]],
+             *([label, *vector.tolist()] for label, vector in steps)]))
         manifest["steps"].append({"file": name, "scene_id": entry.scene_id, "index": idx})
 
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                           encoding="utf-8")
+    write_text_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+
+def _csv_text(rows) -> str:
+    """``rows`` in the ``csv`` module's default dialect (CRLF line ends)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()

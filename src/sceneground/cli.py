@@ -75,13 +75,17 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default=None, req
 
 
 def _resolve_number(args: argparse.Namespace, config: dict, key: str, default, kind=int):
-    """:func:`_resolve` converted by ``kind``; a bool or a value ``kind``
-    rejects (a config's ``"abc"``) is a CliError."""
+    """:func:`_resolve` converted by ``kind``; a bool, a value ``kind``
+    rejects (a config's ``"abc"``) or a fraction for an int (a config's
+    ``2.9``, where ``3.0`` is 3) is a CliError."""
     value = _resolve(args, config, key, default)
+    flag = f"--{key.replace('_', '-')}"
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise CliError(f"{flag} must be a whole number, got {value!r}")
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             return kind(value)
-    raise CliError(f"--{key.replace('_', '-')} must be a number, got {value!r}")
+    raise CliError(f"{flag} must be a number, got {value!r}")
 
 
 def _resolve_path(args: argparse.Namespace, config: dict, key: str,

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .dsl import EncoderDefinition
+from .dsl import DefinitionError, EncoderDefinition, definition_from_dict
 from .expression import SymbolicExpression, parse_expression, relation_arity
 
 __all__ = [
@@ -207,14 +207,14 @@ class LlmClient:
 
     def chat_complete(self, bundle: PromptBundle) -> tuple[str, UsageRecord]:
         """Reply text and its usage record."""
-        return self._complete(bundle, lambda text: text)
+        return self.complete(bundle, lambda text: text)
 
     def parse_utterance(self, utterance: str) -> SymbolicExpression:
         """Expression parsed from the reply; a reply without one is retried."""
-        return self._complete(assemble_prompt("parsing", utterance=utterance),
-                              _expression_from_reply)[0]
+        return self.complete(assemble_prompt("parsing", utterance=utterance),
+                             _expression_from_reply)[0]
 
-    def _complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
+    def complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
         HTTP errors, malformed replies and replies ``parse`` rejects share the
         ``max_attempts`` budget; a 400/401/403/404 is not retried.
@@ -270,16 +270,16 @@ class LlmClient:
             try:
                 data = response.json()
                 text = data["choices"][0]["message"]["content"]
-                usage = data.get("usage", {})
-            except (ValueError, LookupError, TypeError) as exc:
+                usage = data.get("usage")  # absent or null, like its fields, counts as 0
+                tokens = [0 if usage is None or usage.get(key) is None else usage[key]
+                          for key in ("prompt_tokens", "completion_tokens")]
+                if not isinstance(text, str) or any(type(n) is not int or n < 0 for n in tokens):
+                    raise TypeError(f"content {text!r:.40} or usage {usage!r:.80} is not valid")
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 last_error = f"malformed reply: {exc}"
                 continue
-            record = UsageRecord(
-                purpose=bundle.template_id,
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-                wall_ms=(time.perf_counter() - started) * 1000.0,
-            )
+            record = UsageRecord(bundle.template_id, *tokens,
+                                 wall_ms=(time.perf_counter() - started) * 1000.0)
             self.ledger.add(record)
             try:
                 return parse(text), record
@@ -303,6 +303,29 @@ def _expression_from_reply(text: str) -> SymbolicExpression:
     if block is None:
         raise LlmError("reply contains no JSON object")
     return parse_expression(block)
+
+
+def _definition_from_reply(text: str, relation: str) -> EncoderDefinition:
+    """The definition for ``relation`` in a reply; a bare body tree is
+    wrapped into one. A reply that holds none raises LlmError."""
+    block = extract_json_block(text)
+    if block is None:
+        raise LlmError(f"reply for {relation!r} contains no JSON object")
+    try:
+        raw = json.loads(block)
+    except json.JSONDecodeError as exc:
+        raise LlmError(f"reply JSON is malformed: {exc}") from None
+    if isinstance(raw, dict) and "body" not in raw and (
+            "op" in raw or "const" in raw or "get" in raw or "agg" in raw):
+        # bare body tree: wrap it into a definition for the target relation
+        raw = {"relation": relation, "body": raw}
+    try:
+        defn = definition_from_dict(raw)
+    except DefinitionError as exc:
+        raise LlmError(f"reply is not a definition: {exc}") from None
+    if defn.relation != relation:
+        raise LlmError(f"reply defines {defn.relation!r}, expected {relation!r}")
+    return EncoderDefinition(relation=relation, body=defn.body, metadata="llm")
 
 
 def parse_utterance_via_llm(

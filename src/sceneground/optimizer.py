@@ -8,9 +8,11 @@ one evaluation over the whole suite, never the dense N^arity tensor. A
 search keeps one :class:`SearchMemo` of the subtree values it has computed
 on its suite's plan, so a mutated child evaluates only its new path.
 Failures are rendered once per suite into deterministic error messages that
-a candidate source can condition on. The search keeps the top candidates of
-each round, asks the source for refinements of each, and stops early once a
-candidate passes everything.
+a candidate source can condition on. The search is one loop over rounds:
+the first round refines one empty parent (the init prompt), each later one
+the top candidates of the round before, and the search stops early once a
+candidate passes everything. A draw is one call of the source, which does
+its own retrying; a source that fails aborts the search.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Protocol
 
@@ -28,7 +31,6 @@ from .dsl import (
     EncoderDefinition,
     GatherPlan,
     compile_definition,
-    definition_from_dict,
     eval_gathered,
 )
 from .expression import normalize_relation_name, relation_arity
@@ -58,8 +60,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-DRAW_ATTEMPTS = 3
 
 
 class SuiteError(ValueError):
@@ -368,57 +368,28 @@ class MutationSource:
 
 @dataclass
 class LlmSource:
-    """Candidate source that asks a chat model for DSL-JSON definitions."""
+    """Candidate source that asks a chat model for DSL-JSON definitions; a
+    reply with no definition for the relation is retried within the client's
+    one ``max_attempts`` budget."""
 
     client: object  # llm.LlmClient; kept loose to avoid a hard import cycle
 
     def draw(self, relation, *, context=None, example=None, seed=0):
-        from .llm import assemble_prompt, extract_json_block
+        from .llm import LlmError, _definition_from_reply, assemble_prompt
 
         template = "refinement" if context is not None else "init_generation"
         bundle = assemble_prompt(template, relation=relation, example=example, prior=context)
-        reply, _ = self.client.chat_complete(bundle)
-        block = extract_json_block(reply)
-        if block is None:
-            raise CandidateSourceError(f"reply for {relation!r} contains no JSON object")
         try:
-            raw = json.loads(block)
-        except json.JSONDecodeError as exc:
-            raise CandidateSourceError(f"reply JSON is malformed: {exc}") from None
-        if isinstance(raw, dict) and "body" not in raw and (
-                "op" in raw or "const" in raw or "get" in raw or "agg" in raw):
-            # bare body tree: wrap it into a definition for the target relation
-            raw = {"relation": relation, "body": raw}
-        try:
-            defn = definition_from_dict(raw)
-        except DefinitionError as exc:
-            raise CandidateSourceError(f"reply is not a definition: {exc}") from None
-        if defn.relation != relation:
-            raise CandidateSourceError(
-                f"reply defines {defn.relation!r}, expected {relation!r}"
-            )
-        return EncoderDefinition(relation=relation, body=defn.body, metadata="llm")
+            return self.client.complete(
+                bundle, lambda text: _definition_from_reply(text, relation))[0]
+        except LlmError as exc:
+            raise CandidateSourceError(f"no definition for {relation!r}: {exc}") from exc
 
 
-def _draw_seed(base: int, iteration: int, parent: int, sample: int, attempt: int) -> int:
-    ss = np.random.SeedSequence([base & 0xFFFFFFFF, iteration, parent, sample, attempt])
+def _draw_seed(base: int, iteration: int, parent: int, sample: int) -> int:
+    # the trailing 0 is part of the key: without it every search's draws change
+    ss = np.random.SeedSequence([base & 0xFFFFFFFF, iteration, parent, sample, 0])
     return int(ss.generate_state(1)[0])
-
-
-def _draw_with_retries(source, relation, context, example, base_seed,
-                       iteration, parent, sample, history):
-    last: Exception | None = None
-    for attempt in range(DRAW_ATTEMPTS):
-        seed = _draw_seed(base_seed, iteration, parent, sample, attempt)
-        try:
-            return source.draw(relation, context=context, example=example, seed=seed)
-        except Exception as exc:  # noqa: BLE001 - sources are pluggable
-            last = exc
-            logger.warning("candidate draw failed (attempt %d/%d): %s",
-                           attempt + 1, DRAW_ATTEMPTS, exc)
-    raise OptimizationAborted(
-        f"candidate source failed {DRAW_ATTEMPTS} times: {last}", history
-    )
 
 
 def optimize_encoder(
@@ -433,9 +404,12 @@ def optimize_encoder(
     """Iterative sample -> test -> refine search; returns the best candidate
     and the best-so-far pass rate after each completed iteration.
 
-    The winning definition is accepted into the registry. Candidate budget is
-    n_sample draws in the first iteration plus top_k * n_sample draws in each
-    of the remaining n_iter - 1 iterations. Candidates are scored with one
+    Each round draws n_sample candidates per parent: round 1 from one empty
+    parent (the init prompt), each later round from the top_k of the round
+    before, refined with their failure messages. Round 1 is evaluated whole,
+    a later round stops at its first perfect candidate, and a round with a
+    perfect candidate ends the search; a source that raises aborts it. The
+    winner is accepted into the registry. Candidates are scored with one
     :class:`SearchMemo`, dropped when the search returns.
     """
     if suite.relation != relation:
@@ -445,63 +419,38 @@ def optimize_encoder(
     history: list[float] = []
     best: CandidateReport | None = None
     evaluated = 0
-
-    def record(iteration: int, report: CandidateReport) -> None:
-        if log is not None:
-            log.append({
-                "iteration": iteration,
-                "index": evaluated,
-                "pass_rate": report.pass_rate,
-                "n_failures": len(report.failures),
-                "definition_hash": report.definition.digest()[:12],
-                "note": report.note,
-            })
-
-    def finish(report: CandidateReport) -> tuple[EncoderDefinition, list[float]]:
-        registry.accept(report.definition)
-        return report.definition, history
-
-    # first round: sample from the init prompt (plus example, when available)
-    reports: list[CandidateReport] = []
-    for sample in range(cfg.n_sample):
-        defn = _draw_with_retries(source, relation, None, example,
-                                  cfg.seed, 1, 0, sample, history)
-        report = run_test_suite(defn, suite, memo)
-        evaluated += 1
-        record(1, report)
-        reports.append(report)
-        if best is None or report.pass_rate > best.pass_rate:
-            best = report
-    history.append(best.pass_rate)
-    if best.pass_rate == 1.0:
-        return finish(best)
-    parents = select_top_k(reports, cfg.top_k)
-
-    for iteration in range(2, cfg.n_iter + 1):
-        round_reports: list[CandidateReport] = []
-        stop = False
-        for parent_idx, parent in enumerate(parents):
-            context = (parent.definition, tuple(msg for _, msg in parent.failures))
-            for sample in range(cfg.n_sample):
-                defn = _draw_with_retries(source, relation, context, example,
-                                          cfg.seed, iteration, parent_idx, sample, history)
-                report = run_test_suite(defn, suite, memo)
-                evaluated += 1
-                record(iteration, report)
-                round_reports.append(report)
-                if report.pass_rate > best.pass_rate:
-                    best = report
-                if report.pass_rate == 1.0:
-                    stop = True
-                    break
-            if stop:
+    contexts: list[tuple[EncoderDefinition, tuple[str, ...]] | None] = [None]
+    for iteration in range(1, cfg.n_iter + 1):
+        reports: list[CandidateReport] = []
+        for (parent, context), sample in product(enumerate(contexts), range(cfg.n_sample)):
+            seed = _draw_seed(cfg.seed, iteration, parent, sample)
+            try:
+                defn = source.draw(relation, context=context, example=example, seed=seed)
+            except Exception as exc:  # noqa: BLE001 - sources are pluggable
+                raise OptimizationAborted(f"candidate source failed: {exc}", history) from exc
+            report = run_test_suite(defn, suite, memo)
+            evaluated += 1
+            if log is not None:
+                log.append({
+                    "iteration": iteration,
+                    "index": evaluated,
+                    "pass_rate": report.pass_rate,
+                    "n_failures": len(report.failures),
+                    "definition_hash": report.definition.digest()[:12],
+                    "note": report.note,
+                })
+            reports.append(report)
+            if best is None or report.pass_rate > best.pass_rate:
+                best = report
+            if report.pass_rate == 1.0 and iteration > 1:
                 break
         history.append(best.pass_rate)
-        if stop:
-            return finish(best)
-        parents = select_top_k(round_reports, cfg.top_k)
-
-    return finish(best)
+        if best.pass_rate == 1.0:
+            break
+        contexts = [(r.definition, tuple(msg for _, msg in r.failures))
+                    for r in select_top_k(reports, cfg.top_k)]
+    registry.accept(best.definition)
+    return best.definition, history
 
 
 def _case_id(entry: dict, key: str, k: int, path: str | Path,

@@ -204,3 +204,20 @@ def test_missing_ground_truth_rejected(dataset, registry, tmp_path):
     (broken / "expressions.jsonl").write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match="ground_truth"):
         run_bench(broken, registry)
+
+
+def test_plot_files_are_written_atomically(dataset, registry, tmp_path, monkeypatch):
+    written = []
+    original = bench_module.write_text_atomic
+
+    def recording(path, text):
+        written.append(path.name)
+        original(path, text)
+
+    monkeypatch.setattr(bench_module, "write_text_atomic", recording)
+    out = tmp_path / "plots"
+    run_bench(dataset, registry, plots_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    named = [entry["file"] for entry in manifest["heatmaps"] + manifest["steps"]]
+    assert sorted(written) == sorted(named + ["manifest.json"])
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)

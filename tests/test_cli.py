@@ -180,10 +180,6 @@ def test_bench_report_self_consistent(dataset, tmp_path, capsys):
         assert (plots / entry["file"]).exists()
 
 
-def test_bench_missing_dataset_is_runtime_error(tmp_path):
-    assert main(["bench", "--dataset", str(tmp_path / "missing")]) == 1
-
-
 def test_optimize_outputs_are_byte_deterministic(tmp_path):
     rng = np.random.default_rng(2)
     suite_path, scenes_dir = make_near_suite_files(tmp_path, rng)
@@ -414,6 +410,37 @@ UNREADABLE = [(option, kind) for option in ("ground --expr", "parse --offline-ex
               for kind in ("missing", "directory", "not_utf8")]
 
 
+def _bench_unreadable(kind):
+    """``bench`` over a dataset that is missing, or whose ``expressions.jsonl``
+    is a directory or not UTF-8."""
+
+    def build(dataset, tmp_path):
+        copy = tmp_path / "ds"
+        if kind != "missing":
+            shutil.copytree(dataset / "scenes", copy / "scenes")
+        if kind == "directory":
+            (copy / "expressions.jsonl").mkdir()
+        elif kind == "not_utf8":
+            (copy / "expressions.jsonl").write_bytes(b'{"scene_id": "\xff"}\n')
+        return ["bench", "--dataset", str(copy)], "expressions.jsonl"
+
+    return build
+
+
+def _optimize_config(**config):
+    """``optimize`` over valid files with ``config`` as its config file."""
+
+    def build(dataset, tmp_path):
+        suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        return ["optimize", "--relation", "near", "--suite", str(suite_path),
+                "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json"),
+                "--config", str(config_path)], f"--{next(iter(config)).replace('_', '-')}"
+
+    return build
+
+
 def _bench_workers(workers):
     def build(dataset, tmp_path):
         return ["bench", "--dataset", str(dataset), "--workers", workers], "--workers"
@@ -468,6 +495,11 @@ def _optimize_n_iter(n_iter):
     _ground_blank_category(" \t "),
     *[_unreadable(option, kind) for option, kind in UNREADABLE],
     _unreadable("ground --scene", "not_utf8"),
+    _bench_unreadable("missing"),
+    _bench_unreadable("directory"),
+    _bench_unreadable("not_utf8"),
+    _ground_config(top_k=2.9),
+    _optimize_config(n_iter=2.5),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -479,7 +511,8 @@ def _optimize_n_iter(n_iter):
         "similarity_not_numeric", "similarity_numeric_string", "similarity_ragged",
         "threshold_nan", "threshold_inf", "label_whitespace", "category_whitespace",
         *[f"{option.replace(' --', '_').replace('-', '_')}_{kind}" for option, kind in UNREADABLE],
-        "ground_scene_not_utf8"])
+        "ground_scene_not_utf8", "bench_dataset_missing", "bench_expressions_directory",
+        "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2
@@ -507,3 +540,14 @@ def test_optimize_with_llm_source_reports_usage_totals(tmp_path, capsys, monkeyp
     assert int(fields["prompt_tokens"]) > 0
     assert fields["completion_tokens"] == str(2 * len(reply.split()))
     assert float(fields["wall_ms"]) > 0
+
+
+def test_config_whole_float_is_an_integer(dataset, tmp_path, capsys):
+    expr = tmp_path / "expr.json"
+    expr.write_text(CHAIR_EXPR, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"top_k": 1.0}), encoding="utf-8")
+    assert main(["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                 "--expr", str(expr), "--config", str(config_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["candidates"] == [result["argmax"]]

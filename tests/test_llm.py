@@ -271,3 +271,109 @@ def test_total_wait_is_capped_by_the_timeout(monkeypatch):
             client.chat_complete(assemble_prompt("parsing", utterance="x"))
         assert stub.request_count == 2
     assert slept == [6.0]
+
+
+class _Reply:
+    """A 200 response whose JSON body is ``data``."""
+
+    status_code = 200
+    headers: dict = {}
+    text = ""
+
+    def __init__(self, data):
+        self._data = data
+
+    def json(self):
+        return self._data
+
+
+def _post_replying(monkeypatch, usage):
+    """Route ``requests.post`` to a reply carrying ``usage`` (omitted when
+    ``usage`` is the string "absent"); returns the list of posted URLs."""
+    import requests
+
+    posted = []
+    data = {"choices": [{"message": {"content": CHAIR_REPLY}}]}
+    if usage != "absent":
+        data["usage"] = usage
+
+    def post(url, **kwargs):
+        posted.append(url)
+        return _Reply(data)
+
+    monkeypatch.setattr(requests, "post", post)
+    _sleeps(monkeypatch)
+    return posted
+
+
+@pytest.mark.parametrize("usage", ["absent", None, {}, {"prompt_tokens": None},
+                                   {"prompt_tokens": 7, "completion_tokens": None}])
+def test_absent_or_null_usage_counts_zero_tokens(monkeypatch, usage):
+    posted = _post_replying(monkeypatch, usage)
+    ledger = UsageLedger()
+    expr = parse_utterance_via_llm("chair near the table", fast_config("http://stub"), ledger)
+    assert expr.category == "chair"
+    assert len(posted) == 1
+    expected = (usage.get("prompt_tokens") or 0) if isinstance(usage, dict) else 0
+    assert ledger.totals()["prompt_tokens"] == expected
+    assert ledger.totals()["completion_tokens"] == 0
+
+
+MALFORMED_USAGE = [[], [1, 2], "many", {"prompt_tokens": "abc"}, {"prompt_tokens": [3]},
+                   {"completion_tokens": 2.5}, {"completion_tokens": -1},
+                   {"prompt_tokens": True}]
+
+
+@pytest.mark.parametrize("usage", MALFORMED_USAGE)
+def test_malformed_usage_is_a_malformed_reply_within_the_budget(monkeypatch, usage):
+    posted = _post_replying(monkeypatch, usage)
+    ledger = UsageLedger()
+    with pytest.raises(LlmError, match="3 attempts; last error: malformed reply"):
+        parse_utterance_via_llm("chair near the table", fast_config("http://stub"), ledger)
+    assert len(posted) == 3
+    assert ledger.records == ()
+
+
+@pytest.mark.parametrize("usage", [[], {"prompt_tokens": "abc"}, {"prompt_tokens": [3]}])
+def test_parse_command_reports_malformed_usage_without_traceback(monkeypatch, capsys, usage):
+    from sceneground.cli import main
+
+    _post_replying(monkeypatch, usage)
+    monkeypatch.setenv("LASP_LLM_ENDPOINT", "http://stub")
+    assert main(["parse", "--utterance", "chair near the table"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed reply" in err and "Traceback" not in err
+
+
+def test_null_content_is_a_malformed_reply(monkeypatch):
+    import requests
+
+    monkeypatch.setattr(requests, "post",
+                        lambda url, **kwargs: _Reply({"choices": [{"message": {"content": None}}]}))
+    _sleeps(monkeypatch)
+    with pytest.raises(LlmError, match="malformed reply"):
+        parse_utterance_via_llm("chair near the table", fast_config("http://stub"))
+
+
+@pytest.mark.parametrize("stub_kwargs,requests_made,replies", [
+    ({"replies": [CHAIR_REPLY], "fail_times": 99, "fail_status": 401}, 1, 0),
+    ({"replies": [CHAIR_REPLY], "fail_times": 99, "fail_status": 500}, 3, 0),
+    ({"replies": ["no json in this reply"]}, 3, 3),
+], ids=["unauthorized", "server_error", "prose_only"])
+def test_llm_sourced_search_spends_one_budget_per_draw(stub_kwargs, requests_made, replies):
+    import numpy as np
+
+    from sceneground.optimizer import OptimizationAborted, OptimizerConfig, optimize_encoder
+    from sceneground.registry import EncoderRegistry
+
+    from helpers import build_margin_suite
+
+    suite = build_margin_suite("near", np.random.default_rng(0), n_cases=10)
+    ledger = UsageLedger()
+    with StubServer(**stub_kwargs) as stub:
+        source = LlmSource(client=LlmClient(fast_config(stub.base_url), ledger))
+        with pytest.raises(OptimizationAborted, match="candidate source failed") as err:
+            optimize_encoder("near", suite, source, EncoderRegistry(), OptimizerConfig())
+        assert stub.request_count == requests_made
+    assert err.value.history == []
+    assert ledger.totals()["calls"] == replies

@@ -301,6 +301,29 @@ def test_source_failure_aborts_with_partial_history():
     assert err.value.history == [0.0]
 
 
+def test_each_draw_gets_its_own_seed_once():
+    suite = build_margin_suite("near", np.random.default_rng(3), n_cases=10)
+
+    class RecordingSource:
+        def __init__(self):
+            self.seeds = []
+
+        def draw(self, relation, *, context=None, example=None, seed=0):
+            self.seeds.append(seed)
+            return EncoderDefinition(relation=relation, body=const(0.5), metadata=str(seed))
+
+    base = 2**40 + 17  # only the low 32 bits key the draws
+    cfg = OptimizerConfig(n_iter=3, n_sample=2, top_k=2, seed=base)
+    source = RecordingSource()
+    optimize_encoder("near", suite, source, EncoderRegistry(), cfg)
+    keys = [(1, 0, sample) for sample in range(2)]
+    keys += [(iteration, parent, sample) for iteration in (2, 3)
+             for parent in range(2) for sample in range(2)]
+    expected = [int(np.random.SeedSequence([base & 0xFFFFFFFF, *key, 0]).generate_state(1)[0])
+                for key in keys]
+    assert source.seeds == expected
+
+
 def test_duplicate_candidates_share_feature_computation(monkeypatch):
     rng = np.random.default_rng(4)
     suite = build_margin_suite("near", rng, n_cases=10)
