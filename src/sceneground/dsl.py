@@ -19,10 +19,15 @@ Equal texts are equal subtrees, and each route evaluates a text once. Two
 routes apply a node by one rule (:func:`_node_value`) and differ only in how
 they read accessors and aggregates and in the order they visit nodes:
 
-- The dense route (:func:`eval_encoder`) broadcasts each accessor along its
-  own axis and keeps aggregates scalar. It runs the body's DAG, hash-consed
-  on the texts and built from the summaries the first time a dense
-  evaluation asks for it, and frees each intermediate after its last reader.
+- The dense route (:func:`eval_encoders`; :func:`eval_encoder` is its
+  one-body case) broadcasts each accessor along its own axis and keeps
+  aggregates scalar. It runs one DAG over several bodies of one rank,
+  hash-consed on the texts, so a subtree the bodies share (a proximity or
+  lateral term, say) is evaluated once for all of them; each intermediate
+  is freed after its last reader, and each root is written into its own
+  feature. A body's DAG is built from its summaries the first time a dense
+  evaluation asks for it, and a program of several bodies is memoized
+  process-wide.
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
@@ -45,7 +50,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +73,7 @@ __all__ = [
     "CompiledEncoder",
     "compile_definition",
     "eval_encoder",
+    "eval_encoders",
     "eval_encoder_at",
     "GatherPlan",
     "eval_gathered",
@@ -86,7 +92,7 @@ EXP_CLIP = 50.0
 FEATURE_CAP = 1e30
 MAX_TREE_DEPTH = 64
 MAX_TREE_NODES = 512
-# entries per chunk of a dense feature evaluation (eval_encoder)
+# entries per chunk of a dense feature evaluation (eval_encoders)
 CHUNK_ELEMS = 1 << 18
 
 # swappable commutative pairs used by the mutation operator
@@ -331,15 +337,17 @@ class CompiledEncoder:
     """A checked definition body: its relation, rank and root summary.
 
     ``summary`` is the root's :class:`NodeSummary`; the gathered route walks
-    the summaries (:func:`eval_gathered`). ``nodes`` and ``frees`` are the
-    body's hash-consed DAG, which only the dense route (:func:`eval_encoder`)
-    runs, so it is built from the summaries the first time it is read
-    (builds that race produce equal DAGs). ``nodes`` lists each distinct
-    subtree once, children before parents, so the root is last:
+    the summaries (:func:`eval_gathered`). ``nodes`` and ``frees`` are this
+    body's own hash-consed DAG, which only the dense route runs, so it is
+    built from the summaries the first time it is read (builds that race
+    produce equal DAGs); :func:`eval_encoders` runs several bodies of one
+    rank as one such DAG (see :func:`_build_dag`). ``nodes`` lists each
+    distinct subtree once, children before parents, so the root is last:
     ``("const", value)``, ``("get", field, obj, axis)``, ``("agg", name,
     axis)`` or ``("op", name, child_positions)``. ``frees[p]`` names the
     positions whose last reader is node ``p``, so an evaluation holds no more
-    intermediates than it still needs.
+    intermediates than it still needs. Compiled encoders compare and hash by
+    identity, so a tuple of them keys a memoized program.
     """
 
     relation: str
@@ -347,8 +355,8 @@ class CompiledEncoder:
     summary: NodeSummary = field(repr=False)
 
     @cached_property
-    def _dag(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
-        return _build_dag(self.summary)
+    def _dag(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return _build_dag((self.summary,))
 
     @property
     def nodes(self) -> tuple[tuple, ...]:
@@ -359,9 +367,13 @@ class CompiledEncoder:
         return self._dag[1]
 
 
-def _build_dag(root: NodeSummary) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
-    """``nodes`` and ``frees`` of a body (see :class:`CompiledEncoder`), one
-    step per distinct DAG node, keyed by the summaries' texts."""
+def _build_dag(roots: tuple[NodeSummary, ...]
+               ) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``nodes``, ``frees`` and one output position per root of the bodies
+    rooted at ``roots`` (see :class:`CompiledEncoder`), one step per distinct
+    DAG node, keyed by the summaries' texts. Bodies share their equal
+    subtrees, and equal roots share one position. A root is never freed, as
+    its value is written into its feature."""
     ids: dict[str, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
@@ -383,11 +395,21 @@ def _build_dag(root: NodeSummary) -> tuple[tuple[tuple, ...], tuple[tuple[int, .
         last_reader.append(pos)
         return pos
 
-    emit(root)
+    outputs = tuple(ids[root.text] if root.text in ids else emit(root) for root in roots)
+    kept = set(outputs)
     frees: list[list[int]] = [[] for _ in nodes]
-    for child, pos in enumerate(last_reader[:-1]):
-        frees[pos].append(child)
-    return tuple(nodes), tuple(map(tuple, frees))
+    for child, pos in enumerate(last_reader):
+        if child not in kept:
+            frees[pos].append(child)
+    return tuple(nodes), tuple(map(tuple, frees)), outputs
+
+
+@lru_cache(maxsize=256)
+def _shared_dag(compiled: tuple[CompiledEncoder, ...]):
+    """The DAG of several bodies, memoized process-wide: building it costs
+    about what the sharing saves. The key holds the compiled encoders, so
+    their ids are never reused while it lives."""
+    return _build_dag(tuple(c.summary for c in compiled))
 
 
 def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
@@ -518,16 +540,16 @@ def _node_value(entry: tuple, args: list, get_rule, agg_rule):
     return entry[1]
 
 
-def _evaluate(compiled: CompiledEncoder, get_rule, agg_rule):
-    """Run the DAG: every distinct node once, each intermediate dropped after
-    its last reader."""
+def _evaluate(nodes: tuple, frees: tuple, get_rule, agg_rule) -> list:
+    """Run a DAG: every distinct node once, each intermediate dropped after
+    its last reader; the values list, which still holds every root."""
     values: list = []
-    for node, frees in zip(compiled.nodes, compiled.frees):
+    for node, dying in zip(nodes, frees):
         args = [values[c] for c in node[2]] if node[0] == "op" else ()
         values.append(_node_value(node, args, get_rule, agg_rule))
-        for dead in frees:
+        for dead in dying:
             values[dead] = None
-    return values[-1]
+    return values
 
 
 def _sanitize(data: np.ndarray) -> np.ndarray:
@@ -591,24 +613,42 @@ def _dense_rules(geom: PairGeometry, rank: int, i_slice: slice):
 
 
 def eval_encoder(defn: EncoderDefinition, scene: Scene, geom: PairGeometry) -> RelationFeature:
-    """Evaluate a definition over a scene; pure and deterministic.
+    """Evaluate a definition over a scene; pure and deterministic. The
+    one-body case of :func:`eval_encoders`."""
+    return eval_encoders((defn,), scene, geom)[0]
 
-    The body is checked (:func:`compile_definition`) and its DAG run, so
-    each distinct subtree is evaluated once. The feature is evaluated in
-    chunks along the first index of about ``CHUNK_ELEMS`` entries each, so
-    the intermediate working set stays bounded even when N is large.
+
+def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGeometry
+                  ) -> list[RelationFeature]:
+    """Evaluate definitions of one rank over a scene in one shared pass.
+
+    The bodies are checked (:func:`compile_definition`) and run as one DAG,
+    so each distinct subtree of all of them is evaluated once; each feature
+    equals its body's own evaluation byte for byte. The features are
+    evaluated in chunks along the first index of about ``CHUNK_ELEMS``
+    entries each, so the intermediate working set stays bounded even when N
+    is large.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
         raise ValueError("scene and geometry disagree on object count")
-    compiled = compile_definition(defn)
-    rank = compiled.rank
-    out = np.empty((n,) * rank, dtype=np.float64)
+    compiled = tuple(compile_definition(defn) for defn in defns)
+    if not compiled:
+        return []
+    rank = compiled[0].rank
+    if any(c.rank != rank for c in compiled):
+        raise ValueError("eval_encoders needs definitions of one rank")
+    # one body runs the DAG its CompiledEncoder keeps, and adds nothing to the memo
+    nodes, frees, outputs = compiled[0]._dag if len(compiled) == 1 else _shared_dag(compiled)
+    outs = [np.empty((n,) * rank, dtype=np.float64) for _ in compiled]
     step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
     for start in range(0, n, step):
         sl = slice(start, min(start + step, n))
-        out[sl] = _evaluate(compiled, *_dense_rules(geom, rank, sl))
-    return RelationFeature(relation=defn.relation, rank=rank, data=_finalize_owned(out, rank))
+        values = _evaluate(nodes, frees, *_dense_rules(geom, rank, sl))
+        for out, pos in zip(outs, outputs):
+            out[sl] = values[pos]
+    return [RelationFeature(relation=c.relation, rank=rank, data=_finalize_owned(out, rank))
+            for c, out in zip(compiled, outs)]
 
 
 class GatherPlan:

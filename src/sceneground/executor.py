@@ -14,13 +14,19 @@ from __future__ import annotations
 import logging
 import threading
 from collections.abc import Iterable
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .dsl import EncoderDefinition, RelationFeature, eval_encoder
-from .expression import SymbolicExpression, expression_to_dict, relation_arity
+from .dsl import EncoderDefinition, RelationFeature, eval_encoders
+from .expression import (
+    SymbolicExpression,
+    collect_conditions,
+    expression_to_dict,
+    relation_arity,
+)
 from .registry import EncoderRegistry
 from .scene import PairGeometry, Scene, exact_match_column, precompute_geometry
 
@@ -78,45 +84,83 @@ class FeatureCache:
     """Per-scene memo of relation and category features.
 
     The cache snapshots the registry's active definitions at construction, so
-    a grounding run sees one consistent encoder set. Each feature is computed
-    at most once (single-flight): concurrent requests for the same feature
-    wait on that feature's own lock, while lookups of features already
-    computed never wait. Entries are only valid for the fingerprinted scene.
+    a grounding run sees one consistent encoder set. A request for several
+    relations evaluates the missing ones of each rank in one shared DAG pass
+    (:func:`~sceneground.dsl.eval_encoders`), so their encoders' common
+    subtrees are evaluated once. Each feature is computed at most once
+    (single-flight): a request holds the locks of its missing features,
+    taken in sorted order so overlapping requests cannot deadlock, and
+    concurrent requests for those features wait on them, while lookups of
+    features already computed never wait. Entries are only valid for the
+    cache's scene, whose fingerprint is hashed only when ``execute`` is given
+    another scene object.
     """
 
     def __init__(self, scene: Scene,
                  registry: EncoderRegistry | dict[str, EncoderDefinition]) -> None:
         self.scene = scene
         self.geometry: PairGeometry = precompute_geometry(scene)
-        self.fingerprint = scene.fingerprint()
         self._definitions = registry.snapshot() if isinstance(registry, EncoderRegistry) else dict(registry)
         self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
         self._key_locks: dict[tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()  # guards _key_locks only
 
-    def _memo(self, key: tuple[str, str], compute):
-        feature = self._features.get(key)
-        if feature is None:
-            with self._lock:
-                key_lock = self._key_locks.setdefault(key, threading.Lock())
-            with key_lock:
-                feature = self._features.get(key)
-                if feature is None:
-                    feature = self._features[key] = compute(key[1])
-        return feature
+    @property
+    def fingerprint(self) -> str:
+        """The cache's scene's content hash (memoized on the scene)."""
+        return self.scene.fingerprint()
+
+    def _key_lock(self, key: tuple[str, str]) -> threading.Lock:
+        with self._lock:
+            return self._key_locks.setdefault(key, threading.Lock())
+
+    def relation_features(self, relations: Iterable[str]) -> dict[str, RelationFeature]:
+        """The features of ``relations`` by name; the missing ones of each
+        rank are evaluated in one :func:`~sceneground.dsl.eval_encoders`
+        call."""
+        found: dict[str, RelationFeature] = {}
+        missing: set[str] = set()
+        for relation in relations:
+            feature = self._features.get(("relation", relation))
+            if feature is None:
+                missing.add(relation)
+            else:
+                found[relation] = feature
+        if missing:
+            keys = sorted(("relation", r) for r in missing)
+            with ExitStack() as held:
+                for key in keys:
+                    held.enter_context(self._key_lock(key))
+                # a request that held some of these locks first has computed those
+                self._compute_relations([key[1] for key in keys if key not in self._features])
+            found.update((key[1], self._features[key]) for key in keys)
+        return found
 
     def relation_feature(self, relation: str) -> RelationFeature:
-        return self._memo(("relation", relation), self._compute_relation)
+        return self.relation_features((relation,))[relation]
 
     def category_feature(self, category: str) -> CategoryFeature:
-        return self._memo(("category", category), self._compute_category)
+        key = ("category", category)
+        feature = self._features.get(key)
+        if feature is None:
+            with self._key_lock(key):
+                feature = self._features.get(key)
+                if feature is None:
+                    feature = self._features[key] = self._compute_category(category)
+        return feature
 
-    def _compute_relation(self, relation: str) -> RelationFeature:
-        try:
-            defn = self._definitions[relation]
-        except KeyError:
-            raise ExecutionError(f"no active encoder for relation {relation!r}") from None
-        return eval_encoder(defn, self.scene, self.geometry)
+    def _compute_relations(self, relations: list[str]) -> None:
+        by_rank: dict[int, list[tuple[str, EncoderDefinition]]] = {}
+        for relation in relations:
+            try:
+                defn = self._definitions[relation]
+            except KeyError:
+                raise ExecutionError(f"no active encoder for relation {relation!r}") from None
+            by_rank.setdefault(relation_arity(defn.relation), []).append((relation, defn))
+        for group in by_rank.values():
+            names, defns = zip(*group)
+            features = eval_encoders(defns, self.scene, self.geometry)
+            self._features.update((("relation", r), f) for r, f in zip(names, features))
 
     def _compute_category(self, category: str) -> CategoryFeature:
         table = self.scene.similarities
@@ -152,12 +196,13 @@ class MatchingScore:
         return self.object_ids[int(self.order()[0])]
 
 
-def _run(expr: SymbolicExpression, cache: FeatureCache) -> list[np.ndarray]:
+def _run(expr: SymbolicExpression, cache: FeatureCache,
+         features: dict[str, RelationFeature]) -> list[np.ndarray]:
     """The category feature, then each root clause's factor (read-only)."""
     terms = [cache.category_feature(expr.category).data]
     for clause in expr.relations:
-        feature = cache.relation_feature(clause.relation).data
-        anchors = [reduce(np.multiply, _run(anchor, cache)) for anchor in clause.anchors]
+        feature = features[clause.relation].data
+        anchors = [reduce(np.multiply, _run(anchor, cache, features)) for anchor in clause.anchors]
         arity = relation_arity(clause.relation)
         if arity == 1:
             f = feature
@@ -174,13 +219,19 @@ def _run(expr: SymbolicExpression, cache: FeatureCache) -> list[np.ndarray]:
 
 
 def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> MatchingScore:
-    """Evaluate an expression to per-object matching scores and their terms."""
-    if cache.fingerprint != scene.fingerprint():
+    """Evaluate an expression to per-object matching scores and their terms.
+
+    The relation features of every clause are requested from the cache at
+    once. A scene other than the cache's own object must match its
+    fingerprint (scenes are immutable, so the same object matches).
+    """
+    if scene is not cache.scene and cache.fingerprint != scene.fingerprint():
         raise ExecutionError(
             f"feature cache was built for a different scene "
             f"(cache {cache.fingerprint[:12]}, scene {scene.fingerprint()[:12]})"
         )
-    terms = tuple(_run(expr, cache))
+    features = cache.relation_features(clause.relation for _, clause in collect_conditions(expr))
+    terms = tuple(_run(expr, cache, features))
     data = reduce(np.multiply, terms)
     data.setflags(write=False)
     return MatchingScore(data=data, object_ids=tuple(scene.ids), terms=terms)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .dsl import DefinitionError, EncoderDefinition, definition_from_dict
-from .expression import SymbolicExpression, parse_expression, relation_arity
+from .expression import SymbolicExpression, expression_from_dict, relation_arity
 
 __all__ = [
     "LlmError",
@@ -170,8 +170,9 @@ def assemble_prompt(
                         template_id=template_id)
 
 
-def extract_json_block(text: str) -> str | None:
-    """First balanced ``{...}`` block, string-aware; None when there is none."""
+def _balanced_blocks(text: str):
+    """Each balanced ``{...}`` block, string-aware, in the order of their
+    opening braces."""
     start = text.find("{")
     while start != -1:
         depth = 0
@@ -193,9 +194,29 @@ def extract_json_block(text: str) -> str | None:
             elif c == "}":
                 depth -= 1
                 if depth == 0:
-                    return text[start:k + 1]
+                    yield text[start:k + 1]
+                    break
         start = text.find("{", start + 1)
-    return None
+
+
+def extract_json_block(text: str) -> str | None:
+    """First balanced ``{...}`` block, string-aware; None when there is none."""
+    return next(_balanced_blocks(text), None)
+
+
+def _json_from_reply(text: str, what: str) -> object:
+    """The value of the first balanced block of a reply that is JSON; a
+    block that is not (prose such as ``{i, j}``) is skipped. LlmError when
+    the reply has no block, or none that parses."""
+    error = None
+    for block in _balanced_blocks(text):
+        try:
+            return json.loads(block)
+        except json.JSONDecodeError as exc:
+            error = error or exc
+    if error is None:
+        raise LlmError(f"reply{what} contains no JSON object")
+    raise LlmError(f"reply JSON is malformed: {error}")
 
 
 class LlmClient:
@@ -299,22 +320,13 @@ def _retry_after_seconds(value: str | None) -> float:
 
 
 def _expression_from_reply(text: str) -> SymbolicExpression:
-    block = extract_json_block(text)
-    if block is None:
-        raise LlmError("reply contains no JSON object")
-    return parse_expression(block)
+    return expression_from_dict(_json_from_reply(text, ""))
 
 
 def _definition_from_reply(text: str, relation: str) -> EncoderDefinition:
     """The definition for ``relation`` in a reply; a bare body tree is
     wrapped into one. A reply that holds none raises LlmError."""
-    block = extract_json_block(text)
-    if block is None:
-        raise LlmError(f"reply for {relation!r} contains no JSON object")
-    try:
-        raw = json.loads(block)
-    except json.JSONDecodeError as exc:
-        raise LlmError(f"reply JSON is malformed: {exc}") from None
+    raw = _json_from_reply(text, f" for {relation!r}")
     if isinstance(raw, dict) and "body" not in raw and (
             "op" in raw or "const" in raw or "get" in raw or "agg" in raw):
         # bare body tree: wrap it into a definition for the target relation

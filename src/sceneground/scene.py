@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,12 @@ class Scene:
     @property
     def ids(self) -> list[int]:
         return [obj.id for obj in self.objects]
+
+    @cached_property
+    def normalized_labels(self) -> tuple[str, ...]:
+        """Each object's :func:`normalize_label`, in position order
+        (memoized; the labels are immutable)."""
+        return tuple(normalize_label(obj.label) for obj in self.objects)
 
     def centers(self) -> np.ndarray:
         return np.array([obj.bbox.center for obj in self.objects], dtype=np.float64)
@@ -322,8 +329,7 @@ def exact_match_column(scene: Scene, category: str) -> np.ndarray:
     trim, and whitespace-collapse before comparing.
     """
     key = normalize_label(category)
-    return np.array([normalize_label(obj.label) == key for obj in scene.objects],
-                    dtype=np.float64)
+    return np.array([label == key for label in scene.normalized_labels], dtype=np.float64)
 
 
 def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:

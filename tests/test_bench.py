@@ -62,13 +62,13 @@ def _relations_of(expression):
 
 def _count_evaluations(monkeypatch):
     calls = []
-    original = executor_module.eval_encoder
+    original = executor_module.eval_encoders
 
-    def counting_eval(defn, scene, *args, **kwargs):
-        calls.append((scene.scene_id, defn.relation))
-        return original(defn, scene, *args, **kwargs)
+    def counting_eval(defns, scene, *args, **kwargs):
+        calls.extend((scene.scene_id, defn.relation) for defn in defns)
+        return original(defns, scene, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "eval_encoder", counting_eval)
+    monkeypatch.setattr(executor_module, "eval_encoders", counting_eval)
     return calls
 
 
@@ -102,6 +102,7 @@ def test_run_bench_matches_fresh_cache_reference(dataset, registry):
         [(e.scene_id, e.expression, e.ground_truth) for e in entries], scenes, registry)
     aggregates = dict(report.aggregates)
     assert aggregates.pop("mean_wall_ms") > 0
+    assert aggregates.pop("feature_ms") > 0
     assert aggregates == {
         "n_records": len(entries),
         "accuracy": sum(a == e.ground_truth for a, e in zip(expected_argmax, entries))

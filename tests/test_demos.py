@@ -1,15 +1,19 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(demo):
+    # the demo's interpreter imports this checkout's package, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                            text=True, timeout=120)
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

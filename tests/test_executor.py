@@ -2,6 +2,7 @@ import logging
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_cache_scene_mismatch_rejected(registry):
         execute(parse_expression('{"category": "chair"}'), scene_b, cache)
 
 
+def test_cache_hashes_its_scene_only_for_another_scene_object(registry, monkeypatch):
+    from sceneground.scene import Scene
+
+    hashed = []
+    real_fingerprint = Scene.fingerprint
+    monkeypatch.setattr(Scene, "fingerprint",
+                        lambda self: hashed.append(self) or real_fingerprint(self))
+    scene = three_object_scene()
+    cache = FeatureCache(scene, registry)
+    expr = parse_expression('{"category": "chair"}')
+    score = execute(expr, scene, cache)
+    assert hashed == []
+    twin = three_object_scene()  # equal content, another object
+    assert execute(expr, twin, cache).data.tobytes() == score.data.tobytes()
+    assert twin in hashed and any(s is scene for s in hashed)
+
+
 def test_unknown_category_warns_and_goes_uniform(registry, caplog):
     scene = three_object_scene()
     cache = FeatureCache(scene, registry)
@@ -230,13 +248,13 @@ def test_single_flight_feature_computation(registry, monkeypatch):
     calls = []
     import sceneground.executor as executor_module
 
-    original = executor_module.eval_encoder
+    original = executor_module.eval_encoders
 
-    def counting_eval(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_eval(defns, *args, **kwargs):
+        calls.append(len(defns))
+        return original(defns, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "eval_encoder", counting_eval)
+    monkeypatch.setattr(executor_module, "eval_encoders", counting_eval)
     threads = [threading.Thread(target=lambda: cache.relation_feature("near"))
                for _ in range(8)]
     for t in threads:
@@ -252,16 +270,16 @@ def test_cached_lookup_does_not_wait_for_another_computation(registry, monkeypat
     cache.relation_feature("near")
     import sceneground.executor as executor_module
 
-    original = executor_module.eval_encoder
+    original = executor_module.eval_encoders
     started, release = threading.Event(), threading.Event()
 
-    def held_eval(defn, *args, **kwargs):
-        if defn.relation == "between":
+    def held_eval(defns, *args, **kwargs):
+        if any(defn.relation == "between" for defn in defns):
             started.set()
             release.wait(timeout=30)
-        return original(defn, *args, **kwargs)
+        return original(defns, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "eval_encoder", held_eval)
+    monkeypatch.setattr(executor_module, "eval_encoders", held_eval)
     slow = threading.Thread(target=lambda: cache.relation_feature("between"))
     slow.start()
     try:
@@ -283,21 +301,28 @@ def test_feature_cache_stress_one_computation_per_feature(registry, monkeypatch)
     cache = FeatureCache(scene, registry)
     import sceneground.executor as executor_module
 
-    original = executor_module.eval_encoder
+    original = executor_module.eval_encoders
     calls = []
 
-    def counting_eval(defn, *args, **kwargs):
-        calls.append(defn.relation)
-        return original(defn, *args, **kwargs)
+    def counting_eval(defns, *args, **kwargs):
+        calls.extend(defn.relation for defn in defns)
+        return original(defns, *args, **kwargs)
 
-    monkeypatch.setattr(executor_module, "eval_encoder", counting_eval)
+    monkeypatch.setattr(executor_module, "eval_encoders", counting_eval)
     seen: list[dict] = []
 
     def worker(seed):
-        order = np.random.default_rng(seed).permutation(len(ALL_RELATIONS))
+        rng = np.random.default_rng(seed)
+        order = [ALL_RELATIONS[k] for k in rng.permutation(len(ALL_RELATIONS))]
         got = {}
-        for k in order:
-            got[ALL_RELATIONS[k]] = cache.relation_feature(ALL_RELATIONS[k])
+        # even workers ask one relation at a time, odd ones for groups of up to four
+        while order:
+            size = 1 if seed % 2 == 0 else int(rng.integers(1, 5))
+            if size == 1:
+                got[order[0]] = cache.relation_feature(order[0])
+            else:
+                got.update(cache.relation_features(order[:size]))
+            order = order[size:]
         for label in scene.labels:
             got[label] = cache.category_feature(label)
         seen.append(got)
@@ -317,6 +342,52 @@ def test_feature_cache_stress_one_computation_per_feature(registry, monkeypatch)
     assert len(seen) == 12
     for got in seen[1:]:
         assert all(got[key] is seen[0][key] for key in seen[0])
+
+
+@pytest.mark.parametrize("requests", [
+    (["near", "far"], ["far", "left"]),
+    (["near", "far"], ["far", "left"], ["left", "near"]),  # a cycle if locks went in request order
+])
+def test_overlapping_requests_evaluate_each_relation_once(registry, monkeypatch, requests):
+    import sceneground.executor as executor_module
+
+    original = executor_module.eval_encoders
+    calls = []
+
+    def slow_eval(defns, *args, **kwargs):
+        calls.extend(defn.relation for defn in defns)
+        time.sleep(0.02)  # holds the locks while the other requests arrive
+        return original(defns, *args, **kwargs)
+
+    real_key_lock = FeatureCache._key_lock
+
+    def slow_key_lock(self, key):
+        time.sleep(0.01)  # every request holds its first lock before any takes a second
+        return real_key_lock(self, key)
+
+    monkeypatch.setattr(executor_module, "eval_encoders", slow_eval)
+    monkeypatch.setattr(FeatureCache, "_key_lock", slow_key_lock)
+    for seed in range(3):
+        calls.clear()
+        cache = FeatureCache(random_scene(np.random.default_rng(seed), 5, "s"), registry)
+        barrier = threading.Barrier(len(requests))
+        got = [None] * len(requests)
+
+        def request(k):
+            barrier.wait(timeout=10)
+            got[k] = cache.relation_features(requests[k])
+
+        threads = [threading.Thread(target=request, args=(k,), daemon=True)
+                   for k in range(len(requests))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads), "overlapping requests deadlocked"
+        assert sorted(calls) == sorted({r for names in requests for r in names})
+        for names, features in zip(requests, got):
+            assert sorted(features) == sorted(names)
+            assert all(features[r] is cache.relation_feature(r) for r in names)
 
 
 def test_condition_level_eval_shared_caches_match_fresh(registry):

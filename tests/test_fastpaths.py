@@ -1,8 +1,9 @@
 """Fast paths against their reference paths.
 
-The DAG evaluator, the memoized gathered walk, the suite-batched scorer,
+The DAG evaluator, the shared pass over several bodies, the memoized
+gathered walk, the suite-batched scorer,
 the feature sanitizer and path-copying mutation must reproduce the tree
-walk, fresh evaluations, per-scene gathering, the dense scorer, the
+walk, per-body evaluations, fresh evaluations, per-scene gathering, the dense scorer, the
 ``nan_to_num`` sanitizer and deep-copying exactly.
 """
 
@@ -26,6 +27,7 @@ from sceneground.dsl import (
     const,
     eval_encoder,
     eval_encoder_at,
+    eval_encoders,
     eval_gathered,
     get,
     op,
@@ -110,6 +112,66 @@ def test_dense_dag_matches_tree_walk_on_mutation_chains(arity, monkeypatch):
         with monkeypatch.context() as patch:  # one i-row per chunk
             patch.setattr(dsl, "CHUNK_ELEMS", len(scene) ** (arity - 1))
             assert np.array_equal(eval_encoder(defn, scene, geom).data, expected)
+
+
+def _shared_pass_groups(arity, rng):
+    """Groups of rank-``arity`` bodies for one shared pass: all builtins of
+    the rank, random subsets of them and of mutation chains in random order,
+    and a group with equal root texts (one definition twice, an equal copy,
+    and a root that is an inner node of another root)."""
+    builtins = [d for d in builtin_definitions().values() if relation_arity(d.relation) == arity]
+    pool = builtins + _mutation_chain(RELATION_OF_ARITY[arity], rng, steps=4)
+    base = encoder_to_dsl(RELATION_OF_ARITY[arity])
+    copy = EncoderDefinition(relation=base.relation, body=json.loads(json.dumps(base.body)))
+    inner = EncoderDefinition(relation=base.relation,
+                              body=compile_definition(base).summary.args[0].node)
+    groups = [builtins, [base, copy, inner, base]]
+    for _ in range(3):
+        picked = rng.permutation(len(pool))[:int(rng.integers(2, len(pool) + 1))]
+        groups.append([pool[k] for k in picked])
+    return groups
+
+
+@pytest.mark.parametrize("chunk_elems", [None, 64])
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_shared_pass_matches_per_body_evaluation(n, chunk_elems, monkeypatch):
+    if chunk_elems is not None:  # rank 3 at n >= 5 runs in chunks of at most 2 i-rows
+        monkeypatch.setattr(dsl, "CHUNK_ELEMS", chunk_elems)
+    rng = np.random.default_rng(40 + n)
+    scene = random_scene(rng, n, "shared")
+    geom = precompute_geometry(scene)
+    for arity in (1, 2, 3):
+        for group in _shared_pass_groups(arity, rng):
+            features = eval_encoders(group, scene, geom)
+            assert len(features) == len(group)
+            for defn, feature in zip(group, features):
+                alone = eval_encoder(defn, scene, geom)
+                if n <= 5:
+                    assert np.array_equal(alone.data, tree_walk_eval(defn, scene, geom).data)
+                assert feature.relation == defn.relation and feature.rank == arity
+                assert feature.data.tobytes() == alone.data.tobytes(), defn.relation
+                assert feature.data.flags.c_contiguous and not feature.data.flags.writeable
+            assert len({id(f.data) for f in features}) == len(group)
+
+
+def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
+    group = [encoder_to_dsl(r) for r in ("left", "right", "front", "behind", "near")]
+    texts = {s.text for d in group for s in _preorder(compile_definition(d).summary)}
+    dsl._shared_dag.cache_clear()
+    built = []
+    real_build = dsl._build_dag
+    monkeypatch.setattr(dsl, "_build_dag", lambda roots: built.append(roots) or real_build(roots))
+    scene = random_scene(np.random.default_rng(2), 6, "memo")
+    geom = precompute_geometry(scene)
+    for _ in range(3):
+        eval_encoders(group, scene, geom)
+    assert len(built) == 1  # the program is built once and reused
+    nodes, frees, outputs = dsl._shared_dag(tuple(compile_definition(d) for d in group))
+    assert len(nodes) == len(texts) < sum(len(compile_definition(d).nodes) for d in group)
+    assert all(pos not in dead for pos in outputs for dead in frees)  # roots are kept
+    assert eval_encoders([], scene, geom) == []
+    with pytest.raises(ValueError, match="one rank"):
+        eval_encoders([encoder_to_dsl("near"), encoder_to_dsl("large")], scene, geom)
 
 
 def test_repeated_subtrees_compile_to_one_node():

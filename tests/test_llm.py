@@ -80,6 +80,20 @@ def test_extract_json_block():
     assert extract_json_block("{unclosed") is None
 
 
+def test_a_block_that_is_not_json_is_skipped():
+    reply = 'The feature compares {i, j} boxes: {"relation": "near", "body": {"const": 1.0}}'
+    defn = llm_module._definition_from_reply(reply, "near")
+    assert defn.relation == "near" and defn.body == {"const": 1.0}
+    with StubServer(["Reading {chair, table} as: " + CHAIR_REPLY]) as stub:
+        expr = parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+        assert stub.request_count == 1
+    assert expr.relations[0].anchors[0].category == "table"
+    with pytest.raises(LlmError, match="reply JSON is malformed"):
+        llm_module._definition_from_reply("only {i, j} and {k}", "near")
+    with pytest.raises(LlmError, match="contains no JSON object"):
+        llm_module._definition_from_reply("no braces at all", "near")
+
+
 def test_chat_complete_roundtrip_and_ledger():
     ledger = UsageLedger()
     with StubServer(["hello back"]) as stub:

@@ -7,6 +7,7 @@ import pytest
 from sceneground.scene import (
     BoundingBox,
     SceneError,
+    exact_match_column,
     exact_match_similarity,
     load_scene,
     precompute_geometry,
@@ -202,6 +203,15 @@ def test_similarity_values_are_a_read_only_copy():
     column = scene.similarities.column("seat")
     column[0] = 0.0
     assert scene.similarities.column("seat").tolist() == [0.9, 0.1]
+
+
+def test_normalized_labels_are_memoized_per_scene():
+    scene = scene_from_dict({"scene_id": "s", "objects": [
+        {"id": 0, "label": "  Office\tChair ", "bbox": [0, 0, 0, 1, 1, 1]},
+        {"id": 1, "label": "table", "bbox": [3, 0, 0, 1, 1, 1]}]})
+    assert scene.normalized_labels == ("office chair", "table")
+    assert scene.normalized_labels is scene.normalized_labels
+    assert exact_match_column(scene, "OFFICE  chair").tolist() == [1.0, 0.0]
 
 
 def test_fingerprint_is_memoized_and_matches_a_fresh_scene():
