@@ -30,7 +30,7 @@ from .expression import (
     expression_to_dict,
 )
 from .registry import EncoderRegistry
-from .scene import Scene, load_scene, normalize_label
+from .scene import Scene, exact_match_column, load_scene
 
 __all__ = ["BenchEntry", "BenchRecord", "BenchReport", "DatasetError", "load_dataset",
            "run_bench", "report_to_dict"]
@@ -124,8 +124,8 @@ def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> flo
     """Expected accuracy of picking uniformly among same-category objects."""
     chances = []
     for entry in entries:
-        labels = scenes[entry.scene_id].normalized_labels
-        count = labels.count(normalize_label(entry.expression.category))
+        count = np.count_nonzero(exact_match_column(scenes[entry.scene_id],
+                                                    entry.expression.category))
         chances.append(1.0 / count if count else 0.0)
     return float(np.mean(chances))
 

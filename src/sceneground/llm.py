@@ -171,10 +171,13 @@ def assemble_prompt(
 
 
 def _balanced_blocks(text: str):
-    """Each balanced ``{...}`` block, string-aware, in the order of their
-    opening braces."""
+    """Each balanced ``{...}`` block, string-aware, that no earlier block
+    holds: the search resumes after a block's closing brace, so the
+    fragments inside a malformed block are never yielded. An unclosed ``{``
+    is passed over."""
     start = text.find("{")
     while start != -1:
+        resume = start + 1
         depth = 0
         in_string = False
         escaped = False
@@ -195,8 +198,9 @@ def _balanced_blocks(text: str):
                 depth -= 1
                 if depth == 0:
                     yield text[start:k + 1]
+                    resume = k + 1
                     break
-        start = text.find("{", start + 1)
+        start = text.find("{", resume)
 
 
 def extract_json_block(text: str) -> str | None:

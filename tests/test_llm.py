@@ -94,6 +94,25 @@ def test_a_block_that_is_not_json_is_skipped():
         llm_module._definition_from_reply("no braces at all", "near")
 
 
+def test_fragments_of_a_malformed_block_are_not_taken_for_the_reply():
+    # each block below lacks a comma, so only its inner fragments parse
+    body_error = ('{"relation": "near", "body": {"op": "mul" "args":'
+                  ' [{"const": 1.0}, {"const": 2.0}]}}')
+    with pytest.raises(LlmError, match="reply JSON is malformed"):
+        llm_module._definition_from_reply(body_error, "near")
+    missing_comma = ('{"category": "chair", "relations":'
+                     ' [{"relation_name": "near" "objects": [{"category": "table"}]}]}')
+    with StubServer([missing_comma] * 3) as stub:
+        with pytest.raises(LlmError, match="3 attempts; last error: unusable reply: "
+                                           "reply JSON is malformed"):
+            parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+        assert stub.request_count == 3
+    # a block after a malformed one is still found
+    defn = llm_module._definition_from_reply(
+        '{"a" 1} then {"relation": "near", "body": {"const": 1.0}}', "near")
+    assert defn.body == {"const": 1.0}
+
+
 def test_chat_complete_roundtrip_and_ledger():
     ledger = UsageLedger()
     with StubServer(["hello back"]) as stub:
