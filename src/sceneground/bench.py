@@ -25,6 +25,7 @@ from .executor import FeatureCache, MatchingScore, condition_precision_recall, e
 from .expression import (
     ExpressionError,
     SymbolicExpression,
+    collect_categories,
     collect_conditions,
     expression_from_dict,
     expression_to_dict,
@@ -96,7 +97,7 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
 def _parse_entry(line: str, scenes: dict[str, Scene], where: str) -> BenchEntry:
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DatasetError(f"{where}: expected a JSON object")
@@ -143,18 +144,26 @@ def run_bench(
 
     Before grounding, each scene's cache evaluates every relation feature
     its entries need (and, with ``plots_dir``, the heatmap relations) in one
-    shared pass per rank; the pass's time is the ``feature_ms`` aggregate,
-    and a record's ``wall_ms`` no longer includes those features. Each
-    (scene, relation) feature is evaluated once per run, and the heatmap
-    files come from the same feature caches.
+    shared pass per rank, and every category feature of its entries'
+    expressions, anchors included, in one softmax pass. The passes' time is
+    the ``feature_ms`` aggregate, and a record's ``wall_ms`` includes neither
+    relation nor category features. Each (scene, relation) and (scene,
+    category) feature is computed once per run, and the heatmap files come
+    from the same feature caches.
     """
     scenes, entries = load_dataset(dataset_dir)
     caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
-    wanted: dict[str, set[str]] = {sid: set(HEATMAP_RELATIONS) if plots_dir is not None else set()
-                                   for sid in scenes}
+    relations: dict[str, set[str]] = {
+        sid: set(HEATMAP_RELATIONS) if plots_dir is not None else set() for sid in scenes}
+    categories: dict[str, set[str]] = {sid: set() for sid in scenes}
     for entry in entries:
-        wanted[entry.scene_id].update(
+        relations[entry.scene_id].update(
             clause.relation for _, clause in collect_conditions(entry.expression))
+        categories[entry.scene_id].update(collect_categories(entry.expression))
+
+    def features_of(sid: str) -> None:
+        caches[sid].relation_features(relations[sid])
+        caches[sid].category_features(categories[sid])
 
     def ground_one(entry: BenchEntry) -> tuple[BenchRecord, MatchingScore]:
         started = time.perf_counter()
@@ -173,7 +182,7 @@ def run_bench(
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         each = map if pool is None else pool.map
         started = time.perf_counter()
-        list(each(lambda sid: caches[sid].relation_features(wanted[sid]), wanted))
+        list(each(features_of, scenes))
         feature_ms = (time.perf_counter() - started) * 1000.0
         grounded = list(each(ground_one, entries))
     records, scores = map(list, zip(*grounded))

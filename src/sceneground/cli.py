@@ -57,7 +57,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         raw = json.loads(_read_input(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must be a JSON object")

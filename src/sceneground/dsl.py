@@ -129,8 +129,7 @@ class DefinitionError(ValueError):
 
 def guarded_div(a, b):
     """a / b with the denominator pushed at least DIV_EPS away from zero."""
-    b = np.asarray(b, dtype=np.float64)
-    return a / (b + DIV_EPS * np.where(b >= 0.0, 1.0, -1.0))
+    return a / (b + np.where(b >= 0.0, DIV_EPS, -DIV_EPS))
 
 
 def guarded_exp(a):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import threading
 from collections.abc import Iterable
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import reduce
 
@@ -23,12 +22,13 @@ import numpy as np
 from .dsl import EncoderDefinition, RelationFeature, eval_encoders
 from .expression import (
     SymbolicExpression,
+    collect_categories,
     collect_conditions,
     expression_to_dict,
     relation_arity,
 )
 from .registry import EncoderRegistry
-from .scene import PairGeometry, Scene, exact_match_column, precompute_geometry
+from .scene import PairGeometry, Scene, exact_match_rows, precompute_geometry
 
 __all__ = [
     "ExecutionError",
@@ -60,6 +60,13 @@ def stable_softmax(values: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _softmax_rows(values: np.ndarray) -> np.ndarray:
+    """:func:`stable_softmax` of each row of a 2-D array, byte for byte."""
+    z = values - values.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class CategoryFeature:
     """Per-object category match scores; positive and summing to one."""
@@ -87,13 +94,15 @@ class FeatureCache:
     a grounding run sees one consistent encoder set. A request for several
     relations evaluates the missing ones of each rank in one shared DAG pass
     (:func:`~sceneground.dsl.eval_encoders`), so their encoders' common
-    subtrees are evaluated once. Each feature is computed at most once
-    (single-flight): a request holds the locks of its missing features,
-    taken in sorted order so overlapping requests cannot deadlock, and
-    concurrent requests for those features wait on them, while lookups of
-    features already computed never wait. Entries are only valid for the
-    cache's scene, whose fingerprint is hashed only when ``execute`` is given
-    another scene object.
+    subtrees are evaluated once; a request for several categories computes
+    the missing ones in one softmax over a (categories, objects) matrix, each
+    row equal byte for byte to :func:`compute_category_feature`. Each feature
+    is computed at most once (single-flight): a request holds the locks of
+    its missing features, taken in sorted order so overlapping requests
+    cannot deadlock, and concurrent requests for those features wait on
+    them, while lookups of features already computed never wait. Entries are
+    only valid for the cache's scene, whose fingerprint is hashed only when
+    ``execute`` is given another scene object.
     """
 
     def __init__(self, scene: Scene,
@@ -114,40 +123,51 @@ class FeatureCache:
         with self._lock:
             return self._key_locks.setdefault(key, threading.Lock())
 
+    def _request(self, kind: str, names: Iterable[str], compute) -> dict:
+        """The ``kind`` features of ``names`` by name; ``compute`` gets the
+        missing names, under their locks, and stores their features."""
+        found = {}
+        missing: set[str] = set()
+        for name in names:
+            feature = self._features.get((kind, name))
+            if feature is None:
+                missing.add(name)
+            else:
+                found[name] = feature
+        if missing:
+            keys = sorted((kind, name) for name in missing)
+            held: list[threading.Lock] = []
+            try:
+                for key in keys:
+                    lock = self._key_lock(key)
+                    lock.acquire()
+                    held.append(lock)
+                # a request that held some of these locks first has computed those
+                pending = [key[1] for key in keys if key not in self._features]
+                if pending:
+                    compute(pending)
+            finally:
+                for lock in held:
+                    lock.release()
+            found.update((key[1], self._features[key]) for key in keys)
+        return found
+
     def relation_features(self, relations: Iterable[str]) -> dict[str, RelationFeature]:
         """The features of ``relations`` by name; the missing ones of each
         rank are evaluated in one :func:`~sceneground.dsl.eval_encoders`
         call."""
-        found: dict[str, RelationFeature] = {}
-        missing: set[str] = set()
-        for relation in relations:
-            feature = self._features.get(("relation", relation))
-            if feature is None:
-                missing.add(relation)
-            else:
-                found[relation] = feature
-        if missing:
-            keys = sorted(("relation", r) for r in missing)
-            with ExitStack() as held:
-                for key in keys:
-                    held.enter_context(self._key_lock(key))
-                # a request that held some of these locks first has computed those
-                self._compute_relations([key[1] for key in keys if key not in self._features])
-            found.update((key[1], self._features[key]) for key in keys)
-        return found
+        return self._request("relation", relations, self._compute_relations)
 
     def relation_feature(self, relation: str) -> RelationFeature:
         return self.relation_features((relation,))[relation]
 
+    def category_features(self, categories: Iterable[str]) -> dict[str, CategoryFeature]:
+        """The features of ``categories`` by name; the missing ones are
+        computed in one softmax over their similarity columns."""
+        return self._request("category", categories, self._compute_categories)
+
     def category_feature(self, category: str) -> CategoryFeature:
-        key = ("category", category)
-        feature = self._features.get(key)
-        if feature is None:
-            with self._key_lock(key):
-                feature = self._features.get(key)
-                if feature is None:
-                    feature = self._features[key] = self._compute_category(category)
-        return feature
+        return self.category_features((category,))[category]
 
     def _compute_relations(self, relations: list[str]) -> None:
         by_rank: dict[int, list[tuple[str, EncoderDefinition]]] = {}
@@ -162,17 +182,25 @@ class FeatureCache:
             features = eval_encoders(defns, self.scene, self.geometry)
             self._features.update((("relation", r), f) for r, f in zip(names, features))
 
-    def _compute_category(self, category: str) -> CategoryFeature:
+    def _compute_categories(self, categories: list[str]) -> None:
+        """Similarity rows from the scene's table, else by exact label match;
+        then one row softmax for all of them."""
+        sims = exact_match_rows(self.scene, categories)
         table = self.scene.similarities
-        column = None if table is None else table.column(category)
-        if column is None:
-            column = exact_match_column(self.scene, category)
-        if not np.any(column):
+        if table is not None:
+            for q, category in enumerate(categories):
+                column = table.column(category)
+                if column is not None:
+                    sims[q] = column
+        for q in np.flatnonzero(~sims.any(axis=1)):
             logger.warning(
                 "category %r matches nothing in scene %s; scores fall back to uniform",
-                category, self.scene.scene_id,
+                categories[q], self.scene.scene_id,
             )
-        return compute_category_feature(self.scene, column, category)
+        rows = _softmax_rows(CATEGORY_SCALE * sims)
+        rows.setflags(write=False)
+        for category, data in zip(categories, rows):
+            self._features[("category", category)] = CategoryFeature(category=category, data=data)
 
 
 @dataclass(frozen=True)
@@ -193,16 +221,19 @@ class MatchingScore:
         return np.argsort(-self.data, kind="stable")
 
     def argmax_id(self) -> int:
-        return self.object_ids[int(self.order()[0])]
+        """The id at ``order()[0]``: ``np.argmax`` also takes the first of
+        tied maxima."""
+        return self.object_ids[int(np.argmax(self.data))]
 
 
-def _run(expr: SymbolicExpression, cache: FeatureCache,
+def _run(expr: SymbolicExpression, categories: dict[str, CategoryFeature],
          features: dict[str, RelationFeature]) -> list[np.ndarray]:
     """The category feature, then each root clause's factor (read-only)."""
-    terms = [cache.category_feature(expr.category).data]
+    terms = [categories[expr.category].data]
     for clause in expr.relations:
         feature = features[clause.relation].data
-        anchors = [reduce(np.multiply, _run(anchor, cache, features)) for anchor in clause.anchors]
+        anchors = [reduce(np.multiply, _run(anchor, categories, features))
+                   for anchor in clause.anchors]
         arity = relation_arity(clause.relation)
         if arity == 1:
             f = feature
@@ -221,9 +252,10 @@ def _run(expr: SymbolicExpression, cache: FeatureCache,
 def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> MatchingScore:
     """Evaluate an expression to per-object matching scores and their terms.
 
-    The relation features of every clause are requested from the cache at
-    once. A scene other than the cache's own object must match its
-    fingerprint (scenes are immutable, so the same object matches).
+    The relation features of every clause, and the category features of
+    every node, are requested from the cache at once. A scene other than the
+    cache's own object must match its fingerprint (scenes are immutable, so
+    the same object matches).
     """
     if scene is not cache.scene and cache.fingerprint != scene.fingerprint():
         raise ExecutionError(
@@ -231,10 +263,11 @@ def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> Matc
             f"(cache {cache.fingerprint[:12]}, scene {scene.fingerprint()[:12]})"
         )
     features = cache.relation_features(clause.relation for _, clause in collect_conditions(expr))
-    terms = tuple(_run(expr, cache, features))
+    categories = cache.category_features(collect_categories(expr))
+    terms = tuple(_run(expr, categories, features))
     data = reduce(np.multiply, terms)
     data.setflags(write=False)
-    return MatchingScore(data=data, object_ids=tuple(scene.ids), terms=terms)
+    return MatchingScore(data=data, object_ids=scene.object_ids, terms=terms)
 
 
 def rank_candidates(score: MatchingScore, top_k: int, threshold: float) -> list[int]:
@@ -320,8 +353,8 @@ def condition_precision_recall(
         group = (scene_id, expr.category.casefold())
         category, *factors = score.terms
         for factor in factors:
-            single = MatchingScore(data=category * factor, object_ids=score.object_ids)
-            predicted.setdefault(group, set()).add(single.argmax_id())
+            predicted.setdefault(group, set()).add(
+                score.object_ids[int(np.argmax(category * factor))])
             truth.setdefault(group, set()).add(ground_truth)
 
     if not predicted:

@@ -27,6 +27,7 @@ __all__ = [
     "expression_to_dict",
     "serialize_expression",
     "collect_conditions",
+    "collect_categories",
 ]
 
 UNARY_RELATIONS = (
@@ -82,14 +83,14 @@ class RelationClause:
 
 @dataclass(frozen=True)
 class SymbolicExpression:
-    """Target category plus relation clauses; anchors recurse."""
+    """Target category plus relation clauses; anchors recurse.
+
+    :func:`expression_from_dict` checks that each category is not empty or
+    only whitespace.
+    """
 
     category: str
     relations: tuple[RelationClause, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not normalize_label(self.category):
-            raise ExpressionError("category must not be empty or only whitespace")
 
     def depth(self) -> int:
         best = 1
@@ -159,6 +160,8 @@ def parse_expression(text: str) -> SymbolicExpression:
         raise ExpressionError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ExpressionError("JSON nested too deeply") from None
     return expression_from_dict(raw)
 
 
@@ -193,4 +196,13 @@ def collect_conditions(expr: SymbolicExpression) -> list[tuple[str, RelationClau
                 walk(anchor)
 
     walk(expr)
+    return out
+
+
+def collect_categories(expr: SymbolicExpression) -> list[str]:
+    """Every node's category, anchors included, depth-first, root first."""
+    out = [expr.category]
+    for clause in expr.relations:
+        for anchor in clause.anchors:
+            out.extend(collect_categories(anchor))
     return out

@@ -176,8 +176,8 @@ class OptimizerConfig:
 
 
 def _format_box(scene: Scene, object_id: int) -> str:
-    obj = scene.objects[scene.index_of[object_id]]
-    return "[" + ", ".join(f"{v:.6f}" for v in obj.bbox.as_row()) + "]"
+    row = scene.boxes[scene.index_of[object_id]].tolist()
+    return "[" + ", ".join(f"{v:.6f}" for v in row) + "]"
 
 
 def synthesize_error_message(case: TestCase, scene: Scene, relation: str) -> str:
@@ -471,7 +471,7 @@ def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SuiteError(f"cannot read suite {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise SuiteError(f"{path}: top level must be a JSON object")

@@ -106,7 +106,7 @@ def load_registry(path: str | Path) -> EncoderRegistry:
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise RegistryError(f"cannot read registry {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise RegistryError(f"{path}: top level must be a JSON object")

@@ -1,9 +1,13 @@
 """Scene representation: labeled 3D boxes plus precomputed shared geometry.
 
 A scene is an ordered collection of axis-aligned bounding boxes with category
-labels. All relation encoders consume the same :class:`PairGeometry`, computed
-once per scene. Axis convention: z is up; ``size = (width, depth, height)``
-is the extent along x, y, z respectively.
+labels, stored as columns: a tuple of object ids, a tuple of labels and one
+read-only (N, 6) float64 array of boxes in the wire order
+``[cx, cy, cz, w, d, h]``. :func:`scene_from_dict` builds the columns and
+validates all boxes in one array pass; :attr:`Scene.objects` is the
+per-object view, built on first read. All relation encoders consume the same
+:class:`PairGeometry`, computed once per scene. Axis convention: z is up;
+``size = (width, depth, height)`` is the extent along x, y, z respectively.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "load_scene",
     "save_scene",
     "exact_match_column",
+    "exact_match_rows",
     "exact_match_similarity",
     "precompute_geometry",
     "normalize_label",
@@ -52,10 +57,11 @@ class BoundingBox:
     size: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        for v in (*self.center, *self.size):
-            if not math.isfinite(v):
-                raise SceneError(f"non-finite bounding box component: {v!r}")
-        if any(s <= 0 for s in self.size):
+        row = (*self.center, *self.size)
+        if _bad_boxes(np.array([row], dtype=np.float64))[0]:
+            for v in row:
+                if not math.isfinite(v):
+                    raise SceneError(f"non-finite bounding box component: {v!r}")
             raise SceneError(f"size components must be strictly positive, got {self.size}")
 
     @property
@@ -66,6 +72,12 @@ class BoundingBox:
     def as_row(self) -> list[float]:
         """Flat [cx, cy, cz, w, d, h] row, the wire order for scene files."""
         return [*self.center, *self.size]
+
+
+def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
+    """:class:`BoundingBox`'s rule over (N, 6) wire-order rows: True where a
+    component is non-finite or a size is not strictly positive."""
+    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 3:] <= 0.0).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -122,57 +134,94 @@ class SimilarityTable:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Scene:
-    """Ordered, immutable set of labeled boxes.
+    """Ordered, immutable set of labeled boxes, stored as columns.
 
-    Position k in :attr:`objects` is stable for the lifetime of the scene;
-    all feature arrays are indexed by position, with :attr:`index_of`
-    translating object ids.
+    ``object_ids`` and ``object_labels`` are tuples and ``boxes`` is one
+    read-only (N, 6) float64 array whose row k is object k's
+    ``[cx, cy, cz, w, d, h]``. Position k is stable for the lifetime of the
+    scene; all feature arrays are indexed by position, with :attr:`index_of`
+    translating object ids. :func:`scene_from_dict` builds scenes and
+    validates their boxes, ids and labels. Two scenes are equal when their
+    contents are.
     """
 
     scene_id: str
-    objects: tuple[SceneObject, ...]
-    similarities: SimilarityTable | None = None
-    index_of: dict[int, int] = field(init=False, repr=False)
+    object_ids: tuple[int, ...]
+    object_labels: tuple[str, ...]
+    boxes: np.ndarray
+    similarities: SimilarityTable | None
+    index_of: dict[int, int] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.objects) < 1:
-            raise SceneError(f"scene {self.scene_id!r}: needs at least one object")
-        index: dict[int, int] = {}
-        for pos, obj in enumerate(self.objects):
-            if obj.id in index:
-                raise SceneError(f"scene {self.scene_id!r}: duplicate id {obj.id}")
-            index[obj.id] = pos
-        object.__setattr__(self, "index_of", index)
-        if self.similarities is not None and self.similarities.values.shape[0] != len(self.objects):
+    def __init__(self, scene_id: str, ids: tuple[int, ...], labels: tuple[str, ...],
+                 boxes: np.ndarray, similarities: SimilarityTable | None = None) -> None:
+        ids, labels = tuple(ids), tuple(labels)
+        boxes = np.array(boxes, dtype=np.float64)
+        boxes.setflags(write=False)
+        if not ids:
+            raise SceneError(f"scene {scene_id!r}: needs at least one object")
+        if len(labels) != len(ids) or boxes.shape != (len(ids), 6):
+            raise SceneError(f"scene {scene_id!r}: {len(ids)} ids, {len(labels)} labels "
+                             f"and boxes of shape {boxes.shape} do not match")
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):
+            seen: set[int] = set()
+            for oid in ids:
+                if oid in seen:
+                    raise SceneError(f"scene {scene_id!r}: duplicate id {oid}")
+                seen.add(oid)
+        if similarities is not None and similarities.values.shape[0] != len(ids):
             raise SceneError(
-                f"scene {self.scene_id!r}: similarity table has "
-                f"{self.similarities.values.shape[0]} rows for {len(self.objects)} objects"
+                f"scene {scene_id!r}: similarity table has "
+                f"{similarities.values.shape[0]} rows for {len(ids)} objects"
             )
+        for name, value in (("scene_id", scene_id), ("object_ids", ids), ("object_labels", labels),
+                            ("boxes", boxes), ("similarities", similarities), ("index_of", index)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scene):
+            return NotImplemented
+        mine, theirs = self.similarities, other.similarities
+        return (self.scene_id == other.scene_id and self.object_ids == other.object_ids
+                and self.object_labels == other.object_labels
+                and np.array_equal(self.boxes, other.boxes)
+                and (mine is theirs or (mine is not None and theirs is not None
+                                        and mine.categories == theirs.categories
+                                        and np.array_equal(mine.values, theirs.values))))
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.object_ids)
 
     @property
     def labels(self) -> list[str]:
-        return [obj.label for obj in self.objects]
+        return list(self.object_labels)
 
     @property
     def ids(self) -> list[int]:
-        return [obj.id for obj in self.objects]
+        return list(self.object_ids)
+
+    @cached_property
+    def objects(self) -> tuple[SceneObject, ...]:
+        """The per-object view of the columns, built on first read (memoized)."""
+        return tuple(
+            SceneObject(id=oid, label=label, bbox=BoundingBox(center=tuple(row[:3]),
+                                                              size=tuple(row[3:])))
+            for oid, label, row in zip(self.object_ids, self.object_labels, self.boxes.tolist())
+        )
 
     @cached_property
     def normalized_labels(self) -> tuple[str, ...]:
         """Each object's :func:`normalize_label`, in position order
         (memoized; the labels are immutable)."""
-        return tuple(normalize_label(obj.label) for obj in self.objects)
+        return tuple(normalize_label(label) for label in self.object_labels)
 
     def centers(self) -> np.ndarray:
-        return np.array([obj.bbox.center for obj in self.objects], dtype=np.float64)
+        return self.boxes[:, :3].copy()
 
     def sizes(self) -> np.ndarray:
-        return np.array([obj.bbox.size for obj in self.objects], dtype=np.float64)
+        return self.boxes[:, 3:].copy()
 
     def fingerprint(self) -> str:
         """Content hash; feature caches are only valid for a matching scene.
@@ -230,7 +279,11 @@ def precompute_geometry(scene: Scene) -> PairGeometry:
     )
 
 
-def _parse_object(entry: object, position: int) -> SceneObject:
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _entry_fields(entry: object, position: int) -> tuple[int, str, list]:
+    """One wire-format object's id, label and bbox, with their types checked."""
     if not isinstance(entry, dict):
         raise SceneError(f"objects[{position}]: expected an object, got {type(entry).__name__}")
     try:
@@ -245,16 +298,22 @@ def _parse_object(entry: object, position: int) -> SceneObject:
         raise SceneError(f"objects[{position}] (id {oid}): label must be a string")
     if not isinstance(bbox, list) or len(bbox) != 6:
         raise SceneError(f"objects[{position}] (id {oid}): bbox must be [cx, cy, cz, w, d, h]")
-    values = []
-    for k, v in enumerate(bbox):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SceneError(f"objects[{position}] (id {oid}): bbox[{k}] is not a number")
-        values.append(float(v))
-    try:
-        box = BoundingBox(center=tuple(values[:3]), size=tuple(values[3:]))
-        return SceneObject(id=oid, label=label, bbox=box)
-    except SceneError as exc:
-        raise SceneError(f"object id {oid}: {exc}") from None
+    if not _PLAIN_NUMBERS.issuperset(map(type, bbox)):  # else each value is an int or float
+        for k, v in enumerate(bbox):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise SceneError(f"objects[{position}] (id {oid}): bbox[{k}] is not a number")
+    return oid, label, bbox
+
+
+def _first_overflow(rows: list[list]) -> tuple[int, int]:
+    """Position and component of the first bbox value too large for a float."""
+    for position, row in enumerate(rows):
+        for k, v in enumerate(row):
+            try:
+                float(v)
+            except OverflowError:
+                return position, k
+    raise AssertionError("no bbox value overflows")
 
 
 def _parse_similarities(raw: object) -> SimilarityTable:
@@ -267,18 +326,61 @@ def _parse_similarities(raw: object) -> SimilarityTable:
 
 
 def scene_from_dict(raw: dict) -> Scene:
-    """Build and validate a Scene from the wire-format dict."""
+    """Build and validate a Scene from the wire-format dict.
+
+    One loop checks each object's field types and normalizes its label; the
+    boxes become one array, checked against the box rule in bulk, and ids and
+    labels are checked in bulk too. The first faulty object in object order
+    is reported, with the text the per-object check gives.
+    """
     scene_id = raw.get("scene_id")
     if not isinstance(scene_id, str):
         raise SceneError("missing or non-string scene_id")
     entries = raw.get("objects")
     if not isinstance(entries, list) or not entries:
         raise SceneError(f"scene {scene_id!r}: objects must be a non-empty list")
-    objects = tuple(_parse_object(entry, pos) for pos, entry in enumerate(entries))
+    ids: list[int] = []
+    labels: list[str] = []
+    normalized: list[str] = []
+    rows: list[list] = []
+    fault: SceneError | None = None  # a type fault; objects before it are checked first
+    for position, entry in enumerate(entries):
+        try:
+            oid, label, bbox = _entry_fields(entry, position)
+        except SceneError as exc:
+            fault = exc
+            break
+        ids.append(oid)
+        labels.append(label)
+        normalized.append(normalize_label(label))
+        rows.append(bbox)
+    try:
+        boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    except OverflowError:  # an integer beyond float range
+        position, k = _first_overflow(rows)
+        fault = SceneError(f"objects[{position}] (id {ids[position]}): bbox[{k}] "
+                           f"is too large for a float")
+        del ids[position:], labels[position:], normalized[position:], rows[position:]
+        boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    bad = np.flatnonzero(_bad_boxes(boxes)).tolist()
+    if ids and (min(ids) < 0 or not all(normalized)):
+        bad += [pos for pos, oid in enumerate(ids) if oid < 0 or not normalized[pos]]
+    if bad:
+        pos = min(bad)
+        try:  # the per-object check gives the fault's text
+            row = boxes[pos].tolist()
+            SceneObject(id=ids[pos], label=labels[pos],
+                        bbox=BoundingBox(center=tuple(row[:3]), size=tuple(row[3:])))
+        except SceneError as exc:
+            raise SceneError(f"object id {ids[pos]}: {exc}") from None
+    if fault is not None:
+        raise fault
     similarities = None
     if "similarities" in raw:
         similarities = _parse_similarities(raw["similarities"])
-    return Scene(scene_id=scene_id, objects=objects, similarities=similarities)
+    scene = Scene(scene_id, ids, labels, boxes, similarities)
+    scene.__dict__["normalized_labels"] = tuple(normalized)  # the label check's memo
+    return scene
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -292,6 +394,8 @@ def load_scene(path: str | Path) -> Scene:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SceneError(f"{path}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise SceneError(f"{path}: top level must be a JSON object")
     try:
@@ -304,8 +408,8 @@ def _scene_to_dict(scene: Scene) -> dict:
     out: dict = {
         "scene_id": scene.scene_id,
         "objects": [
-            {"id": obj.id, "label": obj.label, "bbox": obj.bbox.as_row()}
-            for obj in scene.objects
+            {"id": oid, "label": label, "bbox": row}
+            for oid, label, row in zip(scene.object_ids, scene.object_labels, scene.boxes.tolist())
         ],
     }
     if scene.similarities is not None:
@@ -322,19 +426,27 @@ def save_scene(scene: Scene, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(_scene_to_dict(scene), indent=2) + "\n")
 
 
-def exact_match_column(scene: Scene, category: str) -> np.ndarray:
-    """1.0 where an object's normalized label equals the category's, else 0.0.
+def exact_match_rows(scene: Scene, categories: list[str]) -> np.ndarray:
+    """(len(categories), N) array: row q is 1.0 where an object's normalized
+    label equals ``categories[q]``'s, else 0.0.
 
     Stand-in for an embedding model: no synonym resolution, only case-fold,
     trim, and whitespace-collapse before comparing.
     """
-    key = normalize_label(category)
-    return np.array([label == key for label in scene.normalized_labels], dtype=np.float64)
+    codes: dict[str, int] = {}
+    labels = np.array([codes.setdefault(label, len(codes)) for label in scene.normalized_labels])
+    keys = np.array([codes.get(normalize_label(category), -1) for category in categories])
+    return (keys[:, None] == labels).astype(np.float64)
+
+
+def exact_match_column(scene: Scene, category: str) -> np.ndarray:
+    """The one-category row of :func:`exact_match_rows`."""
+    return exact_match_rows(scene, [category])[0]
 
 
 def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:
     """Binary similarity table: one :func:`exact_match_column` per category."""
     if not categories:
         raise SceneError("categories must be non-empty")
-    values = np.stack([exact_match_column(scene, cat) for cat in categories], axis=1)
-    return SimilarityTable(categories=tuple(categories), values=values)
+    return SimilarityTable(categories=tuple(categories),
+                           values=exact_match_rows(scene, categories).T)

@@ -18,13 +18,17 @@ as their own expressions: the per-step plot rows and condition-level
 predictions before both were read from one execution's terms;
 ``reference_condition_level`` is the condition-level evaluation built on
 them. ``reference_sanitize`` is the ``nan_to_num`` form of the feature
-sanitizer.
+sanitizer. ``reference_scene_rows`` is the per-object scene loader: it checks
+each object in turn, converts each bbox value with ``float`` and applies the
+box, id and label rules in Python; ``reference_fingerprint`` and
+``reference_geometry`` hash and measure those per-object rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from sceneground.optimizer import (
     TestSuite,
     synthesize_error_message,
 )
-from sceneground.scene import PairGeometry, Scene
+from sceneground.scene import PairGeometry, Scene, SceneError, normalize_label
 
 _HIGH_EPS = 1e-6
 
@@ -454,3 +458,79 @@ def reference_condition_level(entries: list[tuple[str, SymbolicExpression, int]]
     hits = [(len(preds & truth[g]), len(preds), len(truth[g])) for g, preds in predicted.items()]
     return (float(np.mean([h / p for h, p, _ in hits])),
             float(np.mean([h / t for h, _, t in hits])))
+
+
+def reference_scene_rows(raw: dict) -> tuple[list[int], list[str], list[list[float]]]:
+    """Ids, labels and float bbox rows of a wire-format scene's objects, or
+    the SceneError of its first faulty object (object order), then of its
+    first repeated id."""
+    ids, labels, rows = [], [], []
+    for position, entry in enumerate(raw["objects"]):
+        if not isinstance(entry, dict):
+            raise SceneError(f"objects[{position}]: expected an object, got {type(entry).__name__}")
+        for key in ("id", "label", "bbox"):
+            if key not in entry:
+                raise SceneError(f"objects[{position}]: missing field {key!r}")
+        oid, label, bbox = entry["id"], entry["label"], entry["bbox"]
+        if not isinstance(oid, int) or isinstance(oid, bool):
+            raise SceneError(f"objects[{position}]: id must be an integer, got {oid!r}")
+        where = f"objects[{position}] (id {oid})"
+        if not isinstance(label, str):
+            raise SceneError(f"{where}: label must be a string")
+        if not isinstance(bbox, list) or len(bbox) != 6:
+            raise SceneError(f"{where}: bbox must be [cx, cy, cz, w, d, h]")
+        for k, v in enumerate(bbox):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise SceneError(f"{where}: bbox[{k}] is not a number")
+        row = []
+        for k, v in enumerate(bbox):
+            try:
+                row.append(float(v))
+            except OverflowError:
+                raise SceneError(f"{where}: bbox[{k}] is too large for a float") from None
+        for v in row:
+            if not math.isfinite(v):
+                raise SceneError(f"object id {oid}: non-finite bounding box component: {v!r}")
+        if any(s <= 0 for s in row[3:]):
+            raise SceneError(f"object id {oid}: size components must be strictly positive, "
+                             f"got {tuple(row[3:])}")
+        if oid < 0:
+            raise SceneError(f"object id {oid}: object id must be non-negative, got {oid}")
+        if not normalize_label(label):
+            raise SceneError(f"object id {oid}: object {oid}: label must not be empty "
+                             f"or only whitespace")
+        ids.append(oid)
+        labels.append(label)
+        rows.append(row)
+    for position, oid in enumerate(ids):
+        if oid in ids[:position]:
+            raise SceneError(f"scene {raw['scene_id']!r}: duplicate id {oid}")
+    return ids, labels, rows
+
+
+def reference_fingerprint(scene_id: str, ids: list[int], labels: list[str],
+                          rows: list[list[float]]) -> str:
+    objects = [{"id": oid, "label": label, "bbox": row}
+               for oid, label, row in zip(ids, labels, rows)]
+    payload = json.dumps({"scene_id": scene_id, "objects": objects}, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def reference_geometry(rows: list[list[float]]) -> dict:
+    """The pair-geometry fields, from per-object center and size tuples."""
+    centers = np.array([tuple(row[:3]) for row in rows], dtype=np.float64)
+    sizes = np.array([tuple(row[3:]) for row in rows], dtype=np.float64)
+    diagonals = np.sqrt(np.sum(sizes * sizes, axis=1))
+    bottoms = centers[:, 2] - sizes[:, 2] / 2
+    lo = centers[:, :2] - sizes[:, :2] / 2
+    hi = centers[:, :2] + sizes[:, :2] / 2
+    return {
+        "centers": centers,
+        "sizes": sizes,
+        "mean_diagonal": float(np.mean(diagonals)),
+        "floor_z": float(np.min(bottoms)),
+        "hull_min": lo.min(axis=0),
+        "hull_max": hi.max(axis=0),
+        "centroid_xy": centers[:, :2].mean(axis=0),
+        "volumes": np.prod(sizes, axis=1),
+    }

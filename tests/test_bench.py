@@ -86,6 +86,27 @@ def test_run_bench_evaluates_each_feature_once(dataset, registry, monkeypatch, t
     assert sorted(calls) == sorted(pairs | heatmaps)
 
 
+def test_run_bench_computes_each_scenes_categories_in_one_pass(dataset, registry, monkeypatch):
+    _, entries = load_dataset(dataset)
+    wanted: dict[str, set[str]] = {}
+    for entry in entries:
+        stack = [entry.expression]
+        while stack:
+            node = stack.pop()
+            wanted.setdefault(entry.scene_id, set()).add(node.category)
+            stack.extend(a for clause in node.relations for a in clause.anchors)
+    original = executor_module.exact_match_rows
+    calls = []
+
+    def counting_rows(scene, categories):
+        calls.append((scene.scene_id, sorted(categories)))
+        return original(scene, categories)
+
+    monkeypatch.setattr(executor_module, "exact_match_rows", counting_rows)
+    run_bench(dataset, registry)
+    assert sorted(calls) == sorted((sid, sorted(names)) for sid, names in wanted.items())
+
+
 def test_run_bench_matches_fresh_cache_reference(dataset, registry):
     scenes, entries = load_dataset(dataset)
     report = run_bench(dataset, registry, with_baseline=True)

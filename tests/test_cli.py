@@ -372,6 +372,55 @@ def _ground_blank_category(category):
     return build
 
 
+HUGE_INT = 10 ** 400  # too large for a float
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than the recursion limit
+
+
+def _huge_bbox_value(command):
+    """``command`` over a scene whose first box holds :data:`HUGE_INT`."""
+
+    def build(dataset, tmp_path):
+        if command == "optimize":
+            suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+            scene_path = scenes_dir / "sc0.json"
+            argv = ["optimize", "--relation", "near", "--suite", str(suite_path),
+                    "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json")]
+        elif command == "bench":
+            copy = tmp_path / "ds"
+            shutil.copytree(dataset, copy)
+            scene_path = copy / "scenes" / "mini_prox.json"
+            argv = ["bench", "--dataset", str(copy)]
+        else:
+            scene_path = tmp_path / "scene.json"
+            shutil.copy(dataset / "scenes" / "mini_prox.json", scene_path)
+            expr = tmp_path / "expr.json"
+            expr.write_text(CHAIR_EXPR, encoding="utf-8")
+            argv = ["ground", "--scene", str(scene_path), "--expr", str(expr)]
+        raw = json.loads(scene_path.read_text(encoding="utf-8"))
+        raw["objects"][0]["bbox"][1] = HUGE_INT
+        scene_path.write_text(json.dumps(raw), encoding="utf-8")
+        return argv, "bbox[1] is too large for a float"
+
+    return build
+
+
+def _ground_deep_json(option):
+    """``ground`` whose scene or expression file nests :data:`DEEP_JSON`."""
+
+    def build(dataset, tmp_path):
+        bad = tmp_path / "input.json"
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        if option == "--scene":
+            bad.write_text('{"scene_id": "s", "objects": ' + DEEP_JSON + "}", encoding="utf-8")
+            return ["ground", "--scene", str(bad), "--expr", str(expr)], "nested too deeply"
+        bad.write_text('{"category": "chair", "relations": ' + DEEP_JSON + "}", encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(bad)], "nested too deeply"
+
+    return build
+
+
 def _ground_threshold(threshold):
     def build(dataset, tmp_path):
         expr = tmp_path / "expr.json"
@@ -500,6 +549,12 @@ def _optimize_n_iter(n_iter):
     _bench_unreadable("not_utf8"),
     _ground_config(top_k=2.9),
     _optimize_config(n_iter=2.5),
+    _huge_bbox_value("ground"),
+    _huge_bbox_value("bench"),
+    _huge_bbox_value("optimize"),
+    _ground_deep_json("--scene"),
+    _ground_deep_json("--expr"),
+    _bench_with_line(DEEP_JSON),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -512,7 +567,9 @@ def _optimize_n_iter(n_iter):
         "threshold_nan", "threshold_inf", "label_whitespace", "category_whitespace",
         *[f"{option.replace(' --', '_').replace('-', '_')}_{kind}" for option, kind in UNREADABLE],
         "ground_scene_not_utf8", "bench_dataset_missing", "bench_expressions_directory",
-        "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction"])
+        "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction",
+        "ground_bbox_overflow", "bench_bbox_overflow", "optimize_bbox_overflow",
+        "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

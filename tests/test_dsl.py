@@ -99,6 +99,23 @@ def test_guarded_div_never_blows_up():
     assert np.isfinite(guarded_div(np.array([1.0, -3.0]), np.array([0.0, -1e-9]))).all()
 
 
+def test_guarded_div_matches_the_scaled_sign_form():
+    def scaled_sign(a, b):
+        b = np.asarray(b, dtype=np.float64)
+        return a / (b + dsl.DIV_EPS * np.where(b >= 0.0, 1.0, -1.0))
+
+    values = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 2.5, -1e-9, 3]
+    grid = np.array(values)
+    with np.errstate(all="ignore"):
+        for a in values:
+            for b in values:
+                got, want = guarded_div(a, b), scaled_sign(a, b)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got, want = guarded_div(grid[:, None], grid[None, :]), scaled_sign(grid[:, None], grid[None, :])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_eval_guards_produce_finite_features(scene, geom):
     # division by a zero-able quantity, huge exp, sqrt of a negative
     body = op("add",

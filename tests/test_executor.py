@@ -504,3 +504,87 @@ def test_condition_level_counts_misses(registry):
     # intentionally wrong ground truth: the far chair
     precision, recall = condition_level_eval([("s", expr, 1)], {"s": scene}, registry)
     assert precision == 0.0 and recall == 0.0
+
+
+def _exact_match(scene, category):
+    key = " ".join(category.casefold().split())
+    return np.array([" ".join(label.casefold().split()) == key for label in scene.labels],
+                    dtype=np.float64)
+
+
+def test_category_pass_matches_per_category_features(registry, caplog):
+    rng = np.random.default_rng(21)
+    labels = ("chair", "table", "lamp", "sofa")
+    categories = ["seat", " LIGHT ", "chair", "Table", "zeppelin"]
+    for n in (1, 2, 5, 40, 300):
+        for binary in (True, False):
+            values = ((rng.random((n, 2)) < 0.3).astype(np.float64) if binary
+                      else rng.uniform(-1.0, 1.0, (n, 2)))
+            scene = scene_from_dict({
+                "scene_id": f"s{n}",
+                "objects": [{"id": k, "label": labels[int(rng.integers(len(labels)))],
+                             "bbox": [*rng.uniform(0.0, 8.0, 3).tolist(),
+                                      *rng.uniform(0.2, 2.0, 3).tolist()]} for k in range(n)],
+                "similarities": {"categories": ["Seat", "light"], "values": values.tolist()},
+            })
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                batch = FeatureCache(scene, registry).category_features(categories)
+            unmatched = []
+            for category in categories:
+                column = scene.similarities.column(category)
+                if column is None:
+                    column = _exact_match(scene, category)
+                if not np.any(column):
+                    unmatched.append(category)
+                reference = compute_category_feature(scene, column, category)
+                assert batch[category].category == category
+                assert batch[category].data.tobytes() == reference.data.tobytes()
+                assert not batch[category].data.flags.writeable
+            assert sorted(r.args[0] for r in caplog.records) == sorted(unmatched)
+            assert "zeppelin" in unmatched
+
+
+def test_overlapping_category_requests_compute_each_category_once(registry, monkeypatch):
+    import sceneground.executor as executor_module
+
+    original = executor_module.exact_match_rows
+    calls = []
+
+    def slow_rows(scene, categories):
+        calls.extend(categories)
+        time.sleep(0.02)  # holds the locks while the other request arrives
+        return original(scene, categories)
+
+    monkeypatch.setattr(executor_module, "exact_match_rows", slow_rows)
+    requests = (["chair", "table", "lamp"], ["lamp", "sofa", "chair"])
+    for seed in range(3):
+        calls.clear()
+        cache = FeatureCache(random_scene(np.random.default_rng(seed), 6, "s"), registry)
+        barrier = threading.Barrier(len(requests))
+        got = [None] * len(requests)
+
+        def request(k):
+            barrier.wait(timeout=10)
+            got[k] = cache.category_features(requests[k])
+
+        threads = [threading.Thread(target=request, args=(k,), daemon=True)
+                   for k in range(len(requests))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == sorted({c for names in requests for c in names})
+        for names, features in zip(requests, got):
+            assert sorted(features) == sorted(names)
+            assert all(features[c] is cache.category_feature(c) for c in names)
+
+
+def test_argmax_id_is_the_first_of_tied_maxima():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        data = rng.choice([0.0, -0.0, 0.5, 1.0, 1.0], n)
+        score = MatchingScore(data=data, object_ids=tuple(int(i) for i in rng.permutation(50)[:n]))
+        assert score.argmax_id() == score.object_ids[int(score.order()[0])]

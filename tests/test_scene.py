@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sceneground.scene import (
     BoundingBox,
@@ -10,13 +12,20 @@ from sceneground.scene import (
     exact_match_column,
     exact_match_similarity,
     load_scene,
+    normalize_label,
     precompute_geometry,
     save_scene,
     scene_from_dict,
 )
 
 from helpers import random_scene
-from oracles import pair_delta, pair_dist
+from oracles import (
+    pair_delta,
+    pair_dist,
+    reference_fingerprint,
+    reference_geometry,
+    reference_scene_rows,
+)
 
 
 def write_scene(tmp_path, payload):
@@ -239,3 +248,110 @@ def test_fingerprint_is_memoized_and_matches_a_fresh_scene():
                     for o in scene.objects],
     })
     assert moved.fingerprint() != before
+
+
+COORDS = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6), st.just(-0.0))
+SIZES = st.one_of(st.integers(1, 10**6), st.floats(1e-6, 1e6))
+LABELS = st.sampled_from(["chair", "  Office\tChair ", "TABLE", "lamp", "table"])
+
+
+@st.composite
+def wire_objects(draw, max_size=12):
+    n = draw(st.integers(1, max_size))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True))
+    return [{"id": oid, "label": draw(LABELS),
+             "bbox": [draw(COORDS) for _ in range(3)] + [draw(SIZES) for _ in range(3)]}
+            for oid in ids]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(wire_objects())
+@example([{"id": 0, "label": "chair", "bbox": [-0.0, 1, 2.5, 3, 0.5, 1]}])
+def test_columns_match_the_per_object_loader(objects):
+    raw = {"scene_id": "s", "objects": objects}
+    ids, labels, rows = reference_scene_rows(raw)
+    scene = scene_from_dict(raw)
+    assert scene.object_ids == tuple(ids) and scene.ids == ids
+    assert scene.object_labels == tuple(labels) and scene.labels == labels
+    assert scene.normalized_labels == tuple(normalize_label(label) for label in labels)
+    assert scene.boxes.shape == (len(ids), 6) and not scene.boxes.flags.writeable
+    assert scene.boxes.tobytes() == np.array(rows, dtype=np.float64).tobytes()  # -0.0 kept
+    assert [(o.id, o.label, o.bbox.as_row()) for o in scene.objects] == list(zip(ids, labels, rows))
+    assert scene.objects is scene.objects
+    again = scene_from_dict({"scene_id": "s", "objects": [
+        {"id": o.id, "label": o.label, "bbox": o.bbox.as_row()} for o in scene.objects]})
+    assert again == scene and again.boxes.tobytes() == scene.boxes.tobytes()
+    assert scene.fingerprint() == reference_fingerprint("s", ids, labels, rows)
+    geom = precompute_geometry(scene)
+    for name, value in reference_geometry(rows).items():
+        assert np.asarray(getattr(geom, name)).tobytes() == np.asarray(value).tobytes(), name
+
+
+def _set_bbox(k, value):
+    def fault(entry, objects):
+        entry["bbox"] = list(entry["bbox"])
+        entry["bbox"][k] = value
+        return entry
+
+    return fault
+
+
+def _set(key, value):
+    def fault(entry, objects):
+        entry[key] = value
+        return entry
+
+    return fault
+
+
+FAULTS = {
+    "not_an_object": lambda entry, objects: 5,
+    "missing_label": lambda entry, objects: {k: v for k, v in entry.items() if k != "label"},
+    "bool_id": _set("id", True),
+    "numeric_label": _set("label", 3),
+    "short_bbox": lambda entry, objects: {**entry, "bbox": entry["bbox"][:5]},
+    "string_value": _set_bbox(2, "1"),
+    "bool_value": _set_bbox(4, True),
+    "nan_center": _set_bbox(1, math.nan),
+    "infinite_size": _set_bbox(5, math.inf),
+    "zero_size": _set_bbox(3, 0),
+    "negative_size": _set_bbox(4, -1.5),
+    "huge_int": _set_bbox(0, 10**400),
+    "negative_id": _set("id", -3),
+    "blank_label": _set("label", " \t"),
+    "repeated_id": lambda entry, objects: {**entry, "id": objects[0]["id"]},
+}
+
+
+def _error_text(load, raw):
+    try:
+        load(raw)
+    except SceneError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wire_objects(), st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(FAULTS))),
+                                min_size=1, max_size=3))
+def test_first_fault_matches_the_per_object_loader(objects, faults):
+    for position, kind in dict((position % len(objects), kind) for position, kind in faults).items():
+        objects[position] = FAULTS[kind](dict(objects[position]), objects)
+    raw = {"scene_id": "s", "objects": objects}
+    assert _error_text(scene_from_dict, raw) == _error_text(reference_scene_rows, raw)
+
+
+@pytest.mark.parametrize("first, second, message", [
+    (_set_bbox(2, math.nan), _set_bbox(2, "x"),
+     "object id 1: non-finite bounding box component: nan"),
+    (_set_bbox(2, "x"), _set_bbox(4, 0), r"objects\[1\] \(id 1\): bbox\[2\] is not a number"),
+    (_set("label", "  "), _set_bbox(0, 10**400), "object id 1: object 1: label must not be empty"),
+    (_set_bbox(0, 10**400), _set("id", -2), r"objects\[1\] \(id 1\): bbox\[0\] is too large"),
+], ids=["nan_before_type_fault", "type_fault_before_zero_size", "blank_label_before_overflow",
+        "overflow_before_negative_id"])
+def test_the_earlier_of_two_faulty_objects_is_reported(first, second, message):
+    objects = [{"id": k, "label": "chair", "bbox": [k, 0, 0, 1, 1, 1]} for k in range(5)]
+    objects[1] = first(objects[1], objects)
+    objects[3] = second(objects[3], objects)
+    with pytest.raises(SceneError, match=message):
+        scene_from_dict({"scene_id": "s", "objects": objects})
