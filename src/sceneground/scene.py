@@ -126,12 +126,17 @@ class SimilarityTable:
         if np.any(values < -1.0) or np.any(values > 1.0):
             raise SceneError("similarity entries must lie in [-1, 1]")
 
-    def column(self, category: str) -> np.ndarray | None:
-        key = normalize_label(category)
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        """Column index by normalized category; the first of equal names wins."""
+        index: dict[str, int] = {}
         for q, name in enumerate(self.categories):
-            if normalize_label(name) == key:
-                return self.values[:, q].copy()
-        return None
+            index.setdefault(normalize_label(name), q)
+        return index
+
+    def column(self, category: str) -> np.ndarray | None:
+        q = self._column_of.get(normalize_label(category))
+        return None if q is None else self.values[:, q].copy()
 
 
 @dataclass(frozen=True, eq=False, init=False)

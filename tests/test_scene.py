@@ -184,6 +184,18 @@ def test_embedded_similarity_table(tmp_path):
     assert scene.similarities.column("missing") is None
 
 
+def test_similarity_column_is_the_first_matching_category():
+    scene = scene_from_dict({
+        "scene_id": "s",
+        "objects": [{"id": 0, "label": "chair", "bbox": [0, 0, 0, 1, 1, 1]}],
+        "similarities": {"categories": ["table", " Seat", "seat  ", "SEAT"],
+                         "values": [[0.1, 0.2, 0.3, 0.4]]},
+    })
+    assert scene.similarities.column("seat").tolist() == [0.2]
+    assert scene.similarities.column("TABLE").tolist() == [0.1]
+    assert scene.similarities.column("stool") is None
+
+
 def test_similarity_range_validated(tmp_path):
     path = write_scene(tmp_path, {
         "scene_id": "s",
