@@ -4,10 +4,11 @@ A scene is an ordered collection of axis-aligned bounding boxes with category
 labels, stored as columns: a tuple of object ids, a tuple of labels and one
 read-only (N, 6) float64 array of boxes in the wire order
 ``[cx, cy, cz, w, d, h]``. :func:`scene_from_dict` builds the columns and
-validates all boxes in one array pass; :attr:`Scene.objects` is the
-per-object view, built on first read. All relation encoders consume the same
-:class:`PairGeometry`, computed once per scene. Axis convention: z is up;
-``size = (width, depth, height)`` is the extent along x, y, z respectively.
+the :class:`Scene` constructor validates all boxes in one array pass;
+:attr:`Scene.objects` is the per-object view, built on first read. All
+relation encoders consume the same :class:`PairGeometry`, computed once per
+scene. Axis convention: z is up; ``size = (width, depth, height)`` is the
+extent along x, y, z respectively.
 """
 
 from __future__ import annotations
@@ -57,11 +58,10 @@ class BoundingBox:
     size: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        row = (*self.center, *self.size)
-        if _bad_boxes(np.array([row], dtype=np.float64))[0]:
-            for v in row:
-                if not math.isfinite(v):
-                    raise SceneError(f"non-finite bounding box component: {v!r}")
+        for v in (*self.center, *self.size):
+            if not math.isfinite(v):
+                raise SceneError(f"non-finite bounding box component: {v!r}")
+        if any(s <= 0 for s in self.size):
             raise SceneError(f"size components must be strictly positive, got {self.size}")
 
     @property
@@ -126,17 +126,12 @@ class SimilarityTable:
         if np.any(values < -1.0) or np.any(values > 1.0):
             raise SceneError("similarity entries must lie in [-1, 1]")
 
-    @cached_property
-    def _column_of(self) -> dict[str, int]:
-        """Column index by normalized category; the first of equal names wins."""
-        index: dict[str, int] = {}
-        for q, name in enumerate(self.categories):
-            index.setdefault(normalize_label(name), q)
-        return index
-
     def column(self, category: str) -> np.ndarray | None:
-        q = self._column_of.get(normalize_label(category))
-        return None if q is None else self.values[:, q].copy()
+        key = normalize_label(category)
+        for q, name in enumerate(self.categories):
+            if normalize_label(name) == key:
+                return self.values[:, q].copy()
+        return None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -147,9 +142,10 @@ class Scene:
     read-only (N, 6) float64 array whose row k is object k's
     ``[cx, cy, cz, w, d, h]``. Position k is stable for the lifetime of the
     scene; all feature arrays are indexed by position, with :attr:`index_of`
-    translating object ids. :func:`scene_from_dict` builds scenes and
-    validates their boxes, ids and labels. Two scenes are equal when their
-    contents are.
+    translating object ids. The constructor applies :class:`SceneObject`'s
+    and :class:`BoundingBox`'s rules to the columns in bulk; scene files and
+    wire-format dicts are read with :func:`scene_from_dict`. Two scenes are
+    equal when their contents are.
     """
 
     scene_id: str
@@ -162,13 +158,21 @@ class Scene:
     def __init__(self, scene_id: str, ids: tuple[int, ...], labels: tuple[str, ...],
                  boxes: np.ndarray, similarities: SimilarityTable | None = None) -> None:
         ids, labels = tuple(ids), tuple(labels)
-        boxes = np.array(boxes, dtype=np.float64)
+        try:
+            raw = np.asarray(boxes)
+        except ValueError as exc:  # ragged rows
+            raise SceneError(f"scene {scene_id!r}: boxes are not a table: {exc}") from None
+        # numpy would cast a string such as "1" or a bool to a float
+        if raw.dtype.kind not in "iuf":
+            raise SceneError(f"scene {scene_id!r}: box components must be numbers")
+        boxes = np.array(raw, dtype=np.float64)
         boxes.setflags(write=False)
         if not ids:
             raise SceneError(f"scene {scene_id!r}: needs at least one object")
         if len(labels) != len(ids) or boxes.shape != (len(ids), 6):
             raise SceneError(f"scene {scene_id!r}: {len(ids)} ids, {len(labels)} labels "
                              f"and boxes of shape {boxes.shape} do not match")
+        normalized = _check_objects(ids, labels, boxes)
         index = dict(zip(ids, range(len(ids))))
         if len(index) < len(ids):
             seen: set[int] = set()
@@ -182,7 +186,8 @@ class Scene:
                 f"{similarities.values.shape[0]} rows for {len(ids)} objects"
             )
         for name, value in (("scene_id", scene_id), ("object_ids", ids), ("object_labels", labels),
-                            ("boxes", boxes), ("similarities", similarities), ("index_of", index)):
+                            ("boxes", boxes), ("similarities", similarities), ("index_of", index),
+                            ("normalized_labels", normalized)):  # the label check's memo
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -287,6 +292,29 @@ def precompute_geometry(scene: Scene) -> PairGeometry:
 _PLAIN_NUMBERS = frozenset((int, float))
 
 
+def _check_objects(ids: tuple[int, ...] | list[int], labels: tuple[str, ...] | list[str],
+                   boxes: np.ndarray) -> tuple[str, ...]:
+    """Apply :class:`SceneObject`'s and :class:`BoundingBox`'s rules to
+    columns in bulk and return the normalized labels.
+
+    The first faulty object in position order is reported, with the text the
+    per-object check gives.
+    """
+    normalized = tuple(map(normalize_label, labels))
+    bad = np.flatnonzero(_bad_boxes(boxes)).tolist()
+    if ids and (min(ids) < 0 or not all(normalized)):
+        bad += [pos for pos, oid in enumerate(ids) if oid < 0 or not normalized[pos]]
+    if bad:
+        pos = min(bad)
+        row = boxes[pos].tolist()
+        try:
+            SceneObject(id=ids[pos], label=labels[pos],
+                        bbox=BoundingBox(center=tuple(row[:3]), size=tuple(row[3:])))
+        except SceneError as exc:
+            raise SceneError(f"object id {ids[pos]}: {exc}") from None
+    return normalized
+
+
 def _entry_fields(entry: object, position: int) -> tuple[int, str, list]:
     """One wire-format object's id, label and bbox, with their types checked."""
     if not isinstance(entry, dict):
@@ -333,10 +361,10 @@ def _parse_similarities(raw: object) -> SimilarityTable:
 def scene_from_dict(raw: dict) -> Scene:
     """Build and validate a Scene from the wire-format dict.
 
-    One loop checks each object's field types and normalizes its label; the
-    boxes become one array, checked against the box rule in bulk, and ids and
-    labels are checked in bulk too. The first faulty object in object order
-    is reported, with the text the per-object check gives.
+    One loop checks each object's field types and the boxes become one
+    array; :class:`Scene` checks the values in bulk. The first faulty object
+    in object order is reported, with the text the per-object check gives,
+    and object faults come before a similarity table's.
     """
     scene_id = raw.get("scene_id")
     if not isinstance(scene_id, str):
@@ -346,7 +374,6 @@ def scene_from_dict(raw: dict) -> Scene:
         raise SceneError(f"scene {scene_id!r}: objects must be a non-empty list")
     ids: list[int] = []
     labels: list[str] = []
-    normalized: list[str] = []
     rows: list[list] = []
     fault: SceneError | None = None  # a type fault; objects before it are checked first
     for position, entry in enumerate(entries):
@@ -357,7 +384,6 @@ def scene_from_dict(raw: dict) -> Scene:
             break
         ids.append(oid)
         labels.append(label)
-        normalized.append(normalize_label(label))
         rows.append(bbox)
     try:
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
@@ -365,27 +391,19 @@ def scene_from_dict(raw: dict) -> Scene:
         position, k = _first_overflow(rows)
         fault = SceneError(f"objects[{position}] (id {ids[position]}): bbox[{k}] "
                            f"is too large for a float")
-        del ids[position:], labels[position:], normalized[position:], rows[position:]
+        del ids[position:], labels[position:], rows[position:]
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
-    bad = np.flatnonzero(_bad_boxes(boxes)).tolist()
-    if ids and (min(ids) < 0 or not all(normalized)):
-        bad += [pos for pos, oid in enumerate(ids) if oid < 0 or not normalized[pos]]
-    if bad:
-        pos = min(bad)
-        try:  # the per-object check gives the fault's text
-            row = boxes[pos].tolist()
-            SceneObject(id=ids[pos], label=labels[pos],
-                        bbox=BoundingBox(center=tuple(row[:3]), size=tuple(row[3:])))
-        except SceneError as exc:
-            raise SceneError(f"object id {ids[pos]}: {exc}") from None
     if fault is not None:
+        _check_objects(ids, labels, boxes)
         raise fault
     similarities = None
     if "similarities" in raw:
-        similarities = _parse_similarities(raw["similarities"])
-    scene = Scene(scene_id, ids, labels, boxes, similarities)
-    scene.__dict__["normalized_labels"] = tuple(normalized)  # the label check's memo
-    return scene
+        try:
+            similarities = _parse_similarities(raw["similarities"])
+        except SceneError:
+            _check_objects(ids, labels, boxes)
+            raise
+    return Scene(scene_id, ids, labels, boxes, similarities)
 
 
 def load_scene(path: str | Path) -> Scene:

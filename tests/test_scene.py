@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sceneground.scene import (
     BoundingBox,
+    Scene,
     SceneError,
     exact_match_column,
     exact_match_similarity,
@@ -367,3 +368,48 @@ def test_the_earlier_of_two_faulty_objects_is_reported(first, second, message):
     objects[3] = second(objects[3], objects)
     with pytest.raises(SceneError, match=message):
         scene_from_dict({"scene_id": "s", "objects": objects})
+
+
+GOOD_BOXES = [[0, 0, 0, 1, 1, 1], [2, 0, 0, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("ids, labels, boxes, message", [
+    ((0, 1), ("chair", "table"), [[0, 0, 0, 1, 1, "1"], GOOD_BOXES[1]], "must be numbers"),
+    ((0, 1), ("chair", "table"), [[True] * 6, [False] * 6], "must be numbers"),
+    ((0, 1), ("chair", "table"), [GOOD_BOXES[0], [2, 0, 0, 1, 1]], "not a table"),
+    ((0, 1), ("chair",), GOOD_BOXES, "do not match"),
+    ((0, 1), ("chair", "table"), [GOOD_BOXES[0], [2, 0, 0, 1, -1, 1]],
+     r"object id 1: size components must be strictly positive"),
+    ((0, 1), ("chair", "table"), [[math.inf, 0, 0, 1, 1, 1], GOOD_BOXES[1]],
+     "object id 0: non-finite bounding box component: inf"),
+    ((0, -1), ("chair", "table"), GOOD_BOXES, "object id -1: object id must be non-negative"),
+    ((0, 1), (" ", "table"), GOOD_BOXES, "object id 0: object 0: label must not be empty"),
+    ((0, 0), ("chair", "table"), GOOD_BOXES, "duplicate id 0"),
+], ids=["string", "bool", "ragged", "lengths", "size", "inf", "negative_id", "blank_label",
+        "duplicate"])
+def test_scene_constructor_checks_its_columns(ids, labels, boxes, message):
+    with pytest.raises(SceneError, match=message):
+        Scene("s", ids, labels, boxes)
+
+
+def test_scene_constructor_matches_the_loader():
+    built = Scene("s", [3, 7], ["Chair ", "table"], np.array(GOOD_BOXES))
+    loaded = scene_from_dict({"scene_id": "s", "objects": [
+        {"id": 3, "label": "Chair ", "bbox": GOOD_BOXES[0]},
+        {"id": 7, "label": "table", "bbox": GOOD_BOXES[1]}]})
+    assert built == loaded and built.fingerprint() == loaded.fingerprint()
+    assert built.normalized_labels == ("chair", "table")
+
+
+def test_bounding_box_rejects_a_numeric_string():
+    with pytest.raises(TypeError):
+        BoundingBox(center=("1", 0, 0), size=(1, 1, 1))
+
+
+def test_object_faults_come_before_similarity_faults():
+    objects = [{"id": 0, "label": "chair", "bbox": [0, 0, 0, 1, 1, 0]}]
+    with pytest.raises(SceneError, match="object id 0: size components"):
+        scene_from_dict({"scene_id": "s", "objects": objects, "similarities": 3})
+    objects[0]["bbox"][5] = 1
+    with pytest.raises(SceneError, match="similarities must be"):
+        scene_from_dict({"scene_id": "s", "objects": objects, "similarities": 3})
