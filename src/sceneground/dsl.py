@@ -16,18 +16,23 @@ leaves just the caps to check on the new root. Either way
 :func:`compile_definition` memoizes the result on the definition.
 
 Equal texts are equal subtrees, and each route evaluates a text once. Two
-routes apply a node by one rule (:func:`_node_value`) and differ only in how
-they read accessors and aggregates and in the order they visit nodes:
+routes apply an op by its function in ``_OPS``, the one table of op
+functions, and differ only in how they read accessors and aggregates, in
+the order they visit nodes and in how they dispatch: the gathered route
+calls :func:`_node_value` per node, and the dense route's loop
+(:func:`_evaluate`) applies the same rule inline, calling a one- or
+two-argument op's function directly on its children's values.
 
 - The dense route (:func:`eval_encoders`; :func:`eval_encoder` is its
   one-body case) broadcasts each accessor along its own axis and keeps
   aggregates scalar. It runs one DAG over several bodies of one rank,
   hash-consed on the texts, so a subtree the bodies share (a proximity or
   lateral term, say) is evaluated once for all of them; each intermediate
-  is freed after its last reader, and each root is written into its own
-  feature. A body's DAG is built from its summaries the first time a dense
-  evaluation asks for it, and a program of several bodies is memoized
-  process-wide.
+  is freed after its last reader. Each root is written into its row of one
+  stacked output, which is sanitized and zeroed once, and each feature is
+  a read-only view of its row. A body's DAG is built from its summaries
+  the first time a dense evaluation asks for it, and a program of several
+  bodies is memoized process-wide.
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
@@ -48,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -209,7 +215,20 @@ def definition_from_dict(raw: object) -> EncoderDefinition:
 
 
 def load_definition(path: str | Path) -> EncoderDefinition:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load and check a definition file (UTF-8 JSON); any fault, reading the
+    file included, raises DefinitionError."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DefinitionError(f"cannot read {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DefinitionError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DefinitionError(f"{path}: JSON nested too deeply") from None
     defn = definition_from_dict(raw)
     validate_definition(defn)
     return defn
@@ -238,14 +257,14 @@ def _agg_value(name: str, geom: PairGeometry, axis: str | None) -> float:
 
 # operator name -> (argument count, function of the argument values)
 _OPS = {
-    "add": (2, lambda a, b: a + b),
-    "sub": (2, lambda a, b: a - b),
-    "mul": (2, lambda a, b: a * b),
+    "add": (2, operator.add),
+    "sub": (2, operator.sub),
+    "mul": (2, operator.mul),
     "div": (2, guarded_div),
     "min": (2, np.minimum),
     "max": (2, np.maximum),
     "abs": (1, np.abs),
-    "neg": (1, lambda a: -a),
+    "neg": (1, operator.neg),
     "exp": (1, guarded_exp),
     "sqrt": (1, guarded_sqrt),
     "relu": (1, lambda a: np.maximum(a, 0.0)),
@@ -372,7 +391,7 @@ def _build_dag(roots: tuple[NodeSummary, ...]
     rooted at ``roots`` (see :class:`CompiledEncoder`), one step per distinct
     DAG node, keyed by the summaries' texts. Bodies share their equal
     subtrees, and equal roots share one position. A root is never freed, as
-    its value is written into its feature."""
+    its value is written into its feature's row of the stacked output."""
     ids: dict[str, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
@@ -527,30 +546,44 @@ def validate_definition(defn: EncoderDefinition) -> None:
     compile_definition(defn)
 
 
-def _node_value(entry: tuple, args: list, get_rule, agg_rule):
-    """The one node rule of both routes: the value of a node with entry
-    ``entry`` (a summary's entry, or a DAG node) whose children have the
-    values ``args``. ``get_rule(field, obj, axis)`` places an accessor's
-    values (broadcast along the object's axis, or gathered at points);
-    ``agg_rule(name, axis)`` gives an aggregate's value (a scalar, or one
-    entry per point)."""
+def _node_value(entry: tuple, args: list, plan: GatherPlan):
+    """The gathered route's node rule: the value on ``plan`` of a node with a
+    summary's entry ``entry`` whose children have the values ``args``."""
     kind = entry[0]
     if kind == "op":
         return _OPS[entry[1]][1](*args)
     if kind == "get":
-        return get_rule(entry[1], entry[2], entry[3])
+        return plan.get(entry[1], entry[2], entry[3])
     if kind == "agg":
-        return agg_rule(entry[1], entry[2])
+        return plan.agg(entry[1], entry[2])
     return entry[1]
 
 
 def _evaluate(nodes: tuple, frees: tuple, get_rule, agg_rule) -> list:
     """Run a DAG: every distinct node once, each intermediate dropped after
-    its last reader; the values list, which still holds every root."""
+    its last reader; the values list, which still holds every root. The
+    dense route's node rule, inline: an op calls its ``_OPS`` function on its
+    children's values (a one- or two-argument op directly), an accessor is
+    ``get_rule(field, obj, axis)``, an aggregate ``agg_rule(name, axis)`` and
+    a constant its value."""
     values: list = []
+    append = values.append
     for node, dying in zip(nodes, frees):
-        args = [values[c] for c in node[2]] if node[0] == "op" else ()
-        values.append(_node_value(node, args, get_rule, agg_rule))
+        kind = node[0]
+        if kind == "op":
+            fn, args = _OPS[node[1]][1], node[2]
+            if len(args) == 2:
+                append(fn(values[args[0]], values[args[1]]))
+            elif len(args) == 1:
+                append(fn(values[args[0]]))
+            else:
+                append(fn(*[values[c] for c in args]))
+        elif kind == "get":
+            append(get_rule(node[1], node[2], node[3]))
+        elif kind == "agg":
+            append(agg_rule(node[1], node[2]))
+        else:
+            append(node[1])
         for dead in dying:
             values[dead] = None
     return values
@@ -566,16 +599,19 @@ def _sanitize(data: np.ndarray) -> np.ndarray:
 
 
 def _finalize_owned(data: np.ndarray, rank: int) -> np.ndarray:
-    """finalize_feature on a C-contiguous array this module owns."""
+    """finalize_feature, in place, on a C-contiguous array this module owns:
+    one rank-``rank`` feature of shape ``(n,) * rank``, or a stack of them of
+    shape ``(R,) + (n,) * rank``, which is sanitized and zeroed at once and
+    made read-only, so each ``data[r]`` is a finished feature."""
     _sanitize(data)
     if rank >= 2:
-        idx = np.arange(data.shape[0])
+        idx = np.arange(data.shape[-1])
         if rank == 2:
-            data[idx, idx] = 0.0
+            data[..., idx, idx] = 0.0
         else:
-            data[idx, idx, :] = 0.0
-            data[idx, :, idx] = 0.0
-            data[:, idx, idx] = 0.0
+            data[..., idx, idx, :] = 0.0
+            data[..., idx, :, idx] = 0.0
+            data[..., idx, idx] = 0.0
     data.setflags(write=False)
     return data
 
@@ -631,7 +667,10 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
     equals its body's own evaluation byte for byte. The features are
     evaluated in chunks along the first index of about ``CHUNK_ELEMS``
     entries each, so the intermediate working set stays bounded even when N
-    is large.
+    is large. Every root is written into one stacked array of shape
+    ``(R,) + (n,) * rank``, one row per definition, which is finalized once
+    (:func:`_finalize_owned`); feature r's data is the read-only,
+    C-contiguous view ``stack[r]``.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
@@ -644,15 +683,16 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
         raise ValueError("eval_encoders needs definitions of one rank")
     # one body runs the DAG its CompiledEncoder keeps, and adds nothing to the memo
     nodes, frees, outputs = compiled[0]._dag if len(compiled) == 1 else _shared_dag(compiled)
-    outs = [np.empty((n,) * rank, dtype=np.float64) for _ in compiled]
+    stack = np.empty((len(compiled),) + (n,) * rank, dtype=np.float64)
     step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
     for start in range(0, n, step):
         sl = slice(start, min(start + step, n))
         values = _evaluate(nodes, frees, *_dense_rules(geom, rank, sl))
-        for out, pos in zip(outs, outputs):
-            out[sl] = values[pos]
-    return [RelationFeature(relation=c.relation, rank=rank, data=_finalize_owned(out, rank))
-            for c, out in zip(compiled, outs)]
+        for r, pos in enumerate(outputs):
+            stack[r, sl] = values[pos]
+    _finalize_owned(stack, rank)
+    return [RelationFeature(relation=c.relation, rank=rank, data=data)
+            for c, data in zip(compiled, stack)]
 
 
 class GatherPlan:
@@ -726,7 +766,7 @@ def _walk(summary: NodeSummary, memo: dict, plan: GatherPlan):
     for child in summary.args:
         value = memo.get(child.text)
         args.append(_walk(child, memo, plan) if value is None else value)
-    value = memo[summary.text] = _node_value(summary.entry, args, plan.get, plan.agg)
+    value = memo[summary.text] = _node_value(summary.entry, args, plan)
     return value
 
 

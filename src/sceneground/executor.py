@@ -221,9 +221,9 @@ class MatchingScore:
         return np.argsort(-self.data, kind="stable")
 
     def argmax_id(self) -> int:
-        """The id at ``order()[0]``: ``np.argmax`` also takes the first of
-        tied maxima."""
-        return self.object_ids[int(np.argmax(self.data))]
+        """The id at ``order()[0]``: ``ndarray.argmax`` also takes the first
+        of tied maxima."""
+        return self.object_ids[self.data.argmax()]
 
 
 def _run(expr: SymbolicExpression, categories: dict[str, CategoryFeature],
@@ -262,7 +262,7 @@ def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> Matc
             f"feature cache was built for a different scene "
             f"(cache {cache.fingerprint[:12]}, scene {scene.fingerprint()[:12]})"
         )
-    features = cache.relation_features(clause.relation for _, clause in collect_conditions(expr))
+    features = cache.relation_features([clause.relation for _, clause in collect_conditions(expr)])
     categories = cache.category_features(collect_categories(expr))
     terms = tuple(_run(expr, categories, features))
     data = reduce(np.multiply, terms)
@@ -354,7 +354,7 @@ def condition_precision_recall(
         category, *factors = score.terms
         for factor in factors:
             predicted.setdefault(group, set()).add(
-                score.object_ids[int(np.argmax(category * factor))])
+                score.object_ids[(category * factor).argmax()])
             truth.setdefault(group, set()).add(ground_truth)
 
     if not predicted:

@@ -100,56 +100,63 @@ class SymbolicExpression:
         return best
 
 
-def _clause_from_dict(raw: object, depth: int, path: str) -> RelationClause:
+def _path(where: tuple | None) -> str:
+    """A node's path, such as ``$.relations[1].anchors[0]``, from its
+    ``(parent, key, index)`` chain (None at the root); rendered only for an
+    error message."""
+    steps = []
+    while where is not None:
+        where, key, k = where
+        steps.append(f".{key}[{k}]")
+    return "$" + "".join(reversed(steps))
+
+
+def _clause_from_dict(raw: object, depth: int, where: tuple) -> RelationClause:
     if not isinstance(raw, dict):
-        raise ExpressionError(f"{path}: clause must be an object")
+        raise ExpressionError(f"{_path(where)}: clause must be an object")
     name = raw.get("relation_name", raw.get("relation"))
     if not isinstance(name, str):
-        raise ExpressionError(f"{path}: missing relation_name")
+        raise ExpressionError(f"{_path(where)}: missing relation_name")
     canonical = normalize_relation_name(name)
     if canonical not in _ARITY:
-        raise ExpressionError(
-            f"{path}: unknown relation {name!r}; known relations: {', '.join(ALL_RELATIONS)}"
-        )
+        raise ExpressionError(f"{_path(where)}: unknown relation {name!r}; "
+                              f"known relations: {', '.join(ALL_RELATIONS)}")
     # the wire format uses both "anchors" and "objects" for the anchor list
     anchors_raw = raw.get("anchors", raw.get("objects", []))
     if not isinstance(anchors_raw, list):
-        raise ExpressionError(f"{path}: anchors must be a list")
-    anchors = tuple(
-        _expr_from_dict(a, depth + 1, f"{path}.anchors[{k}]")
-        for k, a in enumerate(anchors_raw)
-    )
+        raise ExpressionError(f"{_path(where)}: anchors must be a list")
+    anchors = tuple([_expr_from_dict(a, depth + 1, (where, "anchors", k))
+                     for k, a in enumerate(anchors_raw)])
     negative = raw.get("negative", False)
     if not isinstance(negative, bool):
-        raise ExpressionError(f"{path}: negative must be a boolean")
+        raise ExpressionError(f"{_path(where)}: negative must be a boolean")
     arity = _ARITY[canonical]
     if len(anchors) != arity - 1:
-        raise ExpressionError(
-            f"{path}: relation {canonical!r} takes {arity - 1} anchor(s), got {len(anchors)}"
-        )
+        raise ExpressionError(f"{_path(where)}: relation {canonical!r} takes "
+                              f"{arity - 1} anchor(s), got {len(anchors)}")
     return RelationClause(relation=canonical, anchors=anchors, negative=negative)
 
 
-def _expr_from_dict(raw: object, depth: int, path: str) -> SymbolicExpression:
+def _expr_from_dict(raw: object, depth: int, where: tuple | None) -> SymbolicExpression:
+    """The expression at ``where``, a ``(parent, key, index)`` chain or None
+    at the root (see :func:`_path`)."""
     if depth > MAX_DEPTH:
-        raise ExpressionError(f"{path}: expression nesting exceeds depth {MAX_DEPTH}")
+        raise ExpressionError(f"{_path(where)}: expression nesting exceeds depth {MAX_DEPTH}")
     if not isinstance(raw, dict):
-        raise ExpressionError(f"{path}: expected an object")
+        raise ExpressionError(f"{_path(where)}: expected an object")
     category = raw.get("category")
     if not isinstance(category, str) or not normalize_label(category):
-        raise ExpressionError(f"{path}: missing category")
+        raise ExpressionError(f"{_path(where)}: missing category")
     relations_raw = raw.get("relations", [])
     if not isinstance(relations_raw, list):
-        raise ExpressionError(f"{path}: relations must be a list")
-    clauses = tuple(
-        _clause_from_dict(c, depth, f"{path}.relations[{k}]")
-        for k, c in enumerate(relations_raw)
-    )
+        raise ExpressionError(f"{_path(where)}: relations must be a list")
+    clauses = tuple([_clause_from_dict(c, depth, (where, "relations", k))
+                     for k, c in enumerate(relations_raw)])
     return SymbolicExpression(category=category, relations=clauses)
 
 
 def expression_from_dict(raw: object) -> SymbolicExpression:
-    return _expr_from_dict(raw, 1, "$")
+    return _expr_from_dict(raw, 1, None)
 
 
 def parse_expression(text: str) -> SymbolicExpression:
@@ -188,14 +195,10 @@ def serialize_expression(expr: SymbolicExpression) -> str:
 def collect_conditions(expr: SymbolicExpression) -> list[tuple[str, RelationClause]]:
     """Flatten to (target-category, clause) pairs, depth-first, root first."""
     out: list[tuple[str, RelationClause]] = []
-
-    def walk(node: SymbolicExpression) -> None:
-        for clause in node.relations:
-            out.append((node.category, clause))
-            for anchor in clause.anchors:
-                walk(anchor)
-
-    walk(expr)
+    for clause in expr.relations:
+        out.append((expr.category, clause))
+        for anchor in clause.anchors:
+            out.extend(collect_conditions(anchor))
     return out
 
 

@@ -227,12 +227,6 @@ class Scene:
         (memoized; the labels are immutable)."""
         return tuple(normalize_label(label) for label in self.object_labels)
 
-    def centers(self) -> np.ndarray:
-        return self.boxes[:, :3].copy()
-
-    def sizes(self) -> np.ndarray:
-        return self.boxes[:, 3:].copy()
-
     def fingerprint(self) -> str:
         """Content hash; feature caches are only valid for a matching scene.
 
@@ -270,13 +264,15 @@ class PairGeometry:
 
 
 def precompute_geometry(scene: Scene) -> PairGeometry:
-    """Deterministic pure function of the scene; safe to share across readers."""
-    centers = scene.centers()
-    sizes = scene.sizes()
+    """Deterministic pure function of the scene; safe to share across readers.
+    ``centers`` and ``sizes`` are read-only views of the scene's boxes."""
+    centers = scene.boxes[:, :3]
+    sizes = scene.boxes[:, 3:]
+    half = sizes / 2
     diagonals = np.sqrt(np.sum(sizes * sizes, axis=1))
-    bottoms = centers[:, 2] - sizes[:, 2] / 2
-    lo = centers[:, :2] - sizes[:, :2] / 2
-    hi = centers[:, :2] + sizes[:, :2] / 2
+    bottoms = centers[:, 2] - half[:, 2]
+    lo = centers[:, :2] - half[:, :2]
+    hi = centers[:, :2] + half[:, :2]
     return PairGeometry(
         centers=centers,
         sizes=sizes,

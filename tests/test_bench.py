@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 
 import numpy as np
@@ -243,3 +244,25 @@ def test_plot_files_are_written_atomically(dataset, registry, tmp_path, monkeypa
     named = [entry["file"] for entry in manifest["heatmaps"] + manifest["steps"]]
     assert sorted(written) == sorted(named + ["manifest.json"])
     assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
+
+def test_a_warm_run_leaves_no_reference_cycles(dataset, registry):
+    """A bench run and an execute build no reference cycles, so none of their
+    objects waits for the cyclic collector."""
+    scenes, entries = load_dataset(dataset)
+    entry = entries[0]
+    cache = FeatureCache(scenes[entry.scene_id], registry)
+    run_bench(dataset, registry)  # warm-up: memoized programs and imports
+    execute(entry.expression, cache.scene, cache)
+    gc.collect()
+    old = gc.get_debug()
+    gc.garbage.clear()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        run_bench(dataset, registry)
+        execute(entry.expression, cache.scene, FeatureCache(cache.scene, registry))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(old)
+        gc.garbage.clear()

@@ -191,6 +191,28 @@ def test_definition_file_roundtrip(tmp_path):
     assert "body" in raw
 
 
+@pytest.mark.parametrize("fault, expected", [
+    ("missing", "cannot read {path}: "),
+    ("directory", "cannot read {path}: "),
+    ("not utf-8", "cannot read {path}: "),
+    ("truncated", "{path}: invalid JSON at line 1 column 31: Expecting value"),
+    ("nested", "{path}: JSON nested too deeply"),
+])
+def test_load_definition_raises_its_own_error(tmp_path, fault, expected):
+    path = tmp_path / "above.json"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not utf-8":
+        path.write_bytes(b'{"relation": "above\xff"}')
+    elif fault == "truncated":
+        path.write_text('{"relation": "above", "body": ')
+    elif fault == "nested":
+        path.write_text('{"relation": "above", "body": ' + "[" * 100_000)
+    with pytest.raises(DefinitionError) as info:
+        load_definition(path)
+    assert str(info.value).startswith(expected.format(path=path))
+
+
 def test_digest_ignores_metadata():
     a = encoder_to_dsl("near")
     b = EncoderDefinition(relation="near", body=a.body, metadata="different")

@@ -177,3 +177,46 @@ def test_collect_conditions_depth_first_order():
         ("table", "left"),
         ("chair", "behind"),
     ]
+
+
+_CLAUSE_AT = "$.relations[1].anchors[0].relations[0]"
+_ANCHOR_AT = _CLAUSE_AT + ".anchors[0]"
+_KNOWN = ("large, small, high, low, on_the_floor, against_the_wall, at_the_corner, "
+          "near, far, above, below, left, right, front, behind, between")
+
+
+def _nested(depth: int) -> dict:
+    """An expression whose innermost node sits ``depth`` levels below its root."""
+    node: dict = {"category": "lamp"}
+    for _ in range(depth):
+        node = {"category": "box", "relations": [{"relation_name": "near", "anchors": [node]}]}
+    return node
+
+
+@pytest.mark.parametrize("clause, expected", [
+    ("near", f"{_CLAUSE_AT}: clause must be an object"),
+    ({"anchors": []}, f"{_CLAUSE_AT}: missing relation_name"),
+    ({"relation_name": "beside"}, f"{_CLAUSE_AT}: unknown relation 'beside'; "
+                                  f"known relations: {_KNOWN}"),
+    ({"relation_name": "near", "anchors": {"category": "lamp"}},
+     f"{_CLAUSE_AT}: anchors must be a list"),
+    ({"relation_name": "near", "anchors": [{"category": "lamp"}], "negative": 1},
+     f"{_CLAUSE_AT}: negative must be a boolean"),
+    ({"relation_name": "Between", "anchors": [{"category": "lamp"}]},
+     f"{_CLAUSE_AT}: relation 'between' takes 2 anchor(s), got 1"),
+    ({"relation_name": "near", "anchors": [7]}, f"{_ANCHOR_AT}: expected an object"),
+    ({"relation_name": "near", "anchors": [{"category": " "}]},
+     f"{_ANCHOR_AT}: missing category"),
+    ({"relation_name": "near", "anchors": [{"category": "lamp", "relations": {}}]},
+     f"{_ANCHOR_AT}: relations must be a list"),
+    ({"relation_name": "near", "anchors": [_nested(6)]},
+     _ANCHOR_AT + ".relations[0].anchors[0]" * 6 + ": expression nesting exceeds depth 8"),
+])
+def test_parser_error_texts_name_the_nested_path(clause, expected):
+    raw = {"category": "chair", "relations": [
+        {"relation_name": "large"},
+        {"relation_name": "near", "anchors": [{"category": "table", "relations": [clause]}]},
+    ]}
+    with pytest.raises(ExpressionError) as info:
+        parse_expression(json.dumps(raw))
+    assert str(info.value) == expected

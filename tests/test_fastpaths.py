@@ -154,6 +154,32 @@ def test_shared_pass_matches_per_body_evaluation(n, chunk_elems, monkeypatch):
             assert len({id(f.data) for f in features}) == len(group)
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_stacked_pass_features_are_finished_read_only_rows(arity, monkeypatch):
+    """Each feature of a shared pass is its row of one stacked output: read
+    only, C-contiguous, of shape (n,)*rank, and byte-equal to its one-body
+    evaluation and to the gathered route at every index, in chunks of one
+    i-row and with a body of constants only."""
+    monkeypatch.setattr(dsl, "CHUNK_ELEMS", 1)
+    rng = np.random.default_rng(60 + arity)
+    scene = random_scene(rng, 6, "stacked")
+    geom = precompute_geometry(scene)
+    n = len(scene)
+    relation = RELATION_OF_ARITY[arity]
+    group = [d for d in builtin_definitions().values() if relation_arity(d.relation) == arity]
+    group += [EncoderDefinition(relation=relation, body=op("add", const(0.5), const(1.0))),
+              EncoderDefinition(relation=relation, body=const(-2.0))]
+    index = tuple(np.indices((n,) * arity).reshape(arity, -1))
+    for defn, feature in zip(group, eval_encoders(group, scene, geom)):
+        data = feature.data
+        assert data.shape == (n,) * arity and data.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            data[(0,) * arity] = 1.0
+        assert data.tobytes() == eval_encoder(defn, scene, geom).data.tobytes()
+        gathered = eval_encoder_at(compile_definition(defn), geom, index)
+        assert gathered.tobytes() == data.tobytes(), defn.relation
+
+
 def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
     group = [encoder_to_dsl(r) for r in ("left", "right", "front", "behind", "near")]
     texts = {s.text for d in group for s in _preorder(compile_definition(d).summary)}
