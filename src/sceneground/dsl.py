@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text_atomic
-from .expression import relation_arity
+from .expression import ALL_RELATIONS, relation_arity
 from .scene import PairGeometry, Scene
 
 __all__ = [
@@ -168,6 +168,10 @@ def op(name: str, *args: dict) -> dict:
     return {"op": name, "args": list(args)}
 
 
+# relation name -> its JSON string
+_QUOTED_RELATIONS = {name: json.dumps(name) for name in ALL_RELATIONS}
+
+
 @dataclass(frozen=True)
 class EncoderDefinition:
     """A relation encoder candidate: relation name, DSL body, provenance tag."""
@@ -186,8 +190,9 @@ class EncoderDefinition:
         compiled = self.__dict__.get("_compiled")
         if compiled is None:
             return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
-        relation = json.dumps(self.relation)
-        return '{"body": ' + compiled.summary.text + ', "relation": ' + relation + "}"
+        # a checked definition's relation is a known one
+        return ('{"body": ' + compiled.summary.text + ', "relation": '
+                + _QUOTED_RELATIONS[self.relation] + "}")
 
     def digest(self) -> str:
         """sha256 of :meth:`canonical_json` (relation + body, metadata
@@ -307,20 +312,22 @@ class NodeSummary:
         self.args = args
         self.entry = entry
         self.text = text
-        size = height = 0
-        consts = "const" in node
-        swaps = is_swappable(node)
+        size = 1
+        height = 0
+        consts = 1 if "const" in node else 0
+        swaps = 1 if is_swappable(node) else 0
         for a in args:
             size += a.size
-            height = max(height, a.height)
+            if a.height > height:
+                height = a.height
             objs |= a.objs
             consts += a.consts
             swaps += a.swaps
-        self.size = size + 1
+        self.size = size
         self.height = height + 1
         self.objs = objs
-        self.consts = int(consts)
-        self.swaps = int(swaps)
+        self.consts = consts
+        self.swaps = swaps
 
 
 # operator name -> its JSON string
@@ -486,6 +493,16 @@ def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
     raise _fault(path, "node must have one of const/get/agg/op")
 
 
+def summarize_op(node: dict, args: tuple[NodeSummary, ...], entry: tuple) -> NodeSummary:
+    """The summary of ``node``: a copy of a checked op node, whose entry is
+    ``entry``, with new children, whose summaries are ``args``. It is what
+    :func:`summarize_node` gives, without its dispatch and checks: the op,
+    its argument count and its extra keys were checked with the original,
+    so only the text is joined anew. Mutation rebuilds a child's path with
+    it."""
+    return NodeSummary(node, args, entry, 0, _op_text(node, args, None))
+
+
 def _check_and_compile(body: object, rank: int) -> NodeSummary:
     """The check pass: apply the node rule to each node object of a body,
     depth first, then check the node cap (repeats counted). A repeated
@@ -589,10 +606,13 @@ def _evaluate(nodes: tuple, frees: tuple, get_rule, agg_rule) -> list:
     return values
 
 
-def _sanitize(data: np.ndarray) -> np.ndarray:
-    """In place: nan -> 0, +inf -> FEATURE_CAP, -inf and negatives -> 0,
-    -0.0 -> 0.0 (the bytes of ``nan_to_num`` then ``maximum(data, 0.0)``)."""
-    np.fmax(data, 0.0, out=data)
+def _sanitize(data: np.ndarray, raw=None) -> np.ndarray:
+    """The one sanitize rule, into ``data``: nan -> 0, +inf -> FEATURE_CAP,
+    -inf and negatives -> 0, -0.0 -> 0.0 (the bytes of ``nan_to_num`` then
+    ``maximum(data, 0.0)``). It acts in place, or, given ``raw`` (an array
+    of ``data``'s shape or a scalar), writes ``raw``'s sanitized values into
+    ``data`` without copying them there first."""
+    np.fmax(data if raw is None else raw, 0.0, out=data)
     data[data == np.inf] = FEATURE_CAP
     data += 0.0  # fmax may keep -0.0
     return data
@@ -702,9 +722,10 @@ class GatherPlan:
     j, then k), entry ``index[o][m]`` of the scenes' concatenated
     ``centers``, ``sizes`` and ``volumes``; ``repeated[m]`` marks a point
     whose objects repeat. An accessor is its per-object values gathered at
-    ``index``, an aggregate its per-scene values gathered at ``segment``.
-    Both are memoized, so every encoder evaluated on a plan shares them
-    (readers that race on a first read compute equal arrays).
+    ``index``, an aggregate its per-scene values gathered at ``segment``;
+    ``any_repeated`` says whether some point's objects repeat. Accessors and
+    aggregates are memoized, so every encoder evaluated on a plan shares
+    them (readers that race on a first read compute equal arrays).
     """
 
     def __init__(self, geoms: Sequence[PairGeometry], segment, index: Sequence) -> None:
@@ -734,6 +755,7 @@ class GatherPlan:
         for p in range(len(local)):
             for q in range(p + 1, len(local)):
                 self.repeated |= local[p] == local[q]
+        self.any_repeated = bool(self.repeated.any())
         self._leaves: dict[tuple, np.ndarray] = {}
 
     def get(self, field: str, obj: str, axis: str | None) -> np.ndarray:
@@ -785,6 +807,10 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
     one plan makes a body that shares all but one path with one seen before
     cost that path. It must hold values of ``plan`` only, and its values are
     never written to; with none, the call uses a fresh one.
+
+    The root's value (an array of points, or the scalar of a body of
+    constants only) is sanitized straight into the output, and the zeroing
+    of repeated points is skipped on a plan that has none.
     """
     if len(plan.index) != compiled.rank:
         raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
@@ -792,10 +818,9 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
     raw = memo.get(compiled.summary.text)
     if raw is None:
         raw = _walk(compiled.summary, memo, plan)
-    data = np.empty(plan.segment.shape)
-    data[...] = raw  # an array of points, or the scalar of a body of constants only
-    _sanitize(data)
-    data[plan.repeated] = 0.0
+    data = _sanitize(np.empty(plan.segment.shape), raw)
+    if plan.any_repeated:
+        data[plan.repeated] = 0.0
     return data
 
 

@@ -3,7 +3,10 @@
 This is the offline candidate generator: it perturbs a definition by scaling
 a constant, swapping a commutative operator, inserting a wrapper, or grafting
 a subtree from the builtin library. Every mutation is deterministic for a
-given seed and always yields a definition that passes validation.
+given seed and always yields a definition that passes validation. The
+draws are those of numpy's ``Generator`` calls, taken more cheaply from the
+same stream: the kind is what ``rng.choice(4, p=...)`` picks, and the scale
+factor is ``rng.uniform(0.5, 2.0)``'s draw, ``0.5 + 1.5 * rng.random()``.
 
 A mutation costs its changed path, not its tree. The node to change is
 found by descending the base's node summaries (:class:`~sceneground.dsl.
@@ -11,9 +14,11 @@ NodeSummary`), in depth-first order with repeats, in as many steps as that
 node is deep. Bodies are never mutated in place: the child copies the nodes
 on that path and shares every other subtree with the base (grafts share
 nodes with the builtin pool). Each new node gets its summary from the DSL's
-node rule and its children's, so the child is built checked, with only the
-caps left to test on its root; the check pass never walks it, and a search
-scoring it on its memo of subtree values evaluates only its new path.
+node rule and its children's (a copy of a path node only joins its text
+anew, :func:`~sceneground.dsl.summarize_op`), so the child is built checked,
+with only the caps left to test on its root; the check pass never walks it,
+and a search scoring it on its memo of subtree values evaluates only its
+new path.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .dsl import (
     is_swappable,
     op,
     summarize_node,
+    summarize_op,
 )
 
 __all__ = ["mutate_definition"]
@@ -110,7 +116,8 @@ def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> tuple[Change
     """A change that scales a constant by a random factor (a subtree when
     there are no constants), and the change that puts the factor itself in
     the picked node's place, which cannot overflow or grow the tree."""
-    factor = float(rng.uniform(0.5, 2.0))
+    # ``rng.uniform(0.5, 2.0)`` computes this from the same one draw
+    factor = 0.5 + 1.5 * rng.random()
     if root.consts:
         path, trail = _pick(root, _CONSTS, rng)
         old = trail[-1].node["const"]
@@ -173,8 +180,8 @@ def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDef
     for parent, k in zip(trail[-2::-1], reversed(path)):
         args = list(parent.node["args"])
         args[k] = summary.node
-        summary = summarize_node({**parent.node, "args": args},
-                                 (*parent.args[:k], summary, *parent.args[k + 1:]), rank)
+        summary = summarize_op({**parent.node, "args": args},
+                               (*parent.args[:k], summary, *parent.args[k + 1:]), parent.entry)
     child = EncoderDefinition(relation=base.relation, body=summary.node, metadata=metadata)
     compile_definition(child, summary)
     return child

@@ -20,12 +20,14 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
+from operator import not_
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
+from .builtins import encoder_to_dsl
 from .dsl import (
     DefinitionError,
     EncoderDefinition,
@@ -34,6 +36,7 @@ from .dsl import (
     eval_gathered,
 )
 from .expression import normalize_relation_name, relation_arity
+from .mutation import mutate_definition
 from .registry import EncoderRegistry
 from .scene import PairGeometry, Scene, load_scene, precompute_geometry
 
@@ -104,7 +107,8 @@ class TestSuite:
     scenes: dict[str, Scene]
     _geometry: dict[str, PairGeometry] = field(init=False, repr=False)
     _plan: GatherPlan = field(init=False, repr=False)
-    _messages: tuple[str, ...] = field(init=False, repr=False)
+    # each case, in order, with its failure message
+    _case_messages: tuple[tuple[TestCase, str], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.cases:
@@ -133,8 +137,8 @@ class TestSuite:
                 raise SuiteError(f"case {k}: anchors must differ from target and distractor")
         self._geometry = {sid: precompute_geometry(s) for sid, s in self.scenes.items()}
         self._plan = self._gather_plan(arity)
-        self._messages = tuple(
-            synthesize_error_message(case, self.scenes[case.scene_id], self.relation)
+        self._case_messages = tuple(
+            (case, synthesize_error_message(case, self.scenes[case.scene_id], self.relation))
             for case in self.cases)
 
     def _gather_plan(self, arity: int) -> GatherPlan:
@@ -249,14 +253,10 @@ def run_test_suite(
         values = eval_gathered(compiled, suite._plan, memo.values)
         n_cases = len(suite.cases)
         outcomes = memo.outcomes[digest] = tuple((values[:n_cases] > values[n_cases:]).tolist())
-    failures = tuple(
-        (case, message)
-        for case, message, ok in zip(suite.cases, suite._messages, outcomes) if not ok
-    )
     return CandidateReport(
         definition=defn,
         pass_rate=sum(outcomes) / len(suite.cases),
-        failures=failures,
+        failures=tuple(compress(suite._case_messages, map(not_, outcomes))),
     )
 
 
@@ -350,9 +350,6 @@ class MutationSource:
     skeleton: EncoderDefinition | None = None
 
     def draw(self, relation, *, context=None, example=None, seed=0):
-        from .builtins import encoder_to_dsl
-        from .mutation import mutate_definition
-
         if context is not None:
             base = context[0]
         elif example is not None:
@@ -387,9 +384,15 @@ class LlmSource:
 
 
 def _draw_seed(base: int, iteration: int, parent: int, sample: int) -> int:
+    """The seed of one draw: the first word of a ``SeedSequence`` keyed by
+    the search's base seed (its low 32 bits), the round, the parent and the
+    sample. The entropy is given as one ``uint32`` array, which hashes the
+    same five words as the list ``[base & 0xFFFFFFFF, iteration, parent,
+    sample, 0]`` at half its cost; the two agree while every word is below
+    2**32, as the masked base and the loop counters are."""
     # the trailing 0 is part of the key: without it every search's draws change
-    ss = np.random.SeedSequence([base & 0xFFFFFFFF, iteration, parent, sample, 0])
-    return int(ss.generate_state(1)[0])
+    entropy = np.array([base & 0xFFFFFFFF, iteration, parent, sample, 0], dtype=np.uint32)
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def optimize_encoder(
@@ -467,7 +470,9 @@ def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
     """Load a suite file; scenes are resolved by scene_id from a directory.
 
     Malformed input of any kind (unreadable or invalid JSON, a case without
-    integer target/distractor ids, non-integer anchors) raises SuiteError.
+    integer target/distractor ids, non-integer anchors, a scene_id that is
+    not a plain file name: empty, ``.``, ``..``, or with a path separator,
+    an absolute path included) raises SuiteError.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -485,8 +490,11 @@ def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
     for k, entry in enumerate(cases_raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("scene_id"), str):
             raise SuiteError(f"{path}: case {k} is malformed")
+        scene_id = entry["scene_id"]
+        if scene_id in ("", ".", "..") or "/" in scene_id or "\\" in scene_id:
+            raise SuiteError(f"{path}: case {k}: scene_id {scene_id!r} is not a plain file name")
         cases.append(TestCase(
-            scene_id=entry["scene_id"],
+            scene_id=scene_id,
             target=_case_id(entry, "target", k, path),
             distractor=_case_id(entry, "distractor", k, path),
             anchor=_case_id(entry, "anchor", k, path, optional=True),

@@ -497,6 +497,25 @@ def _bench_workers(workers):
     return build
 
 
+def _optimize_scene_outside(absolute):
+    """``optimize`` whose first case names a readable scene file outside
+    ``--scenes``, by a ``../`` path or by an absolute one."""
+
+    def build(dataset, tmp_path):
+        suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        shutil.copy(scenes_dir / "sc0.json", outside / "x.json")
+        raw = json.loads(suite_path.read_text(encoding="utf-8"))
+        raw["cases"][0]["scene_id"] = str(outside / "x") if absolute else "../outside/x"
+        suite_path.write_text(json.dumps(raw), encoding="utf-8")
+        return ["optimize", "--relation", "near", "--suite", str(suite_path),
+                "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json"),
+                "--n-iter", "1"], "case 0: scene_id"
+
+    return build
+
+
 def _optimize_n_iter(n_iter):
     def build(dataset, tmp_path):
         suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
@@ -555,6 +574,8 @@ def _optimize_n_iter(n_iter):
     _ground_deep_json("--scene"),
     _ground_deep_json("--expr"),
     _bench_with_line(DEEP_JSON),
+    _optimize_scene_outside(absolute=False),
+    _optimize_scene_outside(absolute=True),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -569,7 +590,8 @@ def _optimize_n_iter(n_iter):
         "ground_scene_not_utf8", "bench_dataset_missing", "bench_expressions_directory",
         "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction",
         "ground_bbox_overflow", "bench_bbox_overflow", "optimize_bbox_overflow",
-        "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json"])
+        "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json",
+        "optimize_scene_id_parent_dir", "optimize_scene_id_absolute"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

@@ -2,7 +2,14 @@ import numpy as np
 
 import sceneground.mutation as mutation
 from sceneground.builtins import encoder_to_dsl
-from sceneground.dsl import EncoderDefinition, compile_definition, get, op, validate_definition
+from sceneground.dsl import (
+    EncoderDefinition,
+    compile_definition,
+    const,
+    get,
+    op,
+    validate_definition,
+)
 from sceneground.expression import ALL_RELATIONS
 from sceneground.mutation import mutate_definition
 
@@ -63,6 +70,19 @@ def test_operator_draw_picks_what_rng_choice_picks():
         expected = kinds[int(reference.choice(4, p=[0.45, 0.25, 0.05, 0.25]))]
         assert mutation._draw_kind(fast) == expected
         assert fast.random() == reference.random()
+
+
+def test_scale_factor_is_what_rng_uniform_draws():
+    """The factor is ``rng.uniform(0.5, 2.0)``'s value from the same single
+    draw, and the stream goes on as it does after rng.uniform."""
+    body = op("add", const(1.0), op("mul", const(2.0), const(3.0)))
+    root = compile_definition(EncoderDefinition(relation="large", body=body)).summary
+    for seed in range(10_000):
+        reference, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        (_, trail, _), (_, _, (factor, _)) = mutation._scale_constant(root, fast)
+        assert factor["const"] == float(reference.uniform(0.5, 2.0))
+        assert trail[-1].node["const"] == (1.0, 2.0, 3.0)[int(reference.integers(3))]
+        assert fast.integers(2**62) == reference.integers(2**62)
 
 
 def _capped_bases():

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import logging
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from sceneground.optimizer import (
     CandidateReport,
     TestCase,
     TestSuite,
+    _draw_seed,
     default_example_graph,
     load_suite,
     optimize_encoder,
@@ -324,6 +328,16 @@ def test_each_draw_gets_its_own_seed_once():
     assert source.seeds == expected
 
 
+def test_draw_seed_is_the_list_form_seed_sequence():
+    """The uint32-array entropy hashes the words the list form hashes, for
+    any base (its low 32 bits) and the loop counters."""
+    for base in (0, 2**32 - 1, 2**40 + 17):
+        for iteration, parent, sample in product(range(1, 6), range(8), range(8)):
+            key = [base & 0xFFFFFFFF, iteration, parent, sample, 0]
+            expected = int(np.random.SeedSequence(key).generate_state(1)[0])
+            assert _draw_seed(base, iteration, parent, sample) == expected
+
+
 def test_duplicate_candidates_share_feature_computation(monkeypatch):
     rng = np.random.default_rng(4)
     suite = build_margin_suite("near", rng, n_cases=10)
@@ -437,3 +451,34 @@ def test_memo_of_another_suite_is_refused():
     assert run_test_suite(defn, first, memo) == report == run_test_suite(defn, first)
     with pytest.raises(ValueError, match="another suite"):
         run_test_suite(defn, second, memo)
+
+
+def _search_rotation_digest() -> str:
+    """sha256 over a seeded rotation of full-budget searches on one registry:
+    every log, history, winner digest and metadata, then the library."""
+    suites = []
+    for k, relation in enumerate(("near", "at_the_corner", "between")):
+        suite = build_margin_suite(relation, np.random.default_rng(100 + k), n_cases=12)
+        first = suite.cases[0]
+        mirrored = replace(first, target=first.distractor, distractor=first.target)
+        suites.append(TestSuite(relation=relation, cases=suite.cases + (mirrored,),
+                                scenes=suite.scenes))
+    registry = EncoderRegistry()
+    record = []
+    for seed in (0, 3, 7):
+        for suite in suites:
+            log: list[dict] = []
+            best, history = optimize_encoder(
+                suite.relation, suite, MutationSource(), registry,
+                OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=seed), log=log)
+            record.append({"log": log, "history": history, "winner": best.digest(),
+                           "metadata": best.metadata})
+    record.append([defn.digest() for defn in registry.library])
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_search_rotation_is_pinned():
+    """Searches are part of the contract: the same seeds give the same draws,
+    children, logs, histories, winners and library, byte for byte."""
+    assert _search_rotation_digest() == (
+        "c12066635e5da1f61534fd5ba302c4bdddd7bea836cb5b56b415ae1012c7b403")
