@@ -13,7 +13,6 @@ from .scene import (
     SceneError,
     SceneObject,
     SimilarityTable,
-    exact_match_similarity,
     load_scene,
     precompute_geometry,
     save_scene,
@@ -44,7 +43,6 @@ from .executor import (
     ExecutionError,
     FeatureCache,
     MatchingScore,
-    compute_category_feature,
     condition_level_eval,
     execute,
     grounding_result,
@@ -71,7 +69,6 @@ from .llm import (
     PromptBundle,
     UsageLedger,
     assemble_prompt,
-    extract_json_block,
     parse_utterance_via_llm,
 )
 from .minibench import generate_mini_benchmark

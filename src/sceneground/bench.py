@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text_atomic
-from .executor import FeatureCache, MatchingScore, condition_precision_recall, execute
+from .executor import FeatureCache, MatchingScore, condition_precision_recall, score_features
 from .expression import (
     ExpressionError,
     SymbolicExpression,
@@ -31,7 +31,7 @@ from .expression import (
     expression_to_dict,
 )
 from .registry import EncoderRegistry
-from .scene import Scene, exact_match_column, load_scene
+from .scene import Scene, exact_match_rows, load_scene
 
 __all__ = ["BenchEntry", "BenchRecord", "BenchReport", "DatasetError", "load_dataset",
            "run_bench", "report_to_dict"]
@@ -125,8 +125,8 @@ def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> flo
     """Expected accuracy of picking uniformly among same-category objects."""
     chances = []
     for entry in entries:
-        count = np.count_nonzero(exact_match_column(scenes[entry.scene_id],
-                                                    entry.expression.category))
+        count = np.count_nonzero(exact_match_rows(scenes[entry.scene_id],
+                                                  [entry.expression.category]))
         chances.append(1.0 / count if count else 0.0)
     return float(np.mean(chances))
 
@@ -142,17 +142,19 @@ def run_bench(
     condition-level precision/recall and, with ``plots_dir``, the per-step
     plot files.
 
-    Before grounding, each scene's cache evaluates every relation feature
-    its entries need (and, with ``plots_dir``, the heatmap relations) in one
-    shared pass per rank, and every category feature of its entries'
-    expressions, anchors included, in one softmax pass. The passes' time is
-    the ``feature_ms`` aggregate, and a record's ``wall_ms`` includes neither
-    relation nor category features. Each (scene, relation) and (scene,
-    category) feature is computed once per run, and the heatmap files come
-    from the same feature caches.
+    Before grounding, a pre-pass over each scene fetches from its
+    :class:`~sceneground.executor.FeatureCache` every relation feature its
+    entries need (and, with ``plots_dir``, the heatmap relations), evaluated
+    in one shared pass per rank, and every category feature of its entries'
+    expressions, anchors included, computed in one softmax pass. Each entry
+    is then scored from those feature dicts with
+    :func:`~sceneground.executor.score_features`, asking no cache again. The
+    pre-pass's time is the ``feature_ms`` aggregate, and a record's
+    ``wall_ms`` includes neither relation nor category features. Each
+    (scene, relation) and (scene, category) feature is computed once per
+    run, and the heatmap files read the same feature dicts.
     """
     scenes, entries = load_dataset(dataset_dir)
-    caches = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
     relations: dict[str, set[str]] = {
         sid: set(HEATMAP_RELATIONS) if plots_dir is not None else set() for sid in scenes}
     categories: dict[str, set[str]] = {sid: set() for sid in scenes}
@@ -161,13 +163,14 @@ def run_bench(
             clause.relation for _, clause in collect_conditions(entry.expression))
         categories[entry.scene_id].update(collect_categories(entry.expression))
 
-    def features_of(sid: str) -> None:
-        caches[sid].relation_features(relations[sid])
-        caches[sid].category_features(categories[sid])
+    def features_of(sid: str) -> tuple[dict, dict]:
+        cache = FeatureCache(scenes[sid], registry)
+        return cache.category_features(categories[sid]), cache.relation_features(relations[sid])
 
     def ground_one(entry: BenchEntry) -> tuple[BenchRecord, MatchingScore]:
         started = time.perf_counter()
-        score = execute(entry.expression, scenes[entry.scene_id], caches[entry.scene_id])
+        score = score_features(entry.expression, scenes[entry.scene_id].object_ids,
+                               *features[entry.scene_id])
         wall_ms = (time.perf_counter() - started) * 1000.0
         argmax = score.argmax_id()
         return BenchRecord(
@@ -182,7 +185,7 @@ def run_bench(
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         each = map if pool is None else pool.map
         started = time.perf_counter()
-        list(each(features_of, scenes))
+        features = dict(zip(scenes, each(features_of, scenes)))
         feature_ms = (time.perf_counter() - started) * 1000.0
         grounded = list(each(ground_one, entries))
     records, scores = map(list, zip(*grounded))
@@ -204,7 +207,8 @@ def run_bench(
         "workers": workers,
     }
     if plots_dir is not None:
-        _write_plot_data(scenes, entries, scores, caches, plots_dir)
+        _write_plot_data(scenes, entries, scores,
+                         {sid: relations for sid, (_, relations) in features.items()}, plots_dir)
     return BenchReport(records=records, aggregates=aggregates, config=config)
 
 
@@ -217,7 +221,7 @@ def report_to_dict(report: BenchReport) -> dict:
 
 
 def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
-                     scores: list[MatchingScore], caches: dict[str, FeatureCache],
+                     scores: list[MatchingScore], relation_features: dict[str, dict],
                      out_dir: str | Path) -> None:
     """CSV matrices for feature heatmaps and per-step grounding scores.
 
@@ -231,7 +235,7 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
 
     for sid, scene in sorted(scenes.items()):
         for relation in HEATMAP_RELATIONS:
-            feature = caches[sid].relation_feature(relation)
+            feature = relation_features[sid][relation]
             name = f"heatmap_{sid}_{relation}.csv"
             write_text_atomic(out_dir / name, _csv_text(
                 [[f"obj_{oid}" for oid in scene.ids], *feature.data.tolist()]))

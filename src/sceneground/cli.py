@@ -98,6 +98,16 @@ def _resolve_path(args: argparse.Namespace, config: dict, key: str,
     return value
 
 
+def _output_path(args: argparse.Namespace, config: dict, key: str, directory=False) -> str | None:
+    """:func:`_resolve_path` for a file (with ``directory``, a directory) the
+    command writes; an existing path of the other kind is a CliError before
+    any work, so a run does not fail only when it writes."""
+    value = _resolve_path(args, config, key)
+    if value and Path(value).exists() and Path(value).is_dir() != directory:
+        raise CliError(f"--{key} {value} is {'a file' if directory else 'a directory'}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         write_text_atomic(out, text)
@@ -107,7 +117,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    out = _resolve_path(args, config, "out")
+    out = _output_path(args, config, "out")
     offline = _resolve_path(args, config, "offline_expr")
     infile = _resolve_path(args, config, "infile")
     utterance = _resolve(args, config, "utterance")
@@ -139,7 +149,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
     registry_path = _resolve_path(args, config, "registry")
     top_k = _resolve_number(args, config, "top_k", 5)
     threshold = _resolve_number(args, config, "threshold", 0.9, float)
-    out = _resolve_path(args, config, "out")
+    out = _output_path(args, config, "out")
     if top_k < 1:
         raise CliError(f"--top-k must be at least 1, got {top_k}")
     if not math.isfinite(threshold):
@@ -164,7 +174,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     scenes_dir = _resolve_path(args, config, "scenes", required=True)
     source_kind = _resolve(args, config, "source", "mutate")
     registry_path = _resolve_path(args, config, "registry", required=True)
-    log_path = _resolve_path(args, config, "log")
+    log_path = _output_path(args, config, "log")
     try:
         cfg = OptimizerConfig(**{key: _resolve_number(args, config, key, default) for key, default
                                  in (("n_iter", 5), ("n_sample", 5), ("top_k", 3), ("seed", 0))})
@@ -215,8 +225,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     baseline = _resolve(args, config, "baseline", False)
     if not isinstance(baseline, bool):
         raise CliError(f"--baseline must be true or false, got {baseline!r}")
-    plots = _resolve_path(args, config, "plots")
-    out = _resolve_path(args, config, "out")
+    plots = _output_path(args, config, "plots", directory=True)
+    out = _output_path(args, config, "out")
 
     registry = load_registry(registry_path) if registry_path else EncoderRegistry()
     report = run_bench(dataset, registry, workers=workers, with_baseline=baseline,

@@ -13,7 +13,9 @@ text, joined from its children's), made by one node rule
 check pass walks a body and applies it to each node object once; mutation
 applies it to a child's new path only, over its base's summaries, and
 leaves just the caps to check on the new root. Either way
-:func:`compile_definition` memoizes the result on the definition.
+:func:`compile_definition` memoizes the result on the definition. The check
+pass and the DAG build recurse through module-level functions, not
+closures, so neither leaves a reference cycle for the collector.
 
 Equal texts are equal subtrees, and each route evaluates a text once. Two
 routes apply an op by its function in ``_OPS``, the one table of op
@@ -29,10 +31,11 @@ two-argument op's function directly on its children's values.
   hash-consed on the texts, so a subtree the bodies share (a proximity or
   lateral term, say) is evaluated once for all of them; each intermediate
   is freed after its last reader. Each root is written into its row of one
-  stacked output, which is sanitized and zeroed once, and each feature is
-  a read-only view of its row. A body's DAG is built from its summaries
-  the first time a dense evaluation asks for it, and a program of several
-  bodies is memoized process-wide.
+  stacked output, which is finished once (sanitized, repeated indices
+  zeroed, by ``_finalize_owned``), and each feature is a read-only view of
+  its row. A body's DAG is built from its summaries the first time a dense
+  evaluation asks for it, and a program of several bodies is memoized
+  process-wide.
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
@@ -70,10 +73,6 @@ __all__ = [
     "EncoderDefinition",
     "RelationFeature",
     "OPS",
-    "guarded_div",
-    "guarded_exp",
-    "guarded_sqrt",
-    "finalize_feature",
     "validate_definition",
     "NodeSummary",
     "CompiledEncoder",
@@ -403,30 +402,33 @@ def _build_dag(roots: tuple[NodeSummary, ...]
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
     last_reader: list[int] = []
-
-    def emit(summary: NodeSummary) -> int:
-        # appends the subtree's DAG nodes that are not in the DAG yet
-        children = []
-        for child in summary.args:
-            pos = ids.get(child.text)
-            children.append(emit(child) if pos is None else pos)
-        pos = ids[summary.text] = len(nodes)
-        if children:
-            nodes.append((*summary.entry, tuple(children)))
-            for child in children:
-                last_reader[child] = pos
-        else:
-            nodes.append(summary.entry)
-        last_reader.append(pos)
-        return pos
-
-    outputs = tuple(ids[root.text] if root.text in ids else emit(root) for root in roots)
+    outputs = tuple(ids[root.text] if root.text in ids else _emit(root, ids, nodes, last_reader)
+                    for root in roots)
     kept = set(outputs)
     frees: list[list[int]] = [[] for _ in nodes]
     for child, pos in enumerate(last_reader):
         if child not in kept:
             frees[pos].append(child)
     return tuple(nodes), tuple(map(tuple, frees)), outputs
+
+
+def _emit(summary: NodeSummary, ids: dict[str, int], nodes: list[tuple],
+          last_reader: list[int]) -> int:
+    """Append the DAG nodes of ``summary``'s subtree that ``ids`` lacks; its
+    position. Not a closure, so a build leaves no reference cycle."""
+    children = []
+    for child in summary.args:
+        pos = ids.get(child.text)
+        children.append(_emit(child, ids, nodes, last_reader) if pos is None else pos)
+    pos = ids[summary.text] = len(nodes)
+    if children:
+        nodes.append((*summary.entry, tuple(children)))
+        for child in children:
+            last_reader[child] = pos
+    else:
+        nodes.append(summary.entry)
+    last_reader.append(pos)
+    return pos
 
 
 # A bench run asks for one program per scene and rank with several relations,
@@ -505,36 +507,39 @@ def summarize_op(node: dict, args: tuple[NodeSummary, ...], entry: tuple) -> Nod
 
 def _check_and_compile(body: object, rank: int) -> NodeSummary:
     """The check pass: apply the node rule to each node object of a body,
-    depth first, then check the node cap (repeats counted). A repeated
-    object reuses its summary where its deepest node stays within the depth
-    cap, and is walked again where not, so the first fault in depth-first
-    order raises DefinitionError with its ``body.args[..]`` path."""
-    seen: dict[int, NodeSummary] = {}
-
-    def summarize(node: object, depth: int, path: tuple | None) -> NodeSummary:
-        summary = seen.get(id(node))
-        if summary is not None and depth + summary.height - 1 <= MAX_TREE_DEPTH:
-            return summary
-        if depth > MAX_TREE_DEPTH:
-            raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
-        if not isinstance(node, dict):
-            raise _fault(path, f"node must be an object, got {type(node).__name__}")
-        args = ()
-        if "op" in node and node.keys().isdisjoint(("const", "get", "agg")):
-            name, args = node["op"], node.get("args")
-            if not isinstance(name, str) or name not in OPS:
-                raise _fault(path, f"unknown op {name!r}")
-            if not isinstance(args, list) or len(args) != OPS[name]:
-                raise _fault(path, f"op {name!r} takes {OPS[name]} args")
-            args = tuple([summarize(child, depth + 1, (path, k))
-                          for k, child in enumerate(args)])
-        summary = seen[id(node)] = summarize_node(node, args, rank, path)
-        return summary
-
-    root = summarize(body, 1, None)
+    depth first (:func:`_summarize_checked`), then check the node cap
+    (repeats counted)."""
+    root = _summarize_checked(body, 1, None, rank, {})
     if root.size > MAX_TREE_NODES:
         raise DefinitionError(f"body: tree has {root.size} nodes, cap is {MAX_TREE_NODES}")
     return root
+
+
+def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
+                       seen: dict[int, NodeSummary]) -> NodeSummary:
+    """The summary of a node object at ``depth``, its subtree checked. A
+    repeated object reuses its summary in ``seen`` where its deepest node
+    stays within the depth cap, and is walked again where not, so the first
+    fault in depth-first order raises DefinitionError with its
+    ``body.args[..]`` path. Not a closure, so a check leaves no cycle."""
+    summary = seen.get(id(node))
+    if summary is not None and depth + summary.height - 1 <= MAX_TREE_DEPTH:
+        return summary
+    if depth > MAX_TREE_DEPTH:
+        raise _fault(path, f"tree depth exceeds {MAX_TREE_DEPTH}")
+    if not isinstance(node, dict):
+        raise _fault(path, f"node must be an object, got {type(node).__name__}")
+    args = ()
+    if "op" in node and node.keys().isdisjoint(("const", "get", "agg")):
+        name, args = node["op"], node.get("args")
+        if not isinstance(name, str) or name not in OPS:
+            raise _fault(path, f"unknown op {name!r}")
+        if not isinstance(args, list) or len(args) != OPS[name]:
+            raise _fault(path, f"op {name!r} takes {OPS[name]} args")
+        args = tuple([_summarize_checked(child, depth + 1, (path, k), rank, seen)
+                      for k, child in enumerate(args)])
+    summary = seen[id(node)] = summarize_node(node, args, rank, path)
+    return summary
 
 
 def compile_definition(defn: EncoderDefinition, root: NodeSummary | None = None
@@ -619,10 +624,11 @@ def _sanitize(data: np.ndarray, raw=None) -> np.ndarray:
 
 
 def _finalize_owned(data: np.ndarray, rank: int) -> np.ndarray:
-    """finalize_feature, in place, on a C-contiguous array this module owns:
-    one rank-``rank`` feature of shape ``(n,) * rank``, or a stack of them of
-    shape ``(R,) + (n,) * rank``, which is sanitized and zeroed at once and
-    made read-only, so each ``data[r]`` is a finished feature."""
+    """Finish, in place, a C-contiguous array this module owns: one
+    rank-``rank`` feature of shape ``(n,) * rank``, or a stack of them of
+    shape ``(R,) + (n,) * rank``, which is sanitized to finite nonnegative
+    values, has every repeated-index entry zeroed, and is made read-only, so
+    each ``data[r]`` is a finished feature."""
     _sanitize(data)
     if rank >= 2:
         idx = np.arange(data.shape[-1])
@@ -634,12 +640,6 @@ def _finalize_owned(data: np.ndarray, rank: int) -> np.ndarray:
             data[..., idx, idx] = 0.0
     data.setflags(write=False)
     return data
-
-
-def finalize_feature(raw, rank: int, n: int) -> np.ndarray:
-    """Sanitize to finite nonnegative values; zero every repeated-index entry."""
-    data = np.asarray(raw, dtype=np.float64)
-    return _finalize_owned(np.array(np.broadcast_to(data, (n,) * rank), order="C"), rank)
 
 
 @dataclass(frozen=True)
@@ -799,7 +799,8 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
     Entry m equals the dense feature of point m's scene at point m's
     indices, bit for bit: ops act elementwise, and an op rounds an entry of
     an aggregate's per-point array as it rounds the dense route's scalar.
-    finalize_feature's rules apply at each point (repeated indices give 0).
+    The dense route's finishing rules apply at each point (repeated indices
+    give 0).
 
     ``memo`` maps a node's text to its value on ``plan`` (equal texts are
     equal subtrees, with values equal bit for bit); only the nodes whose
@@ -833,11 +834,9 @@ def eval_encoder_at(
 
     ``index`` holds one integer array per object (i, then j, then k), all of
     one length M; entry m equals ``eval_encoder(...).data[index[0][m], ...]``
-    bit for bit, and finalize_feature's rules apply at each point (repeated
-    indices give 0). The one-scene case of :func:`eval_gathered`.
+    bit for bit, and the dense route's finishing rules apply at each point
+    (repeated indices give 0). The one-scene case of :func:`eval_gathered`.
     """
-    if len(index) != compiled.rank:
-        raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
     index = tuple(np.asarray(a, dtype=np.intp) for a in index)
     segment = np.zeros(index[0].shape[:1], dtype=np.intp)
     return eval_gathered(compiled, GatherPlan((geom,), segment, index))

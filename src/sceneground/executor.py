@@ -3,10 +3,16 @@
 Evaluation starts from the target category's feature and folds in one factor
 per relation clause: unary clauses contribute their feature directly, binary
 clauses contract the pair feature against the anchor's scores, ternary
-clauses contract over both anchors. Each factor is softmax-normalized,
-optionally negated as ``max(f) - f``, and multiplied into the running score.
-:func:`execute` keeps the factors as the score's terms, so condition-level
-scores and per-step scores read them instead of executing again.
+clauses contract over both anchors. Each factor is softmax-normalized
+(:func:`stable_softmax`, the one softmax, over the last axis), optionally
+negated as ``max(f) - f``, and multiplied into the running score.
+
+There is one path from features to a score, :func:`score_features`:
+:func:`execute` fetches an expression's features from a :class:`FeatureCache`
+and calls it, and ``run_bench`` calls it with the feature dicts its
+per-scene pre-pass holds, asking no cache again. The score keeps the
+factors as its terms, so condition-level scores and per-step scores read
+them instead of executing again.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ __all__ = [
     "FeatureCache",
     "MatchingScore",
     "stable_softmax",
-    "compute_category_feature",
+    "score_features",
     "execute",
     "rank_candidates",
     "grounding_result",
@@ -54,17 +60,11 @@ class ExecutionError(RuntimeError):
 
 
 def stable_softmax(values: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's max."""
     z = np.asarray(values, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
-
-
-def _softmax_rows(values: np.ndarray) -> np.ndarray:
-    """:func:`stable_softmax` of each row of a 2-D array, byte for byte."""
-    z = values - values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,6 @@ class CategoryFeature:
     data: np.ndarray
 
 
-def compute_category_feature(scene: Scene, sim_column: np.ndarray,
-                             category: str = "") -> CategoryFeature:
-    sim = np.asarray(sim_column, dtype=np.float64)
-    if sim.shape != (len(scene),):
-        raise ExecutionError(
-            f"similarity column has shape {sim.shape}, scene has {len(scene)} objects"
-        )
-    data = stable_softmax(CATEGORY_SCALE * sim)
-    data.setflags(write=False)
-    return CategoryFeature(category=category, data=data)
-
-
 class FeatureCache:
     """Per-scene memo of relation and category features.
 
@@ -95,8 +83,8 @@ class FeatureCache:
     relations evaluates the missing ones of each rank in one shared DAG pass
     (:func:`~sceneground.dsl.eval_encoders`), so their encoders' common
     subtrees are evaluated once; a request for several categories computes
-    the missing ones in one softmax over a (categories, objects) matrix, each
-    row equal byte for byte to :func:`compute_category_feature`. Each feature
+    the missing ones in one :func:`stable_softmax` over a (categories,
+    objects) matrix of similarities times ``CATEGORY_SCALE``. Each feature
     is computed at most once (single-flight): a request holds the locks of
     its missing features, taken in sorted order so overlapping requests
     cannot deadlock, and concurrent requests for those features wait on
@@ -113,11 +101,6 @@ class FeatureCache:
         self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
         self._key_locks: dict[tuple[str, str], threading.Lock] = {}
         self._lock = threading.Lock()  # guards _key_locks only
-
-    @property
-    def fingerprint(self) -> str:
-        """The cache's scene's content hash (memoized on the scene)."""
-        return self.scene.fingerprint()
 
     def _key_lock(self, key: tuple[str, str]) -> threading.Lock:
         with self._lock:
@@ -197,7 +180,7 @@ class FeatureCache:
                 "category %r matches nothing in scene %s; scores fall back to uniform",
                 categories[q], self.scene.scene_id,
             )
-        rows = _softmax_rows(CATEGORY_SCALE * sims)
+        rows = stable_softmax(CATEGORY_SCALE * sims)
         rows.setflags(write=False)
         for category, data in zip(categories, rows):
             self._features[("category", category)] = CategoryFeature(category=category, data=data)
@@ -249,25 +232,35 @@ def _run(expr: SymbolicExpression, categories: dict[str, CategoryFeature],
     return terms
 
 
+def score_features(expr: SymbolicExpression, object_ids: tuple[int, ...],
+                   categories: dict[str, CategoryFeature],
+                   relations: dict[str, RelationFeature]) -> MatchingScore:
+    """The one path from features to a score: the expression's score and
+    terms over a scene whose ids are ``object_ids``, from the features of
+    its categories and relations by name (every node's, anchors included)."""
+    terms = tuple(_run(expr, categories, relations))
+    data = reduce(np.multiply, terms)
+    data.setflags(write=False)
+    return MatchingScore(data=data, object_ids=object_ids, terms=terms)
+
+
 def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> MatchingScore:
-    """Evaluate an expression to per-object matching scores and their terms.
+    """Fetch an expression's features from the cache, then
+    :func:`score_features`.
 
     The relation features of every clause, and the category features of
     every node, are requested from the cache at once. A scene other than the
     cache's own object must match its fingerprint (scenes are immutable, so
     the same object matches).
     """
-    if scene is not cache.scene and cache.fingerprint != scene.fingerprint():
+    if scene is not cache.scene and cache.scene.fingerprint() != scene.fingerprint():
         raise ExecutionError(
             f"feature cache was built for a different scene "
-            f"(cache {cache.fingerprint[:12]}, scene {scene.fingerprint()[:12]})"
+            f"(cache {cache.scene.fingerprint()[:12]}, scene {scene.fingerprint()[:12]})"
         )
-    features = cache.relation_features([clause.relation for _, clause in collect_conditions(expr)])
+    relations = cache.relation_features([clause.relation for _, clause in collect_conditions(expr)])
     categories = cache.category_features(collect_categories(expr))
-    terms = tuple(_run(expr, categories, features))
-    data = reduce(np.multiply, terms)
-    data.setflags(write=False)
-    return MatchingScore(data=data, object_ids=scene.object_ids, terms=terms)
+    return score_features(expr, scene.object_ids, categories, relations)
 
 
 def rank_candidates(score: MatchingScore, top_k: int, threshold: float) -> list[int]:

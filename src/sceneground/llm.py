@@ -27,7 +27,6 @@ __all__ = [
     "EndpointConfig",
     "LlmClient",
     "assemble_prompt",
-    "extract_json_block",
     "parse_utterance_via_llm",
 ]
 
@@ -203,15 +202,10 @@ def _balanced_blocks(text: str):
         start = text.find("{", resume)
 
 
-def extract_json_block(text: str) -> str | None:
-    """First balanced ``{...}`` block, string-aware; None when there is none."""
-    return next(_balanced_blocks(text), None)
-
-
 def _json_from_reply(text: str, what: str) -> object:
-    """The value of the first balanced block of a reply that is JSON; a
-    block that is not (prose such as ``{i, j}``) is skipped. LlmError when
-    the reply has no block, or none that parses."""
+    """The one reader of LLM replies: the value of the first balanced block
+    of a reply that is JSON; a block that is not (prose such as ``{i, j}``)
+    is skipped. LlmError when the reply has no block, or none that parses."""
     error = None
     for block in _balanced_blocks(text):
         try:
@@ -229,15 +223,6 @@ class LlmClient:
     def __init__(self, config: EndpointConfig, ledger: UsageLedger | None = None):
         self.config = config
         self.ledger = ledger if ledger is not None else UsageLedger()
-
-    def chat_complete(self, bundle: PromptBundle) -> tuple[str, UsageRecord]:
-        """Reply text and its usage record."""
-        return self.complete(bundle, lambda text: text)
-
-    def parse_utterance(self, utterance: str) -> SymbolicExpression:
-        """Expression parsed from the reply; a reply without one is retried."""
-        return self.complete(assemble_prompt("parsing", utterance=utterance),
-                             _expression_from_reply)[0]
 
     def complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
@@ -349,5 +334,7 @@ def parse_utterance_via_llm(
     config: EndpointConfig | None = None,
     ledger: UsageLedger | None = None,
 ) -> SymbolicExpression:
+    """Expression parsed from the reply; a reply without one is retried."""
     client = LlmClient(config if config is not None else EndpointConfig.from_env(), ledger)
-    return client.parse_utterance(utterance)
+    return client.complete(assemble_prompt("parsing", utterance=utterance),
+                           _expression_from_reply)[0]

@@ -344,7 +344,10 @@ class MutationSource:
     """Offline candidate source backed by seeded structural mutation.
 
     Base definition for a draw, in order: the refinement context, the
-    in-context example, the configured skeleton, the relation's builtin.
+    configured skeleton, the relation's builtin. The in-context example is
+    not a base: an example-graph edge A -> B makes A's encoder a reference
+    for generating B (:class:`LlmSource` puts it in its prompt), and B's
+    search would start from A's structure otherwise.
     """
 
     skeleton: EncoderDefinition | None = None
@@ -352,8 +355,6 @@ class MutationSource:
     def draw(self, relation, *, context=None, example=None, seed=0):
         if context is not None:
             base = context[0]
-        elif example is not None:
-            base = example
         elif self.skeleton is not None:
             base = self.skeleton
         else:

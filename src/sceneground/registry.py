@@ -36,8 +36,6 @@ class EncoderRegistry:
         self._lock = threading.Lock()
         self._active: dict[str, EncoderDefinition] = builtin_definitions()
         self._library: list[EncoderDefinition] = []
-        # relation -> its latest accepted definition, as accepted
-        self._accepted: dict[str, EncoderDefinition] = {}
 
     def active_definition(self, relation: str) -> EncoderDefinition:
         with self._lock:
@@ -57,14 +55,9 @@ class EncoderRegistry:
             return tuple(self._library)
 
     def accepted_definition(self, relation: str) -> EncoderDefinition | None:
-        """Most recently accepted definition for a relation, if any.
-
-        This is the object that was accepted, not its library copy, so a
-        search that starts from it reuses its memoized check; one object per
-        relation is kept this way.
-        """
+        """The library's latest definition for a relation, if any."""
         with self._lock:
-            return self._accepted.get(relation)
+            return next((d for d in reversed(self._library) if d.relation == relation), None)
 
     def accept(self, defn: EncoderDefinition) -> None:
         """Append to the library and make the definition active.
@@ -77,7 +70,6 @@ class EncoderRegistry:
         with self._lock:
             self._library.append(_bare(defn))
             self._active[defn.relation] = defn
-            self._accepted[defn.relation] = defn
 
     def install(self, defn: EncoderDefinition) -> None:
         """Replace the active definition without recording an acceptance."""
@@ -119,7 +111,6 @@ def load_registry(path: str | Path) -> EncoderRegistry:
         defn = definition_from_dict(defn_raw)
         validate_definition(defn)
         registry._library.append(_bare(defn))
-        registry._accepted[defn.relation] = defn
     for name, defn_raw in active.items():
         defn = definition_from_dict(defn_raw)
         if defn.relation != name:

@@ -4,7 +4,9 @@ A scene is an ordered collection of axis-aligned bounding boxes with category
 labels, stored as columns: a tuple of object ids, a tuple of labels and one
 read-only (N, 6) float64 array of boxes in the wire order
 ``[cx, cy, cz, w, d, h]``. :func:`scene_from_dict` builds the columns and
-the :class:`Scene` constructor validates all boxes in one array pass;
+the :class:`Scene` constructor validates all boxes in one array pass and
+keeps the labels' :func:`normalize_label` forms, which
+:func:`exact_match_rows`, the one exact-match helper, reads.
 :attr:`Scene.objects` is the per-object view, built on first read. All
 relation encoders consume the same :class:`PairGeometry`, computed once per
 scene. Axis convention: z is up; ``size = (width, depth, height)`` is the
@@ -33,9 +35,7 @@ __all__ = [
     "PairGeometry",
     "load_scene",
     "save_scene",
-    "exact_match_column",
     "exact_match_rows",
-    "exact_match_similarity",
     "precompute_geometry",
     "normalize_label",
 ]
@@ -63,11 +63,6 @@ class BoundingBox:
                 raise SceneError(f"non-finite bounding box component: {v!r}")
         if any(s <= 0 for s in self.size):
             raise SceneError(f"size components must be strictly positive, got {self.size}")
-
-    @property
-    def volume(self) -> float:
-        w, d, h = self.size
-        return w * d * h
 
     def as_row(self) -> list[float]:
         """Flat [cx, cy, cz, w, d, h] row, the wire order for scene files."""
@@ -143,7 +138,8 @@ class Scene:
     ``[cx, cy, cz, w, d, h]``. Position k is stable for the lifetime of the
     scene; all feature arrays are indexed by position, with :attr:`index_of`
     translating object ids. The constructor applies :class:`SceneObject`'s
-    and :class:`BoundingBox`'s rules to the columns in bulk; scene files and
+    and :class:`BoundingBox`'s rules to the columns in bulk and keeps each
+    label's :func:`normalize_label` as ``normalized_labels``; scene files and
     wire-format dicts are read with :func:`scene_from_dict`. Two scenes are
     equal when their contents are.
     """
@@ -154,6 +150,7 @@ class Scene:
     boxes: np.ndarray
     similarities: SimilarityTable | None
     index_of: dict[int, int] = field(repr=False)
+    normalized_labels: tuple[str, ...] = field(repr=False)
 
     def __init__(self, scene_id: str, ids: tuple[int, ...], labels: tuple[str, ...],
                  boxes: np.ndarray, similarities: SimilarityTable | None = None) -> None:
@@ -187,7 +184,7 @@ class Scene:
             )
         for name, value in (("scene_id", scene_id), ("object_ids", ids), ("object_labels", labels),
                             ("boxes", boxes), ("similarities", similarities), ("index_of", index),
-                            ("normalized_labels", normalized)):  # the label check's memo
+                            ("normalized_labels", normalized)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
@@ -220,12 +217,6 @@ class Scene:
                                                               size=tuple(row[3:])))
             for oid, label, row in zip(self.object_ids, self.object_labels, self.boxes.tolist())
         )
-
-    @cached_property
-    def normalized_labels(self) -> tuple[str, ...]:
-        """Each object's :func:`normalize_label`, in position order
-        (memoized; the labels are immutable)."""
-        return tuple(normalize_label(label) for label in self.object_labels)
 
     def fingerprint(self) -> str:
         """Content hash; feature caches are only valid for a matching scene.
@@ -456,16 +447,3 @@ def exact_match_rows(scene: Scene, categories: list[str]) -> np.ndarray:
     labels = np.array([codes.setdefault(label, len(codes)) for label in scene.normalized_labels])
     keys = np.array([codes.get(normalize_label(category), -1) for category in categories])
     return (keys[:, None] == labels).astype(np.float64)
-
-
-def exact_match_column(scene: Scene, category: str) -> np.ndarray:
-    """The one-category row of :func:`exact_match_rows`."""
-    return exact_match_rows(scene, [category])[0]
-
-
-def exact_match_similarity(scene: Scene, categories: list[str]) -> SimilarityTable:
-    """Binary similarity table: one :func:`exact_match_column` per category."""
-    if not categories:
-        raise SceneError("categories must be non-empty")
-    return SimilarityTable(categories=tuple(categories),
-                           values=exact_match_rows(scene, categories).T)

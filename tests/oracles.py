@@ -18,8 +18,11 @@ as their own expressions: the per-step plot rows and condition-level
 predictions before both were read from one execution's terms;
 ``reference_condition_level`` is the condition-level evaluation built on
 them. ``reference_sanitize`` is the ``nan_to_num`` form of the feature
-sanitizer. ``reference_scene_rows`` is the per-object scene loader: it checks
-each object in turn, converts each bbox value with ``float`` and applies the
+sanitizer, and ``finalize_feature`` finishes one broadcast feature with the
+library's finishing rule. ``compute_category_feature`` is the per-category
+reference that the executor's one-softmax category pass must match.
+``reference_scene_rows`` is the per-object scene loader: it checks each
+object in turn, converts each bbox value with ``float`` and applies the
 box, id and label rules in Python; ``reference_fingerprint`` and
 ``reference_geometry`` hash and measure those per-object rows.
 """
@@ -42,13 +45,20 @@ from sceneground.dsl import (
     RelationFeature,
     _agg_value,
     _fault,
+    _finalize_owned,
     _get_values,
-    finalize_feature,
     guarded_div,
     guarded_exp,
     guarded_sqrt,
 )
-from sceneground.executor import FeatureCache, execute
+from sceneground.executor import (
+    CATEGORY_SCALE,
+    CategoryFeature,
+    ExecutionError,
+    FeatureCache,
+    execute,
+    stable_softmax,
+)
 from sceneground.expression import SymbolicExpression, relation_arity
 from sceneground.optimizer import (
     CandidateReport,
@@ -67,6 +77,24 @@ def reference_sanitize(data: np.ndarray) -> np.ndarray:
     np.nan_to_num(data, copy=False, nan=0.0, posinf=FEATURE_CAP, neginf=0.0)
     np.maximum(data, 0.0, out=data)
     return data
+
+
+def finalize_feature(raw, rank: int, n: int) -> np.ndarray:
+    """Sanitize to finite nonnegative values; zero every repeated-index entry."""
+    data = np.asarray(raw, dtype=np.float64)
+    return _finalize_owned(np.array(np.broadcast_to(data, (n,) * rank), order="C"), rank)
+
+
+def compute_category_feature(scene: Scene, sim_column: np.ndarray,
+                             category: str = "") -> CategoryFeature:
+    sim = np.asarray(sim_column, dtype=np.float64)
+    if sim.shape != (len(scene),):
+        raise ExecutionError(
+            f"similarity column has shape {sim.shape}, scene has {len(scene)} objects"
+        )
+    data = stable_softmax(CATEGORY_SCALE * sim)
+    data.setflags(write=False)
+    return CategoryFeature(category=category, data=data)
 
 
 def pair_delta(geom: PairGeometry) -> np.ndarray:

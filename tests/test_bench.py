@@ -8,7 +8,8 @@ import pytest
 import sceneground.bench as bench_module
 import sceneground.executor as executor_module
 from sceneground.bench import HEATMAP_RELATIONS, load_dataset, run_bench
-from sceneground.executor import FeatureCache, condition_level_eval, execute
+from sceneground.executor import FeatureCache, condition_level_eval, execute, score_features
+from sceneground.expression import collect_categories, collect_conditions
 from sceneground.minibench import generate_mini_benchmark
 from sceneground.registry import EncoderRegistry
 
@@ -137,25 +138,59 @@ def test_run_bench_matches_fresh_cache_reference(dataset, registry):
 
 
 def test_run_bench_executes_each_entry_once(dataset, registry, monkeypatch, tmp_path):
-    """Grounding, condition-level scores and step files share one execution
-    per entry: 40 on the mini benchmark, with or without plot files."""
-    _, entries = load_dataset(dataset)
+    """Grounding, condition-level scores and step files share one scoring
+    per entry, from the pre-pass's features: 40 on the mini benchmark, with
+    or without plot files. Only the pre-pass asks the feature caches, once
+    for relations and once for categories per scene."""
+    scenes, entries = load_dataset(dataset)
     executed = []
-    real = executor_module.execute
+    real = executor_module.score_features
 
-    def counting_execute(expr, scene, cache):
+    def counting_score(expr, object_ids, categories, relations):
         executed.append(expr)
-        return real(expr, scene, cache)
+        return real(expr, object_ids, categories, relations)
 
-    monkeypatch.setattr(executor_module, "execute", counting_execute)
-    monkeypatch.setattr(bench_module, "execute", counting_execute)
+    requests = []
+    real_request = executor_module.FeatureCache._request
+
+    def counting_request(cache, kind, names, compute):
+        requests.append(kind)
+        return real_request(cache, kind, names, compute)
+
+    monkeypatch.setattr(executor_module, "score_features", counting_score)
+    monkeypatch.setattr(bench_module, "score_features", counting_score)
+    monkeypatch.setattr(executor_module.FeatureCache, "_request", counting_request)
     expected = [e.expression for e in entries]
     assert len(expected) == 40
-    run_bench(dataset, registry)
-    assert sorted(map(repr, executed)) == sorted(map(repr, expected))
-    executed.clear()
-    run_bench(dataset, registry, workers=4, plots_dir=tmp_path / "plots")
-    assert sorted(map(repr, executed)) == sorted(map(repr, expected))
+    for kwargs in ({}, {"workers": 4, "plots_dir": tmp_path / "plots"}):
+        executed.clear()
+        requests.clear()
+        run_bench(dataset, registry, **kwargs)
+        assert sorted(map(repr, executed)) == sorted(map(repr, expected))
+        assert sorted(requests) == ["category"] * len(scenes) + ["relation"] * len(scenes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_score_features_equals_execute_on_every_entry(registry, tmp_path, seed):
+    """Scoring an entry from a scene's pre-pass features, as run_bench does,
+    gives execute's score and terms byte for byte."""
+    generate_mini_benchmark(tmp_path, seed=seed)
+    scenes, entries = load_dataset(tmp_path)
+    features = {}
+    for sid, scene in scenes.items():
+        exprs = [e.expression for e in entries if e.scene_id == sid]
+        cache = FeatureCache(scene, registry)
+        features[sid] = (
+            cache.category_features({c for x in exprs for c in collect_categories(x)}),
+            cache.relation_features({clause.relation for x in exprs
+                                     for _, clause in collect_conditions(x)}))
+    for entry in entries:
+        scene = scenes[entry.scene_id]
+        got = score_features(entry.expression, scene.object_ids, *features[entry.scene_id])
+        want = execute(entry.expression, scene, FeatureCache(scene, registry))
+        assert got.object_ids == want.object_ids
+        assert got.data.tobytes() == want.data.tobytes()
+        assert [t.tobytes() for t in got.terms] == [t.tobytes() for t in want.terms]
 
 
 def test_step_files_hold_the_clause_prefix_scores(dataset, registry, tmp_path):

@@ -526,6 +526,37 @@ def _optimize_n_iter(n_iter):
     return build
 
 
+def _output_taken(command, option):
+    """``command`` whose ``option`` names an existing path of the wrong kind:
+    a file for ``--plots``, a directory for a file it writes."""
+
+    def build(dataset, tmp_path):
+        taken = tmp_path / "taken"
+        if option == "--plots":
+            taken.write_text("x", encoding="utf-8")
+        else:
+            taken.mkdir()
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        scene = str(dataset / "scenes" / "mini_prox.json")
+        if command == "optimize":
+            suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+            argv = ["optimize", "--relation", "near", "--suite", str(suite_path),
+                    "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json"),
+                    "--n-iter", "1", "--n-sample", "2"]
+        else:
+            argv = {"parse": ["parse", "--offline-expr", str(expr)],
+                    "ground": ["ground", "--scene", scene, "--expr", str(expr)],
+                    "bench": ["bench", "--dataset", str(dataset)]}[command]
+        return [*argv, option, str(taken)], option
+
+    return build
+
+
+OUTPUTS_TAKEN = [("parse", "--out"), ("ground", "--out"), ("bench", "--out"),
+                 ("bench", "--plots"), ("optimize", "--log")]
+
+
 @pytest.mark.parametrize("build", [
     _ground_top_k("0"),
     _ground_top_k("-3"),
@@ -576,6 +607,7 @@ def _optimize_n_iter(n_iter):
     _bench_with_line(DEEP_JSON),
     _optimize_scene_outside(absolute=False),
     _optimize_scene_outside(absolute=True),
+    *[_output_taken(command, option) for command, option in OUTPUTS_TAKEN],
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -591,13 +623,29 @@ def _optimize_n_iter(n_iter):
         "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction",
         "ground_bbox_overflow", "bench_bbox_overflow", "optimize_bbox_overflow",
         "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json",
-        "optimize_scene_id_parent_dir", "optimize_scene_id_absolute"])
+        "optimize_scene_id_parent_dir", "optimize_scene_id_absolute",
+        *[f"{command}_{option[2:]}_taken" for command, option in OUTPUTS_TAKEN]])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert where in err
+
+
+def test_output_paths_are_checked_before_the_run(tmp_path, capsys):
+    """A ``--log`` that names a directory exits 2 before the search runs, so
+    the registry file is left as it was."""
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+    registry = tmp_path / "registry.json"
+    argv = ["optimize", "--relation", "near", "--suite", str(suite_path),
+            "--scenes", str(scenes_dir), "--registry", str(registry), "--n-iter", "1"]
+    assert main(argv) == 0
+    before = registry.read_bytes()
+    (tmp_path / "logdir").mkdir()
+    assert main([*argv, "--seed", "1", "--log", str(tmp_path / "logdir")]) == 2
+    assert "--log" in capsys.readouterr().err
+    assert registry.read_bytes() == before
 
 
 def test_optimize_with_llm_source_reports_usage_totals(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from sceneground.dsl import (
     agg,
     const,
     eval_encoder,
-    finalize_feature,
     get,
     guarded_div,
     load_definition,
@@ -22,6 +21,7 @@ from sceneground.dsl import (
 from sceneground.scene import precompute_geometry
 
 from helpers import random_scene
+from oracles import finalize_feature
 
 
 @pytest.fixture

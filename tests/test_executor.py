@@ -11,7 +11,6 @@ from sceneground.executor import (
     ExecutionError,
     FeatureCache,
     MatchingScore,
-    compute_category_feature,
     condition_level_eval,
     execute,
     grounding_result,
@@ -28,7 +27,12 @@ from sceneground.registry import EncoderRegistry
 from sceneground.scene import scene_from_dict
 
 from helpers import brute_force_scores, random_expression, random_scene
-from oracles import prefix_scores, reference_condition_level, single_clause_predictions
+from oracles import (
+    compute_category_feature,
+    prefix_scores,
+    reference_condition_level,
+    single_clause_predictions,
+)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from sceneground.llm import (
     UsageLedger,
     UsageRecord,
     assemble_prompt,
-    extract_json_block,
     parse_utterance_via_llm,
 )
 from sceneground.optimizer import LlmSource
@@ -73,11 +72,14 @@ def test_unknown_template_rejected():
 
 
 def test_extract_json_block():
-    assert extract_json_block('prose {"a": 1} more') == '{"a": 1}'
-    assert extract_json_block('{"a": {"b": 2}} {"c": 3}') == '{"a": {"b": 2}}'
-    assert extract_json_block('{"s": "brace } in string"}') == '{"s": "brace } in string"}'
-    assert extract_json_block("no json here") is None
-    assert extract_json_block("{unclosed") is None
+    """The one reply reader takes the first balanced block, string-aware."""
+    read = llm_module._json_from_reply
+    assert read('prose {"a": 1} more', "") == {"a": 1}
+    assert read('{"a": {"b": 2}} {"c": 3}', "") == {"a": {"b": 2}}
+    assert read('{"s": "brace } in string"}', "") == {"s": "brace } in string"}
+    for text in ("no json here", "{unclosed"):
+        with pytest.raises(LlmError, match="contains no JSON object"):
+            read(text, "")
 
 
 def test_a_block_that_is_not_json_is_skipped():
@@ -118,7 +120,7 @@ def test_chat_complete_roundtrip_and_ledger():
     with StubServer(["hello back"]) as stub:
         client = LlmClient(fast_config(stub.base_url), ledger)
         bundle = assemble_prompt("parsing", utterance="hi")
-        text, record = client.chat_complete(bundle)
+        text, record = client.complete(bundle, str)
     assert text == "hello back"
     assert record.purpose == "parsing"
     assert record.completion_tokens == 2
@@ -130,7 +132,7 @@ def test_retry_exhaustion_after_three_attempts():
     with StubServer(["never seen"], fail_times=10) as stub:
         client = LlmClient(fast_config(stub.base_url))
         with pytest.raises(LlmError, match="3 attempts"):
-            client.chat_complete(assemble_prompt("parsing", utterance="x"))
+            client.complete(assemble_prompt("parsing", utterance="x"), str)
         assert stub.request_count == 3
 
 
@@ -138,7 +140,7 @@ def test_retries_then_succeeds():
     ledger = UsageLedger()
     with StubServer(["eventually"], fail_times=2) as stub:
         client = LlmClient(fast_config(stub.base_url), ledger)
-        text, _ = client.chat_complete(assemble_prompt("parsing", utterance="x"))
+        text, _ = client.complete(assemble_prompt("parsing", utterance="x"), str)
     assert text == "eventually"
     assert stub.request_count == 3
     assert len(ledger.records) == 1  # only the successful round-trip is recorded
@@ -149,7 +151,7 @@ def test_ledger_totals_equal_record_sums():
     with StubServer(["one two three"]) as stub:
         client = LlmClient(fast_config(stub.base_url), ledger)
         for _ in range(5):
-            client.chat_complete(assemble_prompt("parsing", utterance="x"))
+            client.complete(assemble_prompt("parsing", utterance="x"), str)
     totals = ledger.totals()
     assert totals["calls"] == 5
     assert totals["prompt_tokens"] == sum(r.prompt_tokens for r in ledger.records)
@@ -247,9 +249,9 @@ def test_stub_replies_from_fixture_files(tmp_path):
     with StubServer.from_dir(tmp_path) as stub:
         client = LlmClient(fast_config(stub.base_url))
         bundle = assemble_prompt("parsing", utterance="x")
-        assert client.chat_complete(bundle)[0] == "first reply"
-        assert client.chat_complete(bundle)[0] == "second reply"
-        assert client.chat_complete(bundle)[0] == "second reply"  # last reply repeats
+        assert client.complete(bundle, str)[0] == "first reply"
+        assert client.complete(bundle, str)[0] == "second reply"
+        assert client.complete(bundle, str)[0] == "second reply"  # last reply repeats
 
 
 def test_importing_the_package_does_not_import_requests():
@@ -273,7 +275,7 @@ def test_retry_after_sets_the_wait(monkeypatch):
     slept = _sleeps(monkeypatch)
     with StubServer(["eventually"], fail_times=2, fail_status=429, retry_after=3) as stub:
         client = LlmClient(fast_config(stub.base_url))
-        text, _ = client.chat_complete(assemble_prompt("parsing", utterance="x"))
+        text, _ = client.complete(assemble_prompt("parsing", utterance="x"), str)
     assert text == "eventually"
     assert slept == [3.0, 3.0]
 
@@ -282,7 +284,7 @@ def test_backoff_longer_than_retry_after_wins(monkeypatch):
     slept = _sleeps(monkeypatch)
     with StubServer(["eventually"], fail_times=2, fail_status=503, retry_after="1") as stub:
         config = EndpointConfig(endpoint=stub.base_url, backoff=2.0, timeout=60.0)
-        LlmClient(config).chat_complete(assemble_prompt("parsing", utterance="x"))
+        LlmClient(config).complete(assemble_prompt("parsing", utterance="x"), str)
     assert slept == [2.0, 4.0]
 
 
@@ -291,8 +293,8 @@ def test_backoff_longer_than_retry_after_wins(monkeypatch):
 def test_retry_after_only_as_delta_seconds_on_429_and_503(monkeypatch, status, header):
     slept = _sleeps(monkeypatch)
     with StubServer(["eventually"], fail_times=2, fail_status=status, retry_after=header) as stub:
-        LlmClient(fast_config(stub.base_url)).chat_complete(assemble_prompt("parsing",
-                                                                            utterance="x"))
+        LlmClient(fast_config(stub.base_url)).complete(assemble_prompt("parsing", utterance="x"),
+                                                       str)
     assert slept == [0.01, 0.02]
 
 
@@ -301,7 +303,7 @@ def test_total_wait_is_capped_by_the_timeout(monkeypatch):
     with StubServer(["never seen"], fail_times=10, fail_status=429, retry_after=6) as stub:
         client = LlmClient(fast_config(stub.base_url))  # timeout 10 s
         with pytest.raises(LlmError, match="retry budget; last error: HTTP 429"):
-            client.chat_complete(assemble_prompt("parsing", utterance="x"))
+            client.complete(assemble_prompt("parsing", utterance="x"), str)
         assert stub.request_count == 2
     assert slept == [6.0]
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import logging
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sceneground.builtins import encoder_to_dsl
-from sceneground.dsl import EncoderDefinition, const, op
+from sceneground.dsl import EncoderDefinition, const, eval_encoder, op
 from sceneground.optimizer import (
     CandidateSourceError,
     ExampleGraph,
@@ -30,7 +31,7 @@ from sceneground.optimizer import (
     synthesize_error_message,
 )
 from sceneground.registry import EncoderRegistry
-from sceneground.scene import save_scene, scene_from_dict
+from sceneground.scene import precompute_geometry, save_scene, scene_from_dict
 
 from helpers import build_margin_suite, constant_perturbed, op_swapped, random_scene
 
@@ -214,10 +215,34 @@ def test_mutation_source_fallback_order():
     via_context = source.draw("near", context=(parent, ()), example=example, seed=5)
     via_example = source.draw("near", example=example, seed=5)
     via_skeleton = source.draw("near", seed=5)
-    # context and example share the same base here, so those two agree
-    assert via_context == via_example
+    # the example is never a base: without a context the skeleton is
+    assert via_example == via_skeleton
     assert via_skeleton != via_context
     assert source.draw("near", seed=5) == via_skeleton  # deterministic
+    # without a skeleton, the relation's builtin
+    assert MutationSource().draw("far", example=encoder_to_dsl("near"), seed=5) == \
+        MutationSource().draw("far", seed=5)
+
+
+def test_an_accepted_predecessor_does_not_change_a_mutation_search():
+    """An example-graph edge near -> far is an in-context reference, not a
+    mutation base: with an accepted ``near`` in the registry, the search for
+    ``far`` logs the same candidates with the default graph as without one."""
+    registry = EncoderRegistry()
+    near = build_margin_suite("near", np.random.default_rng(4), n_cases=8)
+    optimize_encoder("near", near, MutationSource(), registry,
+                     OptimizerConfig(n_iter=2, n_sample=3, top_k=2, seed=1))
+    assert registry.accepted_definition("near") is not None
+    far = build_margin_suite("far", np.random.default_rng(5), n_cases=8)
+    cfg = OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=2)
+    logs = []
+    for graph in (default_example_graph(), None):
+        log: list[dict] = []
+        best, history = optimize_encoder("far", far, MutationSource(), registry, cfg,
+                                         graph, log)
+        logs.append((log, history, best.digest()))
+    assert retrieve_example("far", default_example_graph(), registry) is not None
+    assert logs[0] == logs[1]
 
 
 def test_optimizer_reaches_perfect_on_perturbed_start():
@@ -482,3 +507,36 @@ def test_search_rotation_is_pinned():
     children, logs, histories, winners and library, byte for byte."""
     assert _search_rotation_digest() == (
         "c12066635e5da1f61534fd5ba302c4bdddd7bea836cb5b56b415ae1012c7b403")
+
+
+def test_a_seeded_optimize_rotation_leaves_no_reference_cycles():
+    """Searches from unchecked skeletons (so each runs the full check pass)
+    and a dense evaluation of each winner (so each builds its DAG) leave no
+    cyclic garbage: none of their objects waits for the cyclic collector."""
+    suites = {relation: build_margin_suite(relation, np.random.default_rng(100 + k), n_cases=8)
+              for k, relation in enumerate(("at_the_corner", "near", "between"))}
+    rotation = ("at_the_corner", "near", "at_the_corner", "near", "between")
+    registry = EncoderRegistry()
+    cfg = OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=0)
+
+    def run(first):
+        for k in range(first, first + len(rotation)):
+            suite = suites[rotation[k % len(rotation)]]
+            best, _ = optimize_encoder(suite.relation, suite,
+                                       MutationSource(skeleton=op_swapped(suite.relation, k)),
+                                       registry, replace(cfg, seed=k), log=[])
+            scene = next(iter(suite.scenes.values()))
+            eval_encoder(best, scene, precompute_geometry(scene))
+
+    run(0)  # warm-up: imports and process-wide memos
+    gc.collect()
+    old = gc.get_debug()
+    gc.garbage.clear()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        run(len(rotation))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(old)
+        gc.garbage.clear()

@@ -10,8 +10,8 @@ from sceneground.scene import (
     BoundingBox,
     Scene,
     SceneError,
-    exact_match_column,
-    exact_match_similarity,
+    SimilarityTable,
+    exact_match_rows,
     load_scene,
     normalize_label,
     precompute_geometry,
@@ -154,8 +154,7 @@ def test_exact_match_similarity_casefold():
         {"id": 0, "label": "Chair", "bbox": [0, 0, 0, 1, 1, 1]},
         {"id": 1, "label": "table", "bbox": [2, 0, 0, 1, 1, 1]},
     ]})
-    table = exact_match_similarity(scene, ["chair"])
-    assert table.values[:, 0].tolist() == [1.0, 0.0]
+    assert exact_match_rows(scene, ["chair"])[0].tolist() == [1.0, 0.0]
 
 
 def test_exact_match_similarity_duplicates_and_synonyms():
@@ -163,11 +162,11 @@ def test_exact_match_similarity_duplicates_and_synonyms():
         {"id": 0, "label": "chair", "bbox": [0, 0, 0, 1, 1, 1]},
         {"id": 1, "label": "chair", "bbox": [2, 0, 0, 1, 1, 1]},
     ]})
-    assert exact_match_similarity(scene, ["chair"]).values[:, 0].tolist() == [1.0, 1.0]
+    assert exact_match_rows(scene, ["chair"])[0].tolist() == [1.0, 1.0]
     sofa = scene_from_dict({"scene_id": "s2", "objects": [
         {"id": 0, "label": "sofa", "bbox": [0, 0, 0, 1, 1, 1]},
     ]})
-    assert exact_match_similarity(sofa, ["couch"]).values[:, 0].tolist() == [0.0]
+    assert exact_match_rows(sofa, ["couch"])[0].tolist() == [0.0]
 
 
 def test_embedded_similarity_table(tmp_path):
@@ -219,7 +218,7 @@ def test_similarity_values_are_a_read_only_copy():
     })
     with pytest.raises(ValueError):
         scene.similarities.values[0, 0] = -0.5
-    table = exact_match_similarity(scene, ["chair"])
+    table = SimilarityTable(categories=("chair",), values=exact_match_rows(scene, ["chair"]).T)
     with pytest.raises(ValueError):
         table.values[1, 0] = 1.0
     column = scene.similarities.column("seat")
@@ -233,7 +232,7 @@ def test_normalized_labels_are_memoized_per_scene():
         {"id": 1, "label": "table", "bbox": [3, 0, 0, 1, 1, 1]}]})
     assert scene.normalized_labels == ("office chair", "table")
     assert scene.normalized_labels is scene.normalized_labels
-    assert exact_match_column(scene, "OFFICE  chair").tolist() == [1.0, 0.0]
+    assert exact_match_rows(scene, ["OFFICE  chair"])[0].tolist() == [1.0, 0.0]
 
 
 def test_fingerprint_is_memoized_and_matches_a_fresh_scene():
