@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text_atomic
-from .executor import FeatureCache, MatchingScore, condition_precision_recall, score_features
+from .executor import (
+    MatchingScore,
+    category_features,
+    condition_precision_recall,
+    relation_features,
+    score_features,
+)
 from .expression import (
     ExpressionError,
     SymbolicExpression,
@@ -31,7 +37,7 @@ from .expression import (
     expression_to_dict,
 )
 from .registry import EncoderRegistry
-from .scene import Scene, exact_match_rows, load_scene
+from .scene import Scene, exact_match_rows, load_scene, precompute_geometry
 
 __all__ = ["BenchEntry", "BenchRecord", "BenchReport", "DatasetError", "load_dataset",
            "run_bench", "report_to_dict"]
@@ -71,54 +77,61 @@ class DatasetError(ValueError):
 def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchEntry]]:
     """Scenes by id and the checked entries of ``expressions.jsonl``.
 
-    Every entry must name a loaded scene and a ground-truth object id in it;
-    a bad line raises :class:`DatasetError` naming ``file:line``, and so does
-    an expressions file that cannot be read (a missing dataset among them).
+    Each non-blank line is one entry, parsed with one ``json.loads`` of its
+    own. Every entry must name a loaded scene and a ground-truth object id
+    in it; a bad line raises :class:`DatasetError` naming ``file:line``, and
+    so does an expressions file that cannot be read (a missing dataset among
+    them).
     """
     dataset_dir = Path(dataset_dir)
     scenes: dict[str, Scene] = {}
     for path in sorted((dataset_dir / "scenes").glob("*.json")):
         scene = load_scene(path)
         scenes[scene.scene_id] = scene
-    entries: list[BenchEntry] = []
     expr_path = dataset_dir / "expressions.jsonl"
     try:
         text = expr_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read {expr_path}: {exc}") from None
+    entries: list[BenchEntry] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
-            entries.append(_parse_entry(line, scenes, f"{expr_path}:{lineno}"))
+            try:
+                entries.append(_parse_entry(line, scenes))
+            except (DatasetError, ExpressionError) as exc:
+                raise DatasetError(f"{expr_path}:{lineno}: {exc}") from None
     if not entries:
         raise DatasetError(f"{expr_path}: no entries")
     return scenes, entries
 
 
-def _parse_entry(line: str, scenes: dict[str, Scene], where: str) -> BenchEntry:
+def _parse_entry(line: str, scenes: dict[str, Scene]) -> BenchEntry:
+    """One line's entry; a fault's text leaves the line's place to the caller."""
     try:
         raw = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DatasetError(f"{where}: invalid JSON: {exc}") from None
+        raise DatasetError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise DatasetError(f"{where}: expected a JSON object")
-    for key in ("scene_id", "expression", "ground_truth"):
-        if key not in raw:
-            raise DatasetError(f"{where}: missing {key}")
-    scene_id, ground_truth = raw["scene_id"], raw["ground_truth"]
-    if not isinstance(scene_id, str):
-        raise DatasetError(f"{where}: scene_id must be a string")
-    if not isinstance(ground_truth, int) or isinstance(ground_truth, bool):
-        raise DatasetError(f"{where}: ground_truth must be an integer object id")
-    if scene_id not in scenes:
-        raise DatasetError(f"{where}: unknown scene {scene_id!r}")
-    if ground_truth not in scenes[scene_id].index_of:
-        raise DatasetError(f"{where}: ground truth {ground_truth} not in scene {scene_id!r}")
+        raise DatasetError("expected a JSON object")
     try:
-        expression = expression_from_dict(raw["expression"])
-    except ExpressionError as exc:
-        raise DatasetError(f"{where}: {exc}") from None
+        scene_id, expression, ground_truth = raw["scene_id"], raw["expression"], raw["ground_truth"]
+    except KeyError as exc:
+        raise DatasetError(f"missing {exc.args[0]}") from None
+    if not isinstance(scene_id, str):
+        raise DatasetError("scene_id must be a string")
+    if not isinstance(ground_truth, int) or isinstance(ground_truth, bool):
+        raise DatasetError("ground_truth must be an integer object id")
+    scene = scenes.get(scene_id)
+    if scene is None:
+        raise DatasetError(f"unknown scene {scene_id!r}")
+    if ground_truth not in scene.index_of:
+        raise DatasetError(f"ground truth {ground_truth} not in scene {scene_id!r}")
+    expression = expression_from_dict(expression)
+    utterance = raw.get("utterance", "")
+    if not isinstance(utterance, str):
+        raise DatasetError("utterance must be a string")
     return BenchEntry(scene_id=scene_id, expression=expression, ground_truth=ground_truth,
-                      utterance=raw.get("utterance", ""))
+                      utterance=utterance)
 
 
 def _random_baseline(scenes: dict[str, Scene], entries: list[BenchEntry]) -> float:
@@ -142,19 +155,21 @@ def run_bench(
     condition-level precision/recall and, with ``plots_dir``, the per-step
     plot files.
 
-    Before grounding, a pre-pass over each scene fetches from its
-    :class:`~sceneground.executor.FeatureCache` every relation feature its
-    entries need (and, with ``plots_dir``, the heatmap relations), evaluated
-    in one shared pass per rank, and every category feature of its entries'
-    expressions, anchors included, computed in one softmax pass. Each entry
-    is then scored from those feature dicts with
-    :func:`~sceneground.executor.score_features`, asking no cache again. The
-    pre-pass's time is the ``feature_ms`` aggregate, and a record's
-    ``wall_ms`` includes neither relation nor category features. Each
-    (scene, relation) and (scene, category) feature is computed once per
-    run, and the heatmap files read the same feature dicts.
+    The run takes one snapshot of ``registry``'s active encoders. Before
+    grounding, a pre-pass over each scene computes every relation feature
+    its entries need (and, with ``plots_dir``, the heatmap relations) with
+    :func:`~sceneground.executor.relation_features`, one shared pass per
+    rank, and every category feature of its entries' expressions, anchors
+    included, with :func:`~sceneground.executor.category_features`, one
+    softmax pass. Each entry is then scored from those feature dicts with
+    :func:`~sceneground.executor.score_features`. The pre-pass's time is the
+    ``feature_ms`` aggregate, and a record's ``wall_ms`` includes neither
+    relation nor category features. Each (scene, relation) and (scene,
+    category) feature is computed once per run, and the heatmap files read
+    the same feature dicts.
     """
     scenes, entries = load_dataset(dataset_dir)
+    definitions = registry.snapshot()
     relations: dict[str, set[str]] = {
         sid: set(HEATMAP_RELATIONS) if plots_dir is not None else set() for sid in scenes}
     categories: dict[str, set[str]] = {sid: set() for sid in scenes}
@@ -163,9 +178,11 @@ def run_bench(
             clause.relation for _, clause in collect_conditions(entry.expression))
         categories[entry.scene_id].update(collect_categories(entry.expression))
 
-    def features_of(sid: str) -> tuple[dict, dict]:
-        cache = FeatureCache(scenes[sid], registry)
-        return cache.category_features(categories[sid]), cache.relation_features(relations[sid])
+    def features_of(sid: str) -> tuple[dict, dict]:  # sorted: set order varies by process
+        scene = scenes[sid]
+        return (category_features(scene, sorted(categories[sid])),
+                relation_features(scene, precompute_geometry(scene), definitions,
+                                  sorted(relations[sid])))
 
     def ground_one(entry: BenchEntry) -> tuple[BenchRecord, MatchingScore]:
         started = time.perf_counter()

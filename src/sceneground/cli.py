@@ -98,13 +98,20 @@ def _resolve_path(args: argparse.Namespace, config: dict, key: str,
     return value
 
 
-def _output_path(args: argparse.Namespace, config: dict, key: str, directory=False) -> str | None:
+def _output_path(args: argparse.Namespace, config: dict, key: str, directory=False,
+                 required=False) -> str | None:
     """:func:`_resolve_path` for a file (with ``directory``, a directory) the
-    command writes; an existing path of the other kind is a CliError before
-    any work, so a run does not fail only when it writes."""
-    value = _resolve_path(args, config, key)
-    if value and Path(value).exists() and Path(value).is_dir() != directory:
-        raise CliError(f"--{key} {value} is {'a file' if directory else 'a directory'}")
+    command writes; an existing path of the other kind, or a file whose
+    parent directory does not exist, is a CliError before any work, so a
+    run does not fail only when it writes. A directory's missing parents
+    are created when it is written."""
+    value = _resolve_path(args, config, key, required=required)
+    if value:
+        path = Path(value)
+        if path.exists() and path.is_dir() != directory:
+            raise CliError(f"--{key} {value} is {'a file' if directory else 'a directory'}")
+        if not directory and not path.parent.is_dir():
+            raise CliError(f"--{key} {value}: no directory {path.parent}")
     return value
 
 
@@ -173,7 +180,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     suite_path = _resolve_path(args, config, "suite", required=True)
     scenes_dir = _resolve_path(args, config, "scenes", required=True)
     source_kind = _resolve(args, config, "source", "mutate")
-    registry_path = _resolve_path(args, config, "registry", required=True)
+    registry_path = _output_path(args, config, "registry", required=True)
     log_path = _output_path(args, config, "log")
     try:
         cfg = OptimizerConfig(**{key: _resolve_number(args, config, key, default) for key, default

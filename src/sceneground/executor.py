@@ -10,7 +10,8 @@ negated as ``max(f) - f``, and multiplied into the running score.
 There is one path from features to a score, :func:`score_features`:
 :func:`execute` fetches an expression's features from a :class:`FeatureCache`
 and calls it, and ``run_bench`` calls it with the feature dicts its
-per-scene pre-pass holds, asking no cache again. The score keeps the
+pre-pass computes with :func:`relation_features` and
+:func:`category_features`, without a cache. The score keeps the
 factors as its terms, so condition-level scores and per-step scores read
 them instead of executing again.
 """
@@ -40,6 +41,8 @@ __all__ = [
     "ExecutionError",
     "CategoryFeature",
     "FeatureCache",
+    "relation_features",
+    "category_features",
     "MatchingScore",
     "stable_softmax",
     "score_features",
@@ -79,12 +82,11 @@ class FeatureCache:
     """Per-scene memo of relation and category features.
 
     The cache snapshots the registry's active definitions at construction, so
-    a grounding run sees one consistent encoder set. A request for several
-    relations evaluates the missing ones of each rank in one shared DAG pass
-    (:func:`~sceneground.dsl.eval_encoders`), so their encoders' common
-    subtrees are evaluated once; a request for several categories computes
-    the missing ones in one :func:`stable_softmax` over a (categories,
-    objects) matrix of similarities times ``CATEGORY_SCALE``. Each feature
+    a grounding run sees one consistent encoder set (``run_bench`` builds no
+    cache and takes one snapshot per run). A request computes its missing
+    features with :func:`relation_features` (one shared DAG pass per rank)
+    and :func:`category_features` (one softmax), the functions
+    ``run_bench``'s pre-pass calls. Each feature
     is computed at most once (single-flight): a request holds the locks of
     its missing features, taken in sorted order so overlapping requests
     cannot deadlock, and concurrent requests for those features wait on
@@ -153,37 +155,55 @@ class FeatureCache:
         return self.category_features((category,))[category]
 
     def _compute_relations(self, relations: list[str]) -> None:
-        by_rank: dict[int, list[tuple[str, EncoderDefinition]]] = {}
-        for relation in relations:
-            try:
-                defn = self._definitions[relation]
-            except KeyError:
-                raise ExecutionError(f"no active encoder for relation {relation!r}") from None
-            by_rank.setdefault(relation_arity(defn.relation), []).append((relation, defn))
-        for group in by_rank.values():
-            names, defns = zip(*group)
-            features = eval_encoders(defns, self.scene, self.geometry)
-            self._features.update((("relation", r), f) for r, f in zip(names, features))
+        features = relation_features(self.scene, self.geometry, self._definitions, relations)
+        self._features.update((("relation", r), f) for r, f in features.items())
 
     def _compute_categories(self, categories: list[str]) -> None:
-        """Similarity rows from the scene's table, else by exact label match;
-        then one row softmax for all of them."""
-        sims = exact_match_rows(self.scene, categories)
-        table = self.scene.similarities
-        if table is not None:
-            for q, category in enumerate(categories):
-                column = table.column(category)
-                if column is not None:
-                    sims[q] = column
-        for q in np.flatnonzero(~sims.any(axis=1)):
-            logger.warning(
-                "category %r matches nothing in scene %s; scores fall back to uniform",
-                categories[q], self.scene.scene_id,
-            )
-        rows = stable_softmax(CATEGORY_SCALE * sims)
-        rows.setflags(write=False)
-        for category, data in zip(categories, rows):
-            self._features[("category", category)] = CategoryFeature(category=category, data=data)
+        features = category_features(self.scene, categories)
+        self._features.update((("category", c), f) for c, f in features.items())
+
+
+def relation_features(scene: Scene, geometry: PairGeometry,
+                      definitions: dict[str, EncoderDefinition],
+                      relations: list[str]) -> dict[str, RelationFeature]:
+    """The features of ``relations`` on ``scene`` by name, under
+    ``definitions``: one :func:`~sceneground.dsl.eval_encoders` pass per
+    rank, so encoders of a rank evaluate their common subtrees once."""
+    by_rank: dict[int, list[tuple[str, EncoderDefinition]]] = {}
+    for relation in relations:
+        try:
+            defn = definitions[relation]
+        except KeyError:
+            raise ExecutionError(f"no active encoder for relation {relation!r}") from None
+        by_rank.setdefault(relation_arity(defn.relation), []).append((relation, defn))
+    features: dict[str, RelationFeature] = {}
+    for group in by_rank.values():
+        names, defns = zip(*group)
+        features.update(zip(names, eval_encoders(defns, scene, geometry)))
+    return features
+
+
+def category_features(scene: Scene, categories: list[str]) -> dict[str, CategoryFeature]:
+    """The features of ``categories`` on ``scene`` by name: similarity rows
+    from the scene's table, else by exact label match, then one row
+    :func:`stable_softmax` of the (categories, objects) matrix times
+    ``CATEGORY_SCALE``."""
+    sims = exact_match_rows(scene, categories)
+    table = scene.similarities
+    if table is not None:
+        for q, category in enumerate(categories):
+            column = table.column(category)
+            if column is not None:
+                sims[q] = column
+    for q in np.flatnonzero(~sims.any(axis=1)):
+        logger.warning(
+            "category %r matches nothing in scene %s; scores fall back to uniform",
+            categories[q], scene.scene_id,
+        )
+    rows = stable_softmax(CATEGORY_SCALE * sims)
+    rows.setflags(write=False)
+    return {category: CategoryFeature(category=category, data=data)
+            for category, data in zip(categories, rows)}
 
 
 @dataclass(frozen=True)

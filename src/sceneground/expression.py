@@ -114,15 +114,20 @@ def _path(where: tuple | None) -> str:
 def _clause_from_dict(raw: object, depth: int, where: tuple) -> RelationClause:
     if not isinstance(raw, dict):
         raise ExpressionError(f"{_path(where)}: clause must be an object")
-    name = raw.get("relation_name", raw.get("relation"))
+    # "relation" and "objects" are the wire format's other names for these
+    # keys, read only when the first name is absent (a null value is kept)
+    name = raw.get("relation_name")
+    if name is None and "relation_name" not in raw:
+        name = raw.get("relation")
     if not isinstance(name, str):
         raise ExpressionError(f"{_path(where)}: missing relation_name")
-    canonical = normalize_relation_name(name)
+    canonical = name if name in _ARITY else normalize_relation_name(name)
     if canonical not in _ARITY:
         raise ExpressionError(f"{_path(where)}: unknown relation {name!r}; "
                               f"known relations: {', '.join(ALL_RELATIONS)}")
-    # the wire format uses both "anchors" and "objects" for the anchor list
-    anchors_raw = raw.get("anchors", raw.get("objects", []))
+    anchors_raw = raw.get("anchors")
+    if anchors_raw is None and "anchors" not in raw:
+        anchors_raw = raw.get("objects", [])
     if not isinstance(anchors_raw, list):
         raise ExpressionError(f"{_path(where)}: anchors must be a list")
     anchors = tuple([_expr_from_dict(a, depth + 1, (where, "anchors", k))
@@ -130,11 +135,10 @@ def _clause_from_dict(raw: object, depth: int, where: tuple) -> RelationClause:
     negative = raw.get("negative", False)
     if not isinstance(negative, bool):
         raise ExpressionError(f"{_path(where)}: negative must be a boolean")
-    arity = _ARITY[canonical]
-    if len(anchors) != arity - 1:
-        raise ExpressionError(f"{_path(where)}: relation {canonical!r} takes "
-                              f"{arity - 1} anchor(s), got {len(anchors)}")
-    return RelationClause(relation=canonical, anchors=anchors, negative=negative)
+    try:
+        return RelationClause(relation=canonical, anchors=anchors, negative=negative)
+    except ExpressionError as exc:  # the clause's arity check
+        raise ExpressionError(f"{_path(where)}: {exc}") from None
 
 
 def _expr_from_dict(raw: object, depth: int, where: tuple | None) -> SymbolicExpression:
@@ -147,7 +151,9 @@ def _expr_from_dict(raw: object, depth: int, where: tuple | None) -> SymbolicExp
     category = raw.get("category")
     if not isinstance(category, str) or not normalize_label(category):
         raise ExpressionError(f"{_path(where)}: missing category")
-    relations_raw = raw.get("relations", [])
+    relations_raw = raw.get("relations")
+    if relations_raw is None and "relations" not in raw:
+        return SymbolicExpression(category=category)
     if not isinstance(relations_raw, list):
         raise ExpressionError(f"{_path(where)}: relations must be a list")
     clauses = tuple([_clause_from_dict(c, depth, (where, "relations", k))
@@ -156,6 +162,12 @@ def _expr_from_dict(raw: object, depth: int, where: tuple | None) -> SymbolicExp
 
 
 def expression_from_dict(raw: object) -> SymbolicExpression:
+    """Check and build an expression from its wire-format dict.
+
+    A fault raises :class:`ExpressionError` naming the node's path, such as
+    ``$.relations[1].anchors[0]``; a node's category, its clauses' relation
+    names, anchor lists, negation flags and arities are checked in that
+    order, and an anchor's faults come before its clause's flag."""
     return _expr_from_dict(raw, 1, None)
 
 

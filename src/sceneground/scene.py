@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -256,23 +257,27 @@ class PairGeometry:
 
 def precompute_geometry(scene: Scene) -> PairGeometry:
     """Deterministic pure function of the scene; safe to share across readers.
-    ``centers`` and ``sizes`` are read-only views of the scene's boxes."""
+    ``centers`` and ``sizes`` are read-only views of the scene's boxes.
+
+    Means are sums divided by N, the arithmetic ``np.mean`` does, without
+    its per-call overhead."""
+    n = len(scene.boxes)
     centers = scene.boxes[:, :3]
     sizes = scene.boxes[:, 3:]
     half = sizes / 2
-    diagonals = np.sqrt(np.sum(sizes * sizes, axis=1))
+    diagonals = np.sqrt((sizes * sizes).sum(axis=1))
     bottoms = centers[:, 2] - half[:, 2]
     lo = centers[:, :2] - half[:, :2]
     hi = centers[:, :2] + half[:, :2]
     return PairGeometry(
         centers=centers,
         sizes=sizes,
-        mean_diagonal=float(np.mean(diagonals)),
-        floor_z=float(np.min(bottoms)),
+        mean_diagonal=float(diagonals.sum() / n),
+        floor_z=float(bottoms.min()),
         hull_min=lo.min(axis=0),
         hull_max=hi.max(axis=0),
-        centroid_xy=centers[:, :2].mean(axis=0),
-        volumes=np.prod(sizes, axis=1),
+        centroid_xy=centers[:, :2].sum(axis=0) / n,
+        volumes=sizes.prod(axis=1),
     )
 
 
@@ -345,13 +350,41 @@ def _parse_similarities(raw: object) -> SimilarityTable:
     return SimilarityTable(categories=tuple(categories), values=raw["values"])
 
 
+def _all_of(kind: type, values) -> bool:
+    """Whether every value's type is exactly ``kind``, in one C-level pass."""
+    return {kind}.issuperset(map(type, values))
+
+
+def _columns(entries: list) -> tuple[list, list, list] | None:
+    """The id, label and bbox columns of wire-format objects when one type
+    test per column passes: each entry is a dict whose id is an int, label
+    a str and bbox a list of six ints or floats. None otherwise; the
+    per-object walk then words the fault, or accepts what
+    :func:`_entry_fields` accepts (a dict subclass or an int subclass id)."""
+    if not _all_of(dict, entries):
+        return None
+    try:
+        ids = [entry["id"] for entry in entries]
+        labels = [entry["label"] for entry in entries]
+        rows = [entry["bbox"] for entry in entries]
+    except KeyError:
+        return None
+    if (_all_of(int, ids) and _all_of(str, labels) and _all_of(list, rows)
+            and {6}.issuperset(map(len, rows))
+            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(rows)))):
+        return ids, labels, rows
+    return None
+
+
 def scene_from_dict(raw: dict) -> Scene:
     """Build and validate a Scene from the wire-format dict.
 
-    One loop checks each object's field types and the boxes become one
-    array; :class:`Scene` checks the values in bulk. The first faulty object
-    in object order is reported, with the text the per-object check gives,
-    and object faults come before a similarity table's.
+    The objects' field types are checked as columns, one type test per
+    column, and the boxes become one array; :class:`Scene` checks the
+    values in bulk. Only a column that fails its test is walked object by
+    object, to word the fault. The first faulty object in object order is
+    reported, with the text the per-object check gives, and object faults
+    come before a similarity table's.
     """
     scene_id = raw.get("scene_id")
     if not isinstance(scene_id, str):
@@ -359,19 +392,23 @@ def scene_from_dict(raw: dict) -> Scene:
     entries = raw.get("objects")
     if not isinstance(entries, list) or not entries:
         raise SceneError(f"scene {scene_id!r}: objects must be a non-empty list")
-    ids: list[int] = []
-    labels: list[str] = []
-    rows: list[list] = []
     fault: SceneError | None = None  # a type fault; objects before it are checked first
-    for position, entry in enumerate(entries):
-        try:
-            oid, label, bbox = _entry_fields(entry, position)
-        except SceneError as exc:
-            fault = exc
-            break
-        ids.append(oid)
-        labels.append(label)
-        rows.append(bbox)
+    columns = _columns(entries)
+    if columns is None:
+        ids: list[int] = []
+        labels: list[str] = []
+        rows: list[list] = []
+        for position, entry in enumerate(entries):
+            try:
+                oid, label, bbox = _entry_fields(entry, position)
+            except SceneError as exc:
+                fault = exc
+                break
+            ids.append(oid)
+            labels.append(label)
+            rows.append(bbox)
+    else:
+        ids, labels, rows = columns
     try:
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
     except OverflowError:  # an integer beyond float range

@@ -1,13 +1,17 @@
 import csv
 import gc
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 import sceneground.bench as bench_module
 import sceneground.executor as executor_module
-from sceneground.bench import HEATMAP_RELATIONS, load_dataset, run_bench
+from sceneground.bench import (HEATMAP_RELATIONS, DatasetError, load_dataset, report_to_dict,
+                               run_bench)
+from sceneground.dsl import EncoderDefinition
 from sceneground.executor import FeatureCache, condition_level_eval, execute, score_features
 from sceneground.expression import collect_categories, collect_conditions
 from sceneground.minibench import generate_mini_benchmark
@@ -140,8 +144,8 @@ def test_run_bench_matches_fresh_cache_reference(dataset, registry):
 def test_run_bench_executes_each_entry_once(dataset, registry, monkeypatch, tmp_path):
     """Grounding, condition-level scores and step files share one scoring
     per entry, from the pre-pass's features: 40 on the mini benchmark, with
-    or without plot files. Only the pre-pass asks the feature caches, once
-    for relations and once for categories per scene."""
+    or without plot files. The pre-pass computes each scene's relations and
+    its categories in one call each."""
     scenes, entries = load_dataset(dataset)
     executed = []
     real = executor_module.score_features
@@ -151,15 +155,21 @@ def test_run_bench_executes_each_entry_once(dataset, registry, monkeypatch, tmp_
         return real(expr, object_ids, categories, relations)
 
     requests = []
-    real_request = executor_module.FeatureCache._request
+    real_relations = executor_module.relation_features
+    real_categories = executor_module.category_features
 
-    def counting_request(cache, kind, names, compute):
-        requests.append(kind)
-        return real_request(cache, kind, names, compute)
+    def counting_relations(scene, geometry, definitions, relations):
+        requests.append("relation")
+        return real_relations(scene, geometry, definitions, relations)
+
+    def counting_categories(scene, categories):
+        requests.append("category")
+        return real_categories(scene, categories)
 
     monkeypatch.setattr(executor_module, "score_features", counting_score)
     monkeypatch.setattr(bench_module, "score_features", counting_score)
-    monkeypatch.setattr(executor_module.FeatureCache, "_request", counting_request)
+    monkeypatch.setattr(bench_module, "relation_features", counting_relations)
+    monkeypatch.setattr(bench_module, "category_features", counting_categories)
     expected = [e.expression for e in entries]
     assert len(expected) == 40
     for kwargs in ({}, {"workers": 4, "plots_dir": tmp_path / "plots"}):
@@ -168,6 +178,29 @@ def test_run_bench_executes_each_entry_once(dataset, registry, monkeypatch, tmp_
         run_bench(dataset, registry, **kwargs)
         assert sorted(map(repr, executed)) == sorted(map(repr, expected))
         assert sorted(requests) == ["category"] * len(scenes) + ["relation"] * len(scenes)
+
+
+def test_a_run_grounds_with_one_encoder_set(dataset, monkeypatch):
+    """An encoder accepted into the registry while a run's first scene is
+    evaluated reaches no scene of that run: the run reads one snapshot."""
+    registry = EncoderRegistry()
+    builtin_near = registry.active_definition("near")
+    other_near = EncoderDefinition(relation="near", body=registry.active_definition("far").body)
+    used = []
+    original = executor_module.eval_encoders
+
+    def accepting_eval(defns, scene, *args, **kwargs):
+        registry.accept(other_near)
+        used.extend((scene.scene_id, defn) for defn in defns if defn.relation == "near")
+        return original(defns, scene, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "eval_encoders", accepting_eval)
+    run_bench(dataset, registry)
+    assert registry.active_definition("near") is other_near
+    scenes, entries = load_dataset(dataset)
+    assert {sid for sid, _ in used} == {
+        e.scene_id for e in entries if "near" in _relations_of(e.expression)}
+    assert len(used) > 1 and all(defn is builtin_near for _, defn in used)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
@@ -301,3 +334,198 @@ def test_a_warm_run_leaves_no_reference_cycles(dataset, registry):
     finally:
         gc.set_debug(old)
         gc.garbage.clear()
+
+
+GOOD_LINE = {"scene_id": "mini_prox", "utterance": "the chair near the table",
+             "expression": {"category": "chair", "relations": [
+                 {"relation_name": "near", "anchors": [{"category": "table"}]}]},
+             "ground_truth": 10}
+KNOWN = ("large, small, high, low, on_the_floor, against_the_wall, at_the_corner, near, far, "
+         "above, below, left, right, front, behind, between")
+
+
+def _line(**changes):
+    """:data:`GOOD_LINE` as JSON with ``changes`` applied; None drops a key."""
+    raw = {**GOOD_LINE, **changes}
+    return json.dumps({k: v for k, v in raw.items() if v is not None})
+
+
+def _nested(depth):
+    expression = {"category": "chair"}
+    for _ in range(depth - 1):
+        expression = {"category": "chair",
+                      "relations": [{"relation_name": "near", "anchors": [expression]}]}
+    return expression
+
+
+_GOOD = json.dumps(GOOD_LINE)
+_SPLIT = _GOOD.index(', "ground_truth"')
+
+# (lines of expressions.jsonl, the DatasetError's text with {file} for its path)
+LOAD_FAULTS = {
+    "invalid_json": ([_GOOD, '{"scene_id": '],
+                     "{file}:2: invalid JSON: Expecting value: line 1 column 14 (char 13)"),
+    "deep_json": ([_GOOD, "[" * 100_000 + "]" * 100_000],
+                  "{file}:2: invalid JSON: maximum recursion depth exceeded while decoding "
+                  "a JSON array from a unicode string"),
+    "not_an_object": ([_GOOD, "[1, 2]"], "{file}:2: expected a JSON object"),
+    "missing_scene_id": ([_GOOD, _line(scene_id=None)], "{file}:2: missing scene_id"),
+    "missing_expression": ([_GOOD, _line(expression=None)], "{file}:2: missing expression"),
+    "missing_ground_truth": ([_GOOD, _line(ground_truth=None)], "{file}:2: missing ground_truth"),
+    "missing_all": (["{}"], "{file}:1: missing scene_id"),
+    "scene_id_list": ([_line(scene_id=["mini_prox"])], "{file}:1: scene_id must be a string"),
+    "ground_truth_string": ([_line(ground_truth="3")],
+                            "{file}:1: ground_truth must be an integer object id"),
+    "ground_truth_float": ([_line(ground_truth=2.5)],
+                           "{file}:1: ground_truth must be an integer object id"),
+    "ground_truth_bool": ([_line(ground_truth=True)],
+                          "{file}:1: ground_truth must be an integer object id"),
+    "scene_id_before_ground_truth": ([_line(scene_id=3, ground_truth="3")],
+                                     "{file}:1: scene_id must be a string"),
+    "ground_truth_type_before_scene": ([_line(scene_id="nowhere", ground_truth="3")],
+                                       "{file}:1: ground_truth must be an integer object id"),
+    "unknown_scene": ([_line(scene_id="nowhere")], "{file}:1: unknown scene 'nowhere'"),
+    "ground_truth_not_in_scene": ([_line(ground_truth=999)],
+                                  "{file}:1: ground truth 999 not in scene 'mini_prox'"),
+    "scene_before_expression": ([_line(ground_truth=999, expression=5)],
+                                "{file}:1: ground truth 999 not in scene 'mini_prox'"),
+    "expression_not_an_object": ([_line(expression=5)], "{file}:1: $: expected an object"),
+    "expression_null": ([json.dumps({**GOOD_LINE, "expression": None})],
+                        "{file}:1: $: expected an object"),
+    "no_category": ([_line(expression={"relations": []})], "{file}:1: $: missing category"),
+    "blank_category": ([_line(expression={"category": " \t"})], "{file}:1: $: missing category"),
+    "category_before_relations": ([_line(expression={"category": 3, "relations": 4})],
+                                  "{file}:1: $: missing category"),
+    "relations_not_a_list": ([_line(expression={"category": "chair", "relations": {}})],
+                             "{file}:1: $: relations must be a list"),
+    "clause_not_an_object": ([_line(expression={"category": "chair", "relations": [5]})],
+                             "{file}:1: $.relations[0]: clause must be an object"),
+    "no_relation_name": ([_line(expression={"category": "chair", "relations": [{}]})],
+                         "{file}:1: $.relations[0]: missing relation_name"),
+    "null_relation_name": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": None, "relation": "large"}]})],
+        "{file}:1: $.relations[0]: missing relation_name"),
+    "unknown_relation": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "anchors": [{"category": "table"}]},
+        {"relation": "Hovering Over"}]})],
+        "{file}:1: $.relations[1]: unknown relation 'Hovering Over'; known relations: " + KNOWN),
+    "anchors_not_a_list": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "anchors": {"category": "table"}}]})],
+        "{file}:1: $.relations[0]: anchors must be a list"),
+    "null_anchors": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "anchors": None, "objects": [{"category": "table"}]}]})],
+        "{file}:1: $.relations[0]: anchors must be a list"),
+    "anchor_fault": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "large"},
+        {"relation_name": "near", "objects": [{"category": "table", "relations": [
+            {"relation_name": "between", "anchors": [{"category": "a"}, {"category": ""}]}]}]}]})],
+        "{file}:1: $.relations[1].anchors[0].relations[0].anchors[1]: missing category"),
+    "negative_not_a_bool": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "anchors": [{"category": "table"}], "negative": 0}]})],
+        "{file}:1: $.relations[0]: negative must be a boolean"),
+    "anchor_before_negative": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "anchors": [{}], "negative": "no"}]})],
+        "{file}:1: $.relations[0].anchors[0]: missing category"),
+    "negative_before_arity": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "near", "negative": "no"}]})],
+        "{file}:1: $.relations[0]: negative must be a boolean"),
+    "arity": ([_line(expression={"category": "chair", "relations": [
+        {"relation_name": "On the-Floor", "anchors": [{"category": "table"}]}]})],
+        "{file}:1: $.relations[0]: relation 'on_the_floor' takes 0 anchor(s), got 1"),
+    "too_deep": ([_line(expression=_nested(9))],
+                 "{file}:1: $" + ".relations[0].anchors[0]" * 8
+                 + ": expression nesting exceeds depth 8"),
+    "utterance_not_a_string": ([_line(utterance={"x": [1, 2]})],
+                               "{file}:1: utterance must be a string"),
+    "expression_before_utterance": ([_line(utterance=3, expression={})],
+                                    "{file}:1: $: missing category"),
+    "blank_lines_keep_line_numbers": (["", "  ", _GOOD, "\t", "[1, 2]"],
+                                      "{file}:5: expected a JSON object"),
+    "empty_file": ([], "{file}: no entries"),
+    "only_blank_lines": (["", " ", "\t"], "{file}: no entries"),
+    "two_entries_on_one_line": ([_GOOD + "],[" + _GOOD],
+                                f"{{file}}:1: invalid JSON: Extra data: line 1 column "
+                                f"{len(_GOOD) + 1} (char {len(_GOOD)})"),
+    "an_entry_split_over_two_lines": ([_GOOD[:_SPLIT + 1], _GOOD[_SPLIT + 1:]],
+                                      "{file}:1: invalid JSON: Expecting property name enclosed "
+                                      f"in double quotes: line 1 column {_SPLIT + 2} "
+                                      f"(char {_SPLIT + 1})"),
+}
+
+
+@pytest.mark.parametrize("lines, message", LOAD_FAULTS.values(), ids=LOAD_FAULTS.keys())
+def test_load_dataset_fault_texts(dataset, tmp_path, lines, message):
+    """Each fault of an expressions file is a DatasetError naming its line,
+    with the same text, and a well-formed line loads."""
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset / "scenes", copy / "scenes")
+    path = copy / "expressions.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(DatasetError) as raised:
+        load_dataset(copy)
+    assert str(raised.value) == message.format(file=path)
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "[Errno 2] No such file or directory: '{file}'"),
+    ("directory", "[Errno 21] Is a directory: '{file}'"),
+    ("not_utf8", "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+])
+def test_an_unreadable_expressions_file_is_a_dataset_error(dataset, tmp_path, kind, reason):
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset / "scenes", copy / "scenes")
+    path = copy / "expressions.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'{"scene_id": "\xff"}\n')
+    with pytest.raises(DatasetError) as raised:
+        load_dataset(copy)
+    assert str(raised.value) == f"cannot read {path}: {reason.format(file=path)}"
+
+
+def test_a_good_line_loads_with_its_aliases(dataset, tmp_path):
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset / "scenes", copy / "scenes")
+    (copy / "expressions.jsonl").write_text("\n".join([
+        _GOOD,
+        _line(expression={"category": "chair", "relations": [
+            {"relation": "Near", "objects": [{"category": "table"}], "negative": True},
+            {"relation_name": "on the-floor"}]}),
+        _line(utterance=None)]) + "\n", encoding="utf-8")
+    _, entries = load_dataset(copy)
+    assert [e.utterance for e in entries] == ["the chair near the table"] * 2 + [""]
+    assert [(c.relation, c.negative, len(c.anchors)) for c in entries[1].expression.relations] \
+        == [("near", True, 1), ("on_the_floor", False, 0)]
+    assert entries[0].expression == entries[2].expression
+
+
+PINNED_REPORTS = {  # by workers, which the report's config holds
+    1: "2b55813dcd76270b6626011c17691e84e39f0480983c47628db07c99e151d757",
+    3: "a55e866e0f76abd3f3290de4d4ac54e0b0eb08b32150d9a0b302c2baaef83bbb",
+}
+
+
+def _report_digest(report) -> str:
+    """sha256 of a report's dict without its timings and dataset path."""
+    data = report_to_dict(report)
+    del data["config"]["dataset"], data["aggregates"]["mean_wall_ms"]
+    del data["aggregates"]["feature_ms"]
+    for record in data["records"]:
+        del record["wall_ms"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_bench_reports_are_pinned(registry, tmp_path):
+    """Reports are part of the contract: records and aggregates on mini
+    benchmark seeds 0-3, with one worker and with three, byte for byte. The
+    seeds move the boxes but not the expressions or any report field."""
+    digests = {}
+    for seed in range(4):
+        generate_mini_benchmark(tmp_path / str(seed), seed=seed)
+        for workers in (1, 3):
+            report = run_bench(tmp_path / str(seed), registry, workers=workers,
+                               with_baseline=True)
+            digests[seed, workers] = _report_digest(report)
+    assert digests == {(seed, workers): PINNED_REPORTS[workers]
+                       for seed in range(4) for workers in (1, 3)}

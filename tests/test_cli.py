@@ -526,16 +526,20 @@ def _optimize_n_iter(n_iter):
     return build
 
 
-def _output_taken(command, option):
-    """``command`` whose ``option`` names an existing path of the wrong kind:
-    a file for ``--plots``, a directory for a file it writes."""
+def _bad_output(command, option, fault):
+    """``command`` whose ``option`` names a path it cannot write: with
+    ``fault`` "taken", an existing path of the wrong kind (a file for
+    ``--plots``, a directory for a file it writes); with "no_parent", a file
+    in a directory that does not exist."""
 
     def build(dataset, tmp_path):
-        taken = tmp_path / "taken"
-        if option == "--plots":
-            taken.write_text("x", encoding="utf-8")
+        path = tmp_path / "taken"
+        if fault == "no_parent":
+            path = tmp_path / "no_such_dir" / "out.json"
+        elif option == "--plots":
+            path.write_text("x", encoding="utf-8")
         else:
-            taken.mkdir()
+            path.mkdir()
         expr = tmp_path / "expr.json"
         expr.write_text(CHAIR_EXPR, encoding="utf-8")
         scene = str(dataset / "scenes" / "mini_prox.json")
@@ -548,13 +552,15 @@ def _output_taken(command, option):
             argv = {"parse": ["parse", "--offline-expr", str(expr)],
                     "ground": ["ground", "--scene", scene, "--expr", str(expr)],
                     "bench": ["bench", "--dataset", str(dataset)]}[command]
-        return [*argv, option, str(taken)], option
+        return [*argv, option, str(path)], option
 
     return build
 
 
 OUTPUTS_TAKEN = [("parse", "--out"), ("ground", "--out"), ("bench", "--out"),
                  ("bench", "--plots"), ("optimize", "--log")]
+OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--out"),
+                          ("optimize", "--log"), ("optimize", "--registry")]
 
 
 @pytest.mark.parametrize("build", [
@@ -607,7 +613,9 @@ OUTPUTS_TAKEN = [("parse", "--out"), ("ground", "--out"), ("bench", "--out"),
     _bench_with_line(DEEP_JSON),
     _optimize_scene_outside(absolute=False),
     _optimize_scene_outside(absolute=True),
-    *[_output_taken(command, option) for command, option in OUTPUTS_TAKEN],
+    *[_bad_output(command, option, "taken") for command, option in OUTPUTS_TAKEN],
+    *[_bad_output(command, option, "no_parent") for command, option in OUTPUTS_WITHOUT_PARENT],
+    _patched(utterance={"x": [1, 2]}),
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -624,13 +632,21 @@ OUTPUTS_TAKEN = [("parse", "--out"), ("ground", "--out"), ("bench", "--out"),
         "ground_bbox_overflow", "bench_bbox_overflow", "optimize_bbox_overflow",
         "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json",
         "optimize_scene_id_parent_dir", "optimize_scene_id_absolute",
-        *[f"{command}_{option[2:]}_taken" for command, option in OUTPUTS_TAKEN]])
+        *[f"{command}_{option[2:]}_taken" for command, option in OUTPUTS_TAKEN],
+        *[f"{command}_{option[2:]}_no_parent" for command, option in OUTPUTS_WITHOUT_PARENT],
+        "utterance_not_a_string"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert where in err
+
+
+def test_a_plots_directory_gets_its_parents(dataset, tmp_path):
+    plots = tmp_path / "new" / "plots"
+    assert main(["bench", "--dataset", str(dataset), "--plots", str(plots)]) == 0
+    assert (plots / "manifest.json").exists()
 
 
 def test_output_paths_are_checked_before_the_run(tmp_path, capsys):
