@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_text_atomic
+from .atomic import load_lines, write_text_atomic
 from .executor import (
     MatchingScore,
     category_features,
@@ -89,17 +89,7 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
         scene = load_scene(path)
         scenes[scene.scene_id] = scene
     expr_path = dataset_dir / "expressions.jsonl"
-    try:
-        text = expr_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read {expr_path}: {exc}") from None
-    entries: list[BenchEntry] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                entries.append(_parse_entry(line, scenes))
-            except (DatasetError, ExpressionError) as exc:
-                raise DatasetError(f"{expr_path}:{lineno}: {exc}") from None
+    entries = load_lines(expr_path, DatasetError, lambda line: _parse_entry(line, scenes))
     if not entries:
         raise DatasetError(f"{expr_path}: no entries")
     return scenes, entries
@@ -126,7 +116,10 @@ def _parse_entry(line: str, scenes: dict[str, Scene]) -> BenchEntry:
         raise DatasetError(f"unknown scene {scene_id!r}")
     if ground_truth not in scene.index_of:
         raise DatasetError(f"ground truth {ground_truth} not in scene {scene_id!r}")
-    expression = expression_from_dict(expression)
+    try:
+        expression = expression_from_dict(expression)
+    except ExpressionError as exc:
+        raise DatasetError(str(exc)) from None
     utterance = raw.get("utterance", "")
     if not isinstance(utterance, str):
         raise DatasetError("utterance must be a string")

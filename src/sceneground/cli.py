@@ -14,12 +14,13 @@ import math
 import sys
 from pathlib import Path
 
-from .atomic import write_text_atomic
+from .atomic import load_json, load_lines, write_text_atomic
 from .bench import DatasetError, report_to_dict, run_bench
 from .dsl import DefinitionError
 from .executor import ExecutionError, FeatureCache, execute, grounding_result
 from .expression import (
     ExpressionError,
+    expression_from_dict,
     normalize_relation_name,
     parse_expression,
     serialize_expression,
@@ -42,26 +43,6 @@ VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError, R
 
 class CliError(ValueError):
     """Input validation failure at the command level (exit code 2)."""
-
-
-def _read_input(path: str, what: str) -> str:
-    """The UTF-8 text of an input file; an unreadable one is a CliError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}") from None
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        raw = json.loads(_read_input(path, "config"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise CliError(f"config {path} must be a JSON object")
-    return raw
 
 
 def _resolve(args: argparse.Namespace, config: dict, key: str, default=None, required=False):
@@ -122,22 +103,18 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_parse(args: argparse.Namespace, config: dict) -> int:
     out = _output_path(args, config, "out")
     offline = _resolve_path(args, config, "offline_expr")
     infile = _resolve_path(args, config, "infile")
     utterance = _resolve(args, config, "utterance")
     if offline:
-        expr = parse_expression(_read_input(offline, "expression file"))
+        expr = load_json(offline, ExpressionError, expression_from_dict)
         _write_or_print(serialize_expression(expr) + "\n", out)
         return 0
     if infile:
-        lines = []
-        for raw in _read_input(infile, "expression file").splitlines():
-            if raw.strip():
-                lines.append(serialize_expression(parse_expression(raw)))
-        _write_or_print("\n".join(lines) + "\n", out)
+        exprs = load_lines(infile, ExpressionError, parse_expression)
+        _write_or_print("\n".join(serialize_expression(e) for e in exprs) + "\n", out)
         return 0
     if not utterance:
         raise CliError("need --utterance, --in, or --offline-expr")
@@ -149,8 +126,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ground(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_ground(args: argparse.Namespace, config: dict) -> int:
     scene_path = _resolve_path(args, config, "scene", required=True)
     expr_path = _resolve_path(args, config, "expr", required=True)
     registry_path = _resolve_path(args, config, "registry")
@@ -163,7 +139,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
         raise CliError(f"--threshold must be a finite number, got {threshold}")
 
     scene = load_scene(scene_path)
-    expr = parse_expression(_read_input(expr_path, "expression file"))
+    expr = load_json(expr_path, ExpressionError, expression_from_dict)
     registry = load_registry(registry_path) if registry_path else EncoderRegistry()
     score = execute(expr, scene, FeatureCache(scene, registry))
     result = grounding_result(scene, expr, score, top_k=top_k, threshold=threshold)
@@ -171,8 +147,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     relation = _resolve(args, config, "relation", required=True)
     if not isinstance(relation, str):
         raise CliError(f"--relation must be a string, got {relation!r}")
@@ -222,8 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_bench(args: argparse.Namespace, config: dict) -> int:
     dataset = _resolve_path(args, config, "dataset", required=True)
     registry_path = _resolve_path(args, config, "registry")
     workers = _resolve_number(args, config, "workers", 1)
@@ -304,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = load_json(args.config, CliError, dict) if args.config else {}
+        return args.func(args, config)
     except (CliError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_text_atomic
+from .atomic import load_json, write_text_atomic
 from .expression import ALL_RELATIONS, relation_arity
 from .scene import PairGeometry, Scene
 
@@ -88,6 +88,7 @@ __all__ = [
     "agg",
     "op",
     "definition_from_dict",
+    "checked_definition",
     "load_definition",
     "save_definition",
 ]
@@ -218,24 +219,17 @@ def definition_from_dict(raw: object) -> EncoderDefinition:
     return EncoderDefinition(relation=relation, body=body, metadata=metadata)
 
 
-def load_definition(path: str | Path) -> EncoderDefinition:
-    """Load and check a definition file (UTF-8 JSON); any fault, reading the
-    file included, raises DefinitionError."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DefinitionError(f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DefinitionError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise DefinitionError(f"{path}: JSON nested too deeply") from None
+def checked_definition(raw: object) -> EncoderDefinition:
+    """:func:`definition_from_dict` then :func:`validate_definition`."""
     defn = definition_from_dict(raw)
     validate_definition(defn)
     return defn
+
+
+def load_definition(path: str | Path) -> EncoderDefinition:
+    """Load and check a definition file (UTF-8 JSON); any fault, reading the
+    file included, raises DefinitionError naming the file."""
+    return load_json(path, DefinitionError, checked_definition)
 
 
 def save_definition(defn: EncoderDefinition, path: str | Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .atomic import decode_json
 from .scene import normalize_label
 
 __all__ = [
@@ -92,13 +93,6 @@ class SymbolicExpression:
     category: str
     relations: tuple[RelationClause, ...] = ()
 
-    def depth(self) -> int:
-        best = 1
-        for clause in self.relations:
-            for anchor in clause.anchors:
-                best = max(best, 1 + anchor.depth())
-        return best
-
 
 def _path(where: tuple | None) -> str:
     """A node's path, such as ``$.relations[1].anchors[0]``, from its
@@ -173,15 +167,7 @@ def expression_from_dict(raw: object) -> SymbolicExpression:
 
 def parse_expression(text: str) -> SymbolicExpression:
     """Parse and validate the expression wire format."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ExpressionError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise ExpressionError("JSON nested too deeply") from None
-    return expression_from_dict(raw)
+    return expression_from_dict(decode_json(text, ExpressionError))
 
 
 def expression_to_dict(expr: SymbolicExpression) -> dict:

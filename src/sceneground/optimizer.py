@@ -17,7 +17,6 @@ its own retrying; a source that fails aborts the search.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import compress, product
@@ -27,6 +26,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .atomic import load_json
 from .builtins import encoder_to_dsl
 from .dsl import (
     DefinitionError,
@@ -457,13 +457,12 @@ def optimize_encoder(
     return best.definition, history
 
 
-def _case_id(entry: dict, key: str, k: int, path: str | Path,
-             optional: bool = False) -> int | None:
+def _case_id(entry: dict, key: str, k: int, optional: bool = False) -> int | None:
     value = entry.get(key)
     if value is None and optional:
         return None
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SuiteError(f"{path}: case {k}: {key} must be an integer object id, got {value!r}")
+        raise SuiteError(f"case {k}: {key} must be an integer object id, got {value!r}")
     return value
 
 
@@ -473,39 +472,36 @@ def load_suite(path: str | Path, scenes_dir: str | Path) -> TestSuite:
     Malformed input of any kind (unreadable or invalid JSON, a case without
     integer target/distractor ids, non-integer anchors, a scene_id that is
     not a plain file name: empty, ``.``, ``..``, or with a path separator,
-    an absolute path included) raises SuiteError.
+    an absolute path included) raises SuiteError naming the file.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise SuiteError(f"cannot read suite {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SuiteError(f"{path}: top level must be a JSON object")
+    return load_json(path, SuiteError, lambda raw: _suite_from_dict(raw, Path(scenes_dir)))
+
+
+def _suite_from_dict(raw: dict, scenes_dir: Path) -> TestSuite:
     relation = raw.get("relation")
     if not isinstance(relation, str):
-        raise SuiteError(f"{path}: missing relation")
+        raise SuiteError("missing relation")
     cases_raw = raw.get("cases")
     if not isinstance(cases_raw, list) or not cases_raw:
-        raise SuiteError(f"{path}: cases must be a non-empty list")
+        raise SuiteError("cases must be a non-empty list")
     cases = []
     for k, entry in enumerate(cases_raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("scene_id"), str):
-            raise SuiteError(f"{path}: case {k} is malformed")
+            raise SuiteError(f"case {k} is malformed")
         scene_id = entry["scene_id"]
         if scene_id in ("", ".", "..") or "/" in scene_id or "\\" in scene_id:
-            raise SuiteError(f"{path}: case {k}: scene_id {scene_id!r} is not a plain file name")
+            raise SuiteError(f"case {k}: scene_id {scene_id!r} is not a plain file name")
         cases.append(TestCase(
             scene_id=scene_id,
-            target=_case_id(entry, "target", k, path),
-            distractor=_case_id(entry, "distractor", k, path),
-            anchor=_case_id(entry, "anchor", k, path, optional=True),
-            anchor2=_case_id(entry, "anchor2", k, path, optional=True),
+            target=_case_id(entry, "target", k),
+            distractor=_case_id(entry, "distractor", k),
+            anchor=_case_id(entry, "anchor", k, optional=True),
+            anchor2=_case_id(entry, "anchor2", k, optional=True),
         ))
     scenes = {}
-    scenes_dir = Path(scenes_dir)
     for scene_id in sorted({case.scene_id for case in cases}):
         scene_path = scenes_dir / f"{scene_id}.json"
         if not scene_path.exists():
-            raise SuiteError(f"{path}: scene file {scene_path} not found")
+            raise SuiteError(f"scene file {scene_path} not found")
         scenes[scene_id] = load_scene(scene_path)
     return TestSuite(relation=normalize_relation_name(relation), cases=tuple(cases), scenes=scenes)

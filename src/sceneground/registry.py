@@ -12,9 +12,9 @@ import json
 import threading
 from pathlib import Path
 
-from .atomic import write_text_atomic
+from .atomic import load_json, write_text_atomic
 from .builtins import builtin_definitions
-from .dsl import EncoderDefinition, definition_from_dict, validate_definition
+from .dsl import DefinitionError, EncoderDefinition, checked_definition, validate_definition
 from .expression import ALL_RELATIONS
 
 __all__ = ["RegistryError", "EncoderRegistry", "load_registry", "save_registry"]
@@ -94,26 +94,31 @@ def load_registry(path: str | Path) -> EncoderRegistry:
     """Load a registry file written by :func:`save_registry`.
 
     An unreadable file, invalid JSON or a wrong layout raises RegistryError;
-    a malformed definition raises DefinitionError.
+    a malformed definition raises DefinitionError naming the file and the
+    entry, such as ``library[0]`` or ``active["near"]``.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise RegistryError(f"cannot read registry {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise RegistryError(f"{path}: top level must be a JSON object")
+    return load_json(path, RegistryError, lambda raw: _registry_from_dict(raw, path))
+
+
+def _registry_from_dict(raw: dict, path: str | Path) -> EncoderRegistry:
     library = raw.get("library", [])
     active = raw.get("active", {})
     if not isinstance(library, list) or not isinstance(active, dict):
-        raise RegistryError(f"{path}: library must be a list and active an object")
+        raise RegistryError("library must be a list and active an object")
     registry = EncoderRegistry()
-    for defn_raw in library:
-        defn = definition_from_dict(defn_raw)
-        validate_definition(defn)
-        registry._library.append(_bare(defn))
+    for k, defn_raw in enumerate(library):
+        registry._library.append(_bare(_entry(defn_raw, f"{path}: library[{k}]")))
     for name, defn_raw in active.items():
-        defn = definition_from_dict(defn_raw)
+        defn = _entry(defn_raw, f"{path}: active[{json.dumps(name)}]")
         if defn.relation != name:
             raise RegistryError(f"registry entry {name!r} holds a definition for {defn.relation!r}")
         registry.install(defn)
     return registry
+
+
+def _entry(raw: object, where: str) -> EncoderDefinition:
+    """A registry entry's checked definition; a fault names ``where``."""
+    try:
+        return checked_definition(raw)
+    except DefinitionError as exc:
+        raise DefinitionError(f"{where}: {exc}") from None

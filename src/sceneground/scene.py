@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_text_atomic
+from .atomic import load_json, write_text_atomic
 
 __all__ = [
     "SceneError",
@@ -432,23 +432,7 @@ def scene_from_dict(raw: dict) -> Scene:
 
 def load_scene(path: str | Path) -> Scene:
     """Load a scene file (UTF-8 JSON); ordering matches the file order."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SceneError(f"cannot read scene file {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise SceneError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise SceneError(f"{path}: top level must be a JSON object")
-    try:
-        return scene_from_dict(raw)
-    except SceneError as exc:
-        raise SceneError(f"{path}: {exc}") from None
+    return load_json(path, SceneError, scene_from_dict)
 
 
 def _scene_to_dict(scene: Scene) -> dict:

@@ -294,7 +294,7 @@ def _ground_with_registry(body):
         registry.write_text(json.dumps(
             {"active": {}, "library": [{"relation": "near", "body": body}]}), encoding="utf-8")
         return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
-                "--expr", str(expr), "--registry", str(registry)], "body"
+                "--expr", str(expr), "--registry", str(registry)], f"{registry}: library[0]: body"
 
     return build
 
@@ -458,6 +458,60 @@ def _unreadable(option, kind):
 UNREADABLE = [(option, kind) for option in ("ground --expr", "parse --offline-expr", "parse --in")
               for kind in ("missing", "directory", "not_utf8")]
 
+# an input file's bytes for each fault every loader shares (None: no file)
+INPUT_FAULTS = {
+    "missing": None,
+    "directory": None,
+    "not_utf8": b'{"x": "\xff"}',
+    "truncated": b'{"x": ',
+    "deep_json": DEEP_JSON.encode(),
+    "top_level_array": b"[1, 2]",
+}
+
+
+def write_input_fault(path, fault):
+    """Leave ``path`` as an input file with ``fault`` (see :data:`INPUT_FAULTS`)."""
+    if fault == "directory":
+        path.mkdir()
+    elif INPUT_FAULTS[fault] is not None:
+        path.write_bytes(INPUT_FAULTS[fault])
+
+
+def _faulty_input(option, fault):
+    """An input file given to ``option`` that has ``fault``; the other
+    inputs are valid, and the message starts with the file's path."""
+
+    def build(dataset, tmp_path):
+        bad = tmp_path / "input.json"
+        write_input_fault(bad, fault)
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        ground = ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json")]
+        argv = {
+            "--config": [*ground, "--expr", str(expr), "--config", str(bad)],
+            "ground --registry": [*ground, "--expr", str(expr), "--registry", str(bad)],
+            "ground --expr": [*ground, "--expr", str(bad)],
+            "optimize --suite": ["optimize", "--relation", "near", "--suite", str(bad),
+                                 "--scenes", str(tmp_path),
+                                 "--registry", str(tmp_path / "registry.json")],
+        }[option]
+        unreadable = fault in ("missing", "directory", "not_utf8")
+        return argv, f"error: cannot read {bad}: " if unreadable else f"error: {bad}: "
+
+    return build
+
+
+FAULTY_INPUTS = [(option, fault) for option in ("--config", "ground --registry", "optimize --suite")
+                 for fault in INPUT_FAULTS] + [("ground --expr", "truncated")]
+
+
+def _parse_in_broken_line(dataset, tmp_path):
+    """``parse --in`` over a line file whose third line is not JSON."""
+    lines = tmp_path / "input.jsonl"
+    lines.write_text(f"{CHAIR_EXPR}\n{CHAIR_EXPR}\n{{\"category\": \n{CHAIR_EXPR}\n",
+                     encoding="utf-8")
+    return ["parse", "--in", str(lines)], f"error: {lines}:3: invalid JSON at line 1 column 14"
+
 
 def _bench_unreadable(kind):
     """``bench`` over a dataset that is missing, or whose ``expressions.jsonl``
@@ -616,6 +670,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     *[_bad_output(command, option, "taken") for command, option in OUTPUTS_TAKEN],
     *[_bad_output(command, option, "no_parent") for command, option in OUTPUTS_WITHOUT_PARENT],
     _patched(utterance={"x": [1, 2]}),
+    *[_faulty_input(option, fault) for option, fault in FAULTY_INPUTS],
+    _parse_in_broken_line,
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -634,7 +690,9 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         "optimize_scene_id_parent_dir", "optimize_scene_id_absolute",
         *[f"{command}_{option[2:]}_taken" for command, option in OUTPUTS_TAKEN],
         *[f"{command}_{option[2:]}_no_parent" for command, option in OUTPUTS_WITHOUT_PARENT],
-        "utterance_not_a_string"])
+        "utterance_not_a_string",
+        *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
+        "parse_in_bad_line_3"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

@@ -1,0 +1,139 @@
+"""Every input file is read and decoded by ``sceneground.atomic``, so each
+loader words a file's faults the same way, naming the file first.
+
+A package module other than ``atomic.py`` that calls ``read_text``, ``open``
+or ``json.load`` is a second reader with its own fault policy; :data:`ALLOWED`
+lists the callers that stay, each with its reason.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import sceneground
+from sceneground.bench import DatasetError, load_dataset
+from sceneground.cli import main
+from sceneground.dsl import DefinitionError, load_definition
+from sceneground.optimizer import SuiteError, load_suite
+from sceneground.registry import RegistryError, load_registry
+from sceneground.scene import SceneError, load_scene
+
+from test_cli import INPUT_FAULTS, write_input_fault
+
+# "module.qualified_name" of a caller -> why it reads a file itself
+ALLOWED = {
+    "llm._load_template": "reads a prompt template shipped as package data, not an input file",
+    "stub_server.StubServer.from_dir": "loads a test fixture's canned replies",
+}
+
+
+def _file_reads(tree: ast.Module):
+    """Qualified names of the functions (or ``<module>``) in ``tree`` that
+    call ``read_text``, ``open`` or ``json.load``."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "open"
+                        or isinstance(func, ast.Attribute) and (
+                            func.attr in ("read_text", "open")
+                            or func.attr == "load" and isinstance(func.value, ast.Name)
+                            and func.value.id == "json")):
+                    yield scope or "<module>"
+            yield from visit(child, scope)
+
+    return set(visit(tree, ""))
+
+
+def test_only_atomic_reads_files():
+    readers = set()
+    for path in sorted(Path(sceneground.__file__).resolve().parent.glob("*.py")):
+        if path.name != "atomic.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers |= {f"{path.stem}.{name}" for name in _file_reads(tree)}
+    # an entry whose caller no longer reads a file is stale
+    assert sorted(readers) == sorted(ALLOWED)
+
+
+def test_the_guard_sees_each_kind_of_call():
+    tree = ast.parse("import json\n"
+                     "def a(p): return p.read_text()\n"
+                     "class B:\n"
+                     "    def c(self, p): return open(p)\n"
+                     "    def d(self, p): return p.open()\n"
+                     "def e(f): return json.load(f)\n"
+                     "def f(s): return json.loads(s)\n"
+                     "def g(fd): return os.fdopen(fd)\n")
+    assert _file_reads(tree) == {"a", "B.c", "B.d", "e"}
+
+
+def _raised(error, load, *args):
+    with pytest.raises(error) as raised:
+        load(*args)
+    return str(raised.value)
+
+
+def _printed(capsys, *argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("\n")
+    return err[len("error: "):-1]
+
+
+# loader -> the text of its fault for the file at path (a dataset's
+# expressions file, for "dataset")
+LOADERS = {
+    "scene": lambda path, capsys: _raised(SceneError, load_scene, path),
+    "definition": lambda path, capsys: _raised(DefinitionError, load_definition, path),
+    "registry": lambda path, capsys: _raised(RegistryError, load_registry, path),
+    "suite": lambda path, capsys: _raised(SuiteError, load_suite, path, path.parent),
+    "config": lambda path, capsys: _printed(capsys, "parse", "--config", str(path)),
+    "expression_file": lambda path, capsys: _printed(capsys, "parse", "--offline-expr", str(path)),
+    "dataset": lambda path, capsys: _raised(DatasetError, load_dataset, path.parent),
+}
+
+# each of test_cli.INPUT_FAULTS -> its text
+FAULT_TEXTS = {
+    "missing": "cannot read {path}: [Errno 2] No such file or directory: '{path}'",
+    "directory": "cannot read {path}: [Errno 21] Is a directory: '{path}'",
+    "not_utf8": "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 7: "
+                "invalid start byte",
+    "truncated": "{path}: invalid JSON at line 1 column 7: Expecting value",
+    "deep_json": "{path}: JSON nested too deeply",
+    "top_level_array": "{path}: top level must be a JSON object",
+}
+# a dataset's expressions file is a line file, whose lines are decoded one by one
+DATASET_LINE_FAULTS = {
+    "truncated": "{path}:1: invalid JSON: Expecting value: line 1 column 7 (char 6)",
+    "deep_json": "{path}:1: invalid JSON: maximum recursion depth exceeded while decoding "
+                 "a JSON array from a unicode string",
+    "top_level_array": "{path}:1: expected a JSON object",
+}
+
+
+@pytest.mark.parametrize("fault", INPUT_FAULTS)
+@pytest.mark.parametrize("loader", LOADERS)
+def test_each_loader_words_a_file_fault_the_same(tmp_path, capsys, loader, fault):
+    path = tmp_path / ("expressions.jsonl" if loader == "dataset" else "input.json")
+    write_input_fault(path, fault)
+    expected = FAULT_TEXTS[fault]
+    if loader == "dataset":
+        expected = DATASET_LINE_FAULTS.get(fault, expected)
+    assert LOADERS[loader](path, capsys) == expected.format(path=path)
+
+
+def test_a_bad_registry_entry_names_the_file_and_the_entry(tmp_path):
+    path = tmp_path / "registry.json"
+    bad = {"relation": "near", "body": {"get": []}}
+    path.write_text(json.dumps({"library": [bad]}), encoding="utf-8")
+    assert _raised(DefinitionError, load_registry, path) \
+        == f"{path}: library[0]: body: unknown accessor []"
+    path.write_text(json.dumps({"active": {"near": bad}}), encoding="utf-8")
+    assert _raised(DefinitionError, load_registry, path) \
+        == f'{path}: active["near"]: body: unknown accessor []'
