@@ -114,6 +114,8 @@ def cmd_parse(args: argparse.Namespace, config: dict) -> int:
         return 0
     if infile:
         exprs = load_lines(infile, ExpressionError, parse_expression)
+        if not exprs:
+            raise ExpressionError(f"{infile}: no entries")
         _write_or_print("\n".join(serialize_expression(e) for e in exprs) + "\n", out)
         return 0
     if not utterance:

@@ -227,20 +227,24 @@ class LlmClient:
     def complete(self, bundle: PromptBundle, parse) -> tuple[object, UsageRecord]:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
         HTTP errors, malformed replies and replies ``parse`` rejects share the
-        ``max_attempts`` budget; a 400/401/403/404 is not retried.
+        ``max_attempts`` budget; a 400/401/403/404, or an endpoint that is not
+        a URL, is not retried.
 
         Before each resend the client waits the exponential backoff, or a
         429/503 reply's delta-seconds ``Retry-After`` when that is longer.
         The waits of one call total at most ``timeout`` seconds: a wait that
         would pass it ends the call with LlmError instead.
         """
-        import requests  # deferred: importing it costs more than the rest of the package
+        # deferred, so that importing the package loads no http.client, email or ssl
+        import http.client
+        import urllib.error
+        import urllib.request
 
         url = self.config.endpoint.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
-        payload = {
+        payload = json.dumps({
             "model": self.config.model,
             "messages": [
                 {"role": "system", "content": bundle.system},
@@ -248,7 +252,11 @@ class LlmClient:
             ],
             "temperature": self.config.temperature,
             "top_p": self.config.top_p,
-        }
+        }).encode("utf-8")
+        try:
+            request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
+        except ValueError as exc:  # no scheme: a resend cannot fix it
+            raise LlmError(f"chat completion failed, not retried: {exc}") from None
         last_error = "no attempts made"
         asked = 0.0  # seconds the last reply's Retry-After asked for
         slept = 0.0
@@ -265,20 +273,25 @@ class LlmClient:
                 asked = 0.0
             started = time.perf_counter()
             try:
-                response = requests.post(url, headers=headers, json=payload,
-                                         timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                try:
+                    response = urllib.request.urlopen(request, timeout=self.config.timeout)
+                except urllib.error.HTTPError as exc:  # an OSError, so caught first
+                    response = exc
+                with response:
+                    status, body = response.status, response.read()
+                    retry_after = response.headers.get("Retry-After")
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"network error: {exc}"
                 continue
-            if response.status_code != 200:
-                last_error = f"HTTP {response.status_code}: {response.text[:200]}"
-                if response.status_code in (400, 401, 403, 404):  # a resend cannot fix it
+            if status != 200:
+                last_error = f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}"
+                if status in (400, 401, 403, 404):  # a resend cannot fix it
                     raise LlmError(f"chat completion failed, not retried: {last_error}")
-                if response.status_code in (429, 503):
-                    asked = _retry_after_seconds(response.headers.get("Retry-After"))
+                if status in (429, 503):
+                    asked = _retry_after_seconds(retry_after)
                 continue
             try:
-                data = response.json()
+                data = json.loads(body)
                 text = data["choices"][0]["message"]["content"]
                 usage = data.get("usage")  # absent or null, like its fields, counts as 0
                 tokens = [0 if usage is None or usage.get(key) is None else usage[key]

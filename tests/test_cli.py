@@ -513,6 +513,13 @@ def _parse_in_broken_line(dataset, tmp_path):
     return ["parse", "--in", str(lines)], f"error: {lines}:3: invalid JSON at line 1 column 14"
 
 
+def _parse_in_no_entries(dataset, tmp_path):
+    """``parse --in`` over a line file of blank lines only."""
+    lines = tmp_path / "input.jsonl"
+    lines.write_text("\n  \n", encoding="utf-8")
+    return ["parse", "--in", str(lines)], f"error: {lines}: no entries\n"
+
+
 def _bench_unreadable(kind):
     """``bench`` over a dataset that is missing, or whose ``expressions.jsonl``
     is a directory or not UTF-8."""
@@ -672,6 +679,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _patched(utterance={"x": [1, 2]}),
     *[_faulty_input(option, fault) for option, fault in FAULTY_INPUTS],
     _parse_in_broken_line,
+    _parse_in_no_entries,
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -692,7 +700,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         *[f"{command}_{option[2:]}_no_parent" for command, option in OUTPUTS_WITHOUT_PARENT],
         "utterance_not_a_string",
         *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
-        "parse_in_bad_line_3"])
+        "parse_in_bad_line_3", "parse_in_no_entries"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -255,20 +256,58 @@ def test_stub_replies_from_fixture_files(tmp_path):
 
 
 def test_importing_the_package_does_not_import_requests():
+    """Nor the transport modules that ``LlmClient.complete`` imports when it
+    is called: the package and its CLI load none of them."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    transport = ["requests", "urllib.request", "http.client", "ssl"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sceneground; print('requests' in sys.modules)"],
+         f"import sys, sceneground, sceneground.cli; print([m for m in {transport} "
+         "if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def _sleeps(monkeypatch):
     slept = []
     monkeypatch.setattr(llm_module.time, "sleep", slept.append)
     return slept
+
+
+def _refused_url():
+    """The URL of a stub server that has been stopped: nothing listens there."""
+    with StubServer(["never seen"]) as stub:
+        url = stub.base_url
+    return url
+
+
+def test_a_refused_connection_is_retried_as_a_network_error(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    ledger = UsageLedger()
+    client = LlmClient(fast_config(_refused_url()), ledger)
+    with pytest.raises(LlmError, match="3 attempts; last error: network error"):
+        client.complete(assemble_prompt("parsing", utterance="x"), str)
+    assert slept == [0.01, 0.02]  # three attempts, one budget
+    assert ledger.records == ()
+
+
+def test_parse_command_reports_a_refused_connection_without_traceback(monkeypatch, capsys):
+    from sceneground.cli import main
+
+    _sleeps(monkeypatch)
+    monkeypatch.setenv("LASP_LLM_ENDPOINT", _refused_url())
+    assert main(["parse", "--utterance", "chair near the table"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "network error" in err and "Traceback" not in err
+
+
+def test_an_endpoint_that_is_not_a_url_is_not_retried(monkeypatch):
+    slept = _sleeps(monkeypatch)
+    with pytest.raises(LlmError, match="not retried: unknown url type"):
+        LlmClient(fast_config("stub")).complete(assemble_prompt("parsing", utterance="x"), str)
+    assert slept == []
 
 
 def test_retry_after_sets_the_wait(monkeypatch):
@@ -308,35 +347,31 @@ def test_total_wait_is_capped_by_the_timeout(monkeypatch):
     assert slept == [6.0]
 
 
-class _Reply:
+class _Reply(io.BytesIO):
     """A 200 response whose JSON body is ``data``."""
 
-    status_code = 200
+    status = 200
     headers: dict = {}
-    text = ""
 
     def __init__(self, data):
-        self._data = data
-
-    def json(self):
-        return self._data
+        super().__init__(json.dumps(data).encode("utf-8"))
 
 
 def _post_replying(monkeypatch, usage):
-    """Route ``requests.post`` to a reply carrying ``usage`` (omitted when
-    ``usage`` is the string "absent"); returns the list of posted URLs."""
-    import requests
+    """Route ``urllib.request.urlopen`` to a reply carrying ``usage`` (omitted
+    when ``usage`` is the string "absent"); returns the list of posted URLs."""
+    import urllib.request
 
     posted = []
     data = {"choices": [{"message": {"content": CHAIR_REPLY}}]}
     if usage != "absent":
         data["usage"] = usage
 
-    def post(url, **kwargs):
-        posted.append(url)
+    def urlopen(request, **kwargs):
+        posted.append(request.full_url)
         return _Reply(data)
 
-    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     _sleeps(monkeypatch)
     return posted
 
@@ -381,10 +416,10 @@ def test_parse_command_reports_malformed_usage_without_traceback(monkeypatch, ca
 
 
 def test_null_content_is_a_malformed_reply(monkeypatch):
-    import requests
+    import urllib.request
 
-    monkeypatch.setattr(requests, "post",
-                        lambda url, **kwargs: _Reply({"choices": [{"message": {"content": None}}]}))
+    reply = {"choices": [{"message": {"content": None}}]}
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, **kwargs: _Reply(reply))
     _sleeps(monkeypatch)
     with pytest.raises(LlmError, match="malformed reply"):
         parse_utterance_via_llm("chair near the table", fast_config("http://stub"))

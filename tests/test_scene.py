@@ -226,6 +226,26 @@ def test_similarity_values_are_a_read_only_copy():
     assert scene.similarities.column("seat").tolist() == [0.9, 0.1]
 
 
+def test_similarity_column_matches_the_per_lookup_rule():
+    """The first category whose normalized form matches wins, as when each
+    lookup normalized every category of the table in turn."""
+    categories = ("Office Chair", "table", "office  chair", "TABLE ", "lamp")
+    table = SimilarityTable(categories=categories,
+                            values=np.linspace(-1.0, 1.0, 15).reshape(3, 5))
+
+    def per_lookup(category):
+        for q, name in enumerate(categories):
+            if normalize_label(name) == normalize_label(category):
+                return table.values[:, q].tolist()
+        return None
+
+    for query in ("office chair", " OFFICE\tCHAIR", "Table", "lamp", "sofa", ""):
+        column = table.column(query)
+        assert (None if column is None else column.tolist()) == per_lookup(query)
+    assert table.column("office chair").tolist() == table.values[:, 0].tolist()
+    assert table.column("table").tolist() == table.values[:, 1].tolist()
+
+
 def test_normalized_labels_are_memoized_per_scene():
     scene = scene_from_dict({"scene_id": "s", "objects": [
         {"id": 0, "label": "  Office\tChair ", "bbox": [0, 0, 0, 1, 1, 1]},
