@@ -228,7 +228,7 @@ class LlmClient:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
         HTTP errors, malformed replies and replies ``parse`` rejects share the
         ``max_attempts`` budget; a 400/401/403/404, or an endpoint that is not
-        a URL, is not retried.
+        an http(s) URL, is not retried.
 
         Before each resend the client waits the exponential backoff, or a
         429/503 reply's delta-seconds ``Retry-After`` when that is longer.
@@ -253,9 +253,11 @@ class LlmClient:
             "temperature": self.config.temperature,
             "top_p": self.config.top_p,
         }).encode("utf-8")
-        try:
+        try:  # urlopen also opens file:, ftp: and data: URLs; a resend cannot fix any
             request = urllib.request.Request(url, data=payload, headers=headers, method="POST")
-        except ValueError as exc:  # no scheme: a resend cannot fix it
+            if request.type not in ("http", "https"):
+                raise ValueError(f"unknown url type: {url!r}")
+        except ValueError as exc:
             raise LlmError(f"chat completion failed, not retried: {exc}") from None
         last_error = "no attempts made"
         asked = 0.0  # seconds the last reply's Retry-After asked for

@@ -121,15 +121,13 @@ class SimilarityTable:
             raise SceneError("similarity table contains non-finite entries")
         if np.any(values < -1.0) or np.any(values > 1.0):
             raise SceneError("similarity entries must lie in [-1, 1]")
-        # each normalized category -> its first column, so a lookup normalizes once
-        index: dict[str, int] = {}
-        for q, name in enumerate(self.categories):
-            index.setdefault(normalize_label(name), q)
-        object.__setattr__(self, "_index", index)
 
     def column(self, category: str) -> np.ndarray | None:
-        q = self._index.get(normalize_label(category))
-        return None if q is None else self.values[:, q].copy()
+        key = normalize_label(category)
+        for q, name in enumerate(self.categories):
+            if normalize_label(name) == key:
+                return self.values[:, q].copy()
+        return None
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -303,11 +303,14 @@ def test_parse_command_reports_a_refused_connection_without_traceback(monkeypatc
     assert err.startswith("error: ") and "network error" in err and "Traceback" not in err
 
 
-def test_an_endpoint_that_is_not_a_url_is_not_retried(monkeypatch):
+@pytest.mark.parametrize("endpoint", ["stub", "file:///etc/passwd#", "foo://x"])
+def test_an_endpoint_that_is_not_a_url_is_not_retried(monkeypatch, endpoint):
+    """Only http(s) endpoints are opened: a local file is never read."""
     slept = _sleeps(monkeypatch)
-    with pytest.raises(LlmError, match="not retried: unknown url type"):
-        LlmClient(fast_config("stub")).complete(assemble_prompt("parsing", utterance="x"), str)
+    with pytest.raises(LlmError, match="not retried: unknown url type") as caught:
+        LlmClient(fast_config(endpoint)).complete(assemble_prompt("parsing", utterance="x"), str)
     assert slept == []
+    assert "root:" not in str(caught.value)
 
 
 def test_retry_after_sets_the_wait(monkeypatch):
