@@ -248,7 +248,7 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
             feature = relation_features[sid][relation]
             name = f"heatmap_{sid}_{relation}.csv"
             write_text_atomic(out_dir / name, _csv_text(
-                [[f"obj_{oid}" for oid in scene.ids], *feature.data.tolist()]))
+                [[f"obj_{oid}" for oid in scene.object_ids], *feature.data.tolist()]))
             manifest["heatmaps"].append({"file": name, "scene_id": sid, "relation": relation})
 
     for idx, (entry, score) in enumerate(zip(entries, scores)):

@@ -33,9 +33,9 @@ two-argument op's function directly on its children's values.
   is freed after its last reader. Each root is written into its row of one
   stacked output, which is finished once (sanitized, repeated indices
   zeroed, by ``_finalize_owned``), and each feature is a read-only view of
-  its row. A body's DAG is built from its summaries the first time a dense
-  evaluation asks for it, and a program of several bodies is memoized
-  process-wide.
+  its row. A program, of one body or several, is built from the summaries
+  when a dense evaluation first asks for it and memoized process-wide
+  (:func:`_shared_dag`, the one program memo).
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
@@ -59,7 +59,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -355,43 +355,29 @@ class CompiledEncoder:
     """A checked definition body: its relation, rank and root summary.
 
     ``summary`` is the root's :class:`NodeSummary`; the gathered route walks
-    the summaries (:func:`eval_gathered`). ``nodes`` and ``frees`` are this
-    body's own hash-consed DAG, which only the dense route runs, so it is
-    built from the summaries the first time it is read (builds that race
-    produce equal DAGs); :func:`eval_encoders` runs several bodies of one
-    rank as one such DAG (see :func:`_build_dag`). ``nodes`` lists each
-    distinct subtree once, children before parents, so the root is last:
-    ``("const", value)``, ``("get", field, obj, axis)``, ``("agg", name,
-    axis)`` or ``("op", name, child_positions)``. ``frees[p]`` names the
-    positions whose last reader is node ``p``, so an evaluation holds no more
-    intermediates than it still needs. Compiled encoders compare and hash by
-    identity, so a tuple of them keys a memoized program.
+    the summaries (:func:`eval_gathered`), and the dense route runs them as a
+    program built by :func:`_shared_dag`. Compiled encoders compare and hash
+    by identity, so a tuple of them keys a memoized program.
     """
 
     relation: str
     rank: int
     summary: NodeSummary = field(repr=False)
 
-    @cached_property
-    def _dag(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return _build_dag((self.summary,))
-
-    @property
-    def nodes(self) -> tuple[tuple, ...]:
-        return self._dag[0]
-
-    @property
-    def frees(self) -> tuple[tuple[int, ...], ...]:
-        return self._dag[1]
-
 
 def _build_dag(roots: tuple[NodeSummary, ...]
                ) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``nodes``, ``frees`` and one output position per root of the bodies
-    rooted at ``roots`` (see :class:`CompiledEncoder`), one step per distinct
-    DAG node, keyed by the summaries' texts. Bodies share their equal
-    subtrees, and equal roots share one position. A root is never freed, as
-    its value is written into its feature's row of the stacked output."""
+    """The hash-consed DAG of the bodies rooted at ``roots``: ``nodes``,
+    ``frees`` and one output position per root, one step per distinct DAG
+    node, keyed by the summaries' texts. Bodies share their equal subtrees,
+    and equal roots share one position.
+
+    ``nodes`` lists each distinct subtree once, children before parents:
+    ``("const", value)``, ``("get", field, obj, axis)``, ``("agg", name,
+    axis)`` or ``("op", name, child_positions)``. ``frees[p]`` names the
+    positions whose last reader is node ``p``, so an evaluation holds no more
+    intermediates than it still needs. A root is never freed, as its value
+    is written into its feature's row of the stacked output."""
     ids: dict[str, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
@@ -425,16 +411,17 @@ def _emit(summary: NodeSummary, ids: dict[str, int], nodes: list[tuple],
     return pos
 
 
-# A bench run asks for one program per scene and rank with several relations,
-# each once: 6 for a mini benchmark's 5 scenes, the same 6 at every seed, and
-# about 3.4 KiB each, so 64 entries hold ten such sets in about 220 KiB.
+# A bench run asks for one program per scene and rank: 10 for a mini
+# benchmark's 5 scenes (6 of several bodies, 4 of one), 9 of them distinct
+# and the same at every seed on one registry, so 64 entries hold six such
+# sets, at about 1 KiB a program.
 @lru_cache(maxsize=64)
 def _shared_dag(compiled: tuple[CompiledEncoder, ...]):
-    """The DAG of several bodies, memoized process-wide, so a process that
-    evaluates the same relation groups again skips the build (15-60 us a
-    program). A build visits each distinct node once, so even unmemoized it
-    costs less than building each body's own DAG. The key holds the compiled
-    encoders, so their ids are never reused while it lives."""
+    """The DAG of one or several bodies, memoized process-wide, so a process
+    that evaluates the same definitions again skips the build (15-60 us a
+    program). A build visits each distinct node once, so a program of
+    several bodies costs less than building each body's own. The key holds
+    the compiled encoders, so their ids are never reused while it lives."""
     return _build_dag(tuple(c.summary for c in compiled))
 
 
@@ -538,8 +525,8 @@ def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
 
 def compile_definition(defn: EncoderDefinition, root: NodeSummary | None = None
                        ) -> CompiledEncoder:
-    """Check a body, or raise DefinitionError; its DAG is built on first use.
-    Memoized on the definition, as bodies are immutable.
+    """Check a body, or raise DefinitionError. Memoized on the definition,
+    as bodies are immutable.
 
     ``root``, the body's root summary made by the node rule from checked
     summaries (as mutation builds a child), leaves only the caps to check:
@@ -695,8 +682,7 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
     rank = compiled[0].rank
     if any(c.rank != rank for c in compiled):
         raise ValueError("eval_encoders needs definitions of one rank")
-    # one body runs the DAG its CompiledEncoder keeps, and adds nothing to the memo
-    nodes, frees, outputs = compiled[0]._dag if len(compiled) == 1 else _shared_dag(compiled)
+    nodes, frees, outputs = _shared_dag(compiled)
     stack = np.empty((len(compiled),) + (n,) * rank, dtype=np.float64)
     step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
     for start in range(0, n, step):

@@ -87,11 +87,11 @@ class FeatureCache:
     features with :func:`relation_features` (one shared DAG pass per rank)
     and :func:`category_features` (one softmax), the functions
     ``run_bench``'s pre-pass calls. Each feature
-    is computed at most once (single-flight): a request holds the locks of
-    its missing features, taken in sorted order so overlapping requests
-    cannot deadlock, and concurrent requests for those features wait on
-    them, while lookups of features already computed never wait. Entries are
-    only valid for the cache's scene, whose fingerprint is hashed only when
+    is computed at most once: a request reads the features already computed
+    without a lock, so such a lookup never waits, and computes the missing
+    ones, in sorted order, under the cache's one lock, after checking again
+    which of them another request has computed meanwhile. Entries are only
+    valid for the cache's scene, whose fingerprint is hashed only when
     ``execute`` is given another scene object.
     """
 
@@ -101,16 +101,11 @@ class FeatureCache:
         self.geometry: PairGeometry = precompute_geometry(scene)
         self._definitions = registry.snapshot() if isinstance(registry, EncoderRegistry) else dict(registry)
         self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
-        self._key_locks: dict[tuple[str, str], threading.Lock] = {}
-        self._lock = threading.Lock()  # guards _key_locks only
-
-    def _key_lock(self, key: tuple[str, str]) -> threading.Lock:
-        with self._lock:
-            return self._key_locks.setdefault(key, threading.Lock())
+        self._lock = threading.Lock()  # held while missing features are computed
 
     def _request(self, kind: str, names: Iterable[str], compute) -> dict:
         """The ``kind`` features of ``names`` by name; ``compute`` gets the
-        missing names, under their locks, and stores their features."""
+        missing names, sorted, under the lock, and stores their features."""
         found = {}
         missing: set[str] = set()
         for name in names:
@@ -120,21 +115,13 @@ class FeatureCache:
             else:
                 found[name] = feature
         if missing:
-            keys = sorted((kind, name) for name in missing)
-            held: list[threading.Lock] = []
-            try:
-                for key in keys:
-                    lock = self._key_lock(key)
-                    lock.acquire()
-                    held.append(lock)
-                # a request that held some of these locks first has computed those
-                pending = [key[1] for key in keys if key not in self._features]
+            ordered = sorted(missing)
+            with self._lock:
+                # a request that held the lock first may have computed some of these
+                pending = [name for name in ordered if (kind, name) not in self._features]
                 if pending:
                     compute(pending)
-            finally:
-                for lock in held:
-                    lock.release()
-            found.update((key[1], self._features[key]) for key in keys)
+            found.update((name, self._features[kind, name]) for name in ordered)
         return found
 
     def relation_features(self, relations: Iterable[str]) -> dict[str, RelationFeature]:

@@ -38,7 +38,7 @@ from .dsl import (
 from .expression import normalize_relation_name, relation_arity
 from .mutation import mutate_definition
 from .registry import EncoderRegistry
-from .scene import PairGeometry, Scene, load_scene, precompute_geometry
+from .scene import Scene, load_scene, precompute_geometry
 
 __all__ = [
     "SuiteError",
@@ -105,7 +105,6 @@ class TestSuite:
     relation: str
     cases: tuple[TestCase, ...]
     scenes: dict[str, Scene]
-    _geometry: dict[str, PairGeometry] = field(init=False, repr=False)
     _plan: GatherPlan = field(init=False, repr=False)
     # each case, in order, with its failure message
     _case_messages: tuple[tuple[TestCase, str], ...] = field(init=False, repr=False)
@@ -135,7 +134,6 @@ class TestSuite:
             anchors = set(referenced[2:])
             if anchors & {case.target, case.distractor}:
                 raise SuiteError(f"case {k}: anchors must differ from target and distractor")
-        self._geometry = {sid: precompute_geometry(s) for sid, s in self.scenes.items()}
         self._plan = self._gather_plan(arity)
         self._case_messages = tuple(
             (case, synthesize_error_message(case, self.scenes[case.scene_id], self.relation))
@@ -144,7 +142,7 @@ class TestSuite:
     def _gather_plan(self, arity: int) -> GatherPlan:
         """One plan over every scene: each case's (target, anchors) point in
         case order, then each case's (distractor, anchors) point."""
-        order = {sid: k for k, sid in enumerate(self._geometry)}
+        order = {sid: k for k, sid in enumerate(self.scenes)}
 
         def column(name: str) -> list[int]:
             return [self.scenes[c.scene_id].index_of[getattr(c, name)] for c in self.cases]
@@ -153,10 +151,7 @@ class TestSuite:
         for name in ("anchor", "anchor2")[:arity - 1]:
             index.append(column(name) * 2)
         segment = [order[c.scene_id] for c in self.cases] * 2
-        return GatherPlan(list(self._geometry.values()), segment, index)
-
-    def geometry(self, scene_id: str) -> PairGeometry:
-        return self._geometry[scene_id]
+        return GatherPlan([precompute_geometry(s) for s in self.scenes.values()], segment, index)
 
 
 @dataclass(frozen=True)

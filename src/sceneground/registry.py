@@ -25,7 +25,7 @@ class RegistryError(ValueError):
 
 
 def _bare(defn: EncoderDefinition) -> EncoderDefinition:
-    """A copy of ``defn`` without its memoized check, DAG and digest."""
+    """A copy of ``defn`` without its memoized check and digest."""
     return EncoderDefinition(relation=defn.relation, body=defn.body, metadata=defn.metadata)
 
 
@@ -63,7 +63,7 @@ class EncoderRegistry:
         """Append to the library and make the definition active.
 
         The library keeps a fresh copy of the definition, without its
-        memoized check and DAG, so a long search does not pin every winner's;
+        memoized check, so a long search does not pin every winner's;
         the active map keeps the compiled definition.
         """
         validate_definition(defn)

@@ -65,10 +65,6 @@ class BoundingBox:
         if any(s <= 0 for s in self.size):
             raise SceneError(f"size components must be strictly positive, got {self.size}")
 
-    def as_row(self) -> list[float]:
-        """Flat [cx, cy, cz, w, d, h] row, the wire order for scene files."""
-        return [*self.center, *self.size]
-
 
 def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
     """:class:`BoundingBox`'s rule over (N, 6) wire-order rows: True where a

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 __all__ = ["StubServer"]
 
@@ -36,11 +35,6 @@ class StubServer:
         self._lock = threading.Lock()
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
-
-    @classmethod
-    def from_dir(cls, path: str | Path, **kwargs) -> "StubServer":
-        files = sorted(Path(path).glob("*.txt"))
-        return cls([f.read_text(encoding="utf-8") for f in files], **kwargs)
 
     @property
     def base_url(self) -> str:

@@ -67,7 +67,13 @@ from sceneground.optimizer import (
     TestSuite,
     synthesize_error_message,
 )
-from sceneground.scene import PairGeometry, Scene, SceneError, normalize_label
+from sceneground.scene import (
+    PairGeometry,
+    Scene,
+    SceneError,
+    normalize_label,
+    precompute_geometry,
+)
 
 _HIGH_EPS = 1e-6
 
@@ -419,7 +425,7 @@ def dense_run_test_suite(defn: EncoderDefinition, suite: TestSuite,
     for case in suite.cases:
         scene = suite.scenes[case.scene_id]
         if case.scene_id not in features:
-            features[case.scene_id] = tree_walk_eval(defn, scene, suite.geometry(case.scene_id))
+            features[case.scene_id] = tree_walk_eval(defn, scene, precompute_geometry(scene))
         if _case_passes(features[case.scene_id], scene, case):
             passed += 1
         else:

@@ -222,8 +222,9 @@ def test_mixed_number_types_evaluate_as_the_tree_walk():
     for relation in ("near", "between"):
         defn = EncoderDefinition(relation=relation, body=body)
         compiled = compile_definition(defn)
-        assert [n for n in compiled.nodes if n[0] == "const"] == [("const", 1.0)] * 2
-        assert sum(n[0] == "get" for n in compiled.nodes) == 1
+        nodes = dsl._shared_dag((compiled,))[0]
+        assert [n for n in nodes if n[0] == "const"] == [("const", 1.0)] * 2
+        assert sum(n[0] == "get" for n in nodes) == 1
         reference = tree_walk_eval(defn, SCENE, GEOM).data
         assert eval_encoder(defn, SCENE, GEOM).data.tobytes() == reference.tobytes()
         index = tuple(np.array(t) for t in zip(*itertools.product(range(len(SCENE)),

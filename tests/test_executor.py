@@ -350,7 +350,7 @@ def test_feature_cache_stress_one_computation_per_feature(registry, monkeypatch)
 
 @pytest.mark.parametrize("requests", [
     (["near", "far"], ["far", "left"]),
-    (["near", "far"], ["far", "left"], ["left", "near"]),  # a cycle if locks went in request order
+    (["near", "far"], ["far", "left"], ["left", "near"]),  # requests that overlap in a cycle
 ])
 def test_overlapping_requests_evaluate_each_relation_once(registry, monkeypatch, requests):
     import sceneground.executor as executor_module
@@ -360,17 +360,10 @@ def test_overlapping_requests_evaluate_each_relation_once(registry, monkeypatch,
 
     def slow_eval(defns, *args, **kwargs):
         calls.extend(defn.relation for defn in defns)
-        time.sleep(0.02)  # holds the locks while the other requests arrive
+        time.sleep(0.02)  # holds the lock while the other requests arrive
         return original(defns, *args, **kwargs)
 
-    real_key_lock = FeatureCache._key_lock
-
-    def slow_key_lock(self, key):
-        time.sleep(0.01)  # every request holds its first lock before any takes a second
-        return real_key_lock(self, key)
-
     monkeypatch.setattr(executor_module, "eval_encoders", slow_eval)
-    monkeypatch.setattr(FeatureCache, "_key_lock", slow_key_lock)
     for seed in range(3):
         calls.clear()
         cache = FeatureCache(random_scene(np.random.default_rng(seed), 5, "s"), registry)

@@ -192,8 +192,12 @@ def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
     for _ in range(3):
         eval_encoders(group, scene, geom)
     assert len(built) == 1  # the program is built once and reused
+    for _ in range(3):
+        eval_encoder(group[0], scene, geom)
+    assert len(built) == 2  # so is a one-body program
     nodes, frees, outputs = dsl._shared_dag(tuple(compile_definition(d) for d in group))
-    assert len(nodes) == len(texts) < sum(len(compile_definition(d).nodes) for d in group)
+    assert len(nodes) == len(texts) < sum(len(dsl._shared_dag((compile_definition(d),))[0])
+                                          for d in group)
     assert all(pos not in dead for pos in outputs for dead in frees)  # roots are kept
     assert eval_encoders([], scene, geom) == []
     with pytest.raises(ValueError, match="one rank"):
@@ -201,16 +205,17 @@ def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
 
 
 def test_repeated_subtrees_compile_to_one_node():
-    compiled = compile_definition(encoder_to_dsl("between"))
-    assert len(compiled.nodes) == len(set(compiled.nodes)) < 100
-    assert compiled.nodes[-1][0] == "op"
+    nodes = dsl._shared_dag((compile_definition(encoder_to_dsl("between")),))[0]
+    assert len(nodes) == len(set(nodes)) < 100
+    assert nodes[-1][0] == "op"
     # children come before parents
-    for pos, node in enumerate(compiled.nodes):
+    for pos, node in enumerate(nodes):
         if node[0] == "op":
             assert all(child < pos for child in node[2])
     # signed zeros stay distinct constants
     body = op("add", const(0.0), const(-0.0))
-    nodes = compile_definition(EncoderDefinition(relation="large", body=body)).nodes
+    signed = compile_definition(EncoderDefinition(relation="large", body=body))
+    nodes = dsl._shared_dag((signed,))[0]
     assert len(nodes) == 3
 
 
@@ -437,7 +442,7 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
         per_scene = np.empty_like(batched)
         dense = np.empty_like(batched)
         for sid, scene in suite.scenes.items():
-            geom = suite.geometry(sid)
+            geom = precompute_geometry(scene)
             rows = [m for m, (s, _) in enumerate(points) if s == sid]
             index = tuple(np.array(column) for column in zip(*(points[m][1] for m in rows)))
             per_scene[rows] = eval_encoder_at(compiled, geom, index)
@@ -490,9 +495,9 @@ def test_dag_frees_intermediates_after_their_last_reader():
     import tracemalloc
 
     defn = encoder_to_dsl("between")
-    compiled = compile_definition(defn)
-    freed = sorted(p for frees in compiled.frees for p in frees)
-    assert freed == list(range(len(compiled.nodes) - 1))  # all but the root, once each
+    nodes, frees, _ = dsl._shared_dag((compile_definition(defn),))
+    freed = sorted(p for dying in frees for p in dying)
+    assert freed == list(range(len(nodes) - 1))  # all but the root, once each
     scene = random_scene(np.random.default_rng(8), 30, "peak")
     geom = precompute_geometry(scene)
     peaks = []

@@ -25,7 +25,6 @@ from test_cli import INPUT_FAULTS, write_input_fault
 # "module.qualified_name" of a caller -> why it reads a file itself
 ALLOWED = {
     "llm._load_template": "reads a prompt template shipped as package data, not an input file",
-    "stub_server.StubServer.from_dir": "loads a test fixture's canned replies",
 }
 
 

@@ -244,10 +244,8 @@ def test_config_from_env(monkeypatch):
     assert config.top_p == 0.95
 
 
-def test_stub_replies_from_fixture_files(tmp_path):
-    (tmp_path / "a_first.txt").write_text("first reply", encoding="utf-8")
-    (tmp_path / "b_second.txt").write_text("second reply", encoding="utf-8")
-    with StubServer.from_dir(tmp_path) as stub:
+def test_stub_replies_in_order_and_repeats_the_last():
+    with StubServer(["first reply", "second reply"]) as stub:
         client = LlmClient(fast_config(stub.base_url))
         bundle = assemble_prompt("parsing", utterance="x")
         assert client.complete(bundle, str)[0] == "first reply"

@@ -269,14 +269,15 @@ def test_fingerprint_is_memoized_and_matches_a_fresh_scene():
     assert scene.fingerprint() == before
     twin = scene_from_dict({
         "scene_id": scene.scene_id,
-        "objects": [{"id": o.id, "label": o.label, "bbox": o.bbox.as_row()}
+        "objects": [{"id": o.id, "label": o.label, "bbox": [*o.bbox.center, *o.bbox.size]}
                     for o in scene.objects],
     })
     assert twin == scene and twin.fingerprint() == before
     moved = scene_from_dict({
         "scene_id": scene.scene_id,
         "objects": [{"id": o.id, "label": o.label, "bbox": [o.bbox.center[0] + 1e-9,
-                                                            *o.bbox.as_row()[1:]]}
+                                                            *o.bbox.center[1:],
+                                                            *o.bbox.size]}
                     for o in scene.objects],
     })
     assert moved.fingerprint() != before
@@ -308,10 +309,12 @@ def test_columns_match_the_per_object_loader(objects):
     assert scene.normalized_labels == tuple(normalize_label(label) for label in labels)
     assert scene.boxes.shape == (len(ids), 6) and not scene.boxes.flags.writeable
     assert scene.boxes.tobytes() == np.array(rows, dtype=np.float64).tobytes()  # -0.0 kept
-    assert [(o.id, o.label, o.bbox.as_row()) for o in scene.objects] == list(zip(ids, labels, rows))
+    assert ([(o.id, o.label, [*o.bbox.center, *o.bbox.size]) for o in scene.objects]
+            == list(zip(ids, labels, rows)))
     assert scene.objects is scene.objects
     again = scene_from_dict({"scene_id": "s", "objects": [
-        {"id": o.id, "label": o.label, "bbox": o.bbox.as_row()} for o in scene.objects]})
+        {"id": o.id, "label": o.label, "bbox": [*o.bbox.center, *o.bbox.size]}
+        for o in scene.objects]})
     assert again == scene and again.boxes.tobytes() == scene.boxes.tobytes()
     assert scene.fingerprint() == reference_fingerprint("s", ids, labels, rows)
     geom = precompute_geometry(scene)
