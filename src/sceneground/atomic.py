@@ -59,10 +59,12 @@ def load_json(path: str | Path, error: type[Exception], build: Callable[[dict], 
 def load_lines(path: str | Path, error: type[Exception], build: Callable[[str], T]) -> list[T]:
     """``build`` applied to each non-blank line of the file at ``path``, in
     order; an ``error`` that ``build`` raises gets ``{path}:{lineno}: `` in
-    front of its text, and an unreadable file raises ``error``."""
+    front of its text, and an unreadable file raises ``error``. Lines end
+    only at newlines (``\r\n`` and ``\r`` read as one), so a line separator
+    such as U+2028 inside a JSON string stays in its line."""
     path = Path(path)
     out = []
-    for lineno, line in enumerate(_read_text(path, error).splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, error).split("\n"), 1):
         if line.strip():
             try:
                 out.append(build(line))

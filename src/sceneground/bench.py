@@ -81,12 +81,16 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
     own. Every entry must name a loaded scene and a ground-truth object id
     in it; a bad line raises :class:`DatasetError` naming ``file:line``, and
     so does an expressions file that cannot be read (a missing dataset among
-    them).
+    them). Two scene files with one ``scene_id`` raise it naming both.
     """
     dataset_dir = Path(dataset_dir)
     scenes: dict[str, Scene] = {}
+    paths: dict[str, Path] = {}
     for path in sorted((dataset_dir / "scenes").glob("*.json")):
         scene = load_scene(path)
+        first = paths.setdefault(scene.scene_id, path)
+        if first != path:
+            raise DatasetError(f"{path}: scene_id {scene.scene_id!r} is also that of {first}")
         scenes[scene.scene_id] = scene
     expr_path = dataset_dir / "expressions.jsonl"
     entries = load_lines(expr_path, DatasetError, lambda line: _parse_entry(line, scenes))

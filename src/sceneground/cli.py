@@ -1,8 +1,9 @@
 """Command-line surface: parse, ground, optimize, bench.
 
 Every subcommand accepts ``--config file.json`` holding the same fields as
-its flags; precedence is flags > config > defaults. Exit codes: 0 success,
-1 runtime error, 2 input validation error.
+its flags; a key that no subcommand has a flag for is an error. Precedence
+is flags > config > defaults. Exit codes: 0 success, 1 runtime error, 2
+input validation error.
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report file (default stdout)")
     p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.set_defaults(func=cmd_bench)
+    # one config file may serve every subcommand, so any subcommand's option is a known key
+    options = {dest for command in sub.choices.values() for dest in vars(command.parse_args([]))}
+    parser.set_defaults(config_keys=options - {"func", "config"})
     return parser
 
 
@@ -281,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_json(args.config, CliError, dict) if args.config else {}
+        for key in config:
+            if key not in args.config_keys:
+                raise CliError(f"{args.config}: unknown option {key!r}")
         return args.func(args, config)
     except (CliError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)

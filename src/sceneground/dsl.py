@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import load_json, write_text_atomic
-from .expression import ALL_RELATIONS, relation_arity
+from .expression import ALL_RELATIONS, ExpressionError, relation_arity
 from .scene import PairGeometry, Scene
 
 __all__ = [
@@ -531,10 +531,14 @@ def compile_definition(defn: EncoderDefinition, root: NodeSummary | None = None
     ``root``, the body's root summary made by the node rule from checked
     summaries (as mutation builds a child), leaves only the caps to check:
     ``height``, ``size`` and ``objs``. A body past one is checked in full,
-    for its first fault's text and ``body.args[..]`` path."""
+    for its first fault's text and ``body.args[..]`` path. An unknown
+    relation is a fault too."""
     compiled = defn.__dict__.get("_compiled")
     if compiled is None:
-        rank = relation_arity(defn.relation)
+        try:
+            rank = relation_arity(defn.relation)
+        except ExpressionError as exc:
+            raise DefinitionError(str(exc)) from None
         if (root is None or root.height > MAX_TREE_DEPTH or root.size > MAX_TREE_NODES
                 or root.objs >> rank):
             root = _check_and_compile(defn.body, rank)

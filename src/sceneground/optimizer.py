@@ -35,7 +35,7 @@ from .dsl import (
     compile_definition,
     eval_gathered,
 )
-from .expression import normalize_relation_name, relation_arity
+from .expression import ExpressionError, normalize_relation_name, relation_arity
 from .mutation import mutate_definition
 from .registry import EncoderRegistry
 from .scene import Scene, load_scene, precompute_geometry
@@ -112,7 +112,10 @@ class TestSuite:
     def __post_init__(self) -> None:
         if not self.cases:
             raise SuiteError(f"suite for {self.relation!r} has no cases")
-        arity = relation_arity(self.relation)
+        try:
+            arity = relation_arity(self.relation)
+        except ExpressionError as exc:
+            raise SuiteError(str(exc)) from None
         for k, case in enumerate(self.cases):
             scene = self.scenes.get(case.scene_id)
             if scene is None:

@@ -3,18 +3,20 @@
 A scene is an ordered collection of axis-aligned bounding boxes with category
 labels, stored as columns: a tuple of object ids, a tuple of labels and one
 read-only (N, 6) float64 array of boxes in the wire order
-``[cx, cy, cz, w, d, h]``. :func:`scene_from_dict` builds the columns and
-the :class:`Scene` constructor validates all boxes in one array pass and
-keeps the labels' :func:`normalize_label` forms, which
-:func:`exact_match_rows`, the one exact-match helper, reads.
-:attr:`Scene.objects` is the per-object view, built on first read. All
-relation encoders consume the same :class:`PairGeometry`, computed once per
-scene. Axis convention: z is up; ``size = (width, depth, height)`` is the
-extent along x, y, z respectively.
+``[cx, cy, cz, w, d, h]``. One rule, :func:`_check_object`, says what a
+valid object is: the :class:`Scene` constructor applies it to all objects in
+bulk, and :func:`scene_from_dict` walks faulty input through it object by
+object. The constructor keeps the labels' :func:`normalize_label` forms,
+which :func:`exact_match_rows`, the one exact-match helper, reads.
+:attr:`Scene.objects` is a read-only per-object view, built on first read.
+All relation encoders consume the same :class:`PairGeometry`, computed once
+per scene. Axis convention: z is up; ``size = (width, depth, height)`` is
+the extent along x, y, z respectively.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -53,36 +55,21 @@ def normalize_label(text: str) -> str:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box: center (cx, cy, cz) and size (width, depth, height)."""
+    """Axis-aligned box: center (cx, cy, cz) and size (width, depth, height).
+    Part of the read-only view that :attr:`Scene.objects` builds from checked
+    columns; it checks nothing itself."""
 
     center: tuple[float, float, float]
     size: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        for v in (*self.center, *self.size):
-            if not math.isfinite(v):
-                raise SceneError(f"non-finite bounding box component: {v!r}")
-        if any(s <= 0 for s in self.size):
-            raise SceneError(f"size components must be strictly positive, got {self.size}")
-
-
-def _bad_boxes(boxes: np.ndarray) -> np.ndarray:
-    """:class:`BoundingBox`'s rule over (N, 6) wire-order rows: True where a
-    component is non-finite or a size is not strictly positive."""
-    return ~np.isfinite(boxes).all(axis=1) | (boxes[:, 3:] <= 0.0).any(axis=1)
-
 
 @dataclass(frozen=True)
 class SceneObject:
+    """One object of :attr:`Scene.objects`' read-only view."""
+
     id: int
     label: str
     bbox: BoundingBox
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise SceneError(f"object id must be non-negative, got {self.id}")
-        if not normalize_label(self.label):
-            raise SceneError(f"object {self.id}: label must not be empty or only whitespace")
 
 
 @dataclass(frozen=True)
@@ -134,11 +121,11 @@ class Scene:
     read-only (N, 6) float64 array whose row k is object k's
     ``[cx, cy, cz, w, d, h]``. Position k is stable for the lifetime of the
     scene; all feature arrays are indexed by position, with :attr:`index_of`
-    translating object ids. The constructor applies :class:`SceneObject`'s
-    and :class:`BoundingBox`'s rules to the columns in bulk and keeps each
-    label's :func:`normalize_label` as ``normalized_labels``; scene files and
-    wire-format dicts are read with :func:`scene_from_dict`. Two scenes are
-    equal when their contents are.
+    translating object ids. The constructor applies the object rule
+    (:func:`_check_object`) to the columns in bulk, then rejects a repeated
+    id, and keeps each label's :func:`normalize_label` as
+    ``normalized_labels``; scene files and wire-format dicts are read with
+    :func:`scene_from_dict`. Two scenes are equal when their contents are.
     """
 
     scene_id: str
@@ -280,31 +267,43 @@ def precompute_geometry(scene: Scene) -> PairGeometry:
 _PLAIN_NUMBERS = frozenset((int, float))
 
 
-def _check_objects(ids: tuple[int, ...] | list[int], labels: tuple[str, ...] | list[str],
-                   boxes: np.ndarray) -> tuple[str, ...]:
-    """Apply :class:`SceneObject`'s and :class:`BoundingBox`'s rules to
-    columns in bulk and return the normalized labels.
+def _check_object(oid: int, label: str, row: list[float]) -> None:
+    """The rule for one object, with ``row`` its wire-order floats: finite
+    components, then strictly positive sizes, then a non-negative id, then a
+    non-blank label. The first broken part raises."""
+    for v in row:
+        if not math.isfinite(v):
+            raise SceneError(f"object id {oid}: non-finite bounding box component: {v!r}")
+    if any(s <= 0 for s in row[3:]):
+        raise SceneError(f"object id {oid}: size components must be strictly positive, "
+                         f"got {tuple(row[3:])}")
+    if oid < 0:
+        raise SceneError(f"object id {oid}: object id must be non-negative, got {oid}")
+    if not normalize_label(label):
+        raise SceneError(f"object id {oid}: object {oid}: label must not be empty "
+                         f"or only whitespace")
 
-    The first faulty object in position order is reported, with the text the
-    per-object check gives.
-    """
+
+def _check_objects(ids: tuple[int, ...], labels: tuple[str, ...],
+                   boxes: np.ndarray) -> tuple[str, ...]:
+    """Apply :func:`_check_object` to non-empty columns in bulk, flagging
+    faulty objects with array passes, and return the normalized labels; the
+    first flagged object in position order raises with its own text."""
     normalized = tuple(map(normalize_label, labels))
-    bad = np.flatnonzero(_bad_boxes(boxes)).tolist()
-    if ids and (min(ids) < 0 or not all(normalized)):
+    bad = np.flatnonzero(~np.isfinite(boxes).all(axis=1)
+                         | (boxes[:, 3:] <= 0.0).any(axis=1)).tolist()
+    if min(ids) < 0 or not all(normalized):
         bad += [pos for pos, oid in enumerate(ids) if oid < 0 or not normalized[pos]]
     if bad:
         pos = min(bad)
-        row = boxes[pos].tolist()
-        try:
-            SceneObject(id=ids[pos], label=labels[pos],
-                        bbox=BoundingBox(center=tuple(row[:3]), size=tuple(row[3:])))
-        except SceneError as exc:
-            raise SceneError(f"object id {ids[pos]}: {exc}") from None
+        _check_object(ids[pos], labels[pos], boxes[pos].tolist())
     return normalized
 
 
-def _entry_fields(entry: object, position: int) -> tuple[int, str, list]:
-    """One wire-format object's id, label and bbox, with their types checked."""
+def _entry_fields(entry: object, position: int) -> tuple[int, str, list[float]]:
+    """One wire-format object's id, label and float bbox row: its field
+    types are checked, then :func:`_check_object`. The one walk over faulty
+    objects; :func:`scene_from_dict` runs it only when its columns fail."""
     if not isinstance(entry, dict):
         raise SceneError(f"objects[{position}]: expected an object, got {type(entry).__name__}")
     try:
@@ -319,22 +318,18 @@ def _entry_fields(entry: object, position: int) -> tuple[int, str, list]:
         raise SceneError(f"objects[{position}] (id {oid}): label must be a string")
     if not isinstance(bbox, list) or len(bbox) != 6:
         raise SceneError(f"objects[{position}] (id {oid}): bbox must be [cx, cy, cz, w, d, h]")
-    if not _PLAIN_NUMBERS.issuperset(map(type, bbox)):  # else each value is an int or float
-        for k, v in enumerate(bbox):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SceneError(f"objects[{position}] (id {oid}): bbox[{k}] is not a number")
-    return oid, label, bbox
-
-
-def _first_overflow(rows: list[list]) -> tuple[int, int]:
-    """Position and component of the first bbox value too large for a float."""
-    for position, row in enumerate(rows):
-        for k, v in enumerate(row):
-            try:
-                float(v)
-            except OverflowError:
-                return position, k
-    raise AssertionError("no bbox value overflows")
+    for k, v in enumerate(bbox):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise SceneError(f"objects[{position}] (id {oid}): bbox[{k}] is not a number")
+    row = []
+    for k, v in enumerate(bbox):
+        try:
+            row.append(float(v))
+        except OverflowError:  # an integer beyond float range
+            raise SceneError(f"objects[{position}] (id {oid}): bbox[{k}] "
+                             f"is too large for a float") from None
+    _check_object(oid, label, row)
+    return oid, label, row
 
 
 def _parse_similarities(raw: object) -> SimilarityTable:
@@ -377,10 +372,10 @@ def scene_from_dict(raw: dict) -> Scene:
 
     The objects' field types are checked as columns, one type test per
     column, and the boxes become one array; :class:`Scene` checks the
-    values in bulk. Only a column that fails its test is walked object by
-    object, to word the fault. The first faulty object in object order is
-    reported, with the text the per-object check gives, and object faults
-    come before a similarity table's.
+    values in bulk. Only when the type test fails or a value overflows a
+    float are the objects walked, in order, through :func:`_entry_fields`,
+    which raises the first faulty object's fault. Object faults come before
+    a similarity table's.
     """
     scene_id = raw.get("scene_id")
     if not isinstance(scene_id, str):
@@ -388,34 +383,16 @@ def scene_from_dict(raw: dict) -> Scene:
     entries = raw.get("objects")
     if not isinstance(entries, list) or not entries:
         raise SceneError(f"scene {scene_id!r}: objects must be a non-empty list")
-    fault: SceneError | None = None  # a type fault; objects before it are checked first
+    boxes = None
     columns = _columns(entries)
-    if columns is None:
-        ids: list[int] = []
-        labels: list[str] = []
-        rows: list[list] = []
-        for position, entry in enumerate(entries):
-            try:
-                oid, label, bbox = _entry_fields(entry, position)
-            except SceneError as exc:
-                fault = exc
-                break
-            ids.append(oid)
-            labels.append(label)
-            rows.append(bbox)
-    else:
+    if columns is not None:
         ids, labels, rows = columns
-    try:
-        boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
-    except OverflowError:  # an integer beyond float range
-        position, k = _first_overflow(rows)
-        fault = SceneError(f"objects[{position}] (id {ids[position]}): bbox[{k}] "
-                           f"is too large for a float")
-        del ids[position:], labels[position:], rows[position:]
-        boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
-    if fault is not None:
-        _check_objects(ids, labels, boxes)
-        raise fault
+        with contextlib.suppress(OverflowError):  # an integer beyond float range
+            boxes = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    if boxes is None:
+        ids, labels, rows = zip(*(_entry_fields(entry, position)
+                                  for position, entry in enumerate(entries)))
+        boxes = np.array(rows, dtype=np.float64)
     similarities = None
     if "similarities" in raw:
         try:

@@ -484,6 +484,19 @@ def test_an_unreadable_expressions_file_is_a_dataset_error(dataset, tmp_path, ki
     assert str(raised.value) == f"cannot read {path}: {reason.format(file=path)}"
 
 
+def test_two_scene_files_with_one_scene_id_are_a_dataset_error(dataset, tmp_path):
+    """A second scene file with an earlier file's ``scene_id`` is refused,
+    naming both files, instead of replacing that scene."""
+    copy = tmp_path / "ds"
+    shutil.copytree(dataset, copy)
+    first = copy / "scenes" / "mini_prox.json"
+    second = copy / "scenes" / "mini_prox_copy.json"
+    shutil.copy(first, second)
+    with pytest.raises(DatasetError) as raised:
+        load_dataset(copy)
+    assert str(raised.value) == f"{second}: scene_id 'mini_prox' is also that of {first}"
+
+
 def test_a_good_line_loads_with_its_aliases(dataset, tmp_path):
     copy = tmp_path / "ds"
     shutil.copytree(dataset / "scenes", copy / "scenes")

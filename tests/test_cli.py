@@ -52,6 +52,19 @@ def test_parse_jsonl_batch(tmp_path):
     assert all(json.loads(line)["category"] == "chair" for line in lines)
 
 
+def test_parse_in_reads_its_own_output(tmp_path):
+    """``parse`` writes non-ASCII text raw, line separators such as U+2028
+    and U+0085 included, and ``parse --in`` reads that output back."""
+    src = tmp_path / "raw.json"
+    src.write_text(CHAIR_EXPR.replace('"table"', '"table\u2028lamp\u0085"'), encoding="utf-8")
+    first = tmp_path / "first.jsonl"
+    second = tmp_path / "second.jsonl"
+    assert main(["parse", "--offline-expr", str(src), "--out", str(first)]) == 0
+    assert "\u2028" in first.read_text(encoding="utf-8")
+    assert main(["parse", "--in", str(first), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_ground_argmax_and_determinism(dataset, tmp_path):
     expr = tmp_path / "expr.json"
     expr.write_text(CHAIR_EXPR, encoding="utf-8")
@@ -272,6 +285,40 @@ def _patched(**changes):
         return {k: v for k, v in raw.items() if v is not None}
 
     return _bench_with_line(patch)
+
+
+def _unknown_relation(option):
+    """``ground --registry`` whose library holds an entry for relation
+    ``foo``, or ``optimize --suite`` over a suite for ``foo``."""
+
+    def build(dataset, tmp_path):
+        if option == "--suite":
+            suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+            raw = json.loads(suite_path.read_text(encoding="utf-8"))
+            suite_path.write_text(json.dumps({**raw, "relation": "foo"}), encoding="utf-8")
+            return ["optimize", "--relation", "near", "--suite", str(suite_path),
+                    "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json")], \
+                f"error: {suite_path}: unknown relation 'foo'; known relations: "
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps({"library": [{"relation": "foo", "body": {"const": 1}}]}),
+                            encoding="utf-8")
+        return ["ground", "--scene", str(dataset / "scenes" / "mini_prox.json"),
+                "--expr", str(expr), "--registry", str(registry)], \
+            f"error: {registry}: library[0]: unknown relation 'foo'; known relations: "
+
+    return build
+
+
+def _parse_config_unknown_key(dataset, tmp_path):
+    """``parse`` with a config key that no subcommand has a flag for."""
+    expr = tmp_path / "expr.json"
+    expr.write_text(CHAIR_EXPR, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"top_k": 2, "n_iters": 1}), encoding="utf-8")
+    return ["parse", "--offline-expr", str(expr), "--config", str(config)], \
+        f"error: {config}: unknown option 'n_iters'\n"
 
 
 def _ground_top_k(top_k):
@@ -680,6 +727,9 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     *[_faulty_input(option, fault) for option, fault in FAULTY_INPUTS],
     _parse_in_broken_line,
     _parse_in_no_entries,
+    _unknown_relation("--registry"),
+    _unknown_relation("--suite"),
+    _parse_config_unknown_key,
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -700,7 +750,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         *[f"{command}_{option[2:]}_no_parent" for command, option in OUTPUTS_WITHOUT_PARENT],
         "utterance_not_a_string",
         *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
-        "parse_in_bad_line_3", "parse_in_no_entries"])
+        "parse_in_bad_line_3", "parse_in_no_entries", "registry_unknown_relation",
+        "suite_unknown_relation", "config_unknown_key"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

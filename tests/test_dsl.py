@@ -197,6 +197,7 @@ def test_definition_file_roundtrip(tmp_path):
     ("not utf-8", "cannot read {path}: "),
     ("truncated", "{path}: invalid JSON at line 1 column 31: Expecting value"),
     ("nested", "{path}: JSON nested too deeply"),
+    ("unknown relation", "{path}: unknown relation 'foo'; known relations: large, small, "),
 ])
 def test_load_definition_raises_its_own_error(tmp_path, fault, expected):
     path = tmp_path / "above.json"
@@ -208,6 +209,8 @@ def test_load_definition_raises_its_own_error(tmp_path, fault, expected):
         path.write_text('{"relation": "above", "body": ')
     elif fault == "nested":
         path.write_text('{"relation": "above", "body": ' + "[" * 100_000)
+    elif fault == "unknown relation":
+        path.write_text('{"relation": "foo", "body": {"const": 1}}')
     with pytest.raises(DefinitionError) as info:
         load_definition(path)
     assert str(info.value).startswith(expected.format(path=path))

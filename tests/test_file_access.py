@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sceneground
+from sceneground.atomic import load_lines
 from sceneground.bench import DatasetError, load_dataset
 from sceneground.cli import main
 from sceneground.dsl import DefinitionError, load_definition
@@ -136,3 +137,18 @@ def test_a_bad_registry_entry_names_the_file_and_the_entry(tmp_path):
     path.write_text(json.dumps({"active": {"near": bad}}), encoding="utf-8")
     assert _raised(DefinitionError, load_registry, path) \
         == f'{path}: active["near"]: body: unknown accessor []'
+
+
+@pytest.mark.parametrize("text, values", [
+    ('"a"\n\n"b"\n', ["a", "b"]),
+    ('"a"\r\n"b"', ["a", "b"]),
+    ('"a"\r"b"\r', ["a", "b"]),
+    ('"a\u2028b"\n"\u2029"\n', ["a\u2028b", "\u2029"]),
+    ('"a\u0085b"\n', ["a\u0085b"]),
+], ids=["lf", "crlf", "cr", "line_separators", "next_line"])
+def test_lines_end_only_at_newlines(tmp_path, text, values):
+    """A JSON string may hold U+2028, U+2029 or U+0085 raw; only ``\\n``,
+    ``\\r\\n`` and ``\\r`` end a line."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_lines(path, ValueError, json.loads) == values
