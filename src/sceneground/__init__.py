@@ -4,6 +4,14 @@ Referring expressions are parsed into a symbolic form, spatial relations are
 quantified by code-defined encoders over bounding-box geometry, and a
 recursive executor ranks scene objects. Encoder candidates are expression
 trees that can be mutated and optimized against triplet test suites.
+
+Importing the package loads the modules that grounding and the encoder
+search use. The LLM client's names (``EndpointConfig``,
+``LlmClient``, ``LlmError``, ``PromptBundle``, ``UsageLedger``,
+``assemble_prompt``, ``parse_utterance_via_llm``) and
+``generate_mini_benchmark``, and the ``llm`` and ``minibench`` submodules
+themselves, resolve on first use through the module ``__getattr__`` (PEP
+562): a process that never names them never runs ``llm`` or ``minibench``.
 """
 
 from .scene import (
@@ -62,15 +70,28 @@ from .optimizer import (
     select_top_k,
     synthesize_error_message,
 )
-from .llm import (
-    EndpointConfig,
-    LlmClient,
-    LlmError,
-    PromptBundle,
-    UsageLedger,
-    assemble_prompt,
-    parse_utterance_via_llm,
-)
-from .minibench import generate_mini_benchmark
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    **dict.fromkeys(("EndpointConfig", "LlmClient", "LlmError", "PromptBundle", "UsageLedger",
+                     "assemble_prompt", "parse_utterance_via_llm"), "llm"),
+    "generate_mini_benchmark": "minibench",
+}
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _LAZY.values():  # the submodule itself; importing it binds it here
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

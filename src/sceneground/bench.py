@@ -8,11 +8,8 @@ the input order regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -196,7 +193,13 @@ def run_bench(
             wall_ms=wall_ms,
         ), score
 
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:  # one worker runs inline and never loads the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool_context = ThreadPoolExecutor(max_workers=workers)
+    else:
+        pool_context = nullcontext()
+    with pool_context as pool:
         each = map if pool is None else pool.map
         started = time.perf_counter()
         features = dict(zip(scenes, each(features_of, scenes)))
@@ -268,7 +271,11 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
 
 
 def _csv_text(rows) -> str:
-    """``rows`` in the ``csv`` module's default dialect (CRLF line ends)."""
+    """``rows`` in the ``csv`` module's default dialect (CRLF line ends).
+    Only ``--plots`` writes CSV, so ``csv`` is imported here."""
+    import csv
+    import io
+
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
     return buffer.getvalue()

@@ -1,5 +1,9 @@
 """Command-line surface: parse, ground, optimize, bench.
 
+A subcommand imports what it runs: only ``parse --utterance`` and
+``optimize --source llm`` load the LLM client, so ``ground``, ``bench`` and
+the offline ``parse`` forms never do.
+
 Every subcommand accepts ``--config file.json`` holding the same fields as
 its flags; a key that no subcommand has a flag for is an error. Precedence
 is flags > config > defaults. Exit codes: 0 success, 1 runtime error, 2
@@ -26,7 +30,6 @@ from .expression import (
     parse_expression,
     serialize_expression,
 )
-from .llm import EndpointConfig, LlmError, parse_utterance_via_llm
 from .optimizer import (
     MutationSource,
     OptimizerConfig,
@@ -121,6 +124,8 @@ def cmd_parse(args: argparse.Namespace, config: dict) -> int:
         return 0
     if not utterance:
         raise CliError("need --utterance, --in, or --offline-expr")
+    from .llm import EndpointConfig, LlmError, parse_utterance_via_llm
+
     try:
         expr = parse_utterance_via_llm(utterance, EndpointConfig.from_env())
     except (LlmError, ExpressionError) as exc:
@@ -170,7 +175,7 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     registry = load_registry(registry_path) if Path(registry_path).exists() else EncoderRegistry()
     client = None
     if source_kind == "llm":
-        from .llm import LlmClient
+        from .llm import EndpointConfig, LlmClient
         from .optimizer import LlmSource
 
         client = LlmClient(EndpointConfig.from_env())
@@ -292,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, *VALIDATION_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExecutionError, LlmError, OSError, ValueError, RuntimeError) as exc:
+    except (ExecutionError, OSError, ValueError, RuntimeError) as exc:  # LlmError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ them instead of executing again.
 
 from __future__ import annotations
 
-import logging
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -52,8 +51,6 @@ __all__ = [
     "condition_level_eval",
     "condition_precision_recall",
 ]
-
-logger = logging.getLogger(__name__)
 
 CATEGORY_SCALE = 100.0
 
@@ -183,7 +180,9 @@ def category_features(scene: Scene, categories: list[str]) -> dict[str, Category
             if column is not None:
                 sims[q] = column
     for q in np.flatnonzero(~sims.any(axis=1)):
-        logger.warning(
+        import logging  # only a warning loads it
+
+        logging.getLogger(__name__).warning(
             "category %r matches nothing in scene %s; scores fall back to uniform",
             categories[q], scene.scene_id,
         )
@@ -358,7 +357,10 @@ def condition_precision_recall(
             truth.setdefault(group, set()).add(ground_truth)
 
     if not predicted:
-        logger.warning("condition-level evaluation saw no conditions; scoring (1.0, 1.0)")
+        import logging  # only a warning loads it
+
+        logging.getLogger(__name__).warning(
+            "condition-level evaluation saw no conditions; scoring (1.0, 1.0)")
         return 1.0, 1.0
 
     precisions = []

@@ -17,7 +17,6 @@ its own retrying; a source that fails aborts the search.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import compress, product
 from operator import not_
@@ -61,8 +60,6 @@ __all__ = [
     "LlmSource",
     "load_suite",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class SuiteError(ValueError):
@@ -318,7 +315,9 @@ def retrieve_example(
         return None
     accepted = registry.accepted_definition(predecessor)
     if accepted is None:
-        logger.warning(
+        import logging  # only a warning loads it
+
+        logging.getLogger(__name__).warning(
             "example graph names %r as predecessor of %r, but no encoder for it "
             "was accepted yet", predecessor, relation,
         )
