@@ -58,7 +58,6 @@ from .executor import (
 )
 from .optimizer import (
     CandidateReport,
-    ExampleGraph,
     MutationSource,
     OptimizerConfig,
     TestCase,

@@ -28,6 +28,7 @@ from .expression import (
     expression_from_dict,
     normalize_relation_name,
     parse_expression,
+    relation_arity,
     serialize_expression,
 )
 from .optimizer import (
@@ -160,6 +161,7 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     if not isinstance(relation, str):
         raise CliError(f"--relation must be a string, got {relation!r}")
     relation = normalize_relation_name(relation)
+    relation_arity(relation)  # an unknown name is an ExpressionError before the suite is read
     suite_path = _resolve_path(args, config, "suite", required=True)
     scenes_dir = _resolve_path(args, config, "scenes", required=True)
     source_kind = _resolve(args, config, "source", "mutate")

@@ -1,8 +1,9 @@
 """JSON-based symbolic expression language for referring utterances.
 
 An expression names a target category and constrains it with relation
-clauses; each clause anchors on nested sub-expressions. The relation
-vocabulary is closed and every relation has a fixed arity.
+clauses; each clause anchors on nested sub-expressions. A relation is
+declared by its row in :data:`RELATIONS`, which holds its arity and its
+in-context example; every other list of relations derives from that table.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from .scene import normalize_label
 
 __all__ = [
     "ExpressionError",
-    "UNARY_RELATIONS",
-    "BINARY_RELATIONS",
-    "TERNARY_RELATIONS",
+    "RelationSpec",
+    "RELATIONS",
     "ALL_RELATIONS",
     "relation_arity",
     "normalize_relation_name",
@@ -31,17 +31,37 @@ __all__ = [
     "collect_categories",
 ]
 
-UNARY_RELATIONS = (
-    "large", "small", "high", "low",
-    "on_the_floor", "against_the_wall", "at_the_corner",
-)
-BINARY_RELATIONS = ("near", "far", "above", "below", "left", "right", "front", "behind")
-TERNARY_RELATIONS = ("between",)
-ALL_RELATIONS = UNARY_RELATIONS + BINARY_RELATIONS + TERNARY_RELATIONS
 
-_ARITY = {name: 1 for name in UNARY_RELATIONS}
-_ARITY.update({name: 2 for name in BINARY_RELATIONS})
-_ARITY.update({name: 3 for name in TERNARY_RELATIONS})
+@dataclass(frozen=True)
+class RelationSpec:
+    """A relation's row: its arity (1 unary, 2 binary, 3 ternary) and the
+    relation whose accepted encoder is its in-context example, if any."""
+
+    arity: int
+    example: str | None = None
+
+
+# The relation set U, in builtin and registry-file order. An ``example`` edge
+# A -> B pairs similar relations: A's encoder is the in-context example for B.
+RELATIONS = {
+    "large": RelationSpec(1),
+    "small": RelationSpec(1, example="large"),
+    "high": RelationSpec(1),
+    "low": RelationSpec(1, example="high"),
+    "on_the_floor": RelationSpec(1, example="against_the_wall"),
+    "against_the_wall": RelationSpec(1),
+    "at_the_corner": RelationSpec(1),
+    "near": RelationSpec(2),
+    "far": RelationSpec(2, example="near"),
+    "above": RelationSpec(2),
+    "below": RelationSpec(2, example="above"),
+    "left": RelationSpec(2),
+    "right": RelationSpec(2, example="left"),
+    "front": RelationSpec(2),
+    "behind": RelationSpec(2, example="front"),
+    "between": RelationSpec(3, example="near"),
+}
+ALL_RELATIONS = tuple(RELATIONS)
 
 MAX_DEPTH = 8
 
@@ -58,7 +78,7 @@ def normalize_relation_name(name: str) -> str:
 def relation_arity(name: str) -> int:
     """Arity of a canonical relation name (1, 2 or 3)."""
     try:
-        return _ARITY[name]
+        return RELATIONS[name].arity
     except KeyError:
         raise ExpressionError(
             f"unknown relation {name!r}; known relations: {', '.join(ALL_RELATIONS)}"
@@ -114,9 +134,11 @@ def _clause_from_dict(raw: object, depth: int, where: tuple) -> RelationClause:
     if name is None and "relation_name" not in raw:
         name = raw.get("relation")
     if not isinstance(name, str):
-        raise ExpressionError(f"{_path(where)}: missing relation_name")
-    canonical = name if name in _ARITY else normalize_relation_name(name)
-    if canonical not in _ARITY:
+        key = "relation_name" if "relation_name" in raw else "relation"
+        fault = "missing relation_name" if name is None else f"{key} must be a string"
+        raise ExpressionError(f"{_path(where)}: {fault}")
+    canonical = name if name in RELATIONS else normalize_relation_name(name)
+    if canonical not in RELATIONS:
         raise ExpressionError(f"{_path(where)}: unknown relation {name!r}; "
                               f"known relations: {', '.join(ALL_RELATIONS)}")
     anchors_raw = raw.get("anchors")

@@ -34,7 +34,7 @@ from .dsl import (
     compile_definition,
     eval_gathered,
 )
-from .expression import ExpressionError, normalize_relation_name, relation_arity
+from .expression import RELATIONS, ExpressionError, normalize_relation_name, relation_arity
 from .mutation import mutate_definition
 from .registry import EncoderRegistry
 from .scene import Scene, load_scene, precompute_geometry
@@ -48,7 +48,6 @@ __all__ = [
     "CandidateReport",
     "SearchMemo",
     "OptimizerConfig",
-    "ExampleGraph",
     "default_example_graph",
     "run_test_suite",
     "synthesize_error_message",
@@ -262,55 +261,16 @@ def select_top_k(reports: list[CandidateReport], k: int) -> list[CandidateReport
     return sorted(reports, key=lambda r: -r.pass_rate)[:k]
 
 
-class ExampleGraph:
-    """In-context example selection: an edge A -> B means A's accepted
-    encoder seeds the generation prompt for B. Each node has at most one
-    predecessor and the graph is acyclic."""
-
-    def __init__(self, edges: list[tuple[str, str]]):
-        self._predecessor: dict[str, str] = {}
-        for src, dst in edges:
-            relation_arity(src)
-            relation_arity(dst)
-            if dst in self._predecessor:
-                raise ValueError(f"relation {dst!r} already has predecessor "
-                                 f"{self._predecessor[dst]!r}")
-            self._predecessor[dst] = src
-        for start in self._predecessor:
-            seen = {start}
-            node = start
-            while node in self._predecessor:
-                node = self._predecessor[node]
-                if node in seen:
-                    raise ValueError(f"example graph has a cycle through {node!r}")
-                seen.add(node)
-
-    def predecessor(self, relation: str) -> str | None:
-        return self._predecessor.get(relation)
+def default_example_graph() -> dict[str, str]:
+    """The example graph ``{B: A}``, the ``example`` column of ``RELATIONS``:
+    an edge A -> B means A's accepted encoder seeds the generation prompt for B."""
+    return {name: spec.example for name, spec in RELATIONS.items() if spec.example}
 
 
-def default_example_graph() -> ExampleGraph:
-    """Default pairing of structurally similar relations; the complements are
-    generated with their counterpart as the in-context example."""
-    return ExampleGraph([
-        ("near", "far"),
-        ("above", "below"),
-        ("left", "right"),
-        ("front", "behind"),
-        ("large", "small"),
-        ("high", "low"),
-        ("near", "between"),
-        ("against_the_wall", "on_the_floor"),
-    ])
-
-
-def retrieve_example(
-    relation: str,
-    graph: ExampleGraph,
-    registry: EncoderRegistry,
-) -> EncoderDefinition | None:
-    """Accepted encoder of the relation's predecessor, if there is one."""
-    predecessor = graph.predecessor(relation)
+def retrieve_example(relation: str, graph: dict[str, str],
+                     registry: EncoderRegistry) -> EncoderDefinition | None:
+    """Accepted encoder of the relation's predecessor in ``graph``, if any."""
+    predecessor = graph.get(relation)
     if predecessor is None:
         return None
     accepted = registry.accepted_definition(predecessor)
@@ -399,7 +359,7 @@ def optimize_encoder(
     source: CandidateSource,
     registry: EncoderRegistry,
     cfg: OptimizerConfig,
-    graph: ExampleGraph | None = None,
+    graph: dict[str, str] | None = None,
     log: list[dict] | None = None,
 ) -> tuple[EncoderDefinition, list[float]]:
     """Iterative sample -> test -> refine search; returns the best candidate

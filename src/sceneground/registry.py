@@ -15,7 +15,6 @@ from pathlib import Path
 from .atomic import load_json, write_text_atomic
 from .builtins import builtin_definitions
 from .dsl import DefinitionError, EncoderDefinition, checked_definition, validate_definition
-from .expression import ALL_RELATIONS
 
 __all__ = ["RegistryError", "EncoderRegistry", "load_registry", "save_registry"]
 
@@ -34,6 +33,7 @@ class EncoderRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        # in RELATIONS order; entries are only replaced in place, so it holds
         self._active: dict[str, EncoderDefinition] = builtin_definitions()
         self._library: list[EncoderDefinition] = []
 
@@ -80,7 +80,7 @@ class EncoderRegistry:
     def to_dict(self) -> dict:
         with self._lock:
             return {
-                "active": {name: self._active[name].to_dict() for name in ALL_RELATIONS},
+                "active": {name: defn.to_dict() for name, defn in self._active.items()},
                 "library": [d.to_dict() for d in self._library],
             }
 

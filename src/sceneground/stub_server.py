@@ -2,7 +2,9 @@
 
 Serves scripted replies to POST /chat/completions and counts every request,
 so tests can assert both reply handling and that offline paths make zero
-network calls.
+network calls. The installed package ships it so that users can test the
+``--source llm`` path and their own prompts offline, with no endpoint, as
+demo 07 (``demos/07_llm_gateway.py``) does.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 
 from sceneground.builtins import builtin_definitions, encoder_to_dsl
 from sceneground.dsl import eval_encoder
-from sceneground.expression import ALL_RELATIONS, BINARY_RELATIONS, relation_arity
+from sceneground.expression import ALL_RELATIONS, relation_arity
 from sceneground.scene import precompute_geometry, scene_from_dict
 
 from helpers import random_scene
@@ -225,7 +225,7 @@ def test_binary_relations_have_rank_two():
     rng = np.random.default_rng(33)
     scene = random_scene(rng, 4, "s")
     geom = precompute_geometry(scene)
-    for relation in BINARY_RELATIONS:
+    for relation in [r for r in ALL_RELATIONS if relation_arity(r) == 2]:
         assert builtin(relation, scene, geom).data.shape == (4, 4)
 
 

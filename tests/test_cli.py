@@ -321,6 +321,15 @@ def _parse_config_unknown_key(dataset, tmp_path):
         f"error: {config}: unknown option 'n_iters'\n"
 
 
+def _optimize_unknown_relation(dataset, tmp_path):
+    """``optimize --relation nope`` over a suite for ``near``: the name is
+    checked before the suite is read."""
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+    return ["optimize", "--relation", "nope", "--suite", str(suite_path),
+            "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json")], \
+        "error: unknown relation 'nope'; known relations: large, small,"
+
+
 def _ground_top_k(top_k):
     def build(dataset, tmp_path):
         expr = tmp_path / "expr.json"
@@ -730,6 +739,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _unknown_relation("--registry"),
     _unknown_relation("--suite"),
     _parse_config_unknown_key,
+    _optimize_unknown_relation,
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -751,7 +761,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         "utterance_not_a_string",
         *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
         "parse_in_bad_line_3", "parse_in_no_entries", "registry_unknown_relation",
-        "suite_unknown_relation", "config_unknown_key"])
+        "suite_unknown_relation", "config_unknown_key", "optimize_unknown_relation"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2

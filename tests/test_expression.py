@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from sceneground.expression import (
     ALL_RELATIONS,
-    BINARY_RELATIONS,
-    TERNARY_RELATIONS,
-    UNARY_RELATIONS,
     ExpressionError,
     RelationClause,
     SymbolicExpression,
@@ -91,10 +88,13 @@ def test_relation_name_normalization():
 
 
 def test_arity_table_matches_classification():
-    assert {r: relation_arity(r) for r in UNARY_RELATIONS} == {r: 1 for r in UNARY_RELATIONS}
-    assert {r: relation_arity(r) for r in BINARY_RELATIONS} == {r: 2 for r in BINARY_RELATIONS}
-    assert {r: relation_arity(r) for r in TERNARY_RELATIONS} == {r: 3 for r in TERNARY_RELATIONS}
-    assert len(ALL_RELATIONS) == 16
+    assert {r: relation_arity(r) for r in ALL_RELATIONS} == {
+        "large": 1, "small": 1, "high": 1, "low": 1,
+        "on_the_floor": 1, "against_the_wall": 1, "at_the_corner": 1,
+        "near": 2, "far": 2, "above": 2, "below": 2,
+        "left": 2, "right": 2, "front": 2, "behind": 2,
+        "between": 3,
+    }
 
 
 def test_depth_cap_rejects_pathological_nesting():
@@ -211,6 +211,8 @@ def _nested(depth: int) -> dict:
      f"{_ANCHOR_AT}: relations must be a list"),
     ({"relation_name": "near", "anchors": [_nested(6)]},
      _ANCHOR_AT + ".relations[0].anchors[0]" * 6 + ": expression nesting exceeds depth 8"),
+    ({"relation_name": 5}, f"{_CLAUSE_AT}: relation_name must be a string"),
+    ({"relation": ["near"]}, f"{_CLAUSE_AT}: relation must be a string"),
 ])
 def test_parser_error_texts_name_the_nested_path(clause, expected):
     raw = {"category": "chair", "relations": [

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # every name ``import sceneground`` bound when the package imported each module eagerly
 NAMES = (
     "ALL_RELATIONS", "BoundingBox", "CandidateReport", "CategoryFeature", "DefinitionError",
-    "EncoderDefinition", "EncoderRegistry", "EndpointConfig", "ExampleGraph", "ExecutionError",
+    "EncoderDefinition", "EncoderRegistry", "EndpointConfig", "ExecutionError",
     "ExpressionError", "FeatureCache", "LlmClient", "LlmError", "MatchingScore", "MutationSource",
     "OptimizerConfig", "PairGeometry", "PromptBundle", "RelationClause", "RelationFeature",
     "Scene", "SceneError", "SceneObject", "SimilarityTable", "SymbolicExpression", "TestCase",

@@ -12,7 +12,6 @@ from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import EncoderDefinition, const, eval_encoder, op
 from sceneground.optimizer import (
     CandidateSourceError,
-    ExampleGraph,
     MutationSource,
     OptimizationAborted,
     OptimizerConfig,
@@ -184,16 +183,11 @@ def test_select_top_k_truncates():
 
 
 def test_example_graph_rules():
-    graph = default_example_graph()
-    assert graph.predecessor("far") == "near"
-    assert graph.predecessor("near") is None
-    assert graph.predecessor("left") is None
-    assert graph.predecessor("above") is None
-    assert graph.predecessor("at_the_corner") is None
-    with pytest.raises(ValueError, match="already has predecessor"):
-        ExampleGraph([("near", "far"), ("above", "far")])
-    with pytest.raises(ValueError, match="cycle"):
-        ExampleGraph([("near", "far"), ("far", "near")])
+    assert default_example_graph() == {
+        "small": "large", "low": "high", "on_the_floor": "against_the_wall",
+        "far": "near", "below": "above", "right": "left", "behind": "front",
+        "between": "near",
+    }
 
 
 def test_retrieve_example_after_acceptance(caplog):

@@ -1,4 +1,5 @@
-"""Every library function the traced benchmark run wraps still exists.
+"""Every library function the traced benchmark run wraps still exists, and
+the benchmark's own copy of the relation arities agrees with the library's.
 
 ``perfbench/spans.py`` names its targets as (module, attribute) pairs, and
 only ``perfbench/run.py --trace 1`` would notice a rename in the library.
@@ -15,15 +16,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+from sceneground.expression import ALL_RELATIONS, relation_arity
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SRC = SPANS.parent.parent / "src"
 
 
+def _load(path: Path):
+    """The perfbench module at ``path``, loaded by file location."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _traced_targets() -> tuple:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)  # the standard library only
-    return spans.TARGETS
+    return _load(SPANS).TARGETS  # the standard library only
+
+
+def test_the_benchmark_arity_copy_matches_the_relation_table():
+    """``perfbench/gen.py`` keeps its own ``ARITY``, since the benchmark
+    generates inputs without importing the library."""
+    gen = _load(SPANS.parent / "gen.py")
+    assert gen.ARITY == {r: relation_arity(r) for r in ALL_RELATIONS}
 
 
 def test_every_traced_target_resolves_in_the_library():

@@ -6,6 +6,7 @@ import pytest
 import sceneground.atomic as atomic_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import DefinitionError
+from sceneground.expression import ALL_RELATIONS
 from sceneground.registry import EncoderRegistry, RegistryError, load_registry, save_registry
 
 
@@ -62,3 +63,14 @@ def test_registry_with_bad_definition_raises_definition_error(tmp_path):
     path.write_text(json.dumps({"library": [{"relation": "near"}]}), encoding="utf-8")
     with pytest.raises(DefinitionError):
         load_registry(path)
+
+
+def test_registry_file_keeps_the_relation_order(tmp_path):
+    """``install`` replaces an active entry in place, so a saved file lists
+    the relations in table order whatever order they were installed in."""
+    registry = EncoderRegistry()
+    for relation in ("far", "near", "between"):
+        registry.install(encoder_to_dsl(relation))
+    path = tmp_path / "registry.json"
+    save_registry(registry, path)
+    assert list(json.loads(path.read_text(encoding="utf-8"))["active"]) == list(ALL_RELATIONS)
