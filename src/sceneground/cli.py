@@ -162,9 +162,11 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
         raise CliError(f"--relation must be a string, got {relation!r}")
     relation = normalize_relation_name(relation)
     relation_arity(relation)  # an unknown name is an ExpressionError before the suite is read
+    source_kind = _resolve(args, config, "source", "mutate")
+    if source_kind not in ("mutate", "llm"):  # argparse's choices guard only the flag
+        raise CliError(f"unknown source {source_kind!r}; expected mutate or llm")
     suite_path = _resolve_path(args, config, "suite", required=True)
     scenes_dir = _resolve_path(args, config, "scenes", required=True)
-    source_kind = _resolve(args, config, "source", "mutate")
     registry_path = _output_path(args, config, "registry", required=True)
     log_path = _output_path(args, config, "log")
     try:
@@ -182,10 +184,8 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
 
         client = LlmClient(EndpointConfig.from_env())
         source = LlmSource(client=client)
-    elif source_kind == "mutate":
-        source = MutationSource()
     else:
-        raise CliError(f"unknown source {source_kind!r}; expected mutate or llm")
+        source = MutationSource()
     log: list[dict] = []
     try:
         best, history = optimize_encoder(relation, suite, source, registry, cfg,

@@ -4,9 +4,8 @@ This is the offline candidate generator: it perturbs a definition by scaling
 a constant, swapping a commutative operator, inserting a wrapper, or grafting
 a subtree from the builtin library. Every mutation is deterministic for a
 given seed and always yields a definition that passes validation. The
-draws are those of numpy's ``Generator`` calls, taken more cheaply from the
-same stream: the kind is what ``rng.choice(4, p=...)`` picks, and the scale
-factor is ``rng.uniform(0.5, 2.0)``'s draw, ``0.5 + 1.5 * rng.random()``.
+draws come from :class:`_Draws`, a counter-mode blake2b stream keyed by the
+seed, so a mutation depends on its seed and ``hashlib`` alone.
 
 A mutation costs its changed path, not its tree. The node to change is
 found by descending the base's node summaries (:class:`~sceneground.dsl.
@@ -25,9 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from operator import attrgetter
-
-import numpy as np
+from hashlib import blake2b
+from itertools import accumulate
+from operator import attrgetter, index
+from struct import unpack
 
 from .builtins import builtin_definitions
 from .dsl import (
@@ -58,14 +58,46 @@ _SWAPS = (attrgetter("swaps"), lambda s: is_swappable(s.node))
 # constant rescaling repairs continuously and carries the hill climb, so it
 # gets the largest share; wrappers rarely help and stay rare
 _KINDS = ("const_scale", "op_swap", "wrap", "graft")
-_KIND_P = np.array([0.45, 0.25, 0.05, 0.25])
-# the CDF that ``rng.choice(4, p=_KIND_P)`` searches with one rng.random()
-_KIND_CDF = tuple((_KIND_P.cumsum() / _KIND_P.cumsum()[-1]).tolist())
+_KIND_P = (0.45, 0.25, 0.05, 0.25)
+# the upper edges of the first three kinds' intervals; the last ends at 1
+_KIND_CDF = tuple(accumulate(_KIND_P[:-1]))
 
 
-def _draw_kind(rng: np.random.Generator) -> str:
-    """The mutation kind ``rng.choice(4, p=_KIND_P)`` would pick, from the
-    same single draw of the stream, at a tenth of its cost."""
+def _words(key: bytes):
+    block = 0
+    while True:
+        digest = blake2b(key + block.to_bytes(8, "little"), digest_size=32).digest()
+        yield from unpack("<4Q", digest)
+        block += 1
+
+
+class _Draws:
+    """The draws of one seed. Word w of the stream is 64-bit word w % 4 of
+    ``blake2b(seed || w // 4, digest_size=32)``, with the seed and the block
+    counter as 8 little-endian bytes each and the words read little-endian."""
+
+    __slots__ = ("_next",)
+
+    def __init__(self, seed: int) -> None:
+        seed = index(seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._next = _words(seed.to_bytes(8, "little")).__next__
+
+    def random(self) -> float:
+        """A float in [0, 1): the top 53 bits of the next word, over 2**53."""
+        return (self._next() >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        """An int in [0, n): the top 64 bits of the next word times n, which
+        favours some values by at most n / 2**64."""
+        if n < 1:
+            raise ValueError(f"integers needs n >= 1, got {n}")
+        return (self._next() * n) >> 64
+
+
+def _draw_kind(rng: _Draws) -> str:
+    """The mutation kind, with the probabilities of ``_KIND_P``, from one draw."""
     return _KINDS[bisect_right(_KIND_CDF, rng.random())]
 
 
@@ -90,8 +122,8 @@ def _descend(root: NodeSummary, count, k: int) -> tuple[Path, list[NodeSummary]]
         node = child
 
 
-def _pick(root: NodeSummary, count, rng: np.random.Generator) -> tuple[Path, list[NodeSummary]]:
-    return _descend(root, count, int(rng.integers(count[0](root))))
+def _pick(root: NodeSummary, count, rng: _Draws) -> tuple[Path, list[NodeSummary]]:
+    return _descend(root, count, rng.integers(count[0](root)))
 
 
 def _op(name: str, *args: Recipe) -> tuple[dict, tuple]:
@@ -112,11 +144,10 @@ def _graft_sources(objs: int) -> list[NodeSummary]:
             for s in _preorder(compile_definition(defn).summary) if not s.objs & ~objs]
 
 
-def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> tuple[Change, Change]:
+def _scale_constant(root: NodeSummary, rng: _Draws) -> tuple[Change, Change]:
     """A change that scales a constant by a random factor (a subtree when
     there are no constants), and the change that puts the factor itself in
     the picked node's place, which cannot overflow or grow the tree."""
-    # ``rng.uniform(0.5, 2.0)`` computes this from the same one draw
     factor = 0.5 + 1.5 * rng.random()
     if root.consts:
         path, trail = _pick(root, _CONSTS, rng)
@@ -131,7 +162,7 @@ def _scale_constant(root: NodeSummary, rng: np.random.Generator) -> tuple[Change
     return (path, trail, scaled), (path, trail, (const(factor), ()))
 
 
-def _swap_operator(root: NodeSummary, rng: np.random.Generator) -> Change | None:
+def _swap_operator(root: NodeSummary, rng: _Draws) -> Change | None:
     if not root.swaps:
         return None
     path, trail = _pick(root, _SWAPS, rng)
@@ -140,19 +171,19 @@ def _swap_operator(root: NodeSummary, rng: np.random.Generator) -> Change | None
                          target.args)
 
 
-def _insert_wrapper(root: NodeSummary, rng: np.random.Generator) -> Change:
+def _insert_wrapper(root: NodeSummary, rng: _Draws) -> Change:
     path, trail = _pick(root, _NODES, rng)
     target = trail[-1]
-    if int(rng.integers(2)) == 0:
+    if rng.integers(2) == 0:
         return path, trail, _op("exp", _op("neg", target))
     return path, trail, _op("abs", target)
 
 
-def _graft_subtree(root: NodeSummary, rng: np.random.Generator, objs: int) -> Change | None:
+def _graft_subtree(root: NodeSummary, rng: _Draws, objs: int) -> Change | None:
     pool = _graft_sources(objs)
     if not pool:
         return None
-    source = pool[int(rng.integers(len(pool)))]
+    source = pool[rng.integers(len(pool))]
     path, trail = _pick(root, _NODES, rng)
     return path, trail, source
 
@@ -190,8 +221,9 @@ def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDef
 def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     """Return a valid definition differing from ``defn`` in at least one
     node, built checked. ``defn`` must pass the check (DefinitionError
-    otherwise): its summaries guide the pick."""
-    rng = np.random.default_rng(seed)
+    otherwise): its summaries guide the pick. ``seed`` is an int in
+    [0, 2**64) (ValueError otherwise)."""
+    rng = _Draws(seed)
     compiled = compile_definition(defn)
     root = compiled.summary
 

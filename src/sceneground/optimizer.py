@@ -18,12 +18,12 @@ its own retrying; a source that fails aborts the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from itertools import compress, product
 from operator import not_
 from pathlib import Path
+from struct import pack
 from typing import Protocol
-
-import numpy as np
 
 from .atomic import load_json
 from .builtins import encoder_to_dsl
@@ -342,15 +342,11 @@ class LlmSource:
 
 
 def _draw_seed(base: int, iteration: int, parent: int, sample: int) -> int:
-    """The seed of one draw: the first word of a ``SeedSequence`` keyed by
+    """The seed of one draw: a 4-byte blake2b digest, read little-endian, of
     the search's base seed (its low 32 bits), the round, the parent and the
-    sample. The entropy is given as one ``uint32`` array, which hashes the
-    same five words as the list ``[base & 0xFFFFFFFF, iteration, parent,
-    sample, 0]`` at half its cost; the two agree while every word is below
-    2**32, as the masked base and the loop counters are."""
-    # the trailing 0 is part of the key: without it every search's draws change
-    entropy = np.array([base & 0xFFFFFFFF, iteration, parent, sample, 0], dtype=np.uint32)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    sample, each as 8 little-endian bytes."""
+    key = pack("<4Q", base & 0xFFFFFFFF, iteration, parent, sample)
+    return int.from_bytes(blake2b(key, digest_size=4).digest(), "little")
 
 
 def optimize_encoder(

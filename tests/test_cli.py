@@ -330,6 +330,16 @@ def _optimize_unknown_relation(dataset, tmp_path):
         "error: unknown relation 'nope'; known relations: large, small,"
 
 
+def _optimize_unknown_source(dataset, tmp_path):
+    """A config's ``source`` that is neither mutate nor llm, with a suite
+    that does not exist: the source is checked before any file is read."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"source": "bogus"}), encoding="utf-8")
+    return ["optimize", "--relation", "near", "--suite", str(tmp_path / "nosuch.json"),
+            "--scenes", str(tmp_path), "--registry", str(tmp_path / "registry.json"),
+            "--config", str(config)], "error: unknown source 'bogus'; expected mutate or llm\n"
+
+
 def _ground_top_k(top_k):
     def build(dataset, tmp_path):
         expr = tmp_path / "expr.json"
@@ -740,6 +750,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _unknown_relation("--suite"),
     _parse_config_unknown_key,
     _optimize_unknown_relation,
+    _optimize_unknown_source,
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -761,7 +772,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         "utterance_not_a_string",
         *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
         "parse_in_bad_line_3", "parse_in_no_entries", "registry_unknown_relation",
-        "suite_unknown_relation", "config_unknown_key", "optimize_unknown_relation"])
+        "suite_unknown_relation", "config_unknown_key", "optimize_unknown_relation",
+        "optimize_unknown_source"])
 def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2
