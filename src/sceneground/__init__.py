@@ -14,6 +14,7 @@ themselves, resolve on first use through the module ``__getattr__`` (PEP
 562): a process that never names them never runs ``llm`` or ``minibench``.
 """
 
+from .atomic import InputError
 from .scene import (
     BoundingBox,
     PairGeometry,

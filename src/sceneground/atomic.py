@@ -1,6 +1,10 @@
 """The package's file access: every input file is read and decoded here,
-each fault naming its file, and every file the package rewrites is
-replaced atomically."""
+and every file the package rewrites is replaced atomically.
+
+A fault in the input is an :class:`InputError`; each loader's own error
+class derives from it. A JSON file and each non-blank line of a line file
+follow one rule: decode the text, require an object at the top level, then
+build the value, each fault behind ``PATH: `` or ``PATH:LINE: ``."""
 
 from __future__ import annotations
 
@@ -13,9 +17,14 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import TypeVar
 
-__all__ = ["decode_json", "load_json", "load_lines", "write_text_atomic"]
+__all__ = ["InputError", "decode_object", "load_json", "load_lines", "write_text_atomic"]
 
 T = TypeVar("T")
+
+
+class InputError(ValueError):
+    """A fault in the program's input: a file, a line, an option or a value
+    the caller passed. The CLI exits 2 for it."""
 
 
 def _read_text(path: Path, error: type[Exception]) -> str:
@@ -27,50 +36,44 @@ def _read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc}") from None
 
 
-def decode_json(text: str, error: type[Exception], where: str = "") -> object:
-    """``json.loads(text)``; invalid JSON, or JSON nested deeper than the
-    recursion limit, raises ``error`` with ``where`` in front of its text."""
+def decode_object(text: str, error: type[Exception], build: Callable[[dict], T],
+                  where: str = "") -> T:
+    """``build`` applied to the JSON object ``text`` holds. Invalid JSON,
+    JSON nested deeper than the recursion limit, a top level that is not an
+    object and ``build``'s own ``error`` each raise ``error`` with ``where``
+    in front of its text."""
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}invalid JSON at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None
     except RecursionError:
         raise error(f"{where}JSON nested too deeply") from None
-
-
-def load_json(path: str | Path, error: type[Exception], build: Callable[[dict], T]) -> T:
-    """``build`` applied to the JSON object in the file at ``path``.
-
-    Any fault, reading and decoding the file included, raises ``error``; a
-    top level that is not an object is one, and an ``error`` that ``build``
-    raises gets the path in front of its text.
-    """
-    path = Path(path)
-    raw = decode_json(_read_text(path, error), error, f"{path}: ")
     if not isinstance(raw, dict):
-        raise error(f"{path}: top level must be a JSON object")
+        raise error(f"{where}top level must be a JSON object")
     try:
         return build(raw)
     except error as exc:
-        raise error(f"{path}: {exc}") from None
+        raise error(f"{where}{exc}") from None
 
 
-def load_lines(path: str | Path, error: type[Exception], build: Callable[[str], T]) -> list[T]:
-    """``build`` applied to each non-blank line of the file at ``path``, in
-    order; an ``error`` that ``build`` raises gets ``{path}:{lineno}: `` in
-    front of its text, and an unreadable file raises ``error``. Lines end
-    only at newlines (``\r\n`` and ``\r`` read as one), so a line separator
-    such as U+2028 inside a JSON string stays in its line."""
+def load_json(path: str | Path, error: type[Exception], build: Callable[[dict], T]) -> T:
+    """``build`` applied to the JSON object in the file at ``path``; any
+    fault, reading the file included, raises ``error`` naming ``path``."""
     path = Path(path)
-    out = []
-    for lineno, line in enumerate(_read_text(path, error).split("\n"), 1):
-        if line.strip():
-            try:
-                out.append(build(line))
-            except error as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
-    return out
+    return decode_object(_read_text(path, error), error, build, f"{path}: ")
+
+
+def load_lines(path: str | Path, error: type[Exception], build: Callable[[dict], T]) -> list[T]:
+    """``build`` applied to the JSON object on each non-blank line of the
+    file at ``path``, in order, by :func:`load_json`'s rule with
+    ``{path}:{lineno}: `` in front of a fault's text. Lines end only at
+    newlines (``\r\n`` and ``\r`` read as one), so a line separator such as
+    U+2028 inside a JSON string stays in its line."""
+    path = Path(path)
+    return [decode_object(line, error, build, f"{path}:{lineno}: ")
+            for lineno, line in enumerate(_read_text(path, error).split("\n"), 1)
+            if line.strip()]
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import load_lines, write_text_atomic
+from .atomic import InputError, load_lines, write_text_atomic
 from .executor import (
     MatchingScore,
     category_features,
@@ -67,18 +67,19 @@ class BenchReport:
     config: dict
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Raised for a benchmark dataset whose expressions file cannot be used."""
 
 
 def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchEntry]]:
     """Scenes by id and the checked entries of ``expressions.jsonl``.
 
-    Each non-blank line is one entry, parsed with one ``json.loads`` of its
-    own. Every entry must name a loaded scene and a ground-truth object id
-    in it; a bad line raises :class:`DatasetError` naming ``file:line``, and
-    so does an expressions file that cannot be read (a missing dataset among
-    them). Two scene files with one ``scene_id`` raise it naming both.
+    Each non-blank line is one entry, a JSON object read by
+    :func:`~sceneground.atomic.load_lines`. Every entry must name a loaded
+    scene and a ground-truth object id in it; a bad line raises
+    :class:`DatasetError` naming ``file:line``, and so does an expressions
+    file that cannot be read (a missing dataset among them). Two scene files
+    with one ``scene_id`` raise it naming both.
     """
     dataset_dir = Path(dataset_dir)
     scenes: dict[str, Scene] = {}
@@ -90,20 +91,14 @@ def load_dataset(dataset_dir: str | Path) -> tuple[dict[str, Scene], list[BenchE
             raise DatasetError(f"{path}: scene_id {scene.scene_id!r} is also that of {first}")
         scenes[scene.scene_id] = scene
     expr_path = dataset_dir / "expressions.jsonl"
-    entries = load_lines(expr_path, DatasetError, lambda line: _parse_entry(line, scenes))
+    entries = load_lines(expr_path, DatasetError, lambda raw: _parse_entry(raw, scenes))
     if not entries:
         raise DatasetError(f"{expr_path}: no entries")
     return scenes, entries
 
 
-def _parse_entry(line: str, scenes: dict[str, Scene]) -> BenchEntry:
+def _parse_entry(raw: dict, scenes: dict[str, Scene]) -> BenchEntry:
     """One line's entry; a fault's text leaves the line's place to the caller."""
-    try:
-        raw = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DatasetError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DatasetError("expected a JSON object")
     try:
         scene_id, expression, ground_truth = raw["scene_id"], raw["expression"], raw["ground_truth"]
     except KeyError as exc:

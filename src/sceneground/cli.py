@@ -7,7 +7,7 @@ the offline ``parse`` forms never do.
 Every subcommand accepts ``--config file.json`` holding the same fields as
 its flags; a key that no subcommand has a flag for is an error. Precedence
 is flags > config > defaults. Exit codes: 0 success, 1 runtime error, 2
-input validation error.
+input validation error (an :class:`~sceneground.atomic.InputError`).
 """
 
 from __future__ import annotations
@@ -19,34 +19,28 @@ import math
 import sys
 from pathlib import Path
 
-from .atomic import load_json, load_lines, write_text_atomic
-from .bench import DatasetError, report_to_dict, run_bench
-from .dsl import DefinitionError
-from .executor import ExecutionError, FeatureCache, execute, grounding_result
+from .atomic import InputError, load_json, load_lines, write_text_atomic
+from .bench import report_to_dict, run_bench
+from .executor import FeatureCache, execute, grounding_result
 from .expression import (
     ExpressionError,
     expression_from_dict,
     normalize_relation_name,
-    parse_expression,
     relation_arity,
     serialize_expression,
 )
 from .optimizer import (
     MutationSource,
     OptimizerConfig,
-    SuiteError,
     default_example_graph,
     load_suite,
     optimize_encoder,
 )
-from .registry import EncoderRegistry, RegistryError, load_registry, save_registry
-from .scene import SceneError, load_scene
-
-VALIDATION_ERRORS = (SceneError, ExpressionError, DefinitionError, SuiteError, RegistryError,
-                     DatasetError)
+from .registry import EncoderRegistry, load_registry, save_registry
+from .scene import load_scene
 
 
-class CliError(ValueError):
+class CliError(InputError):
     """Input validation failure at the command level (exit code 2)."""
 
 
@@ -118,7 +112,7 @@ def cmd_parse(args: argparse.Namespace, config: dict) -> int:
         _write_or_print(serialize_expression(expr) + "\n", out)
         return 0
     if infile:
-        exprs = load_lines(infile, ExpressionError, parse_expression)
+        exprs = load_lines(infile, ExpressionError, expression_from_dict)
         if not exprs:
             raise ExpressionError(f"{infile}: no entries")
         _write_or_print("\n".join(serialize_expression(e) for e in exprs) + "\n", out)
@@ -296,12 +290,9 @@ def main(argv: list[str] | None = None) -> int:
             if key not in args.config_keys:
                 raise CliError(f"{args.config}: unknown option {key!r}")
         return args.func(args, config)
-    except (CliError, *VALIDATION_ERRORS) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # LlmError, ExecutionError: RuntimeError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ExecutionError, OSError, ValueError, RuntimeError) as exc:  # LlmError is a RuntimeError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

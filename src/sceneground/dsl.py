@@ -64,7 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import load_json, write_text_atomic
+from .atomic import InputError, load_json, write_text_atomic
 from .expression import ALL_RELATIONS, ExpressionError, relation_arity
 from .scene import PairGeometry, Scene
 
@@ -129,7 +129,7 @@ OBJS_FOR_ARITY = {1: ("i",), 2: ("i", "j"), 3: ("i", "j", "k")}
 _AXIS_OF_OBJ = {"i": 0, "j": 1, "k": 2}
 
 
-class DefinitionError(ValueError):
+class DefinitionError(InputError):
     """Raised when an encoder definition fails static validation."""
 
 

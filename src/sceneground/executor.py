@@ -34,7 +34,7 @@ from .expression import (
     relation_arity,
 )
 from .registry import EncoderRegistry
-from .scene import PairGeometry, Scene, exact_match_rows, precompute_geometry
+from .scene import PairGeometry, Scene, exact_match_rows, normalize_label, precompute_geometry
 
 __all__ = [
     "ExecutionError",
@@ -342,14 +342,15 @@ def condition_precision_recall(
     Each entry is (scene id, expression, ground-truth id, its executed
     score). Root clause c predicts the argmax of ``terms[0] * terms[c]``,
     the score of that clause alone with the category. Predictions and
-    ground truths are grouped per (scene, target category), and set
+    ground truths are grouped per (scene, target category), categories
+    compared by :func:`~sceneground.scene.normalize_label`, and set
     precision/recall are macro-averaged over groups. An empty condition set
     scores (1.0, 1.0) by convention.
     """
     predicted: dict[tuple[str, str], set[int]] = {}
     truth: dict[tuple[str, str], set[int]] = {}
     for scene_id, expr, ground_truth, score in scored:
-        group = (scene_id, expr.category.casefold())
+        group = (scene_id, normalize_label(expr.category))
         category, *factors = score.terms
         for factor in factors:
             predicted.setdefault(group, set()).add(

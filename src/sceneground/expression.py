@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .atomic import decode_json
+from .atomic import InputError, decode_object
 from .scene import normalize_label
 
 __all__ = [
@@ -66,7 +66,7 @@ ALL_RELATIONS = tuple(RELATIONS)
 MAX_DEPTH = 8
 
 
-class ExpressionError(ValueError):
+class ExpressionError(InputError):
     """Raised for malformed symbolic expressions."""
 
 
@@ -189,7 +189,7 @@ def expression_from_dict(raw: object) -> SymbolicExpression:
 
 def parse_expression(text: str) -> SymbolicExpression:
     """Parse and validate the expression wire format."""
-    return expression_from_dict(decode_json(text, ExpressionError))
+    return decode_object(text, ExpressionError, expression_from_dict)
 
 
 def expression_to_dict(expr: SymbolicExpression) -> dict:

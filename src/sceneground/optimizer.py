@@ -25,7 +25,7 @@ from pathlib import Path
 from struct import pack
 from typing import Protocol
 
-from .atomic import load_json
+from .atomic import InputError, load_json
 from .builtins import encoder_to_dsl
 from .dsl import (
     DefinitionError,
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-class SuiteError(ValueError):
+class SuiteError(InputError):
     """Raised for malformed test suites."""
 
 

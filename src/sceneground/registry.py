@@ -12,14 +12,14 @@ import json
 import threading
 from pathlib import Path
 
-from .atomic import load_json, write_text_atomic
+from .atomic import InputError, load_json, write_text_atomic
 from .builtins import builtin_definitions
 from .dsl import DefinitionError, EncoderDefinition, checked_definition, validate_definition
 
 __all__ = ["RegistryError", "EncoderRegistry", "load_registry", "save_registry"]
 
 
-class RegistryError(ValueError):
+class RegistryError(InputError):
     """Raised for a registry file that cannot be read or has the wrong layout."""
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import load_json, write_text_atomic
+from .atomic import InputError, load_json, write_text_atomic
 
 __all__ = [
     "SceneError",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class SceneError(ValueError):
+class SceneError(InputError):
     """Raised for malformed or invalid scene input."""
 
 

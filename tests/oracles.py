@@ -483,7 +483,7 @@ def reference_condition_level(entries: list[tuple[str, SymbolicExpression, int]]
     predicted: dict[tuple[str, str], set[int]] = {}
     truth: dict[tuple[str, str], set[int]] = {}
     for scene_id, expr, ground_truth in entries:
-        group = (scene_id, expr.category.casefold())
+        group = (scene_id, normalize_label(expr.category))
         for argmax in single_clause_predictions(expr, scenes[scene_id], caches[scene_id]):
             predicted.setdefault(group, set()).add(argmax)
             truth.setdefault(group, set()).add(ground_truth)

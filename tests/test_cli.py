@@ -1,11 +1,16 @@
+import importlib
 import json
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 
+import sceneground
+from sceneground.atomic import InputError
 from sceneground.builtins import encoder_to_dsl
 from sceneground.cli import main
+from sceneground.executor import ExecutionError
 from sceneground.dsl import eval_encoder
 from sceneground.minibench import generate_mini_benchmark
 from sceneground.scene import precompute_geometry, save_scene
@@ -833,3 +838,41 @@ def test_config_whole_float_is_an_integer(dataset, tmp_path, capsys):
                  "--expr", str(expr), "--config", str(config_path)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["candidates"] == [result["argmax"]]
+
+
+def _value_errors() -> list[type]:
+    """Every exception class a ``sceneground`` module defines that derives
+    from ``ValueError``, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(sceneground.__path__):
+        module = importlib.import_module(f"sceneground.{info.name}")
+        found.update((value.__name__, value) for value in vars(module).values()
+                     if isinstance(value, type) and issubclass(value, ValueError)
+                     and value.__module__ == module.__name__)
+    return [found[name] for name in sorted(found)]
+
+
+VALUE_ERRORS = _value_errors()
+
+
+def test_every_value_error_of_the_package_is_an_input_error():
+    """A loader's error class joins the exit-2 rule by deriving from
+    ``InputError``; no list in the CLI names it."""
+    assert {"CliError", "DatasetError", "DefinitionError", "ExpressionError", "RegistryError",
+            "SceneError", "SuiteError"} <= {cls.__name__ for cls in VALUE_ERRORS}
+    assert [cls.__name__ for cls in VALUE_ERRORS if not issubclass(cls, InputError)] == []
+
+
+@pytest.mark.parametrize("error, code", [*((cls, 2) for cls in VALUE_ERRORS),
+                                         (ExecutionError, 1)],
+                         ids=[*(cls.__name__ for cls in VALUE_ERRORS), "ExecutionError"])
+def test_main_exits_by_the_class_of_the_error(monkeypatch, capsys, error, code):
+    """Each input error a subcommand raises exits 2, a runtime error 1, each
+    with one ``error:`` line and no traceback."""
+
+    def fail(args, config):
+        raise error("the reason")
+
+    monkeypatch.setattr("sceneground.cli.cmd_parse", fail)
+    assert main(["parse"]) == code
+    assert capsys.readouterr().err == "error: the reason\n"

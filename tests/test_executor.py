@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import sys
@@ -12,6 +13,7 @@ from sceneground.executor import (
     FeatureCache,
     MatchingScore,
     condition_level_eval,
+    condition_precision_recall,
     execute,
     grounding_result,
     rank_candidates,
@@ -484,6 +486,23 @@ def test_condition_level_empty_warns(registry, caplog):
         precision, recall = condition_level_eval([("s", expr, 0)], {"s": scene}, registry)
     assert (precision, recall) == (1.0, 1.0)
     assert "no conditions" in caplog.text
+
+
+def test_condition_groups_compare_categories_as_matching_does():
+    """``"chair "`` selects the objects ``"chair"`` does, so its entries join
+    the ``"chair"`` group: predictions {1, 2} against truths {1, 2, 3}."""
+    ids = (1, 2, 3)
+
+    def entry(category, ground_truth, predicted):
+        expr = parse_expression(json.dumps({"category": category,
+                                            "relations": [{"relation_name": "large"}]}))
+        pick = np.array([oid == predicted for oid in ids], dtype=np.float64)
+        score = MatchingScore(data=pick, object_ids=ids, terms=(np.ones(3), pick))
+        return "s", expr, ground_truth, score
+
+    precision, recall = condition_precision_recall(
+        [entry("chair", 1, 1), entry("chair", 2, 2), entry("chair ", 3, 1)])
+    assert precision == 1.0 and recall == pytest.approx(2 / 3)
 
 
 def test_condition_level_unknown_ground_truth(registry):

@@ -67,6 +67,15 @@ def test_malformed_json_rejected():
         parse_expression('{"category": ')
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"chair"', "5", "null"])
+def test_a_non_object_top_level_reads_as_in_an_input_file(text):
+    """parse_expression words this fault as load_json and load_lines do,
+    without their PATH: prefix."""
+    with pytest.raises(ExpressionError) as info:
+        parse_expression(text)
+    assert str(info.value) == "top level must be a JSON object"
+
+
 def test_anchors_key_preferred_but_objects_accepted():
     via_objects = parse_expression(CHAIR_NEAR_TABLE)
     via_anchors = parse_expression(
