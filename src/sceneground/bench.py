@@ -239,16 +239,19 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
 
     Heatmaps cover the symmetric/antisymmetric showcase relations per scene;
     step files hold each entry's score after its category term and after
-    each successive clause (the running products of its terms).
+    each successive clause (the running products of its terms). Files are
+    named by position (a heatmap by its scene's in sorted id order, a step
+    file by its entry's), so any scene id is safe; ``manifest.json`` maps
+    each file to its scene.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"heatmaps": [], "steps": []}
 
-    for sid, scene in sorted(scenes.items()):
+    for k, (sid, scene) in enumerate(sorted(scenes.items())):
         for relation in HEATMAP_RELATIONS:
             feature = relation_features[sid][relation]
-            name = f"heatmap_{sid}_{relation}.csv"
+            name = f"heatmap_{k:03d}_{relation}.csv"
             write_text_atomic(out_dir / name, _csv_text(
                 [[f"obj_{oid}" for oid in scene.object_ids], *feature.data.tolist()]))
             manifest["heatmaps"].append({"file": name, "scene_id": sid, "relation": relation})

@@ -12,10 +12,12 @@ text, joined from its children's), made by one node rule
 (:func:`summarize_node`) from the node and its children's summaries. The
 check pass walks a body and applies it to each node object once; mutation
 applies it to a child's new path only, over its base's summaries, and
-leaves just the caps to check on the new root. Either way
-:func:`compile_definition` memoizes the result on the definition. The check
-pass and the DAG build recurse through module-level functions, not
-closures, so neither leaves a reference cycle for the collector.
+leaves just the caps to check on the new root. Either way a checked body
+is its root summary, which :func:`compile_definition` returns and memoizes
+on the definition; every evaluator takes the definition and reads its root
+through that pass, and a relation's rank is its arity. The check pass and
+the DAG build recurse through module-level functions, not closures, so
+neither leaves a reference cycle for the collector.
 
 Equal texts are equal subtrees, and each route evaluates a text once. Two
 routes apply an op by its function in ``_OPS``, the one table of op
@@ -58,7 +60,7 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -75,7 +77,6 @@ __all__ = [
     "OPS",
     "validate_definition",
     "NodeSummary",
-    "CompiledEncoder",
     "compile_definition",
     "eval_encoder",
     "eval_encoders",
@@ -187,11 +188,11 @@ class EncoderDefinition:
         """``json.dumps`` of relation and body with sorted keys. Once the body
         has passed its check, the root summary's text is used instead of
         serializing the whole tree again."""
-        compiled = self.__dict__.get("_compiled")
-        if compiled is None:
+        root = self.__dict__.get("_root")
+        if root is None:
             return json.dumps({"relation": self.relation, "body": self.body}, sort_keys=True)
         # a checked definition's relation is a known one
-        return ('{"body": ' + compiled.summary.text + ', "relation": '
+        return ('{"body": ' + root.text + ', "relation": '
                 + _QUOTED_RELATIONS[self.relation] + "}")
 
     def digest(self) -> str:
@@ -350,21 +351,6 @@ def _op_text(node: dict, args: tuple[NodeSummary, ...], path: tuple | None) -> s
     return _json_text(node, f"[{texts}]", path)
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledEncoder:
-    """A checked definition body: its relation, rank and root summary.
-
-    ``summary`` is the root's :class:`NodeSummary`; the gathered route walks
-    the summaries (:func:`eval_gathered`), and the dense route runs them as a
-    program built by :func:`_shared_dag`. Compiled encoders compare and hash
-    by identity, so a tuple of them keys a memoized program.
-    """
-
-    relation: str
-    rank: int
-    summary: NodeSummary = field(repr=False)
-
-
 def _build_dag(roots: tuple[NodeSummary, ...]
                ) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The hash-consed DAG of the bodies rooted at ``roots``: ``nodes``,
@@ -416,13 +402,14 @@ def _emit(summary: NodeSummary, ids: dict[str, int], nodes: list[tuple],
 # and the same at every seed on one registry, so 64 entries hold six such
 # sets, at about 1 KiB a program.
 @lru_cache(maxsize=64)
-def _shared_dag(compiled: tuple[CompiledEncoder, ...]):
-    """The DAG of one or several bodies, memoized process-wide, so a process
-    that evaluates the same definitions again skips the build (15-60 us a
-    program). A build visits each distinct node once, so a program of
-    several bodies costs less than building each body's own. The key holds
-    the compiled encoders, so their ids are never reused while it lives."""
-    return _build_dag(tuple(c.summary for c in compiled))
+def _shared_dag(roots: tuple[NodeSummary, ...]):
+    """The DAG of one or several checked bodies, given by their root
+    summaries, memoized process-wide, so a process that evaluates the same
+    definitions again skips the build (15-60 us a program). A build visits
+    each distinct node once, so a program of several bodies costs less than
+    building each body's own. Summaries hash by identity, and the key holds
+    them, so their ids are never reused while it lives."""
+    return _build_dag(roots)
 
 
 def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
@@ -432,7 +419,8 @@ def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
     at ``path``, (parent_path, arg_position) or None at the root, if a const,
     accessor or aggregate breaks its rules or json.dumps refuses the node.
     An op's name and argument count are the caller's to check, before its
-    children: the check pass's walk does, and mutation's ops are valid."""
+    children: the check pass's walk does, and mutation's ops are valid (a
+    copy of a checked op node with new children cannot fault)."""
     if "const" in node:
         value = node["const"]
         # a float must be finite, an int fit in 64 bits; a bool is no number
@@ -476,16 +464,6 @@ def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
     raise _fault(path, "node must have one of const/get/agg/op")
 
 
-def summarize_op(node: dict, args: tuple[NodeSummary, ...], entry: tuple) -> NodeSummary:
-    """The summary of ``node``: a copy of a checked op node, whose entry is
-    ``entry``, with new children, whose summaries are ``args``. It is what
-    :func:`summarize_node` gives, without its dispatch and checks: the op,
-    its argument count and its extra keys were checked with the original,
-    so only the text is joined anew. Mutation rebuilds a child's path with
-    it."""
-    return NodeSummary(node, args, entry, 0, _op_text(node, args, None))
-
-
 def _check_and_compile(body: object, rank: int) -> NodeSummary:
     """The check pass: apply the node rule to each node object of a body,
     depth first (:func:`_summarize_checked`), then check the node cap
@@ -524,27 +502,30 @@ def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
 
 
 def compile_definition(defn: EncoderDefinition, root: NodeSummary | None = None
-                       ) -> CompiledEncoder:
-    """Check a body, or raise DefinitionError. Memoized on the definition,
-    as bodies are immutable.
+                       ) -> NodeSummary:
+    """Check a body and return its root :class:`NodeSummary`, or raise
+    DefinitionError. A checked body is its root summary: the gathered route
+    walks the summaries, and the dense route runs them as a program. The
+    summary is memoized on the definition, as bodies are immutable, so a
+    second call returns the same object.
 
     ``root``, the body's root summary made by the node rule from checked
     summaries (as mutation builds a child), leaves only the caps to check:
     ``height``, ``size`` and ``objs``. A body past one is checked in full,
     for its first fault's text and ``body.args[..]`` path. An unknown
     relation is a fault too."""
-    compiled = defn.__dict__.get("_compiled")
-    if compiled is None:
-        try:
-            rank = relation_arity(defn.relation)
-        except ExpressionError as exc:
-            raise DefinitionError(str(exc)) from None
-        if (root is None or root.height > MAX_TREE_DEPTH or root.size > MAX_TREE_NODES
-                or root.objs >> rank):
-            root = _check_and_compile(defn.body, rank)
-        compiled = CompiledEncoder(relation=defn.relation, rank=rank, summary=root)
-        object.__setattr__(defn, "_compiled", compiled)
-    return compiled
+    checked = defn.__dict__.get("_root")
+    if checked is not None:
+        return checked
+    try:
+        rank = relation_arity(defn.relation)
+    except ExpressionError as exc:
+        raise DefinitionError(str(exc)) from None
+    if (root is None or root.height > MAX_TREE_DEPTH or root.size > MAX_TREE_NODES
+            or root.objs >> rank):
+        root = _check_and_compile(defn.body, rank)
+    object.__setattr__(defn, "_root", root)
+    return root
 
 
 def validate_definition(defn: EncoderDefinition) -> None:
@@ -680,14 +661,14 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
     n = len(scene)
     if geom.centers.shape[0] != n:
         raise ValueError("scene and geometry disagree on object count")
-    compiled = tuple(compile_definition(defn) for defn in defns)
-    if not compiled:
+    roots = tuple(compile_definition(defn) for defn in defns)
+    if not roots:
         return []
-    rank = compiled[0].rank
-    if any(c.rank != rank for c in compiled):
+    rank = relation_arity(defns[0].relation)
+    if any(relation_arity(defn.relation) != rank for defn in defns):
         raise ValueError("eval_encoders needs definitions of one rank")
-    nodes, frees, outputs = _shared_dag(compiled)
-    stack = np.empty((len(compiled),) + (n,) * rank, dtype=np.float64)
+    nodes, frees, outputs = _shared_dag(roots)
+    stack = np.empty((len(roots),) + (n,) * rank, dtype=np.float64)
     step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
     for start in range(0, n, step):
         sl = slice(start, min(start + step, n))
@@ -695,8 +676,8 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
         for r, pos in enumerate(outputs):
             stack[r, sl] = values[pos]
     _finalize_owned(stack, rank)
-    return [RelationFeature(relation=c.relation, rank=rank, data=data)
-            for c, data in zip(compiled, stack)]
+    return [RelationFeature(relation=defn.relation, rank=rank, data=data)
+            for defn, data in zip(defns, stack)]
 
 
 class GatherPlan:
@@ -776,9 +757,12 @@ def _walk(summary: NodeSummary, memo: dict, plan: GatherPlan):
     return value
 
 
-def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None = None
+def eval_gathered(defn: EncoderDefinition, plan: GatherPlan, memo: dict | None = None
                   ) -> np.ndarray:
-    """Feature entries at every point of a plan, in one evaluation.
+    """A definition's feature entries at every point of a plan, in one
+    evaluation. The body is checked by :func:`compile_definition`'s
+    memoized pass (DefinitionError if it breaks a rule), and its root
+    summary is walked.
 
     Entry m equals the dense feature of point m's scene at point m's
     indices, bit for bit: ops act elementwise, and an op rounds an entry of
@@ -797,12 +781,14 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
     constants only) is sanitized straight into the output, and the zeroing
     of repeated points is skipped on a plan that has none.
     """
-    if len(plan.index) != compiled.rank:
-        raise ValueError(f"rank-{compiled.rank} encoder needs {compiled.rank} index arrays")
+    root = compile_definition(defn)
+    rank = relation_arity(defn.relation)
+    if len(plan.index) != rank:
+        raise ValueError(f"rank-{rank} encoder needs {rank} index arrays")
     memo = {} if memo is None else memo
-    raw = memo.get(compiled.summary.text)
+    raw = memo.get(root.text)
     if raw is None:
-        raw = _walk(compiled.summary, memo, plan)
+        raw = _walk(root, memo, plan)
     data = _sanitize(np.empty(plan.segment.shape), raw)
     if plan.any_repeated:
         data[plan.repeated] = 0.0
@@ -810,11 +796,12 @@ def eval_gathered(compiled: CompiledEncoder, plan: GatherPlan, memo: dict | None
 
 
 def eval_encoder_at(
-    compiled: CompiledEncoder,
+    defn: EncoderDefinition,
     geom: PairGeometry,
     index: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Feature entries at index tuples, without the dense N^rank tensor.
+    """A definition's feature entries at index tuples, without the dense
+    N^rank tensor; the body is checked as :func:`eval_gathered` checks it.
 
     ``index`` holds one integer array per object (i, then j, then k), all of
     one length M; entry m equals ``eval_encoder(...).data[index[0][m], ...]``
@@ -823,4 +810,4 @@ def eval_encoder_at(
     """
     index = tuple(np.asarray(a, dtype=np.intp) for a in index)
     segment = np.zeros(index[0].shape[:1], dtype=np.intp)
-    return eval_gathered(compiled, GatherPlan((geom,), segment, index))
+    return eval_gathered(defn, GatherPlan((geom,), segment, index))

@@ -12,12 +12,12 @@ found by descending the base's node summaries (:class:`~sceneground.dsl.
 NodeSummary`), in depth-first order with repeats, in as many steps as that
 node is deep. Bodies are never mutated in place: the child copies the nodes
 on that path and shares every other subtree with the base (grafts share
-nodes with the builtin pool). Each new node gets its summary from the DSL's
-node rule and its children's (a copy of a path node only joins its text
-anew, :func:`~sceneground.dsl.summarize_op`), so the child is built checked,
-with only the caps left to test on its root; the check pass never walks it,
-and a search scoring it on its memo of subtree values evaluates only its
-new path.
+nodes with the builtin pool). Each new node, path copies included, gets
+its summary from the DSL's one node rule (:func:`~sceneground.dsl.
+summarize_node`) and its children's, so the child is built checked, with
+only the caps left to test on its root; the check pass never walks it, and
+a search scoring it on its memo of subtree values evaluates only its new
+path.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .dsl import (
     is_swappable,
     op,
     summarize_node,
-    summarize_op,
 )
+from .expression import relation_arity
 
 __all__ = ["mutate_definition"]
 
@@ -141,7 +141,7 @@ def _graft_sources(objs: int) -> list[NodeSummary]:
     """Summaries of the builtin subtrees whose accessors read only objects in
     the ``objs`` bit set, depth first with repeats, builtin by builtin."""
     return [s for defn in builtin_definitions().values()
-            for s in _preorder(compile_definition(defn).summary) if not s.objs & ~objs]
+            for s in _preorder(compile_definition(defn)) if not s.objs & ~objs]
 
 
 def _scale_constant(root: NodeSummary, rng: _Draws) -> tuple[Change, Change]:
@@ -203,7 +203,7 @@ def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDef
     compile_definition`), or a scaled constant that overflowed, the first
     fault of a child of the base's shape."""
     path, trail, new = change
-    rank = compile_definition(base).rank
+    rank = relation_arity(base.relation)
     where = None  # the new node's error path
     for k in path:
         where = (where, k)
@@ -211,8 +211,8 @@ def _apply(base: EncoderDefinition, change: Change, metadata: str) -> EncoderDef
     for parent, k in zip(trail[-2::-1], reversed(path)):
         args = list(parent.node["args"])
         args[k] = summary.node
-        summary = summarize_op({**parent.node, "args": args},
-                               (*parent.args[:k], summary, *parent.args[k + 1:]), parent.entry)
+        summary = summarize_node({**parent.node, "args": args},
+                                 (*parent.args[:k], summary, *parent.args[k + 1:]), rank)
     child = EncoderDefinition(relation=base.relation, body=summary.node, metadata=metadata)
     compile_definition(child, summary)
     return child
@@ -224,8 +224,7 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     otherwise): its summaries guide the pick. ``seed`` is an int in
     [0, 2**64) (ValueError otherwise)."""
     rng = _Draws(seed)
-    compiled = compile_definition(defn)
-    root = compiled.summary
+    root = compile_definition(defn)
 
     kind = _draw_kind(rng)
     change: Change | None = None
@@ -234,7 +233,7 @@ def mutate_definition(defn: EncoderDefinition, seed: int) -> EncoderDefinition:
     elif kind == "wrap":
         change = _insert_wrapper(root, rng)
     elif kind == "graft":
-        change = _graft_subtree(root, rng, (1 << compiled.rank) - 1)
+        change = _graft_subtree(root, rng, (1 << relation_arity(defn.relation)) - 1)
     if change is None:
         kind = "const_scale"
         change, _ = _scale_constant(root, rng)

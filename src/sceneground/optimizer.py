@@ -236,7 +236,7 @@ def run_test_suite(
     elif memo.plan is not suite._plan:
         raise ValueError("memo was made for another suite")
     try:
-        compiled = compile_definition(defn)
+        compile_definition(defn)
     except DefinitionError as exc:
         return CandidateReport(definition=defn, pass_rate=0.0, failures=(),
                                note=f"validation failed: {exc}")
@@ -244,7 +244,7 @@ def run_test_suite(
     digest = defn.digest()
     outcomes = memo.outcomes.get(digest)
     if outcomes is None:
-        values = eval_gathered(compiled, suite._plan, memo.values)
+        values = eval_gathered(defn, suite._plan, memo.values)
         n_cases = len(suite.cases)
         outcomes = memo.outcomes[digest] = tuple((values[:n_cases] > values[n_cases:]).tolist())
     return CandidateReport(

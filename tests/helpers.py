@@ -157,7 +157,7 @@ def constant_perturbed(relation: str, seed: int, rounds: int = 1) -> EncoderDefi
     rng = np.random.default_rng(seed + 9000)
     defn = encoder_to_dsl(relation)
     for _ in range(rounds):
-        defn = _apply(defn, _scale_constant(compile_definition(defn).summary, rng)[0],
+        defn = _apply(defn, _scale_constant(compile_definition(defn), rng)[0],
                       "perturbed-const")
     return defn
 

@@ -283,6 +283,32 @@ def test_heatmap_csvs_reflect_relation_structure(dataset, registry, tmp_path):
     assert np.all(np.diag(near) == 0)
 
 
+def test_plot_files_are_named_by_position_not_scene_id(dataset, registry, tmp_path):
+    """A scene id that is no safe file name (``room/1``) still gets its
+    heatmaps, found through the manifest, and every file lands in the
+    plots directory itself."""
+    renamed = tmp_path / "renamed"
+    shutil.copytree(dataset, renamed)
+    scene_path = renamed / "scenes" / "mini_prox.json"
+    raw = json.loads(scene_path.read_text())
+    raw["scene_id"] = "room/1"
+    scene_path.write_text(json.dumps(raw))
+    lines = (renamed / "expressions.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        if record["scene_id"] == "mini_prox":
+            record["scene_id"] = "room/1"
+    (renamed / "expressions.jsonl").write_text("\n".join(map(json.dumps, records)) + "\n")
+    out = tmp_path / "plots"
+    run_bench(renamed, registry, plots_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {h["file"] for h in manifest["heatmaps"] if h["scene_id"] == "room/1"}
+    # "room/1" is the last of the five scene ids in sorted order
+    assert files == {f"heatmap_004_{r}.csv" for r in HEATMAP_RELATIONS}
+    named = [entry["file"] for entry in manifest["heatmaps"] + manifest["steps"]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(named + ["manifest.json"])
+
+
 def test_missing_ground_truth_rejected(dataset, registry, tmp_path):
     import shutil
 

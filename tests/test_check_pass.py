@@ -29,6 +29,7 @@ from sceneground.dsl import (
     get,
     op,
 )
+from sceneground.expression import relation_arity
 from sceneground.optimizer import (
     MutationSource,
     OptimizerConfig,
@@ -178,7 +179,7 @@ def test_pass_matches_reference_validator_and_tree_walk(case):
     defn = EncoderDefinition(relation=relation, body=body)
     expected = _expected(defn)
     try:
-        compiled = compile_definition(defn)
+        compile_definition(defn)
         got = None
     except DefinitionError as exc:
         got = str(exc)
@@ -191,9 +192,9 @@ def test_pass_matches_reference_validator_and_tree_walk(case):
     reference = tree_walk_eval(defn, SCENE, GEOM).data
     dense = eval_encoder(defn, SCENE, GEOM).data
     assert dense.tobytes() == reference.tobytes()
-    index = tuple(np.array(t) for t in zip(*itertools.product(range(len(SCENE)),
-                                                               repeat=compiled.rank)))
-    gathered = eval_encoder_at(compiled, GEOM, index)
+    points = itertools.product(range(len(SCENE)), repeat=relation_arity(relation))
+    index = tuple(np.array(t) for t in zip(*points))
+    gathered = eval_encoder_at(defn, GEOM, index)
     assert gathered.tobytes() == reference[index].tobytes()
 
 
@@ -221,15 +222,14 @@ def test_mixed_number_types_evaluate_as_the_tree_walk():
     body = op("add", op("mul", first, const(1.0)), op("sub", op("mul", first, {"const": 1}), twin))
     for relation in ("near", "between"):
         defn = EncoderDefinition(relation=relation, body=body)
-        compiled = compile_definition(defn)
-        nodes = dsl._shared_dag((compiled,))[0]
+        nodes = dsl._shared_dag((compile_definition(defn),))[0]
         assert [n for n in nodes if n[0] == "const"] == [("const", 1.0)] * 2
         assert sum(n[0] == "get" for n in nodes) == 1
         reference = tree_walk_eval(defn, SCENE, GEOM).data
         assert eval_encoder(defn, SCENE, GEOM).data.tobytes() == reference.tobytes()
-        index = tuple(np.array(t) for t in zip(*itertools.product(range(len(SCENE)),
-                                                                   repeat=compiled.rank)))
-        gathered = eval_encoder_at(compiled, GEOM, index)
+        points = itertools.product(range(len(SCENE)), repeat=relation_arity(relation))
+        index = tuple(np.array(t) for t in zip(*points))
+        gathered = eval_encoder_at(defn, GEOM, index)
         assert gathered.tobytes() == reference[index].tobytes()
         assert defn.digest() == oracles.reference_digest(defn)
 

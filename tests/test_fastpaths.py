@@ -10,6 +10,7 @@ walk, per-body evaluations, fresh evaluations, per-scene gathering, the dense sc
 import gc
 import hashlib
 import json
+import re
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -20,8 +21,10 @@ import sceneground.dsl as dsl
 import sceneground.optimizer as optimizer_module
 from sceneground.builtins import builtin_definitions, encoder_to_dsl
 from sceneground.dsl import (
+    DefinitionError,
     EncoderDefinition,
     GatherPlan,
+    NodeSummary,
     agg,
     compile_definition,
     const,
@@ -124,7 +127,7 @@ def _shared_pass_groups(arity, rng):
     base = encoder_to_dsl(RELATION_OF_ARITY[arity])
     copy = EncoderDefinition(relation=base.relation, body=json.loads(json.dumps(base.body)))
     inner = EncoderDefinition(relation=base.relation,
-                              body=compile_definition(base).summary.args[0].node)
+                              body=compile_definition(base).args[0].node)
     groups = [builtins, [base, copy, inner, base]]
     for _ in range(3):
         picked = rng.permutation(len(pool))[:int(rng.integers(2, len(pool) + 1))]
@@ -176,13 +179,13 @@ def test_stacked_pass_features_are_finished_read_only_rows(arity, monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             data[(0,) * arity] = 1.0
         assert data.tobytes() == eval_encoder(defn, scene, geom).data.tobytes()
-        gathered = eval_encoder_at(compile_definition(defn), geom, index)
+        gathered = eval_encoder_at(defn, geom, index)
         assert gathered.tobytes() == data.tobytes(), defn.relation
 
 
 def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
     group = [encoder_to_dsl(r) for r in ("left", "right", "front", "behind", "near")]
-    texts = {s.text for d in group for s in _preorder(compile_definition(d).summary)}
+    texts = {s.text for d in group for s in _preorder(compile_definition(d))}
     dsl._shared_dag.cache_clear()
     built = []
     real_build = dsl._build_dag
@@ -233,7 +236,7 @@ def test_gathered_entries_equal_dense_entries(arity):
         if arity >= 2:
             index[1][16:24] = index[0][16:24]  # repeated index: entry is 0
         index = tuple(index)
-        got = eval_encoder_at(compile_definition(defn), geom, index)
+        got = eval_encoder_at(defn, geom, index)
         assert np.array_equal(got, dense[index])
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
@@ -282,10 +285,9 @@ def test_memoized_gathered_walk_matches_fresh_calls_and_tree_walk(arity):
     sizes = []
     for _ in range(2):
         for defn in defns:
-            compiled = compile_definition(defn)
             expected = tree_walk_eval(defn, scene, geom).data[index].tobytes()
-            assert eval_gathered(compiled, plan, memo).tobytes() == expected
-            assert eval_gathered(compiled, plan).tobytes() == expected
+            assert eval_gathered(defn, plan, memo).tobytes() == expected
+            assert eval_gathered(defn, plan).tobytes() == expected
         sizes.append(len(memo))
     assert sizes[0] == sizes[1]
 
@@ -340,7 +342,7 @@ def test_search_evaluates_each_node_text_once_and_builds_no_dag(monkeypatch):
     assert len(evaluated) == len(stored) == len(set(stored))
     assert "op" in evaluated
     # far fewer evaluations than the candidates' distinct nodes
-    distinct = sum(len({s.text for s in _preorder(compile_definition(d).summary)})
+    distinct = sum(len({s.text for s in _preorder(compile_definition(d))})
                    for d in drawn)
     assert 2 * len(evaluated) < distinct
     assert built == []
@@ -371,15 +373,34 @@ def test_search_memo_dies_with_the_search(monkeypatch):
 def test_gather_rejects_bad_index():
     scene = random_scene(np.random.default_rng(4), 5, "bad")
     geom = precompute_geometry(scene)
-    compiled = compile_definition(encoder_to_dsl("near"))
+    near = encoder_to_dsl("near")
     with pytest.raises(ValueError, match="index arrays"):
-        eval_encoder_at(compiled, geom, (np.arange(3),))
+        eval_encoder_at(near, geom, (np.arange(3),))
     with pytest.raises(ValueError, match="out of range"):
-        eval_encoder_at(compiled, geom, (np.arange(3), np.array([0, 1, 5])))
+        eval_encoder_at(near, geom, (np.arange(3), np.array([0, 1, 5])))
     with pytest.raises(ValueError, match="equal length"):
-        eval_encoder_at(compiled, geom, (np.arange(3), np.arange(2)))
+        eval_encoder_at(near, geom, (np.arange(3), np.arange(2)))
     with pytest.raises(ValueError, match="segment out of range"):
         GatherPlan((geom,), [0, 1], (np.arange(2), np.arange(2)))
+
+
+def test_gathered_evaluators_check_the_definition_they_are_given():
+    """``eval_gathered`` and ``eval_encoder_at`` take a definition and check
+    it by the memoized pass: an unchecked body that breaks a rule raises its
+    DefinitionError text, and a checked body is one root summary."""
+    geom = precompute_geometry(random_scene(np.random.default_rng(4), 5, "unchecked"))
+    index = (np.arange(3), np.array([1, 2, 0]))
+    plan = GatherPlan((geom,), np.zeros(3, dtype=np.intp), index)
+    reads_k = op("sub", get("size", "i", "x"), get("size", "k", "x"))
+    text = "body.args[1]: accessor object 'k' not allowed here (allowed: ('i', 'j'))"
+    for evaluate in (lambda d: eval_gathered(d, plan), lambda d: eval_encoder_at(d, geom, index)):
+        with pytest.raises(DefinitionError, match=rf"^{re.escape(text)}$"):
+            evaluate(EncoderDefinition(relation="near", body=reads_k))
+    defn = EncoderDefinition(relation="near", body=encoder_to_dsl("near").body)
+    root = compile_definition(defn)
+    assert isinstance(root, NodeSummary) and compile_definition(defn) is root
+    assert eval_gathered(defn, plan).tobytes() == eval_encoder_at(defn, geom, index).tobytes()
+    assert compile_definition(defn) is root
 
 
 def _scene_constant_bodies(arity):
@@ -428,12 +449,11 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
     plan = suite._plan
     raw_ndims = set()
     for defn in defns:
-        compiled = compile_definition(defn)
-        batched = eval_gathered(compiled, plan)
+        batched = eval_gathered(defn, plan)
         # the broadcast form every body took before: a copy, whatever the raw value
         memo = {}
-        eval_gathered(compiled, plan, memo)
-        raw = memo[compiled.summary.text]
+        eval_gathered(defn, plan, memo)
+        raw = memo[compile_definition(defn).text]
         raw_ndims.add(np.ndim(raw))
         broadcast = reference_sanitize(np.array(np.broadcast_to(
             np.asarray(raw, dtype=np.float64), plan.segment.shape)))
@@ -445,7 +465,7 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
             geom = precompute_geometry(scene)
             rows = [m for m, (s, _) in enumerate(points) if s == sid]
             index = tuple(np.array(column) for column in zip(*(points[m][1] for m in rows)))
-            per_scene[rows] = eval_encoder_at(compiled, geom, index)
+            per_scene[rows] = eval_encoder_at(defn, geom, index)
             dense[rows] = eval_encoder(defn, scene, geom).data[index]
         assert batched.tobytes() == per_scene.tobytes() == dense.tobytes()
         fast, reference = run_test_suite(defn, suite), dense_run_test_suite(defn, suite)

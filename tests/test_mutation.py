@@ -83,7 +83,7 @@ def test_scale_factor_takes_one_draw():
     """The factor is 0.5 + 1.5 * random() from one draw, the constant is
     picked by the next, and the stream goes on after those two."""
     body = op("add", const(1.0), op("mul", const(2.0), const(3.0)))
-    root = compile_definition(EncoderDefinition(relation="large", body=body)).summary
+    root = compile_definition(EncoderDefinition(relation="large", body=body))
     for seed in range(2_000):
         reference, fast = mutation._Draws(seed), mutation._Draws(seed)
         (_, trail, _), (_, _, (factor, _)) = mutation._scale_constant(root, fast)

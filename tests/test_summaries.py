@@ -152,7 +152,7 @@ def test_joined_canonical_json_and_digest_equal_json_dumps(case):
     if expected[0] == "ok":
         assert defn.digest() == reference_digest(defn)
         if checked:  # the text came from the summaries, not from json.dumps
-            assert compile_definition(defn).summary.text
+            assert compile_definition(defn).text
 
 
 _COUNTS = {  # the node list's count, and the descent's
@@ -169,7 +169,7 @@ _DESCENT_COUNTS = {"size": mutation._NODES, "consts": mutation._CONSTS,
 @SETTINGS
 @given(valid_bodies())
 def test_descent_picks_what_the_node_list_picks(body):
-    root = _compiled_or_reject(EncoderDefinition(relation="between", body=body)).summary
+    root = _compiled_or_reject(EncoderDefinition(relation="between", body=body))
     listed = all_nodes(body)
     for name, counts in _COUNTS.items():
         oracle = [(path, node) for path, node in listed if counts(node)]
@@ -181,7 +181,7 @@ def test_descent_picks_what_the_node_list_picks(body):
 
 
 def _compiled_or_reject(defn):
-    """The compiled definition; a random valid tree can still pass the node cap."""
+    """The checked body's root summary; a random valid tree can still pass the node cap."""
     try:
         return compile_definition(defn)
     except DefinitionError as exc:
@@ -195,11 +195,10 @@ _FIELDS = ("text", "entry", "size", "height", "objs", "consts", "swaps")
 def _assert_built_as_checked(child):
     """Every summary ``child`` was built with equals a fresh full check's,
     field by field, and its digest is the reference's."""
-    built = child.__dict__["_compiled"]  # stored as mutation built the child
+    built = child.__dict__["_root"]  # stored as mutation built the child
     fresh = compile_definition(EncoderDefinition(relation=child.relation, body=child.body))
-    assert built.rank == fresh.rank
-    pairs = list(zip(mutation._preorder(built.summary), mutation._preorder(fresh.summary)))
-    assert len(pairs) == fresh.summary.size
+    pairs = list(zip(mutation._preorder(built), mutation._preorder(fresh)))
+    assert len(pairs) == fresh.size
     for got, want in pairs:
         assert got.node is want.node
         assert [getattr(got, f) for f in _FIELDS] == [getattr(want, f) for f in _FIELDS]
@@ -229,7 +228,7 @@ def test_built_child_equals_a_fresh_check_on_chains_hostile_bodies_and_grafts(ar
         for seed in range(10):
             _assert_built_as_checked(mutation.mutate_definition(base, seed))
     for base in [encoder_to_dsl(relation), defn]:
-        root = compile_definition(base).summary
+        root = compile_definition(base)
         for _ in range(20):
             change = mutation._graft_subtree(root, rng, (1 << arity) - 1)
             got = _outcome(mutation._apply, base, change, "graft")
@@ -251,7 +250,7 @@ def _abs_chain(n):
 
 _HUGE = {"const": 1.7e308}
 _READS_J = compile_definition(
-    EncoderDefinition(relation="near", body=op("neg", get("volume", "j")))).summary.args[0]
+    EncoderDefinition(relation="near", body=op("neg", get("volume", "j")))).args[0]
 
 
 @pytest.mark.parametrize("body, k, replace_with", [
@@ -268,7 +267,7 @@ _READS_J = compile_definition(
         "overflow_root", "overflow_deep", "objects"])
 def test_built_child_past_a_cap_raises_the_reference_fault(body, k, replace_with):
     base = EncoderDefinition(relation="large", body=body)
-    root = compile_definition(base).summary
+    root = compile_definition(base)
     path, trail = mutation._descend(root, mutation._NODES, k)
     target = trail[-1]
     recipe = {
