@@ -1,13 +1,20 @@
+import gc
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import sceneground.atomic as atomic_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import DefinitionError
 from sceneground.expression import ALL_RELATIONS
+from sceneground.mutation import mutate_definition
+from sceneground.optimizer import MutationSource, OptimizerConfig, optimize_encoder
 from sceneground.registry import EncoderRegistry, RegistryError, load_registry, save_registry
+
+from helpers import build_margin_suite
 
 
 def test_save_then_load_round_trips(tmp_path):
@@ -74,3 +81,62 @@ def test_registry_file_keeps_the_relation_order(tmp_path):
     path = tmp_path / "registry.json"
     save_registry(registry, path)
     assert list(json.loads(path.read_text(encoding="utf-8"))["active"]) == list(ALL_RELATIONS)
+
+
+def _carries_no_memo(defn):
+    return "_root" not in defn.__dict__ and "_digest" not in defn.__dict__
+
+
+def test_the_packed_library_round_trips_every_accepted_definition(tmp_path):
+    suites = {relation: build_margin_suite(relation, np.random.default_rng(200 + k), n_cases=8)
+              for k, relation in enumerate(("at_the_corner", "near", "between"))}
+    registry = EncoderRegistry()
+    accepted = []
+    for k, relation in enumerate(("at_the_corner", "near", "at_the_corner", "near", "between")):
+        best, _ = optimize_encoder(relation, suites[relation], MutationSource(), registry,
+                                   OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=k))
+        accepted.append(best)
+    library = registry.library
+    assert [json.dumps(d.to_dict()) for d in library] == [json.dumps(d.to_dict()) for d in accepted]
+    assert all(map(_carries_no_memo, library))
+    assert all(d.body is not a.body for d, a in zip(library, accepted))
+    for relation in ("at_the_corner", "near", "between"):
+        latest = registry.accepted_definition(relation)
+        assert _carries_no_memo(latest)
+        assert latest == [a for a in accepted if a.relation == relation][-1]
+    assert registry.accepted_definition("far") is None
+
+    path = tmp_path / "registry.json"
+    save_registry(registry, path)
+    reference = {"active": {name: d.to_dict() for name, d in registry.snapshot().items()},
+                 "library": [d.to_dict() for d in accepted]}
+    assert path.read_text(encoding="utf-8") == json.dumps(reference, indent=2) + "\n"
+    loaded = load_registry(path)
+    assert loaded.library == library
+    assert all(map(_carries_no_memo, loaded.library))
+
+
+def test_an_accepted_winner_retains_little_memory():
+    """The library keeps a winner's body packed, not its tree of path
+    copies: 300 three-generation ``near`` mutants retain under 1,200 B each,
+    where keeping their trees retains about 2,400 B each."""
+    n = 300
+    mutate_definition(encoder_to_dsl("near"), 0)  # warm the module's memos
+    registry = EncoderRegistry()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(n):
+            defn = encoder_to_dsl("near")
+            for generation in range(3):
+                defn = mutate_definition(defn, 3 * k + generation)
+            registry.accept(defn)
+        del defn
+        registry.install(encoder_to_dsl("near"))  # let go of the last winner
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(registry.library) == n
+    assert retained < 1200, f"{retained:.0f} B retained per winner"
