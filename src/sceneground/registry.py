@@ -3,7 +3,9 @@
 Builtins are pre-installed as the active definition for every relation, so a
 grounding run can always resolve the full closed set. Optimization runs call
 :meth:`EncoderRegistry.accept` to promote a winning candidate; readers take a
-snapshot, so a run observes one consistent set of encoders.
+snapshot, so a run observes one consistent set of encoders. The library keeps
+each accepted body packed (pickled) in memory and gives readers fresh, equal
+definitions; the registry file's format is unchanged JSON.
 """
 
 from __future__ import annotations
@@ -107,11 +109,15 @@ class EncoderRegistry:
             self._active[defn.relation] = defn
 
     def to_dict(self) -> dict:
+        """The registry file's layout; entries are unpacked after the lock
+        is released, as :attr:`library` does."""
         with self._lock:
-            return {
-                "active": {name: defn.to_dict() for name, defn in self._active.items()},
-                "library": [_unpack(entry).to_dict() for entry in self._library],
-            }
+            active = dict(self._active)
+            entries = list(self._library)
+        return {
+            "active": {name: defn.to_dict() for name, defn in active.items()},
+            "library": [_unpack(entry).to_dict() for entry in entries],
+        }
 
 
 def save_registry(registry: EncoderRegistry, path: str | Path) -> None:

@@ -83,8 +83,6 @@ class SimilarityTable:
 
     categories: tuple[str, ...]
     values: np.ndarray
-    # each normalized category -> its first column, built once
-    _columns: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -106,16 +104,13 @@ class SimilarityTable:
             raise SceneError("similarity table contains non-finite entries")
         if np.any(values < -1.0) or np.any(values > 1.0):
             raise SceneError("similarity entries must lie in [-1, 1]")
-        columns: dict[str, int] = {}
-        for q, name in enumerate(self.categories):
-            columns.setdefault(normalize_label(name), q)
-        object.__setattr__(self, "_columns", columns)
 
     def column(self, category: str) -> np.ndarray | None:
-        """A copy of the first column whose category normalizes as ``category``
-        does, or None."""
-        q = self._columns.get(normalize_label(category))
-        return None if q is None else self.values[:, q].copy()
+        key = normalize_label(category)
+        for q, name in enumerate(self.categories):
+            if normalize_label(name) == key:
+                return self.values[:, q].copy()
+        return None
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sceneground.atomic as atomic_module
+import sceneground.registry as registry_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.dsl import DefinitionError
 from sceneground.expression import ALL_RELATIONS
@@ -114,6 +115,22 @@ def test_the_packed_library_round_trips_every_accepted_definition(tmp_path):
     loaded = load_registry(path)
     assert loaded.library == library
     assert all(map(_carries_no_memo, loaded.library))
+
+
+def test_registry_readers_unpack_outside_the_lock(monkeypatch):
+    """``library``, ``accepted_definition`` and ``to_dict`` copy the entries
+    under the lock and unpickle them after releasing it, so a large library
+    does not block ``accept`` or ``snapshot`` while it is read."""
+    registry = EncoderRegistry()
+    registry.accept(encoder_to_dsl("near"))
+    unpack = registry_module._unpack
+    locked = []
+    monkeypatch.setattr(registry_module, "_unpack",
+                        lambda entry: locked.append(registry._lock.locked()) or unpack(entry))
+    registry.library
+    registry.accepted_definition("near")
+    registry.to_dict()
+    assert locked == [False, False, False]
 
 
 def test_an_accepted_winner_retains_little_memory():

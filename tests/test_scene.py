@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sceneground.scene as scene_module
 from sceneground.scene import (
     Scene,
     SceneError,
@@ -237,33 +236,6 @@ def test_similarity_column_matches_the_per_lookup_rule():
         assert (None if column is None else column.tolist()) == per_lookup(query)
     assert table.column("office chair").tolist() == table.values[:, 0].tolist()
     assert table.column("table").tolist() == table.values[:, 1].tolist()
-
-
-def test_similarity_lookup_normalizes_only_its_query(monkeypatch):
-    """The table indexes its normalized categories once, so a lookup makes
-    one ``normalize_label`` call, and it returns what the linear scan that
-    normalized every category on each lookup returned."""
-    categories = ("Office Chair", "office  chair", "TABLE ", "table", " Lamp\t", "sofa bed")
-    table = SimilarityTable(categories=categories,
-                            values=np.linspace(-1.0, 1.0, 12).reshape(2, 6))
-
-    def linear_scan(category):
-        for q, name in enumerate(categories):
-            if normalize_label(name) == normalize_label(category):
-                return table.values[:, q].tolist()
-        return None
-
-    queries = [variant for name in categories + ("stool", "sofa")
-               for variant in (name, name.upper(), f"  {name.lower()}\t", name.replace(" ", "  "))]
-    calls = []
-    monkeypatch.setattr(scene_module, "normalize_label",
-                        lambda text: calls.append(text) or normalize_label(text))
-    columns = [table.column(query) for query in queries]
-    assert calls == queries
-    monkeypatch.undo()
-    for query, column in zip(queries, columns):
-        assert (None if column is None else column.tolist()) == linear_scan(query), query
-    assert table.column("stool") is None and table.column("sofa") is None
 
 
 def test_normalized_labels_are_memoized_per_scene():
