@@ -175,7 +175,7 @@ def run_bench(
 
     def ground_one(entry: BenchEntry) -> tuple[BenchRecord, MatchingScore]:
         started = time.perf_counter()
-        score = score_features(entry.expression, scenes[entry.scene_id].object_ids,
+        score = score_features(entry.expression, scenes[entry.scene_id].ids,
                                *features[entry.scene_id])
         wall_ms = (time.perf_counter() - started) * 1000.0
         argmax = score.argmax_id()
@@ -253,7 +253,7 @@ def _write_plot_data(scenes: dict[str, Scene], entries: list[BenchEntry],
             feature = relation_features[sid][relation]
             name = f"heatmap_{k:03d}_{relation}.csv"
             write_text_atomic(out_dir / name, _csv_text(
-                [[f"obj_{oid}" for oid in scene.object_ids], *feature.data.tolist()]))
+                [[f"obj_{oid}" for oid in scene.ids], *feature.data.tolist()]))
             manifest["heatmaps"].append({"file": name, "scene_id": sid, "relation": relation})
 
     for idx, (entry, score) in enumerate(zip(entries, scores)):

@@ -6,8 +6,8 @@ the offline ``parse`` forms never do.
 
 Every subcommand accepts ``--config file.json`` holding the same fields as
 its flags; a key that no subcommand has a flag for is an error. Precedence
-is flags > config > defaults. Exit codes: 0 success, 1 runtime error, 2
-input validation error (an :class:`~sceneground.atomic.InputError`).
+is flags > config > defaults. Exit codes: 0 success, 1 runtime error (a
+MemoryError too), 2 input validation error (an :class:`~sceneground.atomic.InputError`).
 """
 
 from __future__ import annotations
@@ -290,8 +290,9 @@ def main(argv: list[str] | None = None) -> int:
             if key not in args.config_keys:
                 raise CliError(f"{args.config}: unknown option {key!r}")
         return args.func(args, config)
-    except (OSError, ValueError, RuntimeError) as exc:  # LlmError, ExecutionError: RuntimeError
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:  # LlmError: RuntimeError
+        # a bare MemoryError has no text; numpy's names the allocation that failed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
 
 

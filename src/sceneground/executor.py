@@ -78,25 +78,24 @@ class CategoryFeature:
 class FeatureCache:
     """Per-scene memo of relation and category features.
 
-    The cache snapshots the registry's active definitions at construction, so
-    a grounding run sees one consistent encoder set (``run_bench`` builds no
-    cache and takes one snapshot per run). A request computes its missing
-    features with :func:`relation_features` (one shared DAG pass per rank)
-    and :func:`category_features` (one softmax), the functions
-    ``run_bench``'s pre-pass calls. Each feature
-    is computed at most once: a request reads the features already computed
-    without a lock, so such a lookup never waits, and computes the missing
-    ones, in sorted order, under the cache's one lock, after checking again
-    which of them another request has computed meanwhile. Entries are only
-    valid for the cache's scene, whose fingerprint is hashed only when
-    ``execute`` is given another scene object.
+    The cache snapshots the :class:`~sceneground.registry.EncoderRegistry`'s
+    active definitions at construction, so a grounding run sees one
+    consistent encoder set (``run_bench`` builds no cache and takes one
+    snapshot per run). A request computes its missing features with
+    :func:`relation_features` (one shared DAG pass per rank) and
+    :func:`category_features` (one softmax), the functions ``run_bench``'s
+    pre-pass calls. Each feature is computed at most once: a request reads
+    the features already computed without a lock, so such a lookup never
+    waits, and computes the missing ones, in sorted order, under the cache's
+    one lock, after checking again which of them another request has
+    computed meanwhile. Entries are only valid for the cache's scene, whose
+    fingerprint is hashed only when ``execute`` is given another scene object.
     """
 
-    def __init__(self, scene: Scene,
-                 registry: EncoderRegistry | dict[str, EncoderDefinition]) -> None:
+    def __init__(self, scene: Scene, registry: EncoderRegistry) -> None:
         self.scene = scene
         self.geometry: PairGeometry = precompute_geometry(scene)
-        self._definitions = registry.snapshot() if isinstance(registry, EncoderRegistry) else dict(registry)
+        self._definitions = registry.snapshot()
         self._features: dict[tuple[str, str], RelationFeature | CategoryFeature] = {}
         self._lock = threading.Lock()  # held while missing features are computed
 
@@ -266,7 +265,7 @@ def execute(expr: SymbolicExpression, scene: Scene, cache: FeatureCache) -> Matc
         )
     relations = cache.relation_features([clause.relation for _, clause in collect_conditions(expr)])
     categories = cache.category_features(collect_categories(expr))
-    return score_features(expr, scene.object_ids, categories, relations)
+    return score_features(expr, scene.ids, categories, relations)
 
 
 def rank_candidates(score: MatchingScore, top_k: int, threshold: float) -> list[int]:
@@ -306,20 +305,13 @@ def grounding_result(
     }
 
 
-def condition_level_eval(
-    entries: list[tuple[str, SymbolicExpression, int]],
-    scenes: dict[str, Scene],
-    registry: EncoderRegistry | dict[str, EncoderDefinition],
-    caches: dict[str, FeatureCache] | None = None,
-) -> tuple[float, float]:
-    """Execute every entry once and score its conditions with
-    :func:`condition_precision_recall`.
-
-    ``caches`` maps scene ids to feature caches already built for those
-    scenes, which are reused; scenes without one get a cache over
-    ``registry``. The mapping itself is not modified.
-    """
-    caches = dict(caches or {})
+def condition_level_eval(entries: list[tuple[str, SymbolicExpression, int]],
+                         scenes: dict[str, Scene],
+                         registry: EncoderRegistry) -> tuple[float, float]:
+    """Execute every entry once, with one :class:`FeatureCache` over
+    ``registry`` per scene, and score its conditions with
+    :func:`condition_precision_recall`."""
+    caches: dict[str, FeatureCache] = {}
     scored = []
     for scene_id, expr, ground_truth in entries:
         try:

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
+
 __all__ = ["generate_mini_benchmark"]
 
 
@@ -303,9 +305,8 @@ def generate_mini_benchmark(out_dir: str | Path, seed: int = 7) -> dict:
             "scene_id": sid,
             "objects": [{"id": o.id, "label": o.label, "bbox": o.row()} for o in objs],
         }
-        (scenes_dir / f"{sid}.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_text_atomic(scenes_dir / f"{sid}.json", json.dumps(payload, indent=2) + "\n")
         all_queries.extend(queries)
     lines = [json.dumps(q, ensure_ascii=False) for q in all_queries]
-    (out_dir / "expressions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(out_dir / "expressions.jsonl", "\n".join(lines) + "\n")
     return {"scenes": scene_ids, "n_queries": len(all_queries), "seed": seed}

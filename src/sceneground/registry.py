@@ -5,7 +5,7 @@ grounding run can always resolve the full closed set. Optimization runs call
 :meth:`EncoderRegistry.accept` to promote a winning candidate; readers take a
 snapshot, so a run observes one consistent set of encoders. The library keeps
 each accepted body packed (pickled) in memory and gives readers fresh, equal
-definitions; the registry file's format is unchanged JSON.
+definitions; the registry file is compact JSON, one line per entry.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import pickle
 import threading
+from functools import partial
 from pathlib import Path
 
 from .atomic import InputError, load_json, write_text_atomic
 from .builtins import builtin_definitions
-from .dsl import DefinitionError, EncoderDefinition, checked_definition, validate_definition
+from .dsl import DefinitionError, EncoderDefinition, checked_definition, compile_definition
 
 __all__ = ["RegistryError", "EncoderRegistry", "load_registry", "save_registry"]
 
@@ -96,7 +97,7 @@ class EncoderRegistry:
         search pins neither a winner's memoized check nor its tree of path
         copies; the active map keeps the compiled definition.
         """
-        validate_definition(defn)
+        compile_definition(defn)
         entry = _pack(defn)
         with self._lock:
             self._library.append(entry)
@@ -104,7 +105,7 @@ class EncoderRegistry:
 
     def install(self, defn: EncoderDefinition) -> None:
         """Replace the active definition without recording an acceptance."""
-        validate_definition(defn)
+        compile_definition(defn)
         with self._lock:
             self._active[defn.relation] = defn
 
@@ -121,8 +122,12 @@ class EncoderRegistry:
 
 
 def save_registry(registry: EncoderRegistry, path: str | Path) -> None:
-    """Write the registry atomically (:func:`~sceneground.atomic.write_text_atomic`)."""
-    write_text_atomic(path, json.dumps(registry.to_dict(), indent=2) + "\n")
+    """Write the registry atomically (:func:`~sceneground.atomic.write_text_atomic`)
+    as compact JSON, one line per active entry and one per library entry."""
+    raw, dump = registry.to_dict(), partial(json.dumps, separators=(",", ":"))
+    active = ",\n".join(f"{dump(name)}:{dump(defn)}" for name, defn in raw["active"].items())
+    write_text_atomic(path, '{"active":{\n' + active + '\n},\n"library":[\n'
+                      + ",\n".join(map(dump, raw["library"])) + "\n]}\n")
 
 
 def load_registry(path: str | Path) -> EncoderRegistry:

@@ -117,7 +117,7 @@ class SimilarityTable:
 class Scene:
     """Ordered, immutable set of labeled boxes, stored as columns.
 
-    ``object_ids`` and ``object_labels`` are tuples and ``boxes`` is one
+    ``ids`` and ``labels`` are tuples and ``boxes`` is one
     read-only (N, 6) float64 array whose row k is object k's
     ``[cx, cy, cz, w, d, h]``. Position k is stable for the lifetime of the
     scene; all feature arrays are indexed by position, with :attr:`index_of`
@@ -129,8 +129,8 @@ class Scene:
     """
 
     scene_id: str
-    object_ids: tuple[int, ...]
-    object_labels: tuple[str, ...]
+    ids: tuple[int, ...]
+    labels: tuple[str, ...]
     boxes: np.ndarray
     similarities: SimilarityTable | None
     index_of: dict[int, int] = field(repr=False)
@@ -166,7 +166,7 @@ class Scene:
                 f"scene {scene_id!r}: similarity table has "
                 f"{similarities.values.shape[0]} rows for {len(ids)} objects"
             )
-        for name, value in (("scene_id", scene_id), ("object_ids", ids), ("object_labels", labels),
+        for name, value in (("scene_id", scene_id), ("ids", ids), ("labels", labels),
                             ("boxes", boxes), ("similarities", similarities), ("index_of", index),
                             ("normalized_labels", normalized)):
             object.__setattr__(self, name, value)
@@ -175,23 +175,15 @@ class Scene:
         if not isinstance(other, Scene):
             return NotImplemented
         mine, theirs = self.similarities, other.similarities
-        return (self.scene_id == other.scene_id and self.object_ids == other.object_ids
-                and self.object_labels == other.object_labels
+        return (self.scene_id == other.scene_id and self.ids == other.ids
+                and self.labels == other.labels
                 and np.array_equal(self.boxes, other.boxes)
                 and (mine is theirs or (mine is not None and theirs is not None
                                         and mine.categories == theirs.categories
                                         and np.array_equal(mine.values, theirs.values))))
 
     def __len__(self) -> int:
-        return len(self.object_ids)
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self.object_labels)
-
-    @property
-    def ids(self) -> list[int]:
-        return list(self.object_ids)
+        return len(self.ids)
 
     @cached_property
     def objects(self) -> tuple[SceneObject, ...]:
@@ -199,7 +191,7 @@ class Scene:
         return tuple(
             SceneObject(id=oid, label=label, bbox=BoundingBox(center=tuple(row[:3]),
                                                               size=tuple(row[3:])))
-            for oid, label, row in zip(self.object_ids, self.object_labels, self.boxes.tolist())
+            for oid, label, row in zip(self.ids, self.labels, self.boxes.tolist())
         )
 
     def fingerprint(self) -> str:
@@ -413,7 +405,7 @@ def _scene_to_dict(scene: Scene) -> dict:
         "scene_id": scene.scene_id,
         "objects": [
             {"id": oid, "label": label, "bbox": row}
-            for oid, label, row in zip(scene.object_ids, scene.object_labels, scene.boxes.tolist())
+            for oid, label, row in zip(scene.ids, scene.labels, scene.boxes.tolist())
         ],
     }
     if scene.similarities is not None:

@@ -219,7 +219,7 @@ def test_score_features_equals_execute_on_every_entry(registry, tmp_path, seed):
                                      for _, clause in collect_conditions(x)}))
     for entry in entries:
         scene = scenes[entry.scene_id]
-        got = score_features(entry.expression, scene.object_ids, *features[entry.scene_id])
+        got = score_features(entry.expression, scene.ids, *features[entry.scene_id])
         want = execute(entry.expression, scene, FeatureCache(scene, registry))
         assert got.object_ids == want.object_ids
         assert got.data.tobytes() == want.data.tobytes()

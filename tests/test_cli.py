@@ -876,3 +876,20 @@ def test_main_exits_by_the_class_of_the_error(monkeypatch, capsys, error, code):
     monkeypatch.setattr("sceneground.cli.cmd_parse", fail)
     assert main(["parse"]) == code
     assert capsys.readouterr().err == "error: the reason\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("Unable to allocate 7.45 GiB"), "error: Unable to allocate 7.45 GiB\n"),
+], ids=["bare", "with_text"])
+def test_running_out_of_memory_exits_1_with_one_line(monkeypatch, capsys, error, line):
+    """A MemoryError is a runtime error: exit 1 with one ``error:`` line, its
+    text or else its class name, and no traceback."""
+
+    def exhaust(args, config):
+        raise error
+
+    monkeypatch.setattr("sceneground.cli.cmd_ground", exhaust)
+    assert main(["ground"]) == 1
+    err = capsys.readouterr().err
+    assert err == line and "Traceback" not in err

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sceneground.dsl import (
     DefinitionError,
     EncoderDefinition,
     agg,
+    compile_definition,
     const,
     eval_encoder,
     get,
@@ -222,3 +224,26 @@ def test_digest_ignores_metadata():
     assert a.digest() == b.digest()
     c = EncoderDefinition(relation="far", body=a.body, metadata=a.metadata)
     assert a.digest() != c.digest()
+
+
+def test_a_body_past_the_node_cap_joins_no_text():
+    """A subtree repeated by reference doubles its joined text at each
+    level. Past ``MAX_TREE_NODES`` the check joins none: 20 levels of
+    ``t = add(t, t)`` fail the cap with its usual text and a traced peak
+    under 8 MB (joining the texts peaked at 129 MB), and an op's extra
+    key that is not JSON still faults before the cap does."""
+    body = const(1.0)
+    for _ in range(20):
+        body = op("add", body, body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DefinitionError) as raised:
+            compile_definition(EncoderDefinition(relation="large", body=body))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "body: tree has 2097151 nodes, cap is 512"
+    assert peak < 8e6
+    noted = op("add", const(1.0), {**body, "note": {1, 2}})
+    with pytest.raises(DefinitionError, match=r"^body\.args\[1\]: node is not JSON: "):
+        compile_definition(EncoderDefinition(relation="large", body=noted))

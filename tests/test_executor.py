@@ -389,26 +389,6 @@ def test_overlapping_requests_evaluate_each_relation_once(registry, monkeypatch,
             assert all(features[r] is cache.relation_feature(r) for r in names)
 
 
-def test_condition_level_eval_shared_caches_match_fresh(registry):
-    rng = np.random.default_rng(5)
-    scenes, entries = {}, []
-    for k in range(4):
-        scene = random_scene(rng, int(rng.integers(3, 9)), f"s{k}")
-        scenes[scene.scene_id] = scene
-        for _ in range(6):
-            entries.append((scene.scene_id, random_expression(rng, scene),
-                            int(rng.choice(scene.ids))))
-    shared = {sid: FeatureCache(scene, registry) for sid, scene in scenes.items()}
-    for sid, expr, _ in entries:
-        execute(expr, scenes[sid], shared[sid])
-    fresh = condition_level_eval(entries, scenes, registry)
-    assert condition_level_eval(entries, scenes, registry, shared) == fresh
-    # a partial mapping builds caches for the rest and leaves the caller's dict alone
-    partial = {"s0": shared["s0"]}
-    assert condition_level_eval(entries, scenes, registry, partial) == fresh
-    assert list(partial) == ["s0"]
-
-
 def _clauses_of(expr):
     stack, clauses = [expr], []
     while stack:
@@ -453,20 +433,8 @@ def test_terms_fold_matches_prefix_and_single_clause_executions(registry):
         predicted = [MatchingScore(data=score.terms[0] * f, object_ids=score.object_ids)
                      .argmax_id() for f in score.terms[1:]]
         assert predicted == single_clause_predictions(expr, scene, cache)
-    assert condition_level_eval(entries, scenes, registry, caches) == \
+    assert condition_level_eval(entries, scenes, registry) == \
         reference_condition_level(entries, scenes, caches)
-
-
-def test_condition_level_eval_rejects_a_foreign_cache(registry):
-    scene = three_object_scene()
-    other = scene_from_dict({"scene_id": "s", "objects": [
-        {"id": 0, "label": "chair", "bbox": [5, 0, 0, 1, 1, 1]}]})
-    expr = parse_expression(
-        '{"category": "chair", "relations":'
-        ' [{"relation_name": "near", "objects": [{"category": "table"}]}]}')
-    with pytest.raises(ExecutionError, match="different scene"):
-        condition_level_eval([("s", expr, 0)], {"s": scene}, registry,
-                             {"s": FeatureCache(other, registry)})
 
 
 def test_condition_level_perfect_case(registry):

@@ -1,6 +1,7 @@
 """Every input file is read and decoded by ``sceneground.atomic``, so each
 loader words a file's faults the same way, naming the file first, and a
 line file words each line's faults as a JSON file does, behind its line.
+Every file the package writes is replaced atomically by the same module.
 
 A package module other than ``atomic.py`` that calls ``read_text``, ``open``,
 ``json.load`` or ``json.loads`` is a second reader or decoder with its own
@@ -77,6 +78,66 @@ def test_the_guard_sees_each_kind_of_call():
                      "def f(s): return json.loads(s)\n"
                      "def g(fd): return os.fdopen(fd)\n")
     assert _file_reads(tree) == {"a", "B.c", "B.d", "e", "f"}
+
+
+def _file_writes(tree: ast.Module):
+    """Qualified names of the functions (or ``<module>``) in ``tree`` that
+    call ``write_text``, ``write_bytes`` or ``json.dump``, or ``open`` in a
+    mode that writes (or one not given as a literal)."""
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        if isinstance(func, ast.Attribute) and (
+                func.attr in ("write_text", "write_bytes")
+                or func.attr == "dump" and isinstance(func.value, ast.Name)
+                and func.value.id == "json"):
+            return True
+        if isinstance(func, ast.Name) and func.id == "open":
+            position = 1  # open(file, mode)
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            position = 0  # Path.open(mode)
+        else:
+            return False
+        modes = [*call.args[position:position + 1],
+                 *(k.value for k in call.keywords if k.arg == "mode")]
+        return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                yield scope or "<module>"
+            yield from visit(child, scope)
+
+    return set(visit(tree, ""))
+
+
+def test_only_atomic_writes_files():
+    """Every file the package writes is replaced through
+    ``atomic.write_text_atomic``, so a crash leaves the old file whole."""
+    writers = set()
+    for path in sorted(Path(sceneground.__file__).resolve().parent.glob("*.py")):
+        if path.name != "atomic.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            writers |= {f"{path.stem}.{name}" for name in _file_writes(tree)}
+    assert sorted(writers) == []
+
+
+def test_the_write_guard_sees_each_kind_of_call():
+    tree = ast.parse("import json\n"
+                     "def a(p): p.write_text('x')\n"
+                     "class B:\n"
+                     "    def c(self, p): p.write_bytes(b'x')\n"
+                     "    def d(self, p): return open(p, 'w')\n"
+                     "    def e(self, p): return p.open(mode='ab')\n"
+                     "def f(v, fh): json.dump(v, fh)\n"
+                     "def g(p, m): return open(p, m)\n"
+                     "def h(p): return open(p), open(p, 'rb'), p.open()\n"
+                     "def i(p): write_text_atomic(p, json.dumps({}))\n")
+    assert _file_writes(tree) == {"a", "B.c", "B.d", "B.e", "f", "g"}
 
 
 def _raised(error, load, *args):

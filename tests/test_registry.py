@@ -84,6 +84,28 @@ def test_registry_file_keeps_the_relation_order(tmp_path):
     assert list(json.loads(path.read_text(encoding="utf-8"))["active"]) == list(ALL_RELATIONS)
 
 
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+def test_a_saved_winner_costs_its_compact_json(tmp_path):
+    """``save_registry`` writes compact JSON: a fresh builtins-only file is
+    under 40 KB (275 KB indented), and each accepted ``between`` winner adds
+    under 16 KB (about 150 KB indented), about its body's compact size."""
+    registry = EncoderRegistry()
+    path = tmp_path / "registry.json"
+    save_registry(registry, path)
+    fresh = path.stat().st_size
+    assert fresh < 40_000
+    defn = encoder_to_dsl("between")
+    for seed in range(5):
+        defn = mutate_definition(defn, seed)
+        registry.accept(defn)
+    save_registry(registry, path)
+    assert (path.stat().st_size - fresh) / 5 < 16_000
+    assert load_registry(path).library == registry.library
+
+
 def _carries_no_memo(defn):
     return "_root" not in defn.__dict__ and "_digest" not in defn.__dict__
 
@@ -111,7 +133,14 @@ def test_the_packed_library_round_trips_every_accepted_definition(tmp_path):
     save_registry(registry, path)
     reference = {"active": {name: d.to_dict() for name, d in registry.snapshot().items()},
                  "library": [d.to_dict() for d in accepted]}
-    assert path.read_text(encoding="utf-8") == json.dumps(reference, indent=2) + "\n"
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == reference
+    # compact JSON, one line per active entry and one per library entry
+    entries = [*(f"{json.dumps(name)}:{_compact(d)}" for name, d in reference["active"].items()),
+               *map(_compact, reference["library"])]
+    n = len(reference["active"])
+    assert [line.rstrip(",") for line in text.split("\n")] == \
+        ['{"active":{', *entries[:n], "}", '"library":[', *entries[n:], "]}", ""]
     loaded = load_registry(path)
     assert loaded.library == library
     assert all(map(_carries_no_memo, loaded.library))

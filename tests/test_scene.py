@@ -46,7 +46,7 @@ def test_load_scene_preserves_order_and_ids(tmp_path):
     assert len(scene) == 2
     assert scene.index_of[3] == 0
     assert scene.index_of[7] == 1
-    assert scene.labels == ["chair", "table"]
+    assert scene.labels == ("chair", "table")
 
 
 def test_zero_size_component_names_object(tmp_path):
@@ -296,8 +296,8 @@ def test_columns_match_the_per_object_loader(objects):
     raw = {"scene_id": "s", "objects": objects}
     ids, labels, rows = reference_scene_rows(raw)
     scene = scene_from_dict(raw)
-    assert scene.object_ids == tuple(ids) and scene.ids == ids
-    assert scene.object_labels == tuple(labels) and scene.labels == labels
+    assert scene.ids == tuple(ids)
+    assert scene.labels == tuple(labels)
     assert scene.normalized_labels == tuple(normalize_label(label) for label in labels)
     assert scene.boxes.shape == (len(ids), 6) and not scene.boxes.flags.writeable
     assert scene.boxes.tobytes() == np.array(rows, dtype=np.float64).tobytes()  # -0.0 kept
