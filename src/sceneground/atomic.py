@@ -4,7 +4,8 @@ and every file the package rewrites is replaced atomically.
 A fault in the input is an :class:`InputError`; each loader's own error
 class derives from it. A JSON file and each non-blank line of a line file
 follow one rule: decode the text, require an object at the top level, then
-build the value, each fault behind ``PATH: `` or ``PATH:LINE: ``."""
+build the value, each fault behind ``PATH: `` or ``PATH:LINE: ``. LLM reply
+blocks and HTTP response bodies decode by that rule too, as LlmErrors."""
 
 from __future__ import annotations
 
@@ -36,12 +37,12 @@ def _read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc}") from None
 
 
-def decode_object(text: str, error: type[Exception], build: Callable[[dict], T],
+def decode_object(text: str | bytes, error: type[Exception], build: Callable[[dict], T],
                   where: str = "") -> T:
-    """``build`` applied to the JSON object ``text`` holds. Invalid JSON,
-    JSON nested deeper than the recursion limit, a top level that is not an
-    object and ``build``'s own ``error`` each raise ``error`` with ``where``
-    in front of its text."""
+    """``build`` applied to the JSON object ``text`` (bytes in any encoding
+    json.loads detects) holds. Invalid JSON, JSON nested deeper than the
+    recursion limit, a top level that is not an object and ``build``'s own
+    ``error`` each raise ``error`` with ``where`` in front of its text."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
+from .atomic import decode_object
 from .dsl import DefinitionError, EncoderDefinition, definition_from_dict
-from .expression import SymbolicExpression, expression_from_dict, relation_arity
+from .expression import RELATIONS, SymbolicExpression, expression_from_dict, relation_arity
 
 __all__ = [
     "LlmError",
@@ -141,6 +142,9 @@ def assemble_prompt(
         if utterance is None:
             raise LlmError("parsing template needs an utterance")
         system, user = _split_template(_load_template("parsing"))
+        for arity in (1, 2, 3):  # the relation set U, by arity, from its one table
+            system = system.replace(f"<<RELATIONS_{arity}>>", ", ".join(
+                name for name, spec in RELATIONS.items() if spec.arity == arity))
         return PromptBundle(system=system, user=user.replace("<<UTTERANCE>>", utterance),
                             template_id="parsing")
 
@@ -202,15 +206,16 @@ def _balanced_blocks(text: str):
         start = text.find("{", resume)
 
 
-def _json_from_reply(text: str, what: str) -> object:
-    """The one reader of LLM replies: the value of the first balanced block
-    of a reply that is JSON; a block that is not (prose such as ``{i, j}``)
-    is skipped. LlmError when the reply has no block, or none that parses."""
+def _json_from_reply(text: str, what: str) -> dict:
+    """The one reader of LLM replies: the first balanced block of a reply
+    that decodes by :func:`atomic.decode_object`'s rule; a block that does
+    not (prose such as ``{i, j}``, or JSON nested past the recursion limit)
+    is skipped. LlmError when the reply has no block, or none that decodes."""
     error = None
     for block in _balanced_blocks(text):
         try:
-            return json.loads(block)
-        except json.JSONDecodeError as exc:
+            return decode_object(block, LlmError, lambda raw: raw)
+        except LlmError as exc:
             error = error or exc
     if error is None:
         raise LlmError(f"reply{what} contains no JSON object")
@@ -228,7 +233,8 @@ class LlmClient:
         """Send ``bundle`` until ``parse(reply text)`` succeeds. Network errors,
         HTTP errors, malformed replies and replies ``parse`` rejects share the
         ``max_attempts`` budget; a 400/401/403/404, or an endpoint that is not
-        an http(s) URL, is not retried.
+        an http(s) URL, is not retried. A body that :func:`atomic.decode_object`
+        rejects, one nested past the recursion limit too, is a malformed reply.
 
         Before each resend the client waits the exponential backoff, or a
         429/503 reply's delta-seconds ``Retry-After`` when that is longer.
@@ -293,14 +299,14 @@ class LlmClient:
                     asked = _retry_after_seconds(retry_after)
                 continue
             try:
-                data = json.loads(body)
+                data = decode_object(body, LlmError, lambda raw: raw)
                 text = data["choices"][0]["message"]["content"]
                 usage = data.get("usage")  # absent or null, like its fields, counts as 0
                 tokens = [0 if usage is None or usage.get(key) is None else usage[key]
                           for key in ("prompt_tokens", "completion_tokens")]
                 if not isinstance(text, str) or any(type(n) is not int or n < 0 for n in tokens):
                     raise TypeError(f"content {text!r:.40} or usage {usage!r:.80} is not valid")
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            except (LlmError, ValueError, LookupError, TypeError, AttributeError) as exc:
                 last_error = f"malformed reply: {exc}"
                 continue
             record = UsageRecord(bundle.template_id, *tokens,
@@ -331,8 +337,7 @@ def _definition_from_reply(text: str, relation: str) -> EncoderDefinition:
     """The definition for ``relation`` in a reply; a bare body tree is
     wrapped into one. A reply that holds none raises LlmError."""
     raw = _json_from_reply(text, f" for {relation!r}")
-    if isinstance(raw, dict) and "body" not in raw and (
-            "op" in raw or "const" in raw or "get" in raw or "agg" in raw):
+    if "body" not in raw and not raw.keys().isdisjoint(("op", "const", "get", "agg")):
         # bare body tree: wrap it into a definition for the target relation
         raw = {"relation": relation, "body": raw}
     try:

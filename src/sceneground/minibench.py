@@ -9,7 +9,8 @@ scene's xy-centroid facing the anchor.
 
 The generator only does explicit vector placement; it never runs the
 grounding pipeline, so benchmark labels stay independent of the code they
-evaluate.
+evaluate. Each scene is written by :func:`save_scene`, the one scene writer,
+from a :class:`Scene`, whose constructor checks boxes and grounds nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text_atomic
+from .scene import Scene, save_scene
 
 __all__ = ["generate_mini_benchmark"]
 
@@ -301,11 +303,8 @@ def generate_mini_benchmark(out_dir: str | Path, seed: int = 7) -> dict:
         objs, queries = build(rng)
         sid = queries[0]["scene_id"]
         scene_ids.append(sid)
-        payload = {
-            "scene_id": sid,
-            "objects": [{"id": o.id, "label": o.label, "bbox": o.row()} for o in objs],
-        }
-        write_text_atomic(scenes_dir / f"{sid}.json", json.dumps(payload, indent=2) + "\n")
+        save_scene(Scene(sid, [o.id for o in objs], [o.label for o in objs],
+                         [o.row() for o in objs]), scenes_dir / f"{sid}.json")
         all_queries.extend(queries)
     lines = [json.dumps(q, ensure_ascii=False) for q in all_queries]
     write_text_atomic(out_dir / "expressions.jsonl", "\n".join(lines) + "\n")

@@ -2,6 +2,9 @@
 loader words a file's faults the same way, naming the file first, and a
 line file words each line's faults as a JSON file does, behind its line.
 Every file the package writes is replaced atomically by the same module.
+The LLM client decodes its reply blocks and response bodies through
+``atomic.decode_object`` too, so JSON nested past the recursion limit is a
+malformed reply there, not a crash.
 
 A package module other than ``atomic.py`` that calls ``read_text``, ``open``,
 ``json.load`` or ``json.loads`` is a second reader or decoder with its own
@@ -29,8 +32,6 @@ from test_cli import DEEP_JSON, INPUT_FAULTS, write_input_fault
 # "module.qualified_name" of a caller -> why it reads or decodes a file itself
 ALLOWED = {
     "llm._load_template": "reads a prompt template shipped as package data, not an input file",
-    "llm._json_from_reply": "decodes an LLM reply, whose faults are LlmErrors, not input faults",
-    "llm.LlmClient.complete": "decodes an HTTP response body, a network fault, not an input file",
     "stub_server.StubServer.start.Handler.do_POST": "decodes the request body the test "
                                                     "endpoint receives",
 }

@@ -2,13 +2,17 @@
 
 The CLI exits 2 for an ``InputError`` and 1 for anything else, so a builder
 that lets another exception escape turns a bad input file into a crash.
-Each builder (scene, expression, definition, registry, suite) is fed
-arbitrary bounded JSON objects, with integers past 64 bits, nan and
-infinite floats, lone surrogates and the wire formats' own key names and
-values, and a valid input of its own with one place replaced by such a
-value, so that most draws get past the first field check. A deterministic
+Each builder (scene, expression, definition, registry, suite and dataset
+line) is fed arbitrary bounded JSON objects, with integers past 64 bits,
+nan and infinite floats, lone surrogates and the wire formats' own key
+names and values, and a valid input of its own with one place replaced by
+such a value, so that most draws get past the first field check. A deterministic
 sweep puts each of a fixed set of hostile values at every place of each
 valid input.
+
+The LLM reply readers get the same treatment over arbitrary text, with
+those JSON values embedded in prose: each returns or raises an
+``LlmError`` or a ``ValueError``, which the client retries.
 """
 
 import json
@@ -18,8 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sceneground.atomic import InputError
+from sceneground.bench import _parse_entry
 from sceneground.dsl import agg, checked_definition, const, get, op
 from sceneground.expression import expression_from_dict
+from sceneground.llm import (LlmError, _definition_from_reply, _expression_from_reply,
+                              _json_from_reply)
 from sceneground.optimizer import _suite_from_dict
 from sceneground.registry import _registry_from_dict
 from sceneground.scene import scene_from_dict
@@ -32,6 +39,7 @@ KEYS = (
     "category", "relations", "relation_name", "relation", "anchors", "negative",
     "body", "metadata", "op", "args", "const", "get", "obj", "axis", "agg",
     "library", "active", "cases", "target", "distractor", "anchor", "anchor2",
+    "ground_truth", "utterance",
 )
 WORDS = (
     SCENE_ID, "chair", "near", "between", "large", "left of", "add", "neg", "dot2",
@@ -82,6 +90,9 @@ VALID = {
     "suite": {"relation": "near", "cases": [
         {"scene_id": SCENE_ID, "target": 0, "distractor": 1, "anchor": 2}]},
 }
+VALID["dataset_line"] = {"scene_id": SCENE_ID, "utterance": "the chair near the table",
+                         "expression": VALID["expression"], "ground_truth": 3}
+SCENES = {SCENE_ID: scene_from_dict(SCENE)}
 
 
 def _places(value, out):
@@ -123,6 +134,7 @@ BUILDERS = {
     "definition": lambda raw, _: checked_definition(raw),
     "registry": lambda raw, _: _registry_from_dict(raw, "registry.json"),
     "suite": lambda raw, scenes_dir: _suite_from_dict(raw, scenes_dir),
+    "dataset_line": lambda raw, _: _parse_entry(raw, SCENES),
 }
 
 
@@ -159,3 +171,43 @@ def test_every_place_of_a_valid_input_takes_every_hostile_value(scenes_dir, buil
                 BUILDERS[builder](_replaced(valid, k, value), scenes_dir)
             except InputError:
                 pass
+
+
+READERS = {
+    "json": lambda text: _json_from_reply(text, ""),
+    "expression": _expression_from_reply,
+    "definition": lambda text: _definition_from_reply(text, "near"),
+}
+PROSE = st.text(max_size=12)
+REPLY = st.one_of(st.text(max_size=40),
+                  st.tuples(PROSE, JSON.map(json.dumps), PROSE).map("".join),
+                  st.tuples(PROSE, TOP.map(json.dumps), PROSE).map("".join))
+DEPTH = 100_000  # deeper than the recursion limit
+DEEP_REPLIES = {
+    "arrays": 'Here it is: {"category": ' + "[" * DEPTH + "]" * DEPTH + "} done",
+    "objects": '{"a": ' * DEPTH + "1" + "}" * DEPTH,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reply_reader_returns_or_raises_a_retried_error(reader):
+    """A reply the client cannot use raises an error it retries, so an odd
+    reply spends one attempt of the budget instead of ending the call."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(REPLY)
+    def check(text):
+        try:
+            READERS[reader](text)
+        except (LlmError, ValueError):
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("nesting", sorted(DEEP_REPLIES))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_reply_nested_past_the_recursion_limit_is_a_retried_error(reader, nesting):
+    with pytest.raises(LlmError, match="JSON nested too deeply"):
+        READERS[reader](DEEP_REPLIES[nesting])

@@ -1,12 +1,15 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sceneground.dsl as dsl
 import sceneground.llm as llm_module
 from sceneground.builtins import encoder_to_dsl
 from sceneground.llm import (
@@ -20,6 +23,8 @@ from sceneground.llm import (
 )
 from sceneground.optimizer import LlmSource
 from sceneground.stub_server import StubServer
+
+from test_cli import DEEP_JSON
 
 CHAIR_REPLY = (
     'Here is the parsed expression:\n'
@@ -65,6 +70,66 @@ def test_assembly_is_deterministic():
     a = assemble_prompt("parsing", utterance="u")
     b = assemble_prompt("parsing", utterance="u")
     assert a == b
+
+
+REFINEMENT_MESSAGES = ("case 0: target 3 scored below distractor 5",
+                       "case 1: target 2 scored below distractor 4")
+# template id -> sha256 of one assembled bundle; a template edit must re-pin it
+PROMPT_DIGESTS = {
+    "parsing": "8b62e8c6c2244f8d0a0524e7458b4c5b6ce843a76171d0e30f69ad31046eae52",
+    "init_generation": "c3094b49b8780cb647bf8394db2499a700f218c72fc90fd93ae4a77ed2893965",
+    "refinement": "54f313003183db4801bcda9de27ac49f4a846d5444f8d0b34c7e32382f5ac7d2",
+}
+
+
+def _pinned_bundle(template_id):
+    if template_id == "parsing":
+        return assemble_prompt("parsing", utterance="the chair near the window")
+    if template_id == "init_generation":
+        return assemble_prompt("init_generation", relation="right", example=encoder_to_dsl("left"))
+    return assemble_prompt("refinement", relation="between",
+                           prior=(encoder_to_dsl("between"), REFINEMENT_MESSAGES))
+
+
+@pytest.mark.parametrize("template_id", sorted(PROMPT_DIGESTS))
+def test_assembled_prompts_are_pinned(template_id):
+    """The bytes the model sees for one fixed call of each template, so a
+    change to a template, or to what fills it, shows up here."""
+    bundle = _pinned_bundle(template_id)
+    text = json.dumps([bundle.template_id, bundle.system, bundle.user])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PROMPT_DIGESTS[template_id]
+
+
+def _generation_grammar():
+    """What ``prompts/generation.txt`` tells the model of the DSL: each
+    accessor and each aggregate with the axes it takes (None for none), and
+    each operator with its argument count, as (name, value) pairs."""
+    text = llm_module._load_template("generation")
+    nodes = {"get": [], "agg": []}
+    for kind, names, axes in re.findall(r'\{"(get|agg)": ("[\w"|]+")(?:, "obj": "[\w"|]+")?'
+                                        r'(?:, "axis": ("[\w"|]+"))?\}', text):
+        axes = tuple(axes.strip('"').split('"|"')) if axes else None
+        nodes[kind] += [(name, axes) for name in names.strip('"').split('"|"')]
+    operators = text[text.index("Operators:") + len("Operators:"):text.index("Division")]
+    ops = [(name.strip(), int(count))
+           for names, count in re.findall(r"([\w,\s]+?)\s*\((\d) args?\b", operators)
+           for name in names.split(",")]
+    return nodes["get"], nodes["agg"], ops
+
+
+def test_the_generation_prompt_names_exactly_the_dsl_tables():
+    """The template is the model's only description of the DSL, so each
+    name it lists must be in ``dsl``'s tables, with the same axes and
+    argument count, and each name in the tables must be listed once."""
+    accessors, aggregates, ops = _generation_grammar()
+    for listed, table in [
+        (accessors, {name: tuple(dsl._AXES) if needs_axis else None
+                     for name, (needs_axis, _) in dsl._GET_FIELDS.items()}),
+        (aggregates, {name: axes for name, (axes, _) in dsl._AGG_FIELDS.items()}),
+        (ops, {name: count for name, (count, _) in dsl._OPS.items()}),
+    ]:
+        assert len(dict(listed)) == len(listed)  # no name listed twice
+        assert dict(listed) == table
 
 
 def test_unknown_template_rejected():
@@ -349,13 +414,14 @@ def test_total_wait_is_capped_by_the_timeout(monkeypatch):
 
 
 class _Reply(io.BytesIO):
-    """A 200 response whose JSON body is ``data``."""
+    """A 200 response whose body is ``data`` as JSON, or ``data`` itself
+    when it is bytes."""
 
     status = 200
     headers: dict = {}
 
     def __init__(self, data):
-        super().__init__(json.dumps(data).encode("utf-8"))
+        super().__init__(data if isinstance(data, bytes) else json.dumps(data).encode("utf-8"))
 
 
 def _post_replying(monkeypatch, usage):
@@ -424,6 +490,31 @@ def test_null_content_is_a_malformed_reply(monkeypatch):
     _sleeps(monkeypatch)
     with pytest.raises(LlmError, match="malformed reply"):
         parse_utterance_via_llm("chair near the table", fast_config("http://stub"))
+
+
+def test_a_reply_nested_too_deeply_is_retried():
+    """A reply block past the recursion limit is a malformed reply, so the
+    next request is made within the same budget."""
+    with StubServer(['{"category": ' + DEEP_JSON + "}", CHAIR_REPLY]) as stub:
+        expr = parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+        assert stub.request_count == 2
+    assert expr.category == "chair"
+
+
+def test_a_response_body_nested_too_deeply_is_retried(monkeypatch):
+    import urllib.request
+
+    bodies = [DEEP_JSON.encode("utf-8"), {"choices": [{"message": {"content": CHAIR_REPLY}}]}]
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda request, **kwargs: _Reply(bodies.pop(0)))
+    slept = _sleeps(monkeypatch)
+    ledger = UsageLedger()
+    client = LlmClient(fast_config("http://stub"), ledger)
+    expr, record = client.complete(assemble_prompt("parsing", utterance="chair near the table"),
+                                   llm_module._expression_from_reply)
+    assert expr.category == "chair"
+    assert bodies == [] and slept == [0.01]  # the second attempt succeeded
+    assert ledger.records == (record,)
 
 
 @pytest.mark.parametrize("stub_kwargs,requests_made,replies", [

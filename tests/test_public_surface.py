@@ -33,7 +33,6 @@ ALLOWED = {
     "optimizer.retrieve_example": "the paper's example-graph lookup, a step of the search",
     "optimizer.select_top_k": "the paper's top-k refinement pick, a step of the search",
     "optimizer.synthesize_error_message": "the paper's reflection message for a failed case",
-    "scene.save_scene": "writes the scene wire format that load_scene reads",
 }
 
 # "module.Class.name" -> why it stays public without a user outside the tests
