@@ -4,10 +4,12 @@ A subcommand imports what it runs: only ``parse --utterance`` and
 ``optimize --source llm`` load the LLM client, so ``ground``, ``bench`` and
 the offline ``parse`` forms never do.
 
-Every subcommand accepts ``--config file.json`` holding the same fields as
-its flags; a key that no subcommand has a flag for is an error. Precedence
-is flags > config > defaults. Exit codes: 0 success, 1 runtime error (a
-MemoryError too), 2 input validation error (an :class:`~sceneground.atomic.InputError`).
+Each option's default, type and choices are stated once, in
+:func:`build_parser`. A ``--config file.json`` holds the same fields as the
+flags; :func:`main` checks it by the options' own actions and makes its
+values the command's defaults, so precedence is flags > config > defaults.
+Exit codes: 0 success, 1 runtime error (a MemoryError too), 2 input
+validation error (an :class:`~sceneground.atomic.InputError`).
 """
 
 from __future__ import annotations
@@ -44,48 +46,60 @@ class CliError(InputError):
     """Input validation failure at the command level (exit code 2)."""
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default=None, required=False):
-    """flags > config > defaults; flag values of None mean "not given"."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if required and value is None:
-        raise CliError(f"missing required option --{key.replace('_', '-')}")
+def _checked(action: argparse.Action, value):
+    """A config's ``value`` for ``action``'s option, as its flag gives it: a
+    number that is no bool (for an int option a whole one: ``3.0`` is 3), a
+    bool for a switch, one of its choices, else a string. A value of another
+    kind, ``null`` too, is a CliError."""
+    flag = action.option_strings[0]
+    if action.choices is not None:
+        if value not in action.choices:
+            raise CliError(f"unknown {action.dest} {value!r}; expected "
+                           f"{' or '.join(action.choices)}")
+    elif action.type in (int, float):
+        if action.type is int and isinstance(value, float) and not value.is_integer():
+            raise CliError(f"{flag} must be a whole number, got {value!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an int past float's range
+                return action.type(value)
+        raise CliError(f"{flag} must be a number, got {value!r}")
+    elif action.nargs == 0:  # a store_true switch
+        if not isinstance(value, bool):
+            raise CliError(f"{flag} must be true or false, got {value!r}")
+    elif not isinstance(value, str):
+        raise CliError(f"{flag} must be a string, got {value!r}")
     return value
 
 
-def _resolve_number(args: argparse.Namespace, config: dict, key: str, default, kind=int):
-    """:func:`_resolve` converted by ``kind``; a bool, a value ``kind``
-    rejects (a config's ``"abc"``) or a fraction for an int (a config's
-    ``2.9``, where ``3.0`` is 3) is a CliError."""
-    value = _resolve(args, config, key, default)
-    flag = f"--{key.replace('_', '-')}"
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise CliError(f"{flag} must be a whole number, got {value!r}")
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            return kind(value)
-    raise CliError(f"{flag} must be a number, got {value!r}")
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the ``--config`` values of the running command's options, each
+    checked by :func:`_checked`, its defaults. One file may serve every
+    command: another command's key is passed over, an unknown one a CliError."""
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    options = {name: {action.dest: action for action in command._actions
+                      if action.option_strings and action.dest not in ("help", "config")}
+               for name, command in commands.items()}
+    own = options[args.command]
+    for key, value in load_json(args.config, CliError, dict).items():
+        if key in own:
+            own[key].default = _checked(own[key], value)
+        elif not any(key in known for known in options.values()):
+            raise CliError(f"{args.config}: unknown option {key!r}")
 
 
-def _resolve_path(args: argparse.Namespace, config: dict, key: str,
-                  required=False) -> str | None:
-    """:func:`_resolve` for a file or directory option; a value that is not
-    a string (a config's ``5``, ``["x"]`` or ``{}``) is a CliError."""
-    value = _resolve(args, config, key, required=required)
-    if value is not None and not isinstance(value, str):
-        raise CliError(f"--{key.replace('_', '-')} must be a path string, got {value!r}")
-    return value
+def _required(args: argparse.Namespace, *keys: str) -> None:
+    """CliError naming the first of ``keys`` that no flag or config gave."""
+    for key in keys:
+        if getattr(args, key) is None:
+            raise CliError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _output_path(args: argparse.Namespace, config: dict, key: str, directory=False,
-                 required=False) -> str | None:
-    """:func:`_resolve_path` for a file (with ``directory``, a directory) the
-    command writes; an existing path of the other kind, or a file whose
-    parent directory does not exist, is a CliError before any work, so a
-    run does not fail only when it writes. A directory's missing parents
-    are created when it is written."""
-    value = _resolve_path(args, config, key, required=required)
+def _output_path(args: argparse.Namespace, key: str, directory=False) -> str | None:
+    """The path option ``key`` names for the command to write, a directory
+    with ``directory``; an existing path of the other kind, or a file in a
+    directory that does not exist, is a CliError before any work. A
+    directory's missing parents are created when it is written."""
+    value = getattr(args, key)
     if value:
         path = Path(value)
         if path.exists() and path.is_dir() != directory:
@@ -102,77 +116,60 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_parse(args: argparse.Namespace, config: dict) -> int:
-    out = _output_path(args, config, "out")
-    offline = _resolve_path(args, config, "offline_expr")
-    infile = _resolve_path(args, config, "infile")
-    utterance = _resolve(args, config, "utterance")
-    if offline:
-        expr = load_json(offline, ExpressionError, expression_from_dict)
-        _write_or_print(serialize_expression(expr) + "\n", out)
-        return 0
-    if infile:
-        exprs = load_lines(infile, ExpressionError, expression_from_dict)
+def cmd_parse(args: argparse.Namespace) -> int:
+    out = _output_path(args, "out")
+    if args.offline_expr:
+        exprs = [load_json(args.offline_expr, ExpressionError, expression_from_dict)]
+    elif args.infile:
+        exprs = load_lines(args.infile, ExpressionError, expression_from_dict)
         if not exprs:
-            raise ExpressionError(f"{infile}: no entries")
-        _write_or_print("\n".join(serialize_expression(e) for e in exprs) + "\n", out)
-        return 0
-    if not utterance:
+            raise ExpressionError(f"{args.infile}: no entries")
+    elif not args.utterance:
         raise CliError("need --utterance, --in, or --offline-expr")
-    from .llm import EndpointConfig, LlmError, parse_utterance_via_llm
+    else:
+        from .llm import EndpointConfig, LlmError, parse_utterance_via_llm
 
-    try:
-        expr = parse_utterance_via_llm(utterance, EndpointConfig.from_env())
-    except (LlmError, ExpressionError) as exc:
-        raise LlmError(f"could not parse utterance {utterance!r}: {exc}") from None
-    _write_or_print(serialize_expression(expr) + "\n", out)
+        try:
+            exprs = [parse_utterance_via_llm(args.utterance, EndpointConfig.from_env())]
+        except (LlmError, ExpressionError) as exc:
+            raise LlmError(f"could not parse utterance {args.utterance!r}: {exc}") from None
+    _write_or_print("\n".join(serialize_expression(e) for e in exprs) + "\n", out)
     return 0
 
 
-def cmd_ground(args: argparse.Namespace, config: dict) -> int:
-    scene_path = _resolve_path(args, config, "scene", required=True)
-    expr_path = _resolve_path(args, config, "expr", required=True)
-    registry_path = _resolve_path(args, config, "registry")
-    top_k = _resolve_number(args, config, "top_k", 5)
-    threshold = _resolve_number(args, config, "threshold", 0.9, float)
-    out = _output_path(args, config, "out")
-    if top_k < 1:
-        raise CliError(f"--top-k must be at least 1, got {top_k}")
-    if not math.isfinite(threshold):
-        raise CliError(f"--threshold must be a finite number, got {threshold}")
+def cmd_ground(args: argparse.Namespace) -> int:
+    _required(args, "scene", "expr")
+    out = _output_path(args, "out")
+    if args.top_k < 1:
+        raise CliError(f"--top-k must be at least 1, got {args.top_k}")
+    if not math.isfinite(args.threshold):
+        raise CliError(f"--threshold must be a finite number, got {args.threshold}")
 
-    scene = load_scene(scene_path)
-    expr = load_json(expr_path, ExpressionError, expression_from_dict)
-    registry = load_registry(registry_path) if registry_path else EncoderRegistry()
+    scene = load_scene(args.scene)
+    expr = load_json(args.expr, ExpressionError, expression_from_dict)
+    registry = load_registry(args.registry) if args.registry else EncoderRegistry()
     score = execute(expr, scene, FeatureCache(scene, registry))
-    result = grounding_result(scene, expr, score, top_k=top_k, threshold=threshold)
+    result = grounding_result(scene, expr, score, top_k=args.top_k, threshold=args.threshold)
     _write_or_print(json.dumps(result, indent=2) + "\n", out)
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
-    relation = _resolve(args, config, "relation", required=True)
-    if not isinstance(relation, str):
-        raise CliError(f"--relation must be a string, got {relation!r}")
-    relation = normalize_relation_name(relation)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    _required(args, "relation", "suite", "scenes", "registry")
+    relation = normalize_relation_name(args.relation)
     relation_arity(relation)  # an unknown name is an ExpressionError before the suite is read
-    source_kind = _resolve(args, config, "source", "mutate")
-    if source_kind not in ("mutate", "llm"):  # argparse's choices guard only the flag
-        raise CliError(f"unknown source {source_kind!r}; expected mutate or llm")
-    suite_path = _resolve_path(args, config, "suite", required=True)
-    scenes_dir = _resolve_path(args, config, "scenes", required=True)
-    registry_path = _output_path(args, config, "registry", required=True)
-    log_path = _output_path(args, config, "log")
+    registry_path = _output_path(args, "registry")
+    log_path = _output_path(args, "log")
     try:
-        cfg = OptimizerConfig(**{key: _resolve_number(args, config, key, default) for key, default
-                                 in (("n_iter", 5), ("n_sample", 5), ("top_k", 3), ("seed", 0))})
-    except ValueError as exc:  # a CliError from _resolve_number too
+        cfg = OptimizerConfig(n_iter=args.n_iter, n_sample=args.n_sample, top_k=args.top_k,
+                              seed=args.seed)
+    except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    suite = load_suite(suite_path, scenes_dir)
+    suite = load_suite(args.suite, args.scenes)
     registry = load_registry(registry_path) if Path(registry_path).exists() else EncoderRegistry()
     client = None
-    if source_kind == "llm":
+    if args.source == "llm":
         from .llm import EndpointConfig, LlmClient
         from .optimizer import LlmSource
 
@@ -201,22 +198,17 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace, config: dict) -> int:
-    dataset = _resolve_path(args, config, "dataset", required=True)
-    registry_path = _resolve_path(args, config, "registry")
-    workers = _resolve_number(args, config, "workers", 1)
-    if workers < 1:
-        raise CliError(f"--workers must be at least 1, got {workers}")
-    baseline = _resolve(args, config, "baseline", False)
-    if not isinstance(baseline, bool):
-        raise CliError(f"--baseline must be true or false, got {baseline!r}")
-    plots = _output_path(args, config, "plots", directory=True)
-    out = _output_path(args, config, "out")
+def cmd_bench(args: argparse.Namespace) -> int:
+    _required(args, "dataset")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
+    plots = _output_path(args, "plots", directory=True)
+    out = _output_path(args, "out")
 
-    registry = load_registry(registry_path) if registry_path else EncoderRegistry()
-    report = run_bench(dataset, registry, workers=workers, with_baseline=baseline,
+    registry = load_registry(args.registry) if args.registry else EncoderRegistry()
+    report = run_bench(args.dataset, registry, workers=args.workers, with_baseline=args.baseline,
                        plots_dir=plots)
-    report.config["registry"] = registry_path or "builtin"
+    report.config["registry"] = args.registry or "builtin"
     payload = json.dumps(report_to_dict(report), indent=2) + "\n"
     _write_or_print(payload, out)
     summary = ", ".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
@@ -238,58 +230,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offline-expr", dest="offline_expr",
                    help="pre-parsed expression file (no network)")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("ground", help="rank scene objects against an expression")
     p.add_argument("--scene")
     p.add_argument("--expr")
     p.add_argument("--registry", help="encoder registry file (default: builtins)")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--top-k", dest="top_k", type=int, default=5)
+    p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("optimize", help="search for a better encoder on a test suite")
     p.add_argument("--relation")
     p.add_argument("--suite")
     p.add_argument("--scenes", help="directory of scene files")
-    p.add_argument("--source", choices=("mutate", "llm"))
-    p.add_argument("--n-iter", dest="n_iter", type=int)
-    p.add_argument("--n-sample", dest="n_sample", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--source", choices=("mutate", "llm"), default="mutate")
+    p.add_argument("--n-iter", dest="n_iter", type=int, default=5)
+    p.add_argument("--n-sample", dest="n_sample", type=int, default=5)
+    p.add_argument("--top-k", dest="top_k", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--registry", help="registry file to update")
     p.add_argument("--log", help="JSON-lines run log")
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bench", help="run a grounding benchmark directory")
     p.add_argument("--dataset")
     p.add_argument("--registry", help="encoder registry file (default: builtins)")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--baseline", action="store_true", default=None,
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--baseline", action="store_true",
                    help="include the random same-category baseline")
     p.add_argument("--plots", help="directory for CSV plot data")
     p.add_argument("--out", help="report file (default stdout)")
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
     p.set_defaults(func=cmd_bench)
-    # one config file may serve every subcommand, so any subcommand's option is a known key
-    options = {dest for command in sub.choices.values() for dest in vars(command.parse_args([]))}
-    parser.set_defaults(config_keys=options - {"func", "config"})
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file (flags take precedence)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, after its whole ``--config`` file is checked."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_json(args.config, CliError, dict) if args.config else {}
-        for key in config:
-            if key not in args.config_keys:
-                raise CliError(f"{args.config}: unknown option {key!r}")
-        return args.func(args, config)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:  # LlmError: RuntimeError
         # a bare MemoryError has no text; numpy's names the allocation that failed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

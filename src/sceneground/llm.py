@@ -36,6 +36,11 @@ logger = logging.getLogger(__name__)
 TEMPLATE_IDS = ("parsing", "init_generation", "refinement")
 _ARITY_WORDS = {1: "unary", 2: "binary: i is the target, j the anchor",
                 3: "ternary: i is the target, j and k the anchors"}
+# Characters the block scans of one reply may visit over all restarts: each
+# unclosed ``{`` rescans to the reply's end, so n of them cost n*n/2 steps.
+# This many take 0.3-0.4 s on one core of a shared 2-core x86 host; the
+# builtin ``between`` definition dumped with indent=2 (137 K) is one 9 ms scan.
+_SCAN_BUDGET = 4_000_000
 
 
 class LlmError(RuntimeError):
@@ -177,7 +182,9 @@ def _balanced_blocks(text: str):
     """Each balanced ``{...}`` block, string-aware, that no earlier block
     holds: the search resumes after a block's closing brace, so the
     fragments inside a malformed block are never yielded. An unclosed ``{``
-    is passed over."""
+    is passed over. Past ``_SCAN_BUDGET`` characters of scanning it raises
+    LlmError, so a reply of many unclosed braces spends one attempt."""
+    budget = _SCAN_BUDGET
     start = text.find("{")
     while start != -1:
         resume = start + 1
@@ -203,6 +210,9 @@ def _balanced_blocks(text: str):
                     yield text[start:k + 1]
                     resume = k + 1
                     break
+        budget -= k + 1 - start
+        if budget < 0:
+            raise LlmError(f"reply scan passed its budget of {_SCAN_BUDGET} characters")
         start = text.find("{", resume)
 
 

@@ -622,6 +622,33 @@ def _optimize_config(**config):
     return build
 
 
+def _config_row(command, where, config, *flags):
+    """``command`` with ``flags``, ``config`` as its config file and valid
+    required options (``parse`` has none)."""
+
+    def build(dataset, tmp_path):
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        argv = {"parse": [], "bench": ["--dataset", str(dataset)],
+                "ground": ["--scene", str(dataset / "scenes" / "mini_prox.json"),
+                           "--expr", str(expr)]}.get(command)
+        if command == "optimize":
+            suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+            argv = ["--relation", "near", "--suite", str(suite_path), "--scenes",
+                    str(scenes_dir), "--registry", str(tmp_path / "registry.json")]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        return [command, *argv, *flags, "--config", str(config_path)], where
+
+    return build
+
+
+# rows whose value a flag also gives: the whole config file is checked
+SHADOWED = [("ground", "--top-k", {"top_k": "abc"}, "--top-k", "2"),
+            ("ground", "--threshold", {"threshold": None}, "--threshold", "0.5"),
+            ("bench", "--baseline", {"baseline": None}, "--baseline")]
+
+
 def _bench_workers(workers):
     def build(dataset, tmp_path):
         return ["bench", "--dataset", str(dataset), "--workers", workers], "--workers"
@@ -756,6 +783,15 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _parse_config_unknown_key,
     _optimize_unknown_relation,
     _optimize_unknown_source,
+    _config_row("parse", "--utterance", {"utterance": 5}),
+    _config_row("parse", "--utterance", {"utterance": ["x"]}),
+    _config_row("parse", "--offline-expr", {"offline_expr": 5}),
+    _config_row("ground", "--threshold", {"threshold": "x"}),
+    _config_row("ground", "--top-k", {"top_k": None}),
+    _config_row("optimize", "--seed", {"seed": True}),
+    _config_row("optimize", "error: unknown source ['llm']; expected mutate or llm\n",
+                {"source": ["llm"]}),
+    *[_config_row(*row) for row in SHADOWED],
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
@@ -778,8 +814,14 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         *[f"{option.replace(' --', '_').lstrip('-')}_{fault}" for option, fault in FAULTY_INPUTS],
         "parse_in_bad_line_3", "parse_in_no_entries", "registry_unknown_relation",
         "suite_unknown_relation", "config_unknown_key", "optimize_unknown_relation",
-        "optimize_unknown_source"])
-def test_malformed_input_exits_2(dataset, tmp_path, capsys, build):
+        "optimize_unknown_source", "config_utterance_number", "config_utterance_list",
+        "config_offline_expr_number", "config_threshold_string", "config_top_k_null",
+        "config_seed_bool", "config_source_list",
+        *[f"config_{next(iter(row[2]))}_shadowed_by_flag" for row in SHADOWED]])
+def test_malformed_input_exits_2(dataset, tmp_path, capsys, monkeypatch, build):
+    # an endpoint the client never sends to (not http), so that a row that
+    # reached the model would fail there and not at a missing setting
+    monkeypatch.setenv("LASP_LLM_ENDPOINT", "stub://never-contacted")
     argv, where = build(dataset, tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -870,7 +912,7 @@ def test_main_exits_by_the_class_of_the_error(monkeypatch, capsys, error, code):
     """Each input error a subcommand raises exits 2, a runtime error 1, each
     with one ``error:`` line and no traceback."""
 
-    def fail(args, config):
+    def fail(args):
         raise error("the reason")
 
     monkeypatch.setattr("sceneground.cli.cmd_parse", fail)
@@ -886,7 +928,7 @@ def test_running_out_of_memory_exits_1_with_one_line(monkeypatch, capsys, error,
     """A MemoryError is a runtime error: exit 1 with one ``error:`` line, its
     text or else its class name, and no traceback."""
 
-    def exhaust(args, config):
+    def exhaust(args):
         raise error
 
     monkeypatch.setattr("sceneground.cli.cmd_ground", exhaust)

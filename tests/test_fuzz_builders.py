@@ -12,10 +12,14 @@ valid input.
 
 The LLM reply readers get the same treatment over arbitrary text, with
 those JSON values embedded in prose: each returns or raises an
-``LlmError`` or a ``ValueError``, which the client retries.
+``LlmError`` or a ``ValueError``, which the client retries. So does each
+option of each subcommand, as a one-key ``--config`` file: the command
+either gets the value as its flag's type or never runs, and the CLI exits
+2 with one ``error:`` line.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 
 from sceneground.atomic import InputError
 from sceneground.bench import _parse_entry
+from sceneground.cli import build_parser, main
 from sceneground.dsl import agg, checked_definition, const, get, op
 from sceneground.expression import expression_from_dict
 from sceneground.llm import (LlmError, _definition_from_reply, _expression_from_reply,
@@ -211,3 +216,56 @@ def test_every_reply_reader_returns_or_raises_a_retried_error(reader):
 def test_a_reply_nested_past_the_recursion_limit_is_a_retried_error(reader, nesting):
     with pytest.raises(LlmError, match="JSON nested too deeply"):
         READERS[reader](DEEP_REPLIES[nesting])
+
+
+def _options():
+    """(command, option action) for each option of each subcommand but
+    ``--help`` and ``--config``."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if action.dest == "command")
+    return [(name, action) for name, command in commands.items() for action in command._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+
+OPTIONS = _options()
+
+
+def test_every_config_value_reaches_the_command_as_its_flags_type_or_exits_2(
+        tmp_path, capsys, monkeypatch):
+    """One property over every option of every subcommand: a one-key config
+    holding the drawn value either exits 2 with one ``error:`` line that
+    names the option, and the command never runs, or the command gets the
+    value as its flag's type."""
+    ran = []
+    for command in {command for command, _ in OPTIONS}:
+        monkeypatch.setattr(f"sceneground.cli.cmd_{command}", lambda args: ran.append(args) or 0)
+    config = tmp_path / "config.json"
+    choices = [choice for _, action in OPTIONS for choice in action.choices or ()]
+
+    # every draw is tried at all 26 options, so a few draws cover each
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.one_of(JSON, st.sampled_from(choices)))
+    def check(value):
+        for command, action in OPTIONS:
+            ran.clear()
+            config.write_text(json.dumps({action.dest: value}), encoding="utf-8")
+            code = main([command, "--config", str(config)])
+            err = capsys.readouterr().err
+            where = f"{command} {action.option_strings[0]}"
+            if not ran:
+                assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, where
+                assert action.option_strings[0][2:] in err and "Traceback" not in err, where
+                continue
+            got = getattr(ran[0], action.dest)
+            if action.choices:
+                assert got in action.choices, where
+            elif action.type in (int, float):
+                assert type(got) is action.type and not isinstance(value, bool), where
+                assert got == action.type(value) or math.isnan(got), where
+            else:
+                assert type(got) is (bool if action.nargs == 0 else str), where
+            assert isinstance(got, float) or got == value, where
+
+    check()

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,24 @@ def test_fragments_of_a_malformed_block_are_not_taken_for_the_reply():
     defn = llm_module._definition_from_reply(
         '{"a" 1} then {"relation": "near", "body": {"const": 1.0}}', "near")
     assert defn.body == {"const": 1.0}
+
+
+def test_a_reply_of_unclosed_braces_is_retried_within_a_scan_budget():
+    """Each unclosed ``{`` restarts the block scan to the reply's end, so the
+    scans of one reply share a budget: 40,000 braces raise LlmError in well
+    under the minute a quadratic scan takes, and the client retries."""
+    start = time.perf_counter()
+    with pytest.raises(LlmError, match="reply scan passed its budget"):
+        llm_module._json_from_reply("{" * 40_000, "")
+    assert time.perf_counter() - start < 2.0
+    with StubServer(["{" * 40_000, CHAIR_REPLY]) as stub:
+        expr = parse_utterance_via_llm("chair near the table", fast_config(stub.base_url))
+        assert stub.request_count == 2
+    assert expr.category == "chair"
+
+
+def test_an_object_after_many_unclosed_braces_is_still_found():
+    assert llm_module._json_from_reply("{" * 1_000 + '{"a": 1}', "") == {"a": 1}
 
 
 def test_chat_complete_roundtrip_and_ledger():
