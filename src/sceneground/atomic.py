@@ -40,14 +40,17 @@ def _read_text(path: Path, error: type[Exception]) -> str:
 def decode_object(text: str | bytes, error: type[Exception], build: Callable[[dict], T],
                   where: str = "") -> T:
     """``build`` applied to the JSON object ``text`` (bytes in any encoding
-    json.loads detects) holds. Invalid JSON, JSON nested deeper than the
-    recursion limit, a top level that is not an object and ``build``'s own
-    ``error`` each raise ``error`` with ``where`` in front of its text."""
+    json.loads detects) holds. Invalid JSON, an integer past the digit limit
+    of ``int``, JSON nested deeper than the recursion limit, a top level
+    that is not an object and ``build``'s own ``error`` each raise ``error``
+    with ``where`` in front of its text."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}invalid JSON at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than int() takes
+        raise error(f"{where}invalid JSON: {exc}") from None
     except RecursionError:
         raise error(f"{where}JSON nested too deeply") from None
     if not isinstance(raw, dict):

@@ -154,11 +154,33 @@ def _build_trees() -> dict[str, dict]:
     }
 
 
+def _interned(node: dict, pool: dict) -> dict:
+    """``node`` with every subtree replaced by the first equal one in
+    ``pool``, keyed by a leaf's fields or by an op's name and its interned
+    children's identities. ``pool`` also maps the id of each node already
+    interned (alive while its tree is) to its result, so a subtree the tree
+    repeats is walked once."""
+    found = pool.get(id(node))
+    if found is None:
+        if "op" in node:
+            args = [_interned(a, pool) for a in node["args"]]
+            key, fresh = (node["op"], *map(id, args)), op(node["op"], *args)
+        else:  # repr tells an int from a float and -0.0 from 0.0
+            key, fresh = tuple(sorted((k, repr(v)) for k, v in node.items())), node
+        found = pool[id(node)] = pool.setdefault(key, fresh)
+    return found
+
+
 def _compiled_definitions() -> dict[str, EncoderDefinition]:
-    """The builtins, each checked and compiled once, at import."""
+    """The builtins, each checked and compiled once, at import. Equal
+    subtrees, within a builtin and across them, are one node object, so a
+    builtin has one summary per distinct subtree, and a search's memo of
+    values by summary evaluates each once."""
     definitions = {}
+    pool: dict[tuple, dict] = {}
     for name, tree in _build_trees().items():
-        definitions[name] = EncoderDefinition(relation=name, body=tree, metadata="builtin")
+        body = _interned(tree, pool)
+        definitions[name] = EncoderDefinition(relation=name, body=body, metadata="builtin")
         compile_definition(definitions[name])
     return definitions
 

@@ -8,42 +8,50 @@ sanitized to finite nonnegative values with repeated-index entries zeroed.
 
 Each node object of a body has a :class:`NodeSummary` (node count, height,
 counts of constants and swappable operators, and the node's canonical JSON
-text, joined from its children's), made by one node rule
-(:func:`summarize_node`) from the node and its children's summaries. The
-check pass walks a body and applies it to each node object once; mutation
-applies it to a child's new path only, over its base's summaries, and
-leaves just the caps to check on the new root. Either way a checked body
-is its root summary, which :func:`compile_definition` returns and memoizes
-on the definition; every evaluator takes the definition and reads its root
-through that pass, and a relation's rank is its arity. The check pass and
-the DAG build recurse through module-level functions, not closures, so
-neither leaves a reference cycle for the collector.
+text), made by one node rule (:func:`summarize_node`) from the node and its
+children's summaries. The check pass walks a body and applies it to each
+node object once; mutation applies it to a child's new path only, over its
+base's summaries, and leaves just the caps to check on the new root. Either
+way a checked body is its root summary, which :func:`compile_definition`
+returns and memoizes on the definition; every evaluator takes the
+definition and reads its root through that pass, and a relation's rank is
+its arity. A leaf's text is made with its summary and an op's is joined
+from its children's when first read: the check pass reads each op's, so a
+checked body keeps every text, while a mutated child's path keeps none
+until its digest joins its root's, in one pass. The check pass, the join
+and the DAG build recurse through module-level functions, not closures, so
+none leaves a reference cycle for the collector.
 
-Equal texts are equal subtrees, and each route evaluates a text once. Two
-routes apply an op by its function in ``_OPS``, the one table of op
+Two routes apply an op by its function in ``_OPS``, the one table of op
 functions, and differ only in how they read accessors and aggregates, in
-the order they visit nodes and in how they dispatch: the gathered route
-calls :func:`_node_value` per node, and the dense route's loop
-(:func:`_evaluate`) applies the same rule inline, calling a one- or
-two-argument op's function directly on its children's values.
+the order they visit nodes, in how they dispatch and in what they key
+subtrees by: the gathered route calls :func:`_node_value` per node, and
+the dense route's loop (:func:`_evaluate`) applies the same rule inline,
+calling a one- or two-argument op's function directly on its children's
+values.
 
 - The dense route (:func:`eval_encoders`; :func:`eval_encoder` is its
   one-body case) broadcasts each accessor along its own axis and keeps
   aggregates scalar. It runs one DAG over several bodies of one rank,
-  hash-consed on the texts, so a subtree the bodies share (a proximity or
-  lateral term, say) is evaluated once for all of them; each intermediate
-  is freed after its last reader. Each root is written into its row of one
-  stacked output, which is finished once (sanitized, repeated indices
-  zeroed, by ``_finalize_owned``), and each feature is a read-only view of
-  its row. A program, of one body or several, is built from the summaries
-  when a dense evaluation first asks for it and memoized process-wide
-  (:func:`_shared_dag`, the one program memo).
+  hash-consed on the texts (equal texts are equal subtrees), so a subtree
+  the bodies share (a proximity or lateral term, say) is evaluated once
+  for all of them; each intermediate is freed after its last reader. Each
+  root is written into its row of one stacked output, which is finished
+  once (sanitized, repeated indices zeroed, by ``_finalize_owned``), and
+  each feature is a read-only view of its row. A program, of one body or
+  several, is built from the summaries when a dense evaluation first asks
+  for it and memoized process-wide (:func:`_shared_dag`, the one program
+  memo).
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
-  walks the summaries from the root with a memo of values by text, which a
-  caller may keep across bodies on one plan: a mutated child scored with
-  its search's memo evaluates only its new path and builds no DAG.
+  walks the summaries from the root with a memo of values by summary
+  object, which a caller may keep across bodies on one plan: a mutated
+  child shares its base's summaries off its new path, so scored with its
+  search's memo it evaluates only that path and builds no DAG, and the
+  walk reads no text. The one trade: equal subtrees that mutation builds separately are
+  distinct summaries, and may be evaluated once each. (A builtin has one
+  summary per distinct subtree, so its repeats are evaluated once.)
 Bodies are treated as immutable: nothing here or in the mutation operator
 writes to a node, so trees may share subtrees.
 
@@ -294,19 +302,20 @@ class NodeSummary:
       ``COMMUTATIVE_SWAPS``, repeats counted.
     - ``args``: the children's summaries; ``entry`` the node's DAG entry
       (``("op", name)`` for an op, whose entry also lists child positions).
-    - ``text``: ``json.dumps(node, sort_keys=True)``, joined from the
-      children's texts. Equal texts are equal subtrees, so the DAG and the
-      gathered route's memo are keyed by it. None past ``MAX_TREE_NODES``,
-      where a repeated subtree's text would double at each level.
+    - ``text``: ``json.dumps(node, sort_keys=True)``. A leaf's is made with
+      its summary; an op's is joined when first read (:func:`_op_text`) and
+      kept. Equal texts are equal subtrees, so the DAG is keyed by it. None
+      past ``MAX_TREE_NODES``, where a repeated subtree's text would double
+      at each level.
     """
 
-    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "text")
+    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "_text")
 
     def __init__(self, node: dict, args: tuple, entry: tuple, objs: int, text: str | None) -> None:
         self.node = node
         self.args = args
         self.entry = entry
-        self.text = text
+        self._text = text
         size = 1
         height = 0
         consts = 1 if "const" in node else 0
@@ -324,9 +333,16 @@ class NodeSummary:
         self.consts = consts
         self.swaps = swaps
 
+    @property
+    def text(self) -> str | None:
+        text = self._text
+        if text is None and self.size <= MAX_TREE_NODES:
+            text = self._text = _op_text(self)
+        return text
 
-# operator name -> its JSON string
-_QUOTED = {name: json.dumps(name) for name in _OPS}
+
+# operator name -> the tail of its node's text, after the argument list
+_OP_TAILS = {name: f'], "op": {json.dumps(name)}}}' for name in _OPS}
 
 
 def _json_text(node: dict, args_text: str | None, path: tuple | None) -> str:
@@ -344,12 +360,33 @@ def _json_text(node: dict, args_text: str | None, path: tuple | None) -> str:
         raise _fault(path, f"node is not JSON: {exc}") from None
 
 
-def _op_text(node: dict, args: tuple[NodeSummary, ...], path: tuple | None) -> str:
-    """An op node's text, joined from its children's."""
-    texts = ", ".join([a.text for a in args])
+def _op_text(summary: NodeSummary) -> str:
+    """An op node's text, joined in one pass over the nodes of its subtree
+    that have none yet; only ``summary`` keeps what is joined."""
+    parts: list[str] = []
+    _op_parts(summary, parts)
+    return "".join(parts)
+
+
+def _op_parts(summary: NodeSummary, parts: list[str]) -> None:
+    """Append an op node's text to ``parts``: each child's kept text, or its
+    parts where it keeps none. Not a closure, so a join leaves no cycle."""
+    start = len(parts)
+    parts.append('{"args": [')
+    for k, child in enumerate(summary.args):
+        if k:
+            parts.append(", ")
+        if child._text is None:
+            _op_parts(child, parts)
+        else:
+            parts.append(child._text)
+    node = summary.node
     if len(node) == 2:
-        return f'{{"args": [{texts}], "op": {_QUOTED[node["op"]]}}}'
-    return _json_text(node, f"[{texts}]", path)
+        parts.append(_OP_TAILS[node["op"]])
+    else:  # extra keys, which summarize_node checked
+        args_text = "".join(parts[start + 1:])
+        del parts[start:]
+        parts.append(_json_text(node, f"[{args_text}]", None))
 
 
 def _build_dag(roots: tuple[NodeSummary, ...]
@@ -461,12 +498,9 @@ def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
             raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
         return NodeSummary(node, (), ("agg", name, axis), 0, _json_text(node, None, path))
     if "op" in node:
-        summary = NodeSummary(node, args, ("op", node["op"]), 0, None)
-        if summary.size <= MAX_TREE_NODES:
-            summary.text = _op_text(node, args, path)
-        elif len(node) > 2:  # past the node cap: check the extra keys, join no text
+        if len(node) > 2:  # check the extra keys; the text is joined when read
             _json_text(node, "[]", path)
-        return summary
+        return NodeSummary(node, args, ("op", node["op"]), 0, None)
     raise _fault(path, "node must have one of const/get/agg/op")
 
 
@@ -504,6 +538,7 @@ def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
         args = tuple([_summarize_checked(child, depth + 1, (path, k), rank, seen)
                       for k, child in enumerate(args)])
     summary = seen[id(node)] = summarize_node(node, args, rank, path)
+    summary.text  # joined from the children's kept texts: a checked body keeps every text
     return summary
 
 
@@ -753,13 +788,14 @@ class GatherPlan:
 
 
 def _walk(summary: NodeSummary, memo: dict, plan: GatherPlan):
-    """The value on ``plan`` of a subtree whose text ``memo`` lacks, computed
-    and added; its children are read from ``memo`` where it holds them."""
+    """The value on ``plan`` of a subtree whose summary ``memo`` lacks,
+    computed and added; its children are read from ``memo`` where it holds
+    them."""
     args = []
     for child in summary.args:
-        value = memo.get(child.text)
+        value = memo.get(child)
         args.append(_walk(child, memo, plan) if value is None else value)
-    value = memo[summary.text] = _node_value(summary.entry, args, plan)
+    value = memo[summary] = _node_value(summary.entry, args, plan)
     return value
 
 
@@ -776,12 +812,12 @@ def eval_gathered(defn: EncoderDefinition, plan: GatherPlan, memo: dict | None =
     The dense route's finishing rules apply at each point (repeated indices
     give 0).
 
-    ``memo`` maps a node's text to its value on ``plan`` (equal texts are
-    equal subtrees, with values equal bit for bit); only the nodes whose
-    texts it lacks are evaluated, and added. So a memo kept across bodies on
-    one plan makes a body that shares all but one path with one seen before
-    cost that path. It must hold values of ``plan`` only, and its values are
-    never written to; with none, the call uses a fresh one.
+    ``memo`` maps a node's :class:`NodeSummary` to its value on ``plan``;
+    only the nodes whose summaries it lacks are evaluated, and added. So a
+    memo kept across bodies on one plan makes a body that shares all but
+    one path's summaries with one seen before cost that path. It must hold
+    values of ``plan`` only, and its values are never written to; with
+    none, the call uses a fresh one.
 
     The root's value (an array of points, or the scalar of a body of
     constants only) is sanitized straight into the output, and the zeroing
@@ -792,7 +828,7 @@ def eval_gathered(defn: EncoderDefinition, plan: GatherPlan, memo: dict | None =
     if len(plan.index) != rank:
         raise ValueError(f"rank-{rank} encoder needs {rank} index arrays")
     memo = {} if memo is None else memo
-    raw = memo.get(root.text)
+    raw = memo.get(root)
     if raw is None:
         raw = _walk(root, memo, plan)
     data = _sanitize(np.empty(plan.segment.shape), raw)

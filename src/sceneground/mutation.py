@@ -15,9 +15,11 @@ on that path and shares every other subtree with the base (grafts share
 nodes with the builtin pool). Each new node, path copies included, gets
 its summary from the DSL's one node rule (:func:`~sceneground.dsl.
 summarize_node`) and its children's, so the child is built checked, with
-only the caps left to test on its root; the check pass never walks it, and
-a search scoring it on its memo of subtree values evaluates only its new
-path.
+only the caps left to test on its root; the check pass never walks it. A
+draw joins no JSON text: the child's digest joins its root's text once,
+from the new path and the texts its base's subtrees keep, and a search
+scoring it on its memo of subtree values, kept by summary, evaluates only
+its new path.
 """
 
 from __future__ import annotations

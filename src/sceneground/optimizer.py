@@ -31,6 +31,7 @@ from .dsl import (
     DefinitionError,
     EncoderDefinition,
     GatherPlan,
+    NodeSummary,
     compile_definition,
     eval_gathered,
 )
@@ -202,12 +203,13 @@ def synthesize_error_message(case: TestCase, scene: Scene, relation: str) -> str
 class SearchMemo:
     """What a search has computed on one suite: per-case ``outcomes`` by
     definition digest, and ``values`` of subtrees on the suite's plan by
-    node text (the memo of :func:`eval_gathered`). It is bound to the plan
-    it was made for and lives as long as the search that made it."""
+    node summary (the memo of :func:`eval_gathered`), which a mutated child
+    shares with its base off its new path. It is bound to the plan it was
+    made for and lives as long as the search that made it."""
 
     plan: GatherPlan
     outcomes: dict[str, tuple[bool, ...]] = field(default_factory=dict)
-    values: dict[str, object] = field(default_factory=dict)
+    values: dict[NodeSummary, object] = field(default_factory=dict)
 
 
 def run_test_suite(

@@ -475,6 +475,31 @@ def _huge_bbox_value(command):
     return build
 
 
+LONG_INT = "1" + "0" * 5000  # 5,001 digits: more than int() takes from a string
+
+
+def _ground_long_int(option):
+    """``ground`` whose scene holds :data:`LONG_INT` as a bbox value, or
+    whose config holds it as ``threshold``; the fault names the file."""
+
+    def build(dataset, tmp_path):
+        scene, expr, config = (tmp_path / name for name in ("scene.json", "expr.json", "c.json"))
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        raw = json.loads((dataset / "scenes" / "mini_prox.json").read_text(encoding="utf-8"))
+        argv = ["ground", "--scene", str(scene), "--expr", str(expr)]
+        if option == "--scene":
+            raw["objects"][0]["bbox"][1] = "LONG_INT"
+            bad = scene
+        else:
+            config.write_text('{"threshold": ' + LONG_INT + "}", encoding="utf-8")
+            argv += ["--config", str(config)]
+            bad = config
+        scene.write_text(json.dumps(raw).replace('"LONG_INT"', LONG_INT), encoding="utf-8")
+        return argv, f"error: {bad}: "
+
+    return build
+
+
 def _ground_deep_json(option):
     """``ground`` whose scene or expression file nests :data:`DEEP_JSON`."""
 
@@ -769,6 +794,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _huge_bbox_value("optimize"),
     _ground_deep_json("--scene"),
     _ground_deep_json("--expr"),
+    _ground_long_int("--scene"),
+    _ground_long_int("--config"),
     _bench_with_line(DEEP_JSON),
     _optimize_scene_outside(absolute=False),
     _optimize_scene_outside(absolute=True),
@@ -806,7 +833,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
         "ground_scene_not_utf8", "bench_dataset_missing", "bench_expressions_directory",
         "bench_expressions_not_utf8", "config_top_k_fraction", "config_n_iter_fraction",
         "ground_bbox_overflow", "bench_bbox_overflow", "optimize_bbox_overflow",
-        "ground_scene_deep_json", "ground_expr_deep_json", "bench_line_deep_json",
+        "ground_scene_deep_json", "ground_expr_deep_json", "ground_scene_long_int",
+        "ground_config_long_int", "bench_line_deep_json",
         "optimize_scene_id_parent_dir", "optimize_scene_id_absolute",
         *[f"{command}_{option[2:]}_taken" for command, option in OUTPUTS_TAKEN],
         *[f"{command}_{option[2:]}_no_parent" for command, option in OUTPUTS_WITHOUT_PARENT],

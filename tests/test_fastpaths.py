@@ -300,12 +300,15 @@ def _full_budget_suite(relation, seed, n_cases=12):
     return TestSuite(relation=relation, cases=(*suite.cases, mirrored), scenes=suite.scenes)
 
 
-def test_search_evaluates_each_node_text_once_and_builds_no_dag(monkeypatch):
-    """A full-budget search scores every candidate on one memo: every node
-    evaluated is stored under its text, no text twice, so a child evaluates
-    only what the search has not seen. No candidate's DAG is built."""
+def test_search_evaluates_each_summary_once_and_builds_no_dag(monkeypatch):
+    """A full-budget search scores every candidate on one memo, keyed by
+    node summary: every summary evaluated is stored once, so a child
+    evaluates only what the search has not seen, under half the distinct
+    texts of its candidates. An equal subtree that mutation built twice is
+    evaluated twice; this seeded search has 7 such repeats. No candidate's
+    DAG is built."""
     suite = _full_budget_suite("between", 8)
-    stored: list[str] = []
+    stored: list[dsl.NodeSummary] = []
 
     class RecordingDict(dict):
         def __setitem__(self, key, value):
@@ -339,12 +342,13 @@ def test_search_evaluates_each_node_text_once_and_builds_no_dag(monkeypatch):
     optimize_encoder("between", suite, RecordingSource(), EncoderRegistry(),
                      OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=4), log=log)
     assert len(log) == len(drawn) == 15
-    assert len(evaluated) == len(stored) == len(set(stored))
+    assert len(evaluated) == len(stored) == len(set(map(id, stored)))
     assert "op" in evaluated
     # far fewer evaluations than the candidates' distinct nodes
     distinct = sum(len({s.text for s in _preorder(compile_definition(d))})
                    for d in drawn)
     assert 2 * len(evaluated) < distinct
+    assert len(stored) - len({s.text for s in stored}) == 7
     assert built == []
 
 
@@ -453,7 +457,7 @@ def test_suite_batched_scores_match_per_scene_and_dense(arity):
         # the broadcast form every body took before: a copy, whatever the raw value
         memo = {}
         eval_gathered(defn, plan, memo)
-        raw = memo[compile_definition(defn).text]
+        raw = memo[compile_definition(defn)]
         raw_ndims.add(np.ndim(raw))
         broadcast = reference_sanitize(np.array(np.broadcast_to(
             np.asarray(raw, dtype=np.float64), plan.segment.shape)))

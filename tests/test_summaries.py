@@ -14,9 +14,11 @@ subnormal constants:
   validator's fault.
 
 A full search then shows that each candidate costs its changed path: no node
-is summarized twice and no node's text is built twice.
+is summarized twice, a draw joins no text, and a candidate's digest joins its
+root's text in one pass.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +157,74 @@ def test_joined_canonical_json_and_digest_equal_json_dumps(case):
             assert compile_definition(defn).text
 
 
+def _assert_texts_are_json_dumps(defn, compared):
+    """Every node text under the definition's root, read root first (so a
+    read may join below a kept text), is ``json.dumps(node,
+    sort_keys=True)``. ``compared`` maps the ids of the summaries already
+    compared to the summaries, held so ids stay unique."""
+    stack = [compile_definition(defn)]
+    while stack:
+        summary = stack.pop()
+        if id(summary) not in compared:
+            compared[id(summary)] = summary
+            assert summary.text == json.dumps(summary.node, sort_keys=True)
+            stack.extend(reversed(summary.args))
+
+
+def _mutant_chains(base, n, length=4):
+    """``n`` seeded mutants of ``base`` in chains of ``length``: each draws
+    from the one before, and each chain's first from ``base``. Each chain is
+    listed newest first, so the first text read joins across its chain's
+    generations of path nodes that keep none."""
+    chains = []
+    for seed in range(n):
+        if seed % length == 0:
+            chains.append([])
+        parent = chains[-1][0] if chains[-1] else base
+        chains[-1].insert(0, mutation.mutate_definition(parent, seed))
+    return [d for chain in chains for d in chain]
+
+
+def test_joined_texts_equal_json_dumps_on_builtins_and_their_mutants():
+    compared = {}
+    for defn in builtin_definitions().values():
+        _assert_texts_are_json_dumps(defn, compared)
+        for mutant in _mutant_chains(defn, 1000):
+            _assert_texts_are_json_dumps(mutant, compared)
+
+
+def _with_extra_keys(node):
+    """``node`` with two extra keys on every op node, one sorting before
+    ``args`` and one after ``op``."""
+    if "op" not in node:
+        return node
+    return {"a": [1, {"z": None, "b": 2.5}], **node,
+            "args": [_with_extra_keys(a) for a in node["args"]], "zz": "x"}
+
+
+def test_joined_texts_equal_json_dumps_on_mutants_of_a_skeleton_with_extra_keys():
+    compared = {}
+    for name in ("at_the_corner", "between"):
+        skeleton = EncoderDefinition(relation=name,
+                                     body=_with_extra_keys(encoder_to_dsl(name).body))
+        _assert_texts_are_json_dumps(skeleton, compared)
+        for mutant in _mutant_chains(skeleton, 200):
+            _assert_texts_are_json_dumps(mutant, compared)
+
+
+def test_a_summary_past_the_node_cap_keeps_no_text():
+    """An op summary past ``MAX_TREE_NODES`` reads None and keeps nothing;
+    one under it joins its text across a subtree that keeps none."""
+    chain = [dsl.summarize_node(get("volume", "i"), (), 1)]
+    for _ in range(9):
+        below = chain[-1]
+        chain.append(dsl.summarize_node(op("add", below.node, below.node), (below, below), 1))
+    assert [s.size for s in chain[-2:]] == [511, 1023]
+    assert chain[-1].text is None and chain[-1]._text is None
+    assert chain[-2].text == json.dumps(chain[-2].node, sort_keys=True)
+    assert chain[-3]._text is None
+
+
 _COUNTS = {  # the node list's count, and the descent's
     "size": lambda node: True,
     "consts": lambda node: "const" in node,
@@ -288,10 +358,11 @@ def test_built_child_past_a_cap_raises_the_reference_fault(body, k, replace_with
 
 
 def test_each_candidate_costs_its_changed_path(monkeypatch):
-    """A full-budget search. No node object is summarized twice and no
-    node's text is built twice: a draw summarizes (so checks and
-    serializes) only the nodes its mutation made. The pick visits one node
-    per level down to the node it changes."""
+    """A full-budget search. No node object is summarized twice: a draw
+    summarizes (so checks) only the nodes its mutation made, and joins no
+    text. A candidate's digest joins its root's text in one pass, and no
+    other node the search made keeps a text. The pick visits one node per
+    level down to the node it changes."""
     suite = build_margin_suite("between", np.random.default_rng(8), n_cases=12)
     first = suite.cases[0]
     mirrored = replace(first, target=first.distractor, distractor=first.target)
@@ -311,19 +382,20 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
             events.append(("summarized", node))
             super().__init__(node, *args)
 
-    def counting_op_text(node, *args):
-        events.append(("serialized", node))
-        return real_op_text(node, *args)
+    def counting_op_text(summary):
+        events.append(("joined", summary.node))
+        return real_op_text(summary)
 
-    attempts: list[tuple[EncoderDefinition, tuple, int, int]] = []
+    attempts: list[tuple[EncoderDefinition, tuple, int, int, EncoderDefinition | None]] = []
     real_apply = mutation._apply
 
     def recording_apply(base, change, metadata):
-        start = len(events)
+        start, child = len(events), None
         try:
-            return real_apply(base, change, metadata)
+            child = real_apply(base, change, metadata)
+            return child
         finally:
-            attempts.append((base, change, start, len(events)))
+            attempts.append((base, change, start, len(events), child))
 
     descents: list[tuple[int, int, int]] = []
     real_descend = mutation._descend
@@ -342,20 +414,30 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
                      OptimizerConfig(n_iter=3, n_sample=3, top_k=2, seed=4), log=log)
     assert len(log) == 15 and len(attempts) >= 15
 
-    # every summary and text was made by a draw's check, none before the search
-    assert sum(end - start for _, _, start, end in attempts) == len(events)
+    # every summary was made by a draw's check, none before the search, and
+    # a draw joined no text
     summarized = [id(n) for kind, n in events if kind == "summarized"]
+    assert sum(end - start for _, _, start, end, _ in attempts) == len(summarized)
     assert len(set(summarized)) == len(summarized)
-    serialized = [id(n) for kind, n in events if kind == "serialized"]
-    assert len(set(serialized)) == len(serialized)
-    made_ops = [id(n) for kind, n in events if kind == "summarized" and "op" in n]
-    assert sorted(serialized) == sorted(made_ops)
-    for base, (path, *_), start, end in attempts:
+    assert all(kind == "summarized" for _, _, start, end, _ in attempts
+               for kind, _ in events[start:end])
+    # each join is one pass at a candidate's root, and every candidate scored was joined
+    joined = [id(n) for kind, n in events if kind == "joined"]
+    assert len(set(joined)) == len(joined)
+    roots = {id(child.body) for *_, child in attempts if child is not None}
+    assert set(joined) <= roots
+    assert {entry["definition_hash"] for entry in log} <= {
+        child.digest()[:12] for *_, child in attempts if child is not None}
+    for base, (path, *_), start, end, child in attempts:
         base_objects = {id(n) for _, n in all_nodes(base.body)}
         made = {id(n) for kind, n in events[start:end] if kind == "summarized"}
         # only new objects: the copies of the path's nodes and what replaced the node
         assert not made & (base_objects | builtin_objects)
         assert len(made) <= len(path) + 2  # a wrap adds two nodes: exp(neg(target))
-        assert {id(n) for kind, n in events[start:end] if kind == "serialized"} <= made
+        if child is not None:  # of the op nodes the draw made, only a root keeps a text
+            root = child.__dict__["_root"]
+            kept = {id(s.node) for s in mutation._preorder(root)
+                    if s is not root and s.entry[0] == "op" and s._text is not None}
+            assert not kept & made
     for visited, depth, height in descents:
         assert visited == depth + 1 <= height
