@@ -147,8 +147,8 @@ def run_bench(
     The run takes one snapshot of ``registry``'s active encoders. Before
     grounding, a pre-pass over each scene computes every relation feature
     its entries need (and, with ``plots_dir``, the heatmap relations) with
-    :func:`~sceneground.executor.relation_features`, one shared pass per
-    rank, and every category feature of its entries' expressions, anchors
+    :func:`~sceneground.executor.relation_features`, one shared pass over
+    every rank, and every category feature of its entries' expressions, anchors
     included, with :func:`~sceneground.executor.category_features`, one
     softmax pass. Each entry is then scored from those feature dicts with
     :func:`~sceneground.executor.score_features`. The pre-pass's time is the

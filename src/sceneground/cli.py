@@ -160,6 +160,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     relation_arity(relation)  # an unknown name is an ExpressionError before the suite is read
     registry_path = _output_path(args, "registry")
     log_path = _output_path(args, "log")
+    if log_path and Path(log_path).resolve() == Path(registry_path).resolve():
+        raise CliError(f"--log {log_path} names the --registry file")
     try:
         cfg = OptimizerConfig(n_iter=args.n_iter, n_sample=args.n_sample, top_k=args.top_k,
                               seed=args.seed)

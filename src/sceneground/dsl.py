@@ -32,11 +32,12 @@ values.
 
 - The dense route (:func:`eval_encoders`; :func:`eval_encoder` is its
   one-body case) broadcasts each accessor along its own axis and keeps
-  aggregates scalar. It runs one DAG over several bodies of one rank,
-  hash-consed on the texts (equal texts are equal subtrees), so a subtree
-  the bodies share (a proximity or lateral term, say) is evaluated once
-  for all of them; each intermediate is freed after its last reader. Each
-  root is written into its row of one stacked output, which is finished
+  aggregates scalar. It runs one DAG over several bodies of any ranks,
+  laid out for the highest, hash-consed on the texts (equal texts are
+  equal subtrees), so a subtree the bodies share (a proximity or lateral
+  term, say, in a binary and a ternary body) is evaluated once for all of
+  them; each intermediate is freed after its last reader. Each root is
+  written into its row of its rank's stacked output, which is finished
   once (sanitized, repeated indices zeroed, by ``_finalize_owned``), and
   each feature is a read-only view of its row. A program, of one body or
   several, is built from the summaries when a dense evaluation first asks
@@ -435,10 +436,9 @@ def _emit(summary: NodeSummary, ids: dict[str, int], nodes: list[tuple],
     return pos
 
 
-# A bench run asks for one program per scene and rank: 10 for a mini
-# benchmark's 5 scenes (6 of several bodies, 4 of one), 9 of them distinct
-# and the same at every seed on one registry, so 64 entries hold six such
-# sets, at about 1 KiB a program.
+# A bench run asks for one program per scene: 5 for a mini benchmark's 5
+# scenes, all distinct and the same at every seed on one registry (checked
+# in test_bench), so 64 entries hold the runs of twelve registries.
 @lru_cache(maxsize=64)
 def _shared_dag(roots: tuple[NodeSummary, ...]):
     """The DAG of one or several checked bodies, given by their root
@@ -687,17 +687,18 @@ def eval_encoder(defn: EncoderDefinition, scene: Scene, geom: PairGeometry) -> R
 
 def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGeometry
                   ) -> list[RelationFeature]:
-    """Evaluate definitions of one rank over a scene in one shared pass.
+    """Evaluate definitions of any ranks over a scene in one shared pass.
 
     The bodies are checked (:func:`compile_definition`) and run as one DAG,
     so each distinct subtree of all of them is evaluated once; each feature
-    equals its body's own evaluation byte for byte. The features are
-    evaluated in chunks along the first index of about ``CHUNK_ELEMS``
-    entries each, so the intermediate working set stays bounded even when N
-    is large. Every root is written into one stacked array of shape
-    ``(R,) + (n,) * rank``, one row per definition, which is finalized once
-    (:func:`_finalize_owned`); feature r's data is the read-only,
-    C-contiguous view ``stack[r]``.
+    equals its body's own evaluation byte for byte. The DAG is laid out for
+    the highest rank and evaluated in chunks along the first index of about
+    ``CHUNK_ELEMS`` entries of that rank, so the intermediate working set
+    stays bounded even when N is large. A root of a lower rank has singleton
+    trailing axes, which are dropped (a scalar broadcasts). Each root is
+    written into its row of its rank's stacked array of shape ``(R,) + (n,)
+    * rank``, which is finalized once (:func:`_finalize_owned`); a feature's
+    data is the read-only, C-contiguous view of its row.
     """
     n = len(scene)
     if geom.centers.shape[0] != n:
@@ -705,20 +706,22 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
     roots = tuple(compile_definition(defn) for defn in defns)
     if not roots:
         return []
-    rank = relation_arity(defns[0].relation)
-    if any(relation_arity(defn.relation) != rank for defn in defns):
-        raise ValueError("eval_encoders needs definitions of one rank")
+    ranks = [relation_arity(defn.relation) for defn in defns]
+    rows = [ranks[:k].count(rank) for k, rank in enumerate(ranks)]
+    stacks = {rank: np.empty((ranks.count(rank),) + (n,) * rank) for rank in ranks}
+    top = max(ranks)
     nodes, frees, outputs = _shared_dag(roots)
-    stack = np.empty((len(roots),) + (n,) * rank, dtype=np.float64)
-    step = max(1, CHUNK_ELEMS // max(1, n ** (rank - 1)))
+    step = max(1, CHUNK_ELEMS // max(1, n ** (top - 1)))
     for start in range(0, n, step):
         sl = slice(start, min(start + step, n))
-        values = _evaluate(nodes, frees, *_dense_rules(geom, rank, sl))
-        for r, pos in enumerate(outputs):
-            stack[r, sl] = values[pos]
-    _finalize_owned(stack, rank)
-    return [RelationFeature(relation=defn.relation, rank=rank, data=data)
-            for defn, data in zip(defns, stack)]
+        values = _evaluate(nodes, frees, *_dense_rules(geom, top, sl))
+        for rank, r, pos in zip(ranks, rows, outputs):
+            value = values[pos]
+            stacks[rank][r, sl] = value.reshape(value.shape[:rank]) if np.ndim(value) else value
+    for rank, stack in stacks.items():
+        _finalize_owned(stack, rank)
+    return [RelationFeature(relation=defn.relation, rank=rank, data=stacks[rank][r])
+            for defn, rank, r in zip(defns, ranks, rows)]
 
 
 class GatherPlan:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class FeatureCache:
     active definitions at construction, so a grounding run sees one
     consistent encoder set (``run_bench`` builds no cache and takes one
     snapshot per run). A request computes its missing features with
-    :func:`relation_features` (one shared DAG pass per rank) and
+    :func:`relation_features` (one shared DAG pass) and
     :func:`category_features` (one softmax), the functions ``run_bench``'s
     pre-pass calls. Each feature is computed at most once: a request reads
     the features already computed without a lock, so such a lookup never
@@ -101,7 +101,7 @@ class FeatureCache:
 
     def _request(self, kind: str, names: Iterable[str], compute) -> dict:
         """The ``kind`` features of ``names`` by name; ``compute`` gets the
-        missing names, sorted, under the lock, and stores their features."""
+        missing names, sorted, under the lock, and returns their features."""
         found = {}
         missing: set[str] = set()
         for name in names:
@@ -116,15 +116,16 @@ class FeatureCache:
                 # a request that held the lock first may have computed some of these
                 pending = [name for name in ordered if (kind, name) not in self._features]
                 if pending:
-                    compute(pending)
+                    self._features.update(((kind, name), feature)
+                                          for name, feature in compute(pending).items())
             found.update((name, self._features[kind, name]) for name in ordered)
         return found
 
     def relation_features(self, relations: Iterable[str]) -> dict[str, RelationFeature]:
-        """The features of ``relations`` by name; the missing ones of each
-        rank are evaluated in one :func:`~sceneground.dsl.eval_encoders`
-        call."""
-        return self._request("relation", relations, self._compute_relations)
+        """The features of ``relations`` by name; the missing ones are
+        evaluated in one :func:`~sceneground.dsl.eval_encoders` call."""
+        return self._request("relation", relations, partial(
+            relation_features, self.scene, self.geometry, self._definitions))
 
     def relation_feature(self, relation: str) -> RelationFeature:
         return self.relation_features((relation,))[relation]
@@ -132,38 +133,24 @@ class FeatureCache:
     def category_features(self, categories: Iterable[str]) -> dict[str, CategoryFeature]:
         """The features of ``categories`` by name; the missing ones are
         computed in one softmax over their similarity columns."""
-        return self._request("category", categories, self._compute_categories)
+        return self._request("category", categories, partial(category_features, self.scene))
 
     def category_feature(self, category: str) -> CategoryFeature:
         return self.category_features((category,))[category]
-
-    def _compute_relations(self, relations: list[str]) -> None:
-        features = relation_features(self.scene, self.geometry, self._definitions, relations)
-        self._features.update((("relation", r), f) for r, f in features.items())
-
-    def _compute_categories(self, categories: list[str]) -> None:
-        features = category_features(self.scene, categories)
-        self._features.update((("category", c), f) for c, f in features.items())
 
 
 def relation_features(scene: Scene, geometry: PairGeometry,
                       definitions: dict[str, EncoderDefinition],
                       relations: list[str]) -> dict[str, RelationFeature]:
     """The features of ``relations`` on ``scene`` by name, under
-    ``definitions``: one :func:`~sceneground.dsl.eval_encoders` pass per
-    rank, so encoders of a rank evaluate their common subtrees once."""
-    by_rank: dict[int, list[tuple[str, EncoderDefinition]]] = {}
-    for relation in relations:
-        try:
-            defn = definitions[relation]
-        except KeyError:
-            raise ExecutionError(f"no active encoder for relation {relation!r}") from None
-        by_rank.setdefault(relation_arity(defn.relation), []).append((relation, defn))
-    features: dict[str, RelationFeature] = {}
-    for group in by_rank.values():
-        names, defns = zip(*group)
-        features.update(zip(names, eval_encoders(defns, scene, geometry)))
-    return features
+    ``definitions``: one :func:`~sceneground.dsl.eval_encoders` pass over
+    all of them, so encoders of any rank evaluate their common subtrees
+    once."""
+    try:
+        defns = [definitions[relation] for relation in relations]
+    except KeyError as exc:
+        raise ExecutionError(f"no active encoder for relation {exc.args[0]!r}") from None
+    return dict(zip(relations, eval_encoders(defns, scene, geometry)))
 
 
 def category_features(scene: Scene, categories: list[str]) -> dict[str, CategoryFeature]:

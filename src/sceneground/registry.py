@@ -133,14 +133,21 @@ def save_registry(registry: EncoderRegistry, path: str | Path) -> None:
 def load_registry(path: str | Path) -> EncoderRegistry:
     """Load a registry file written by :func:`save_registry`.
 
-    An unreadable file, invalid JSON or a wrong layout raises RegistryError;
-    a malformed definition raises DefinitionError naming the file and the
-    entry, such as ``library[0]`` or ``active["near"]``.
+    The file is a JSON object whose only keys are ``active`` (an object of
+    definitions by relation) and ``library`` (a list of definitions), each
+    optional. An unreadable file, invalid JSON or a wrong layout, another
+    top-level key among them, raises RegistryError; a malformed definition
+    raises DefinitionError naming the file and the entry, such as
+    ``library[0]`` or ``active["near"]``.
     """
     return load_json(path, RegistryError, lambda raw: _registry_from_dict(raw, path))
 
 
 def _registry_from_dict(raw: dict, path: str | Path) -> EncoderRegistry:
+    unknown = raw.keys() - {"active", "library"}
+    if unknown:
+        raise RegistryError(f"unknown key {min(unknown)!r}; a registry file "
+                            f"holds only 'active' and 'library'")
     library = raw.get("library", [])
     active = raw.get("active", {})
     if not isinstance(library, list) or not isinstance(active, dict):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sceneground.bench as bench_module
+import sceneground.dsl as dsl
 import sceneground.executor as executor_module
 from sceneground.bench import (HEATMAP_RELATIONS, DatasetError, load_dataset, report_to_dict,
                                run_bench)
@@ -90,6 +91,29 @@ def test_run_bench_evaluates_each_feature_once(dataset, registry, monkeypatch, t
     run_bench(dataset, registry, plots_dir=tmp_path / "plots")
     heatmaps = {(e.scene_id, r) for e in entries for r in HEATMAP_RELATIONS}
     assert sorted(calls) == sorted(pairs | heatmaps)
+
+
+def test_each_scene_request_is_one_program_built_once_per_registry(tmp_path, monkeypatch):
+    """A run evaluates each scene's relations in one eval_encoders call, and
+    the mini benchmark asks for the same programs at every seed: runs at
+    seeds 1-3 on one registry build none that seed 0 did not."""
+    registry = EncoderRegistry()
+    original = executor_module.eval_encoders
+    calls = []
+
+    def counting_eval(defns, scene, *args, **kwargs):
+        calls.append(scene.scene_id)
+        return original(defns, scene, *args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "eval_encoders", counting_eval)
+    dsl._shared_dag.cache_clear()
+    for seed in range(4):
+        generate_mini_benchmark(tmp_path / str(seed), seed=seed)
+        scenes, _ = load_dataset(tmp_path / str(seed))
+        calls.clear()
+        run_bench(tmp_path / str(seed), registry)
+        assert sorted(calls) == sorted(scenes)
+        assert dsl._shared_dag.cache_info().misses == len(scenes)
 
 
 def test_run_bench_computes_each_scenes_categories_in_one_pass(dataset, registry, monkeypatch):

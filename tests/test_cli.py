@@ -355,6 +355,38 @@ def _ground_top_k(top_k):
     return build
 
 
+def _registry_is_another_file(command):
+    """``command`` whose ``--registry`` names its own suite (``optimize``)
+    or a scene file (``ground``, ``bench``)."""
+
+    def build(dataset, tmp_path):
+        suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        scene = scenes_dir / "sc0.json"
+        argv = {"optimize": ["optimize", "--relation", "near", "--suite", str(suite_path),
+                             "--scenes", str(scenes_dir), "--registry", str(suite_path)],
+                "ground": ["ground", "--scene", str(scene), "--expr", str(expr),
+                           "--registry", str(scene)],
+                "bench": ["bench", "--dataset", str(dataset), "--registry", str(scene)]}[command]
+        bad = suite_path if command == "optimize" else scene
+        return argv, f"error: {bad}: unknown key "
+
+    return build
+
+
+def _optimize_log_is_registry(dataset, tmp_path):
+    """``optimize`` whose ``--log`` names its ``--registry`` file, by
+    another spelling of the path."""
+    suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+    registry = tmp_path / "registry.json"
+    assert main(["optimize", "--relation", "near", "--suite", str(suite_path),
+                 "--scenes", str(scenes_dir), "--registry", str(registry), "--n-iter", "1"]) == 0
+    return ["optimize", "--relation", "near", "--suite", str(suite_path), "--scenes",
+            str(scenes_dir), "--registry", str(registry), "--n-iter", "1",
+            "--log", str(tmp_path / "." / "registry.json")], "names the --registry file"
+
+
 def _ground_with_registry(body):
     """``ground`` over a registry whose library holds ``body`` for ``near``."""
 
@@ -752,6 +784,10 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _ground_top_k("-3"),
     _ground_config(top_k="abc"),
     _optimize_n_iter("0"),
+    _registry_is_another_file("optimize"),
+    _registry_is_another_file("ground"),
+    _registry_is_another_file("bench"),
+    _optimize_log_is_registry,
     _ground_with_registry({"get": []}),
     _ground_with_registry({"op": {}, "args": []}),
     _ground_with_registry({"agg": ["x"]}),
@@ -820,6 +856,8 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
                 {"source": ["llm"]}),
     *[_config_row(*row) for row in SHADOWED],
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
+        "optimize_registry_is_suite", "ground_registry_is_scene", "bench_registry_is_scene",
+        "optimize_log_is_registry",
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
         "no_expression", "no_ground_truth", "scene_id_list", "ground_truth_string",
@@ -851,10 +889,18 @@ def test_malformed_input_exits_2(dataset, tmp_path, capsys, monkeypatch, build):
     # reached the model would fail there and not at a missing setting
     monkeypatch.setenv("LASP_LLM_ENDPOINT", "stub://never-contacted")
     argv, where = build(dataset, tmp_path)
+    capsys.readouterr()
+    before = _file_bytes(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert where in err
+    assert _file_bytes(tmp_path) == before  # inputs and earlier outputs are left as they were
+
+
+def _file_bytes(root):
+    """Each file under ``root`` by path, with its bytes."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_a_plots_directory_gets_its_parents(dataset, tmp_path):

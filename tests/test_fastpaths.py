@@ -203,8 +203,30 @@ def test_shared_pass_runs_one_memoized_dag_over_distinct_subtrees(monkeypatch):
                                           for d in group)
     assert all(pos not in dead for pos in outputs for dead in frees)  # roots are kept
     assert eval_encoders([], scene, geom) == []
-    with pytest.raises(ValueError, match="one rank"):
-        eval_encoders([encoder_to_dsl("near"), encoder_to_dsl("large")], scene, geom)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 70])
+def test_mixed_rank_pass_matches_one_relation_calls(n):
+    """One pass over every builtin, of all three ranks in shuffled order, a
+    unary body of constants only and a binary body that reads only j: each
+    feature equals its one-relation evaluation byte for byte, in data, shape
+    and rank. At n = 70 the pass runs in chunks of the ternary step (53
+    i-rows), where a unary or binary body alone runs in one."""
+    rng = np.random.default_rng(70 + n)
+    scene = random_scene(rng, n, "mixed")
+    geom = precompute_geometry(scene)
+    group = list(builtin_definitions().values())
+    group += [EncoderDefinition(relation="large", body=op("add", const(0.5), const(1.0))),
+              EncoderDefinition(relation="near", body=op("exp", get("center", "j", "x")))]
+    group = [group[k] for k in rng.permutation(len(group))]
+    features = eval_encoders(group, scene, geom)
+    assert len(features) == len(group)
+    for defn, feature in zip(group, features):
+        alone = eval_encoder(defn, scene, geom)
+        assert (feature.relation, feature.rank) == (alone.relation, alone.rank)
+        assert feature.data.shape == alone.data.shape == (n,) * alone.rank
+        assert feature.data.tobytes() == alone.data.tobytes(), defn.relation
+        assert feature.data.flags.c_contiguous and not feature.data.flags.writeable
 
 
 def test_repeated_subtrees_compile_to_one_node():

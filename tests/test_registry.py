@@ -58,12 +58,22 @@ def test_crash_during_save_keeps_the_previous_file(tmp_path, monkeypatch):
     '{"library": {}}',
     '{"active": []}',
     '{"active": {"near": ' + json.dumps(encoder_to_dsl("far").to_dict()) + "}}",
+    '{"active": {}, "library": [], "cases": []}',
+    '{"relation": "near", "cases": []}',  # a suite
+    '{"scene_id": "s", "objects": []}',  # a scene
 ])
 def test_malformed_registry_raises_registry_error(tmp_path, text):
     path = tmp_path / "registry.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(RegistryError):
         load_registry(path)
+
+
+@pytest.mark.parametrize("text", ["{}", '{"active": {}}', '{"library": []}'])
+def test_a_registry_file_may_leave_out_either_key(tmp_path, text):
+    path = tmp_path / "registry.json"
+    path.write_text(text, encoding="utf-8")
+    assert load_registry(path).to_dict() == EncoderRegistry().to_dict()
 
 
 def test_registry_with_bad_definition_raises_definition_error(tmp_path):
