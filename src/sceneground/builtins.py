@@ -1,10 +1,13 @@
 """Reference encoders for the 16 spatial relations, as DSL expression trees.
 
 Each builtin is an :class:`EncoderDefinition` whose body is evaluated like any
-other candidate (``eval_encoder``). Trees are immutable, so a repeated
-subtree (a proximity term, the unit vector toward an anchor, both operands of
-a square) is one node referenced twice, and every caller shares the one
-module-level definition per relation, checked and compiled once at import.
+other candidate (``eval_encoder``). Every caller shares the one module-level
+definition per relation, checked once at import. The check pass interns
+every subtree, and a builtin's body is its root summary's node, so a
+repeated subtree (a proximity term, the unit vector toward an anchor, both
+operands of a square), within a builtin or across them, is one node object
+and one summary, which an equal subtree loaded from a registry file or an
+LLM reply shares.
 
 Guaranteed structure:
   * near / far are exactly symmetric.
@@ -154,34 +157,14 @@ def _build_trees() -> dict[str, dict]:
     }
 
 
-def _interned(node: dict, pool: dict) -> dict:
-    """``node`` with every subtree replaced by the first equal one in
-    ``pool``, keyed by a leaf's fields or by an op's name and its interned
-    children's identities. ``pool`` also maps the id of each node already
-    interned (alive while its tree is) to its result, so a subtree the tree
-    repeats is walked once."""
-    found = pool.get(id(node))
-    if found is None:
-        if "op" in node:
-            args = [_interned(a, pool) for a in node["args"]]
-            key, fresh = (node["op"], *map(id, args)), op(node["op"], *args)
-        else:  # repr tells an int from a float and -0.0 from 0.0
-            key, fresh = tuple(sorted((k, repr(v)) for k, v in node.items())), node
-        found = pool[id(node)] = pool.setdefault(key, fresh)
-    return found
-
-
 def _compiled_definitions() -> dict[str, EncoderDefinition]:
-    """The builtins, each checked and compiled once, at import. Equal
-    subtrees, within a builtin and across them, are one node object, so a
-    builtin has one summary per distinct subtree, and a search's memo of
-    values by summary evaluates each once."""
+    """The builtins, each tree checked once, at import, with its root
+    summary's interned node as its body."""
     definitions = {}
-    pool: dict[tuple, dict] = {}
     for name, tree in _build_trees().items():
-        body = _interned(tree, pool)
-        definitions[name] = EncoderDefinition(relation=name, body=body, metadata="builtin")
-        compile_definition(definitions[name])
+        root = compile_definition(EncoderDefinition(relation=name, body=tree))
+        definitions[name] = EncoderDefinition(relation=name, body=root.node, metadata="builtin")
+        compile_definition(definitions[name], root)
     return definitions
 
 

@@ -94,10 +94,18 @@ def _required(args: argparse.Namespace, *keys: str) -> None:
             raise CliError(f"missing required option --{key.replace('_', '-')}")
 
 
+# what a command reads, by dest: a path, and every path under a directory; a
+# later option wins a path, so --registry (which optimize rewrites) yields
+_INPUTS = {"scenes": "--scenes", "dataset": "--dataset", "registry": "--registry",
+           "scene": "--scene", "expr": "--expr", "infile": "--in",
+           "offline_expr": "--offline-expr", "suite": "--suite", "config": "--config"}
+
+
 def _output_path(args: argparse.Namespace, key: str, directory=False) -> str | None:
     """The path option ``key`` names for the command to write, a directory
-    with ``directory``; an existing path of the other kind, or a file in a
-    directory that does not exist, is a CliError before any work. A
+    with ``directory``; before any work, an existing path of the other kind,
+    a file in a directory that does not exist, a file the command reads
+    under another option, or a directory in one it reads, is a CliError. A
     directory's missing parents are created when it is written."""
     value = getattr(args, key)
     if value:
@@ -106,6 +114,17 @@ def _output_path(args: argparse.Namespace, key: str, directory=False) -> str | N
             raise CliError(f"--{key} {value} is {'a file' if directory else 'a directory'}")
         if not directory and not path.parent.is_dir():
             raise CliError(f"--{key} {value}: no directory {path.parent}")
+        inputs, path = {}, path.resolve()
+        for dest, flag in _INPUTS.items():
+            if getattr(args, dest, None):
+                read = Path(getattr(args, dest)).resolve()
+                inputs.update(dict.fromkeys([read, *map(Path.resolve, read.rglob("*"))], flag))
+        if directory:
+            flag = next(filter(None, map(inputs.get, (path, *path.parents))), None)
+            if flag:
+                raise CliError(f"--{key} {value} lies in the {flag} directory")
+        elif inputs.get(path, f"--{key}") != f"--{key}":
+            raise CliError(f"--{key} {value} names the {inputs[path]} file")
     return value
 
 
@@ -160,8 +179,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     relation_arity(relation)  # an unknown name is an ExpressionError before the suite is read
     registry_path = _output_path(args, "registry")
     log_path = _output_path(args, "log")
-    if log_path and Path(log_path).resolve() == Path(registry_path).resolve():
-        raise CliError(f"--log {log_path} names the --registry file")
     try:
         cfg = OptimizerConfig(n_iter=args.n_iter, n_sample=args.n_sample, top_k=args.top_k,
                               seed=args.seed)

@@ -6,53 +6,47 @@ Every operation is total: division is guarded away from zero, ``exp`` is
 clipped, ``sqrt`` floors its argument at zero, and the finished feature is
 sanitized to finite nonnegative values with repeated-index entries zeroed.
 
-Each node object of a body has a :class:`NodeSummary` (node count, height,
-counts of constants and swappable operators, and the node's canonical JSON
-text), made by one node rule (:func:`summarize_node`) from the node and its
-children's summaries. The check pass walks a body and applies it to each
-node object once; mutation applies it to a child's new path only, over its
-base's summaries, and leaves just the caps to check on the new root. Either
-way a checked body is its root summary, which :func:`compile_definition`
-returns and memoizes on the definition; every evaluator takes the
-definition and reads its root through that pass, and a relation's rank is
-its arity. A leaf's text is made with its summary and an op's is joined
-from its children's when first read: the check pass reads each op's, so a
-checked body keeps every text, while a mutated child's path keeps none
-until its digest joins its root's, in one pass. The check pass, the join
-and the DAG build recurse through module-level functions, not closures, so
-none leaves a reference cycle for the collector.
+A checked subtree has one :class:`NodeSummary` (node count, height, counts
+of constants and swappable operators, its canonical JSON text), made by one
+node rule (:func:`summarize_node`) from the node and its children's. The
+check pass hash-conses: it looks each node up in a process-wide weak table,
+by a leaf's text or by an op's name, extra keys and children's summaries,
+so all checked bodies (builtins, registry entries, LLM replies) share one
+summary per distinct subtree. Mutation applies the node rule to a child's
+new path only, outside the table (whose lookups doubled the cost of a
+draw), and leaves just the caps to check on the new root. Either way
+:func:`compile_definition` returns the body's root summary, memoized on the
+definition, and every evaluator reads it. An op's text is joined from its
+children's when first read: the check pass reads each, while a mutated
+child's path joins none until its digest joins its root's. The check pass,
+the join and the DAG build recurse through module-level functions, not
+closures, so none leaves a reference cycle for the collector.
 
 Two routes apply an op by its function in ``_OPS``, the one table of op
-functions, and differ only in how they read accessors and aggregates, in
-the order they visit nodes, in how they dispatch and in what they key
-subtrees by: the gathered route calls :func:`_node_value` per node, and
-the dense route's loop (:func:`_evaluate`) applies the same rule inline,
-calling a one- or two-argument op's function directly on its children's
-values.
+functions, and key subtrees by summary. They differ only in how they read
+accessors and aggregates, in the order they visit nodes and in how they
+dispatch: the gathered route calls :func:`_node_value` per node, and the
+dense route's loop (:func:`_evaluate`) applies the same rule inline.
 
 - The dense route (:func:`eval_encoders`; :func:`eval_encoder` is its
   one-body case) broadcasts each accessor along its own axis and keeps
   aggregates scalar. It runs one DAG over several bodies of any ranks,
-  laid out for the highest, hash-consed on the texts (equal texts are
-  equal subtrees), so a subtree the bodies share (a proximity or lateral
-  term, say, in a binary and a ternary body) is evaluated once for all of
-  them; each intermediate is freed after its last reader. Each root is
-  written into its row of its rank's stacked output, which is finished
-  once (sanitized, repeated indices zeroed, by ``_finalize_owned``), and
-  each feature is a read-only view of its row. A program, of one body or
-  several, is built from the summaries when a dense evaluation first asks
-  for it and memoized process-wide (:func:`_shared_dag`, the one program
-  memo).
+  laid out for the highest, so a subtree the checked bodies share (a
+  proximity or lateral term, say) is evaluated once for all of them; each
+  intermediate is freed after its last reader. Each root is written into
+  its row of its rank's stacked output, which is finished once
+  (``_finalize_owned``); each feature is a read-only view of its row. A
+  program is built when a dense evaluation first asks for it and memoized
+  process-wide (:func:`_shared_dag`, the one program memo).
 - The gathered route (:func:`eval_gathered`; :func:`eval_encoder_at` is its
   one-scene case) reads both at the points of a :class:`GatherPlan`, which
   may span several scenes, and yields the dense entries bit for bit. It
-  walks the summaries from the root with a memo of values by summary
-  object, which a caller may keep across bodies on one plan: a mutated
-  child shares its base's summaries off its new path, so scored with its
-  search's memo it evaluates only that path and builds no DAG, and the
-  walk reads no text. The one trade: equal subtrees that mutation builds separately are
-  distinct summaries, and may be evaluated once each. (A builtin has one
-  summary per distinct subtree, so its repeats are evaluated once.)
+  walks the summaries from the root with a memo of values, which a caller
+  may keep across bodies on one plan: a mutated child shares its base's
+  summaries off its new path, so scored with its search's memo it
+  evaluates only that path, builds no DAG and reads no text. The one
+  trade: equal subtrees that mutation builds separately are distinct
+  summaries, and may be evaluated once each.
 Bodies are treated as immutable: nothing here or in the mutation operator
 writes to a node, so trees may share subtrees.
 
@@ -68,6 +62,8 @@ import hashlib
 import json
 import math
 import operator
+import threading
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -291,26 +287,26 @@ def is_swappable(node: dict) -> bool:
 
 
 class NodeSummary:
-    """What the check learned about one body node object.
+    """What the check learned about one subtree; it hashes by identity.
+    Checked bodies share one interned summary per distinct subtree; a
+    mutated child shares its base's off its new path.
 
-    Made by :func:`summarize_node`; a mutated child shares its base's
-    summaries of everything off its new path.
-
-    - ``size``: node count, repeats counted.
-    - ``height``: levels of the subtree; a leaf has height 1.
+    - ``size``, ``height``: node count (repeats counted) and levels (a leaf
+      has 1).
     - ``objs``: bit o set when an accessor reads object o (i, j, k).
     - ``consts``, ``swaps``: const nodes, and nodes whose ``op`` is in
       ``COMMUTATIVE_SWAPS``, repeats counted.
-    - ``args``: the children's summaries; ``entry`` the node's DAG entry
-      (``("op", name)`` for an op, whose entry also lists child positions).
-    - ``text``: ``json.dumps(node, sort_keys=True)``. A leaf's is made with
-      its summary; an op's is joined when first read (:func:`_op_text`) and
-      kept. Equal texts are equal subtrees, so the DAG is keyed by it. None
-      past ``MAX_TREE_NODES``, where a repeated subtree's text would double
-      at each level.
+    - ``node``: built on the children's nodes, so maybe an equal copy of a
+      body's own; ``args`` the children's summaries; ``entry`` the DAG
+      entry (``("op", name)`` for an op, whose entry also lists children).
+    - ``text``: ``json.dumps(node, sort_keys=True)``, for the digest, not
+      for identity; an op's is joined when first read (:func:`_op_text`).
+      None past ``MAX_TREE_NODES``, where a repeated subtree's text would
+      double at each level.
     """
 
-    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "_text")
+    __slots__ = ("node", "args", "entry", "size", "height", "objs", "consts", "swaps", "_text",
+                 "__weakref__")
 
     def __init__(self, node: dict, args: tuple, entry: tuple, objs: int, text: str | None) -> None:
         self.node = node
@@ -393,22 +389,21 @@ def _op_parts(summary: NodeSummary, parts: list[str]) -> None:
 def _build_dag(roots: tuple[NodeSummary, ...]
                ) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The hash-consed DAG of the bodies rooted at ``roots``: ``nodes``,
-    ``frees`` and one output position per root, one step per distinct DAG
-    node, keyed by the summaries' texts. Bodies share their equal subtrees,
-    and equal roots share one position.
+    ``frees`` and one output position per root, one step per distinct
+    summary. Checked bodies share their equal subtrees, and equal roots
+    share one position.
 
-    ``nodes`` lists each distinct subtree once, children before parents:
+    ``nodes`` lists each distinct summary once, children before parents:
     ``("const", value)``, ``("get", field, obj, axis)``, ``("agg", name,
     axis)`` or ``("op", name, child_positions)``. ``frees[p]`` names the
     positions whose last reader is node ``p``, so an evaluation holds no more
     intermediates than it still needs. A root is never freed, as its value
     is written into its feature's row of the stacked output."""
-    ids: dict[str, int] = {}
+    ids: dict[NodeSummary, int] = {}
     nodes: list[tuple] = []
     # last_reader[p]: the last DAG node that reads node p (p itself until one does)
     last_reader: list[int] = []
-    outputs = tuple(ids[root.text] if root.text in ids else _emit(root, ids, nodes, last_reader)
-                    for root in roots)
+    outputs = tuple(_emit(root, ids, nodes, last_reader) for root in roots)
     kept = set(outputs)
     frees: list[list[int]] = [[] for _ in nodes]
     for child, pos in enumerate(last_reader):
@@ -417,15 +412,15 @@ def _build_dag(roots: tuple[NodeSummary, ...]
     return tuple(nodes), tuple(map(tuple, frees)), outputs
 
 
-def _emit(summary: NodeSummary, ids: dict[str, int], nodes: list[tuple],
+def _emit(summary: NodeSummary, ids: dict[NodeSummary, int], nodes: list[tuple],
           last_reader: list[int]) -> int:
     """Append the DAG nodes of ``summary``'s subtree that ``ids`` lacks; its
     position. Not a closure, so a build leaves no reference cycle."""
-    children = []
-    for child in summary.args:
-        pos = ids.get(child.text)
-        children.append(_emit(child, ids, nodes, last_reader) if pos is None else pos)
-    pos = ids[summary.text] = len(nodes)
+    pos = ids.get(summary)
+    if pos is not None:
+        return pos
+    children = [_emit(child, ids, nodes, last_reader) for child in summary.args]
+    pos = ids[summary] = len(nodes)
     if children:
         nodes.append((*summary.entry, tuple(children)))
         for child in children:
@@ -453,12 +448,17 @@ def _shared_dag(roots: tuple[NodeSummary, ...]):
 def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
                    path: tuple | None = None) -> NodeSummary:
     """The one node rule: the summary of ``node``, whose children have the
-    summaries ``args``, in a rank-``rank`` relation's body; DefinitionError
-    at ``path``, (parent_path, arg_position) or None at the root, if a const,
-    accessor or aggregate breaks its rules or json.dumps refuses the node.
-    An op's name and argument count are the caller's to check, before its
-    children: the check pass's walk does, and mutation's ops are valid (a
-    copy of a checked op node with new children cannot fault)."""
+    summaries ``args`` (none for a leaf), in a rank-``rank`` relation's
+    body; DefinitionError at ``path``, (parent_path, arg_position) or None
+    at the root, if a const, accessor or aggregate breaks its rules or
+    json.dumps refuses the node. An op's name and argument count are the
+    caller's to check, before its children: the check pass's walk does,
+    and mutation's ops are valid (a copy of a checked op node with new
+    children cannot fault)."""
+    if args:
+        if len(node) > 2:  # check the extra keys; the text is joined when read
+            _json_text(node, "[]", path)
+        return NodeSummary(node, args, ("op", node["op"]), 0, None)
     if "const" in node:
         value = node["const"]
         # a float must be finite, an int fit in 64 bits; a bool is no number
@@ -497,11 +497,14 @@ def summarize_node(node: dict, args: tuple[NodeSummary, ...], rank: int,
         if axes is not None and axis not in axes:
             raise _fault(path, f"aggregate {name!r} needs axis in {axes}")
         return NodeSummary(node, (), ("agg", name, axis), 0, _json_text(node, None, path))
-    if "op" in node:
-        if len(node) > 2:  # check the extra keys; the text is joined when read
-            _json_text(node, "[]", path)
-        return NodeSummary(node, args, ("op", node["op"]), 0, None)
     raise _fault(path, "node must have one of const/get/agg/op")
+
+
+# every live summary the check pass made, by a leaf's text or by (an op's name,
+# its extra keys' text or False, *its children's summary ids); a summary holds
+# its children, so no live key's id is reused
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERNED_LOCK = threading.Lock()
 
 
 def _check_and_compile(body: object, rank: int) -> NodeSummary:
@@ -516,11 +519,12 @@ def _check_and_compile(body: object, rank: int) -> NodeSummary:
 
 def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
                        seen: dict[int, NodeSummary]) -> NodeSummary:
-    """The summary of a node object at ``depth``, its subtree checked. A
-    repeated object reuses its summary in ``seen`` where its deepest node
-    stays within the depth cap, and is walked again where not, so the first
-    fault in depth-first order raises DefinitionError with its
-    ``body.args[..]`` path. Not a closure, so a check leaves no cycle."""
+    """The interned summary of a node object at ``depth``, its subtree
+    checked. A repeated object reuses its summary in ``seen`` where its
+    deepest node stays within the depth cap, and is walked again where not,
+    so the first fault in depth-first order raises DefinitionError with its
+    ``body.args[..]`` path. An op the table lacks is summarized on its
+    children's interned nodes. Not a closure, so a check leaves no cycle."""
     summary = seen.get(id(node))
     if summary is not None and depth + summary.height - 1 <= MAX_TREE_DEPTH:
         return summary
@@ -530,15 +534,28 @@ def _summarize_checked(node: object, depth: int, path: tuple | None, rank: int,
         raise _fault(path, f"node must be an object, got {type(node).__name__}")
     args = ()
     if "op" in node and node.keys().isdisjoint(("const", "get", "agg")):
-        name, args = node["op"], node.get("args")
+        name, children = node["op"], node.get("args")
         if not isinstance(name, str) or name not in OPS:
             raise _fault(path, f"unknown op {name!r}")
-        if not isinstance(args, list) or len(args) != OPS[name]:
+        if not isinstance(children, list) or len(children) != OPS[name]:
             raise _fault(path, f"op {name!r} takes {OPS[name]} args")
         args = tuple([_summarize_checked(child, depth + 1, (path, k), rank, seen)
-                      for k, child in enumerate(args)])
-    summary = seen[id(node)] = summarize_node(node, args, rank, path)
-    summary.text  # joined from the children's kept texts: a checked body keeps every text
+                      for k, child in enumerate(children)])
+        key = (name, len(node) > 2 and _json_text(node, "[]", path), *map(id, args))
+    else:
+        made = summarize_node(node, (), rank, path)
+        key = made.text
+    with _INTERNED_LOCK:
+        summary = _INTERNED.get(key)
+    if summary is None:
+        if args:
+            copy = any(a.node is not c for a, c in zip(args, children))
+            made = NodeSummary({**node, "args": [a.node for a in args]} if copy else node,
+                               args, ("op", name), 0, None)
+            made.text  # joined from the children's kept texts
+        with _INTERNED_LOCK:
+            summary = _INTERNED.setdefault(key, made)
+    seen[id(node)] = summary
     return summary
 
 
@@ -690,7 +707,7 @@ def eval_encoders(defns: Sequence[EncoderDefinition], scene: Scene, geom: PairGe
     """Evaluate definitions of any ranks over a scene in one shared pass.
 
     The bodies are checked (:func:`compile_definition`) and run as one DAG,
-    so each distinct subtree of all of them is evaluated once; each feature
+    so each distinct summary of all of them is evaluated once; each feature
     equals its body's own evaluation byte for byte. The DAG is laid out for
     the highest rank and evaluated in chunks along the first index of about
     ``CHUNK_ELEMS`` entries of that rank, so the intermediate working set

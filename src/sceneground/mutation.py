@@ -12,10 +12,11 @@ found by descending the base's node summaries (:class:`~sceneground.dsl.
 NodeSummary`), in depth-first order with repeats, in as many steps as that
 node is deep. Bodies are never mutated in place: the child copies the nodes
 on that path and shares every other subtree with the base (grafts share
-nodes with the builtin pool). Each new node, path copies included, gets
-its summary from the DSL's one node rule (:func:`~sceneground.dsl.
-summarize_node`) and its children's, so the child is built checked, with
-only the caps left to test on its root; the check pass never walks it. A
+the builtins' nodes). Each new node, path copies included, gets its
+summary from the DSL's one node rule (:func:`~sceneground.dsl.
+summarize_node`) and its children's, outside the check pass's intern
+table, so the child is built checked, with only the caps left to test on
+its root; the check pass never walks it. A
 draw joins no JSON text: the child's digest joins its root's text once,
 from the new path and the texts its base's subtrees keep, and a search
 scoring it on its memo of subtree values, kept by summary, evaluates only

@@ -356,8 +356,9 @@ def _ground_top_k(top_k):
 
 
 def _registry_is_another_file(command):
-    """``command`` whose ``--registry`` names its own suite (``optimize``)
-    or a scene file (``ground``, ``bench``)."""
+    """``command`` whose ``--registry`` names its own suite (``optimize``,
+    which would write over it) or a scene file (``ground``, ``bench``,
+    which read it as a registry)."""
 
     def build(dataset, tmp_path):
         suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
@@ -369,8 +370,9 @@ def _registry_is_another_file(command):
                 "ground": ["ground", "--scene", str(scene), "--expr", str(expr),
                            "--registry", str(scene)],
                 "bench": ["bench", "--dataset", str(dataset), "--registry", str(scene)]}[command]
-        bad = suite_path if command == "optimize" else scene
-        return argv, f"error: {bad}: unknown key "
+        if command == "optimize":
+            return argv, f"error: --registry {suite_path} names the --suite file"
+        return argv, f"error: {scene}: unknown key "
 
     return build
 
@@ -385,6 +387,43 @@ def _optimize_log_is_registry(dataset, tmp_path):
     return ["optimize", "--relation", "near", "--suite", str(suite_path), "--scenes",
             str(scenes_dir), "--registry", str(registry), "--n-iter", "1",
             "--log", str(tmp_path / "." / "registry.json")], "names the --registry file"
+
+
+def _output_names_input(case):
+    """A command whose output option names one of its inputs, or (for
+    ``--plots``) a directory inside its ``--dataset``."""
+
+    def build(dataset, tmp_path):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        scene = copy / "scenes" / "mini_prox.json"
+        expr = tmp_path / "expr.json"
+        expr.write_text(CHAIR_EXPR, encoding="utf-8")
+        if case == "optimize_log_is_suite":
+            suite_path, scenes_dir = make_near_suite_files(tmp_path, np.random.default_rng(0))
+            return ["optimize", "--relation", "near", "--suite", str(suite_path),
+                    "--scenes", str(scenes_dir), "--registry", str(tmp_path / "registry.json"),
+                    "--n-iter", "1", "--log", str(suite_path)], \
+                f"error: --log {suite_path} names the --suite file"
+        argv, where = {
+            "bench_out_in_dataset": (["bench", "--dataset", str(copy), "--out",
+                                      str(copy / "expressions.jsonl")],
+                                     "names the --dataset file"),
+            "ground_out_is_scene": (["ground", "--scene", str(scene), "--expr", str(expr),
+                                     "--out", str(scene)], "names the --scene file"),
+            "parse_out_is_in": (["parse", "--in", str(expr), "--out", str(expr)],
+                                "names the --in file"),
+            "bench_plots_in_dataset": (["bench", "--dataset", str(copy), "--plots",
+                                        str(copy / "plots")],
+                                       "lies in the --dataset directory"),
+        }[case]
+        return argv, f"error: {argv[-2]} {argv[-1]} {where}\n"
+
+    return build
+
+
+OUTPUTS_NAMING_INPUTS = ["bench_out_in_dataset", "optimize_log_is_suite", "ground_out_is_scene",
+                         "parse_out_is_in", "bench_plots_in_dataset"]
 
 
 def _ground_with_registry(body):
@@ -788,6 +827,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     _registry_is_another_file("ground"),
     _registry_is_another_file("bench"),
     _optimize_log_is_registry,
+    *[_output_names_input(case) for case in OUTPUTS_NAMING_INPUTS],
     _ground_with_registry({"get": []}),
     _ground_with_registry({"op": {}, "args": []}),
     _ground_with_registry({"agg": ["x"]}),
@@ -857,7 +897,7 @@ OUTPUTS_WITHOUT_PARENT = [("parse", "--out"), ("ground", "--out"), ("bench", "--
     *[_config_row(*row) for row in SHADOWED],
 ], ids=["top_k_0", "top_k_negative", "config_top_k_string", "optimize_n_iter_0",
         "optimize_registry_is_suite", "ground_registry_is_scene", "bench_registry_is_scene",
-        "optimize_log_is_registry",
+        "optimize_log_is_registry", *OUTPUTS_NAMING_INPUTS,
         "registry_get_list", "registry_op_object", "registry_agg_list", "registry_axis_list",
         "invalid_json", "not_an_object", "no_scene_id",
         "no_expression", "no_ground_truth", "scene_id_list", "ground_truth_string",

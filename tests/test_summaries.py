@@ -1,9 +1,9 @@
 """Per-subtree summaries against the whole-tree paths they replaced.
 
-The check makes one summary per node object, and mutation builds a child's
-new path from its base's summaries by the same node rule. On random bodies,
-valid and not, with shared subtrees, extra keys, int, signed-zero and
-subnormal constants:
+The check makes one interned summary per distinct subtree, and mutation
+builds a child's new path from its base's summaries by the same node rule,
+outside the intern table. On random bodies, valid and not, with shared
+subtrees, extra keys, int, signed-zero and subnormal constants:
 
 - the canonical JSON joined from subtree texts, and its digest, equal
   ``json.dumps`` of the whole definition (``oracles.reference_canonical_json``);
@@ -15,10 +15,15 @@ subnormal constants:
 
 A full search then shows that each candidate costs its changed path: no node
 is summarized twice, a draw joins no text, and a candidate's digest joins its
-root's text in one pass.
+root's text in one pass. Last, the intern table: a reloaded registry shares
+the builtins' summaries, the table lets go of dropped bodies, racing checks
+agree on one summary, and mutation's new paths stay out of it.
 """
 
+import gc
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +45,7 @@ from sceneground.dsl import (
     op,
 )
 from sceneground.optimizer import MutationSource, OptimizerConfig, TestSuite, optimize_encoder
-from sceneground.registry import EncoderRegistry
+from sceneground.registry import EncoderRegistry, load_registry, save_registry
 
 from helpers import build_margin_suite, replace_at
 from oracles import all_nodes, reference_canonical_json, reference_digest, reference_validate
@@ -246,7 +251,7 @@ def test_descent_picks_what_the_node_list_picks(body):
         assert getattr(root, name) == len(oracle)
         for k, (path, node) in enumerate(oracle):
             got_path, trail = mutation._descend(root, _DESCENT_COUNTS[name], k)
-            assert got_path == path and trail[-1].node is node
+            assert got_path == path and trail[-1].text == json.dumps(node, sort_keys=True)
             assert len(trail) == len(path) + 1
 
 
@@ -270,7 +275,7 @@ def _assert_built_as_checked(child):
     pairs = list(zip(mutation._preorder(built), mutation._preorder(fresh)))
     assert len(pairs) == fresh.size
     for got, want in pairs:
-        assert got.node is want.node
+        assert json.dumps(got.node, sort_keys=True) == json.dumps(want.node, sort_keys=True)
         assert [getattr(got, f) for f in _FIELDS] == [getattr(want, f) for f in _FIELDS]
     assert child.digest() == reference_digest(child)
 
@@ -441,3 +446,82 @@ def test_each_candidate_costs_its_changed_path(monkeypatch):
             assert not kept & made
     for visited, depth, height in descents:
         assert visited == depth + 1 <= height
+
+
+def _summaries(defn):
+    return {id(s): s for s in mutation._preorder(compile_definition(defn))}
+
+
+def test_a_reloaded_registry_shares_the_builtins_summaries(tmp_path):
+    """Every active root of a registry file saved from the builtins is the
+    builtin's own root summary, so a loaded ``between`` has the builtin's
+    49 summaries, one per distinct subtree."""
+    path = tmp_path / "registry.json"
+    save_registry(EncoderRegistry(), path)
+    loaded = load_registry(path)
+    for name, builtin in builtin_definitions().items():
+        defn = loaded.active_definition(name)
+        assert defn.body is not builtin.body
+        assert compile_definition(defn) is compile_definition(builtin)
+    between = _summaries(loaded.active_definition("between"))
+    assert len(between) == len({s.text for s in between.values()}) == 49
+
+
+def test_the_intern_table_lets_go_of_dropped_bodies():
+    """200 checked bodies that no builtin shares grow the table, and once
+    they are dropped and collected it is back to its prior size."""
+    gc.collect()
+    before = len(dsl._INTERNED)
+    bodies = [EncoderDefinition(relation="near", body=op("mul", const(k + 0.25),
+                                                         op("neg", get("volume", "j"))))
+              for k in range(200)]
+    for defn in bodies:
+        compile_definition(defn)
+    assert len(dsl._INTERNED) >= before + 400  # a const and a mul each
+    del bodies, defn
+    gc.collect()
+    assert len(dsl._INTERNED) == before
+
+
+def test_racing_checks_of_one_body_get_one_summary_per_subtree():
+    """Four threads (more than the cores) check their own decoded copies of
+    one new body (a mutant of ``between``, which the table lacks) at once,
+    switching often: every thread gets the same root object, and so the
+    same summary of every subtree."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(40):
+            text = json.dumps(
+                mutation.mutate_definition(encoder_to_dsl("between"), seed).to_dict())
+            barrier = threading.Barrier(4, timeout=10)
+            roots = [None] * 4
+
+            def check(k, text=text, barrier=barrier, roots=roots):
+                defn = dsl.definition_from_dict(json.loads(text))
+                barrier.wait()
+                roots[k] = compile_definition(defn)
+
+            threads = [threading.Thread(target=check, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert roots[0] is not None and all(root is roots[0] for root in roots), seed
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_mutated_childs_new_path_stays_out_of_the_table():
+    """A child's summaries off its new path are its base's, which the
+    table holds; the ones mutation made for its new path are not in it."""
+    base = encoder_to_dsl("between")
+    interned = {id(s) for s in dsl._INTERNED.values()}
+    assert _summaries(base).keys() <= interned
+    for seed in range(40):
+        child = mutation.mutate_definition(base, seed)
+        made = _summaries(child).keys() - _summaries(base).keys() - {
+            id(s) for s in mutation._graft_sources(7)}
+        assert made, seed
+        assert not made & {id(s) for s in dsl._INTERNED.values()}, seed
